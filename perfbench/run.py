@@ -1,6 +1,6 @@
 """Closed-loop benchmark of the quantfolio CLI pipeline.
 
-    python3 perfbench/run.py --workload golden --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload golden --seed 1 --seconds 55 --trace 0
 
 Run from the root of a checkout. One client runs the four stages in sequence,
 each as a fresh ``python -m quantfolio.cli <stage>`` process, exactly as a
@@ -38,17 +38,9 @@ WORK = os.path.join(ROOT, ".perfbench")  # scratch inputs, artifacts and results
 STAGES = tracer.STAGES
 METHODS = ("GA", "MinVar", "Equal", "Ensemble")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-HELP_REPS = 5
 IMPORT_REPS = 3
 RUN_BUDGET_S = 170.0  # every process is killed past this point of the run
 OPTIMAL_GAP = 1e-12
-
-# units of the metrics whose name suffix does not give it (see unit_of)
-UNITS = {
-    "peak_rss_mb": "MB",
-    "qaoa_gap_mean": "qubo_units",
-    "qaoa.statevector_bytes": "bytes_computed",
-}
 
 
 class Run:
@@ -178,18 +170,42 @@ def check_outputs(run: Run, out_dir: str, test_days: int, eval_shots: int) -> li
     return gaps
 
 
-class DigestStore:
-    """Artifact digests of earlier runs in this checkout, by workload (the
-    instance does not depend on the seed, so every seed must match)."""
+def instance_key(workload: str, workdir: str) -> str:
+    """What a workload's artifacts are a function of: the package source under
+    ``src/``, the Python, numpy and scipy versions and the input files. The
+    seed is left out because the pipeline instance does not depend on it."""
+    import numpy
+    import scipy
 
-    def __init__(self, path: str) -> None:
+    h = hashlib.sha256(f"{platform.python_version()} {numpy.__version__} "
+                       f"{scipy.__version__}".encode())
+    files = [os.path.join(workdir, name) for name in ("prices.csv", "run.cfg")]
+    for dirpath, dirnames, filenames in os.walk(SRC):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        files += [os.path.join(dirpath, f) for f in sorted(filenames) if not f.endswith(".pyc")]
+    for path in files:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        h.update(os.path.relpath(path, ROOT).encode() + b"\0" + hashlib.sha256(data).digest())
+    return f"{workload}:{h.hexdigest()}"
+
+
+class DigestStore:
+    """Artifact digests by instance key (see ``instance_key``). Every pipeline
+    of a run must give the digest of the first, and so must every later run
+    of the same source, libraries and inputs in this checkout; a change to any
+    of them starts a new key, so different code is never compared."""
+
+    def __init__(self, path: str, key: str) -> None:
         self.path = path
+        self.key = key
         self.known = _read_json(path) if os.path.exists(path) else {}
 
-    def check(self, run: Run, key: str, digest: str) -> None:
-        expected = self.known.setdefault(key, digest)
-        run.record(f"artifact digest matches earlier runs of {key}", digest == expected)
-        tmp = self.path + ".tmp"
+    def check(self, run: Run, digest: str) -> None:
+        expected = self.known.setdefault(self.key, digest)
+        run.record("artifact digest matches earlier pipelines of this instance",
+                   digest == expected)
+        tmp = f"{self.path}.{os.getpid()}.tmp"
         with open(tmp, "w") as fh:
             json.dump(self.known, fh, indent=1, sort_keys=True)
         os.replace(tmp, self.path)
@@ -245,30 +261,36 @@ def check_pipeline(run, test_days, workload, store) -> tuple[list[float], dict]:
     except (OSError, ValueError, KeyError, TypeError, csv.Error) as exc:
         run.record(f"artifacts are readable ({exc!r})", False)
         return [], {}
-    store.check(run, workload.name, digest)
+    store.check(run, digest)
     return gaps, {"artifact_sha256": digest, "artifact_bytes": size,
                   "golden_match": golden_match(out_dir, workload.reference_metrics)}
 
 
 def end_to_end(run, args, test_days, workload, store) -> tuple[dict, dict]:
-    """Closed loop: start the next pipeline only while it is expected to end
-    within ``--seconds``; at least one pipeline runs. Medians over pipelines."""
+    """Closed loop: each cycle is one ``--help`` (a ``setup_s`` sample) and one
+    pipeline; the next cycle starts only while it is expected to end within
+    ``--seconds``, and at least one runs. Medians over the cycles."""
     reps: list[dict] = []
+    setup: list[float] = []
+    cycles: list[float] = []
     gaps: list[float] = []
     extra: dict = {}
     t0 = time.perf_counter()
     while True:
+        start = time.perf_counter()
+        setup.append(run.cli_help())
         rep = run.pipeline()
         if rep is None:
             break
         gaps, extra = check_pipeline(run, test_days, workload, store)
         reps.append(rep)
-        typical = statistics.median(r["pipeline_s"] for r in reps)
-        if time.perf_counter() - t0 + typical > args.seconds:
+        cycles.append(time.perf_counter() - start)
+        if time.perf_counter() - t0 + statistics.median(cycles) > args.seconds:
             break
     if not reps:
         return {}, extra
     values = {
+        "setup_s": statistics.median(setup),
         "pipeline_s": statistics.median(r["pipeline_s"] for r in reps),
         "peak_rss_mb": statistics.median(r["rss_mb"] for r in reps),
         "qaoa_gap_mean": statistics.fmean(gaps) if gaps else 0.0,
@@ -280,6 +302,7 @@ def end_to_end(run, args, test_days, workload, store) -> tuple[dict, dict]:
         f"{s}_s": {"value": statistics.median(r["stage_s"][s] for r in reps), "unit": "s"}
         for s in STAGES
     }
+    extra["setup_samples_s"] = setup
     extra["pipelines"] = reps
     return values, extra
 
@@ -323,14 +346,17 @@ def per_layer(run, args, test_days, workload, store) -> tuple[dict, dict]:
     return values, extra
 
 
-def unit_of(name: str) -> str:
-    if name in UNITS:
-        return UNITS[name]
-    for suffix, unit in (("_per_s", "1/s"), ("_s", "s"), ("bytes_computed", "bytes_computed"),
-                         ("_bytes", "bytes"), ("_frac", "ratio")):
-        if name.endswith(suffix):
-            return unit
-    return "count"
+def listed_metrics(run: Run, values: dict, trace: int) -> dict:
+    """The metrics BENCHMARK.json lists for this mode, with the units it gives
+    them; a listed metric the run did not produce is a failed check."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)["per_layer" if trace else "end_to_end"]
+    out = {}
+    for metric in spec:
+        name = metric["name"]
+        if run.record(f"metric {name} is measured", name in values):
+            out[name] = {"value": values[name], "unit": metric["unit"]}
+    return out
 
 
 def main(argv=None) -> int:
@@ -356,16 +382,16 @@ def main(argv=None) -> int:
     workdir = os.path.join(WORK, f"{args.workload}-{args.seed}-{os.getpid()}")
     os.makedirs(workdir)
     run = Run(workdir)
-    store = DigestStore(os.path.join(WORK, "digests.json"))
     try:
         test_days = workloads.write_inputs(workload.name, workdir)
+        store = DigestStore(os.path.join(WORK, "digests.json"),
+                            instance_key(workload.name, workdir))
         run.cli_help()  # warm-up: byte-compile and page in, as a returning user has
         if args.trace:
             values, extra = per_layer(run, args, test_days, workload, store)
         else:
-            setup_s = statistics.median(run.cli_help() for _ in range(HELP_REPS))
             values, extra = end_to_end(run, args, test_days, workload, store)
-            values["setup_s"] = setup_s
+        metrics = listed_metrics(run, values, args.trace) if values else {}
         info = {
             "workload": workload.name,
             "seed": args.seed,
@@ -381,7 +407,7 @@ def main(argv=None) -> int:
         "correct": run.failed == 0 and bool(values),
         "attempted": run.attempted,
         "failed": run.failed,
-        "metrics": {k: {"value": v, "unit": unit_of(k)} for k, v in sorted(values.items())},
+        "metrics": metrics,
     }
     with open(os.path.join(WORK, f"result-{args.workload}-{args.seed}-trace{args.trace}.json"),
               "w") as fh:

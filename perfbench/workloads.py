@@ -10,16 +10,18 @@ inputs (see ``kernels.py``); the pipeline instance of a workload never moves.
 from __future__ import annotations
 
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
 
-from quantfolio import synth_panel, write_csv
+from quantfolio import load_csv, synth_panel, write_csv
 
-# tests/golden_pipeline.py defines the repo's reference run; these constants
-# copy it so the benchmark does not move when the test fixture is edited.
+# The repo's reference run (tests/golden_pipeline.py): its bundled panel, read
+# from tests/data, and a copy of its config and train/test split.
+GOLDEN_PRICES = os.path.join("tests", "data", "golden_prices.csv")
 GOLDEN_SEED = 2718
-_GOLDEN_SIZES = (4, 4, 4)
+GOLDEN_TRAIN_DAYS = 250
 GOLDEN_CONFIG = {
     "n_clusters": 4,
     "ga_population": 60,
@@ -42,52 +44,16 @@ _WIDE_DAYS = 1250
 @dataclass(frozen=True)
 class Workload:
     name: str
-    why: str
     eval_shots: int  # histogram total per window, checked on every run
     reference_metrics: str | None  # repo file metrics.csv is compared against
 
 
 WORKLOADS = {
-    "golden": Workload(
-        "golden",
-        "the repo's reference run: 12 tickers, W=8; import cost and COBYLA "
-        "per-evaluation overhead dominate",
-        GOLDEN_CONFIG["eval_shots"],
-        os.path.join("tests", "data", "golden_metrics.csv"),
-    ),
-    "wide": Workload(
-        "wide",
-        "every RunConfig default on 500 tickers x 1250 days: Ward O(M^3), CSV "
-        "parsing, 10 MB of select artifacts, the full GA and a long backtest",
-        4096,
-        None,
-    ),
-    "deep_window": Workload(
-        "deep_window",
-        "golden panel with 14 candidates per window and one restart: the "
-        "2^14-state statevector kernels dominate",
-        GOLDEN_CONFIG["eval_shots"],
-        None,
-    ),
+    "golden": Workload("golden", GOLDEN_CONFIG["eval_shots"],
+                       os.path.join("tests", "data", "golden_metrics.csv")),
+    "wide": Workload("wide", 4096, None),
+    "deep_window": Workload("deep_window", GOLDEN_CONFIG["eval_shots"], None),
 }
-
-
-def golden_panel():
-    m = sum(_GOLDEN_SIZES)
-    corr = np.full((m, m), 0.1)
-    offset = 0
-    for size in _GOLDEN_SIZES:
-        corr[offset : offset + size, offset : offset + size] = 0.6
-        offset += size
-    np.fill_diagonal(corr, 1.0)
-    return synth_panel(
-        seed=GOLDEN_SEED,
-        T=400,
-        M=m,
-        target_corr=corr,
-        ann_vol=np.linspace(0.15, 0.35, m),
-        ann_drift=np.linspace(0.0, 0.30, m),
-    )
 
 
 def wide_panel():
@@ -118,11 +84,14 @@ def write_inputs(name: str, workdir: str) -> int:
     run there), so the artifacts, manifest included, are byte-identical from
     run to run. Returns the number of test days.
     """
+    prices = os.path.join(workdir, "prices.csv")
     if name == "wide":
         panel, options = wide_panel(), {}
         n_train = int(0.6 * (panel.n_days - 1))
+        write_csv(panel, prices)
     elif name in ("golden", "deep_window"):
-        panel, n_train = golden_panel(), 250  # as in tests/golden_pipeline.py
+        shutil.copyfile(GOLDEN_PRICES, prices)
+        panel, n_train = load_csv(prices), GOLDEN_TRAIN_DAYS
         options = dict(GOLDEN_CONFIG)
         if name == "deep_window":
             options.update(candidates_per_window=14, restarts=1, max_iters=60)
@@ -130,7 +99,6 @@ def write_inputs(name: str, workdir: str) -> int:
         raise ValueError(f"unknown workload {name!r}")
 
     return_dates = panel.dates[1:]
-    write_csv(panel, os.path.join(workdir, "prices.csv"))
     config = {
         "prices_csv": "prices.csv",
         "out_dir": "out",
