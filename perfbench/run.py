@@ -5,13 +5,15 @@
 Run from the root of a checkout. One client runs the four stages in sequence,
 each as a fresh ``python -m quantfolio.cli <stage>`` process, exactly as a
 user would; the next pipeline starts only when the previous one ends, and BLAS
-and OpenMP run one thread per process. ``--trace 0`` times whole pipelines for
-``--seconds`` seconds and reports medians of the end-to-end metrics; ``--trace
-1`` runs one untraced and one traced pipeline (spans from ``tracer.py``), the
-fresh-interpreter import timings and the kernel sweep, and reports per-layer
-metrics. Every pipeline's outputs are checked; each stage process and each
-check is one attempted operation. The last line of stdout is the result JSON;
-the line before it holds the environment fingerprint and the check details.
+and OpenMP run one thread per process, all on one CPU. ``--trace 0`` times
+whole pipelines for ``--seconds`` seconds next to runs of a fixed reference
+process (``reference.py``), and reports medians of the end-to-end metrics,
+times in reference seconds; ``--trace 1`` runs one untraced and one
+traced pipeline (spans from ``tracer.py``), the fresh-interpreter import
+timings and the kernel sweep, and reports per-layer metrics. Every
+pipeline's outputs are checked; each process and each check is one attempted
+operation. The last line of stdout is the result JSON; the line before it
+holds the environment fingerprint and the check details.
 See README.md in this directory for the metric definitions.
 """
 from __future__ import annotations
@@ -89,17 +91,26 @@ class Run:
         self.record(f"python -c {code!r} exits 0", rc == 0)
         return elapsed
 
+    def reference(self) -> float | None:
+        """Wall time of one ``reference.py`` process; None if it failed."""
+        elapsed, rc, _ = self.spawn([sys.executable, os.path.join(HERE, "reference.py")],
+                                    "reference.err")
+        return elapsed if self.record("reference exits 0", rc == 0) else None
+
     def cli_help(self) -> float:
         elapsed, rc, _ = self.spawn([sys.executable, "-m", "quantfolio.cli", "--help"], "help.err")
         self.record("cli --help exits 0", rc == 0)
         return elapsed
 
-    def pipeline(self, spans_dir: str | None = None) -> dict | None:
-        """The four stages in sequence; None if one failed (later stages need
-        its artifacts, so they are not started)."""
+    def pipeline(self, spans_dir: str | None = None, before=None) -> dict | None:
+        """The four stages in sequence, each after ``before(stage)`` if given;
+        None if that or a stage failed (later stages need its artifacts, so
+        they are not started)."""
         shutil.rmtree(os.path.join(self.workdir, "out"), ignore_errors=True)
         stage_s, rss = {}, 0.0
         for stage in STAGES:
+            if before is not None and not before(stage):
+                return None
             if spans_dir is None:
                 argv = [sys.executable, "-m", "quantfolio.cli", stage, "--config", "run.cfg"]
             else:
@@ -211,7 +222,7 @@ class DigestStore:
         os.replace(tmp, self.path)
 
 
-def fingerprint(run: Run) -> dict:
+def fingerprint(run: Run, cpus: set[int]) -> dict:
     import numpy
     import scipy
 
@@ -234,7 +245,8 @@ def fingerprint(run: Run) -> dict:
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "nproc": len(os.sched_getaffinity(0)),
+        "nproc": len(cpus),
+        "pinned_cpu": max(cpus),
         "cpu_model": cpu,
         "thread_env": {v: run.env.get(v) for v in (*THREAD_VARS, "BLIS_NUM_THREADS",
                                                   "VECLIB_MAXIMUM_THREADS")},
@@ -267,19 +279,36 @@ def check_pipeline(run, test_days, workload, store) -> tuple[list[float], dict]:
 
 
 def end_to_end(run, args, test_days, workload, store) -> tuple[dict, dict]:
-    """Closed loop: each cycle is one ``--help`` (a ``setup_s`` sample) and one
-    pipeline; the next cycle starts only while it is expected to end within
-    ``--seconds``, and at least one runs. Medians over the cycles."""
+    """Closed loop: each cycle is one pipeline with a reference process and a
+    ``--help`` process (a ``setup_s`` sample) before its first and its third
+    stage. The next cycle starts only while it is expected to end within
+    ``--seconds``, and at least one runs.
+
+    The host's speed drifts by up to 2x within seconds to minutes (README
+    "Noise"), so the medians of the ``--help`` and pipeline wall times are
+    divided by the mean wall time of the run's reference processes. A time in
+    reference seconds is the wall time on a host where ``reference.py`` takes
+    one second."""
+    refs: list[float] = []
+    helps: list[float] = []
+
+    def samples(stage: str) -> bool:
+        if stage in ("select", "schedule"):
+            ref = run.reference()
+            if ref is None:
+                return False
+            refs.append(ref)
+            helps.append(run.cli_help())
+        return True
+
     reps: list[dict] = []
-    setup: list[float] = []
     cycles: list[float] = []
     gaps: list[float] = []
     extra: dict = {}
     t0 = time.perf_counter()
     while True:
         start = time.perf_counter()
-        setup.append(run.cli_help())
-        rep = run.pipeline()
+        rep = run.pipeline(before=samples)
         if rep is None:
             break
         gaps, extra = check_pipeline(run, test_days, workload, store)
@@ -289,20 +318,23 @@ def end_to_end(run, args, test_days, workload, store) -> tuple[dict, dict]:
             break
     if not reps:
         return {}, extra
+    ref_s = statistics.fmean(refs)
     values = {
-        "setup_s": statistics.median(setup),
-        "pipeline_s": statistics.median(r["pipeline_s"] for r in reps),
+        "setup_s": statistics.median(helps) / ref_s,
+        "pipeline_s": statistics.median(r["pipeline_s"] for r in reps) / ref_s,
         "peak_rss_mb": statistics.median(r["rss_mb"] for r in reps),
         "qaoa_gap_mean": statistics.fmean(gaps) if gaps else 0.0,
         "qaoa_optimal_frac": sum(g <= OPTIMAL_GAP for g in gaps) / len(gaps) if gaps else 0.0,
     }
-    # Stage times spread more between runs than any bound allows on a noisy
-    # host, so they are reported here and per layer, not gated (README "Noise").
+    # Single stages spread more between runs than the pipeline, so they are
+    # reported here and per layer, not gated (README "Noise").
     extra["stage_s"] = {
-        f"{s}_s": {"value": statistics.median(r["stage_s"][s] for r in reps), "unit": "s"}
+        f"{s}_s": {"value": statistics.median(r["stage_s"][s] for r in reps) / ref_s, "unit": "s"}
         for s in STAGES
     }
-    extra["setup_samples_s"] = setup
+    extra["reference_s"] = ref_s
+    extra["reference_samples_s"] = refs
+    extra["setup_samples_s"] = helps
     extra["pipelines"] = reps
     return values, extra
 
@@ -321,6 +353,8 @@ def per_layer(run, args, test_days, workload, store) -> tuple[dict, dict]:
             ("import_cli", "import quantfolio.cli"),
         )
     }
+    values["setup.reference_s"] = statistics.median(
+        run.reference() or 0.0 for _ in range(IMPORT_REPS))
     spans_dir = os.path.join(run.workdir, "spans")
     os.makedirs(spans_dir)
     untraced = run.pipeline()
@@ -381,6 +415,11 @@ def main(argv=None) -> int:
     workload = workloads.WORKLOADS[args.workload]
     workdir = os.path.join(WORK, f"{args.workload}-{args.seed}-{os.getpid()}")
     os.makedirs(workdir)
+    # One CPU for this process and every child: each vCPU of a shared host
+    # slows down on its own, and the reference process only measures the
+    # CPU it runs on.
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(cpus)})
     run = Run(workdir)
     try:
         test_days = workloads.write_inputs(workload.name, workdir)
@@ -396,7 +435,7 @@ def main(argv=None) -> int:
             "workload": workload.name,
             "seed": args.seed,
             "trace": args.trace,
-            "fingerprint": fingerprint(run),
+            "fingerprint": fingerprint(run, cpus),
             "failures": run.failures,
             **extra,
         }
