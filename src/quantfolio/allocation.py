@@ -93,7 +93,8 @@ def portfolio_log_returns(weights, panel: ReturnPanel) -> np.ndarray:
         raise ValueError(f"{w.size} weights for {panel.n_assets} assets")
     port = panel.gross_returns @ w
     # long-only weights on strictly positive gross returns cannot go <= 0
-    assert np.all(port > 0.0), "non-positive portfolio gross return"
+    if not np.all(port > 0.0):
+        raise ValueError("non-positive portfolio gross return")
     return np.log(port)
 
 

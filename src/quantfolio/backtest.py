@@ -187,7 +187,8 @@ def run(test: ReturnPanel, strat: Strategy, cost_c: float) -> BacktestReport:
         drifted = w * day / port
         if _fires(strat.scheduler, t, drifted, target):
             cost = cost_c * float(np.abs(drifted - target).sum())
-            assert cost < 1.0, "rebalancing cost cannot wipe out the portfolio"
+            if not cost < 1.0:
+                raise ValueError("rebalancing cost cannot wipe out the portfolio")
             value *= 1.0 - cost
             total_cost += cost
             rebalance_days.append(t)

@@ -3,17 +3,23 @@ simulation, shot sampling, multi-restart angle optimisation, and the
 walk-forward scheduling driver.
 
 The cost layer is applied as diagonal phases per basis state (mathematically
-identical to the gate decomposition into Rz/CNOT, and far faster); the mixer
-is a product of single-qubit Rx(2*beta) rotations. All randomness flows from
-one master seed through per-restart (and per-window) derived streams, so
-serial and parallel execution order cannot change results.
+identical to the gate decomposition into Rz/CNOT, and far faster); the table
+of 2^W phases is built once per model (``IsingModel.phases``) and reused by
+every ansatz evaluation. The mixer is a product of single-qubit Rx(2*beta)
+rotations. All randomness flows from one master seed through per-restart (and
+per-window) derived streams, so serial and parallel execution order cannot
+change results.
+
+scipy is imported only when the angle optimiser first runs (``minimize``), so
+importing this module, or any CLI stage other than ``schedule``, does not
+load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .allocation import WeightVector
 from .market_data import ReturnPanel
@@ -31,6 +37,13 @@ from .schedule_qubo import (
 STATEVECTOR_LIMIT = 24  # 2^W amplitudes; memory guard
 _BRUTE_DIAGNOSTIC_LIMIT = 16  # report the exact optimum alongside QAOA up to here
 OPTIMISER = "scipy-COBYLA"
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +76,29 @@ class IsingModel:
     @property
     def w(self) -> int:
         return int(self.h.size)
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """Cost-Hamiltonian eigenvalues (no offset) for all 2^W basis states,
+        indexed by bitstring value; built on first use, then read-only."""
+        w = self.w
+        z_axis = np.array([1.0, -1.0])  # basis index 0 -> z=+1, index 1 -> z=-1
+
+        def axis_view(i: int) -> np.ndarray:
+            shape = [1] * w
+            shape[i] = 2
+            return z_axis.reshape(shape)
+
+        energies = np.zeros((2,) * w)
+        for i in range(w):
+            if self.h[i] != 0.0:
+                energies += self.h[i] * axis_view(i)
+            for jj in range(i + 1, w):
+                if self.j[i, jj] != 0.0:
+                    energies += self.j[i, jj] * (axis_view(i) * axis_view(jj))
+        energies = energies.reshape(-1)
+        energies.flags.writeable = False
+        return energies
 
 
 @dataclass(frozen=True)
@@ -141,27 +177,6 @@ def ising_energy(model: IsingModel, bits) -> float:
     return float(model.h @ z + z @ model.j @ z + model.offset)
 
 
-def _phase_energies(model: IsingModel) -> np.ndarray:
-    """Cost-Hamiltonian eigenvalues (no offset) for all 2^W basis states,
-    indexed by bitstring value."""
-    w = model.w
-    z_axis = np.array([1.0, -1.0])  # basis index 0 -> z=+1, index 1 -> z=-1
-
-    def axis_view(i: int) -> np.ndarray:
-        shape = [1] * w
-        shape[i] = 2
-        return z_axis.reshape(shape)
-
-    energies = np.zeros((2,) * w)
-    for i in range(w):
-        if model.h[i] != 0.0:
-            energies += model.h[i] * axis_view(i)
-        for jj in range(i + 1, w):
-            if model.j[i, jj] != 0.0:
-                energies += model.j[i, jj] * (axis_view(i) * axis_view(jj))
-    return energies.reshape(-1)
-
-
 def simulate_ansatz(model: IsingModel, gammas, betas) -> np.ndarray:
     """Statevector after p alternating cost-phase and mixer layers on the
     uniform superposition.
@@ -177,7 +192,8 @@ def simulate_ansatz(model: IsingModel, gammas, betas) -> np.ndarray:
     if gammas.size != betas.size:
         raise ValueError("need one beta per gamma")
 
-    phase = _phase_energies(model)
+    phase = model.phases
+    axes = list(range(w))
     psi = np.full(2 ** w, 2.0 ** (-w / 2.0), dtype=complex)
     for gamma, beta in zip(gammas, betas):
         psi = psi * np.exp(-1j * gamma * phase)
@@ -185,7 +201,10 @@ def simulate_ansatz(model: IsingModel, gammas, betas) -> np.ndarray:
         rx = np.array([[c, -1j * s], [-1j * s, c]])
         psi = psi.reshape((2,) * w)
         for k in range(w):
-            psi = np.moveaxis(np.tensordot(rx, psi, axes=([1], [k])), 0, k)
+            # the single product np.tensordot(rx, psi, axes=([1], [k])) forms,
+            # without its bookkeeping: same operands, same bits
+            front = psi.transpose([k, *axes[:k], *axes[k + 1:]]).reshape(2, -1)
+            psi = np.moveaxis(np.dot(rx, front).reshape((2,) * w), 0, k)
         psi = psi.reshape(-1)
     return psi
 

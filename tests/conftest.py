@@ -1,7 +1,19 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import quantfolio
 from quantfolio import ReturnPanel, synth_panel, to_returns
+
+
+def subprocess_env() -> dict:
+    """This process's environment with the imported quantfolio on PYTHONPATH,
+    for running the package in a fresh interpreter."""
+    src = str(Path(quantfolio.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def block_correlation(sizes, intra=0.8, inter=0.1) -> np.ndarray:

@@ -17,6 +17,8 @@ from quantfolio import (
     to_returns,
 )
 
+from quantfolio.allocation import portfolio_log_returns
+
 from conftest import gross_panel
 
 
@@ -75,6 +77,12 @@ class TestEntropyAndFitness:
         one = WeightVector(panel.tickers, np.array([1.0]), "Equal")
         expected = annualised_sharpe(panel.log_returns[:, 0])
         assert fitness(one, panel) == pytest.approx(expected, abs=1e-12)
+
+    def test_non_positive_portfolio_return_raises(self):
+        # a short position can take the portfolio's gross return below zero
+        panel = gross_panel([[1.0, 1.0], [1.0, 1.1]])
+        with pytest.raises(ValueError, match="non-positive"):
+            portfolio_log_returns(np.array([1.0, -1.0]), panel)
 
     def test_zero_volatility_panel_rejected(self):
         panel = gross_panel([[1.001, 1.001], [1.001, 1.001], [1.001, 1.001]])

@@ -76,6 +76,13 @@ class TestRunIdentities:
         assert churn.total_cost_bp == 0.0
         assert churn.equity_curve[-1] == pytest.approx(hold.equity_curve[-1], rel=1e-14)
 
+    def test_cost_wiping_out_portfolio_raises(self):
+        # drift distance 1/3 at cost_c = 4 would charge 4/3 of the portfolio
+        panel = gross_panel([[2.0, 1.0], [1.0, 1.0]])
+        target = WeightVector(panel.tickers, np.array([0.5, 0.5]), "Equal")
+        with pytest.raises(ValueError, match="wipe out"):
+            run(panel, Strategy(target, Periodic(1)), 4.0)
+
 
 class TestSchedulers:
     def _drifting_panel(self, t=249):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from quantfolio import load_csv, synth_panel, to_returns, write_csv
 from quantfolio.cli import _child_seed, _fmt, main, parse_config
 
-from conftest import block_correlation
+from conftest import block_correlation, subprocess_env
 
 
 def test_float_cells_render_full_precision_and_blank_for_undefined():
@@ -314,3 +316,42 @@ class TestCsvDropReporting:
         assert run_cli("select", "--config", cfg) == 0
         blob = json.loads((tmp_path / "out" / "selection.json").read_text())
         assert blob["dropped_tickers"] == ["A001"]
+
+
+# Runs the given CLI commands in one fresh interpreter ("--help" prints the
+# usage), then prints whether scipy was loaded.
+_STAGES_SCRIPT = """
+import sys
+from quantfolio.cli import main
+config, out, *commands = sys.argv[1:]
+for command in commands:
+    if command == "--help":
+        try:
+            main(["--help"])
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+    else:
+        assert main([command, "--config", config, "--out", out]) == 0, command
+print("scipy loaded:", "scipy" in sys.modules)
+"""
+
+
+def _scipy_loaded_after(config, out, *commands) -> bool:
+    proc = subprocess.run(
+        [sys.executable, "-c", _STAGES_SCRIPT, str(config), str(out), *commands],
+        capture_output=True, text=True, env=subprocess_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.strip().splitlines()[-1]
+    assert last.startswith("scipy loaded: "), proc.stdout
+    return last == "scipy loaded: True"
+
+
+class TestImportBoundary:
+    """scipy is loaded only by the stage that runs the angle optimiser."""
+
+    def test_only_schedule_loads_scipy(self, workspace, tmp_path):
+        cfg, out = workspace["config"], tmp_path / "run"
+        assert not _scipy_loaded_after(cfg, out, "--help", "select", "weights")
+        assert _scipy_loaded_after(cfg, out, "schedule")
+        assert not _scipy_loaded_after(cfg, out, "backtest")

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from quantfolio import (
@@ -135,6 +138,90 @@ class TestSimulateAnsatz:
         model = IsingModel(h=np.zeros(25), j=np.zeros((25, 25)), offset=0.0)
         with pytest.raises(ValueError, match="guard"):
             simulate_ansatz(model, [0.1], [0.1])
+
+
+def reference_phase_energies(model):
+    """The cost-phase table as the simulator once rebuilt it on every call."""
+    w = model.w
+    z_axis = np.array([1.0, -1.0])
+
+    def axis_view(i):
+        shape = [1] * w
+        shape[i] = 2
+        return z_axis.reshape(shape)
+
+    energies = np.zeros((2,) * w)
+    for i in range(w):
+        if model.h[i] != 0.0:
+            energies += model.h[i] * axis_view(i)
+        for jj in range(i + 1, w):
+            if model.j[i, jj] != 0.0:
+                energies += model.j[i, jj] * (axis_view(i) * axis_view(jj))
+    return energies.reshape(-1)
+
+
+def reference_ansatz(model, gammas, betas):
+    """The tensordot + moveaxis simulator with a per-call phase table: the
+    bit-level reference for ``simulate_ansatz``."""
+    w = model.w
+    phase = reference_phase_energies(model)
+    psi = np.full(2**w, 2.0 ** (-w / 2.0), dtype=complex)
+    for gamma, beta in zip(gammas, betas):
+        psi = psi * np.exp(-1j * gamma * phase)
+        c, s = np.cos(beta), np.sin(beta)
+        rx = np.array([[c, -1j * s], [-1j * s, c]])
+        psi = psi.reshape((2,) * w)
+        for k in range(w):
+            psi = np.moveaxis(np.tensordot(rx, psi, axes=([1], [k])), 0, k)
+        psi = psi.reshape(-1)
+    return psi
+
+
+class TestKernelBitIdentity:
+    @pytest.mark.parametrize("w", [1, 2, 5, 8, 12])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_simulate_ansatz_matches_reference_bits(self, w, depth):
+        rng = np.random.default_rng(100 * w + depth)
+        model = to_ising(random_symmetric(rng, w))
+        gammas = rng.uniform(0, 2 * np.pi, size=depth)
+        betas = rng.uniform(0, np.pi, size=depth)
+        ref = reference_ansatz(model, gammas, betas)
+        # twice: the second call reads the cached phase table
+        for _ in range(2):
+            assert np.array_equal(simulate_ansatz(model, gammas, betas), ref)
+
+    def test_phases_built_once_and_read_only(self):
+        model = to_ising(random_symmetric(np.random.default_rng(4), 6))
+        assert model.phases is model.phases
+        assert not model.phases.flags.writeable
+        assert np.array_equal(model.phases, reference_phase_energies(model))
+
+
+@st.composite
+def symmetric_qubos(draw):
+    w = draw(st.integers(min_value=1, max_value=10))
+    a = draw(arrays(np.float64, (w, w), elements=st.floats(-10.0, 10.0)))
+    return (a + a.T) / 2
+
+
+class TestQuboIsingProperties:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(q=symmetric_qubos(), data=st.data())
+    def test_ising_energy_equals_qubo_energy(self, q, data):
+        w = q.shape[0]
+        bits = data.draw(arrays(np.int8, w, elements=st.integers(0, 1)))
+        x = bits.astype(float)
+        tol = 1e-12 * max(1.0, np.abs(q).sum())
+        assert ising_energy(to_ising(q), bits) == pytest.approx(x @ q @ x, abs=tol)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(q=symmetric_qubos())
+    def test_phases_plus_offset_equal_enumerated_energies(self, q):
+        model = to_ising(q)
+        tol = 1e-12 * max(1.0, np.abs(q).sum())
+        np.testing.assert_allclose(
+            model.phases + model.offset, enumerate_energies(q), rtol=0, atol=tol
+        )
 
 
 class TestSample:
