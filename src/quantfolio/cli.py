@@ -174,8 +174,10 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _load_panels(cfg: RunConfig):
-    panel = load_csv(cfg.prices_csv)
+def _load_panels(cfg: RunConfig, tickers=None):
+    """Price panel and its train/test returns; ``tickers`` limits the parse to
+    those columns (see :func:`load_csv`)."""
+    panel = load_csv(cfg.prices_csv, tickers)
     returns = to_returns(panel)
     train, test = split(returns, SplitSpec(cfg.train_end, cfg.test_end))
     return panel, train, test
@@ -281,7 +283,7 @@ def cmd_schedule(cfg: RunConfig) -> dict:
     """Run the walk-forward QAOA scheduler for every weight method."""
     selected = _read_selection(cfg)
     weights = _read_weights(cfg)
-    _, _, test = _load_panels(cfg)
+    _, _, test = _load_panels(cfg, selected)
     test_sel = test.restrict(selected)
     qubo_params = QuboParams(cfg.lambda1, cfg.lambda2, cfg.lambda3, cfg.cost_c)
 
@@ -326,7 +328,7 @@ def cmd_backtest(cfg: RunConfig) -> dict:
     selected = _read_selection(cfg)
     weights = _read_weights(cfg)
     schedules = _read_schedules(cfg)
-    _, _, test = _load_panels(cfg)
+    _, _, test = _load_panels(cfg, selected)
     test_sel = test.restrict(selected)
 
     reports = run_grid(

@@ -2,9 +2,11 @@
 representative selection.
 
 Ward linkage is run directly on the precomputed distance matrix via the
-Lance-Williams recurrence (naive O(M^3) agglomeration, fine for M up to a few
-hundred). All tie-breaking is deterministic: merges prefer the lexicographically
-smallest slot pair, cluster ids are ordered by smallest member index, and
+Lance-Williams recurrence. Each merge costs one argmin over an M x M working
+matrix plus O(M) updates of the merged and the dead slot's row and column, so
+O(M^2) numpy work per merge and no per-merge allocation of M x M arrays. All
+tie-breaking is deterministic: merges go to the lexicographically smallest
+slot pair, cluster ids are ordered by smallest member index, and
 representative ties go to the lexicographically first ticker.
 """
 from __future__ import annotations
@@ -93,16 +95,16 @@ def ward_cluster(dist, n: int) -> ClusterAssignment:
 
     d2 = d.astype(float) ** 2
     np.fill_diagonal(d2, np.inf)
+    # work[a, b] == d2[a, b] for live a < b and inf everywhere else, so its
+    # argmin's first hit is the lexicographically smallest minimal live pair
+    work = d2.copy()
+    work[np.tril_indices(m)] = np.inf
     size = np.ones(m)
     alive = np.ones(m, dtype=bool)
     members: list[list[int]] = [[i] for i in range(m)]
 
     for _ in range(m - n):
-        # active upper-triangle pair with minimal distance; argmin's first hit
-        # is the lexicographically smallest (i, j)
-        masked = np.where(alive[:, None] & alive[None, :], d2, np.inf)
-        masked[np.tril_indices(m)] = np.inf
-        i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
+        i, j = divmod(int(np.argmin(work)), m)
 
         si, sj, sk = size[i], size[j], size
         dij = d2[i, j]
@@ -114,6 +116,12 @@ def ward_cluster(dist, n: int) -> ClusterAssignment:
         alive[j] = False
         members[i].extend(members[j])
         members[j] = []
+
+        live = np.where(alive, merged, np.inf)
+        work[j, :] = np.inf
+        work[:, j] = np.inf
+        work[i, i + 1:] = live[i + 1:]
+        work[:i, i] = live[:i]
 
     clusters = sorted((members[s] for s in np.flatnonzero(alive)), key=min)
     labels = np.empty(m, dtype=int)

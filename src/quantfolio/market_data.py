@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -157,44 +158,69 @@ class SplitSpec:
             raise ValueError("train_end must precede test_end")
 
 
-def load_csv(path) -> PricePanel:
+def _cell_float(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan  # blank or unparseable cell == gap: the ticker is dropped
+
+
+def load_csv(path, tickers=None) -> PricePanel:
     """Read a wide price CSV: first column ``date`` (ISO-8601), one column per
-    ticker, numeric cells or blank.
+    ticker, numeric cells or blank. Blank lines are skipped.
 
     Tickers with any blank, unparseable, or non-positive cell are dropped and
     reported (warning log plus the panel's ``dropped`` field).
+
+    ``tickers``, if given, names the columns to read, in the order wanted;
+    the others are not parsed, though every row's length and date are still
+    checked. A name the header lacks is an error, as is a header that names
+    one ticker twice. The file is read in one streamed pass.
     """
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if any(c.strip() for c in r)]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if header[0].lower() != "date":
-        raise ValueError(f"{path}: first column must be 'date'")
-    tickers = header[1:]
-    if not tickers:
-        raise ValueError(f"{path}: no ticker columns")
-    body = rows[1:]
-    if len(body) < 2:
+        reader = csv.reader(fh)
+        rows = (r for r in reader if any(c.strip() for c in r))
+        header = [c.strip() for c in next(rows, [])]
+        if not header:
+            raise ValueError(f"{path}: empty file")
+        if header[0].lower() != "date":
+            raise ValueError(f"{path}: first column must be 'date'")
+        columns = {}
+        for col, tk in enumerate(header[1:], start=1):
+            if tk in columns:
+                raise ValueError(f"{path}: duplicate ticker column {tk!r}")
+            columns[tk] = col
+        if not columns:
+            raise ValueError(f"{path}: no ticker columns")
+        if tickers is None:
+            tickers = header[1:]
+            pick = None
+        else:
+            tickers = list(tickers)
+            unknown = [tk for tk in tickers if tk not in columns]
+            if unknown:
+                raise ValueError(f"{path}: unknown tickers: {', '.join(unknown)}")
+            pick = [columns[tk] for tk in tickers]
+
+        dates: list[date] = []
+        values = array("d")
+        for row in rows:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} cells, "
+                    f"expected {len(header)}"
+                )
+            dates.append(date.fromisoformat(row[0].strip()))
+            cells = row[1:] if pick is None else [row[c] for c in pick]
+            try:
+                # the list is built first, so a row that raises appends nothing
+                values.extend(list(map(float, cells)))
+            except ValueError:
+                values.extend(map(_cell_float, cells))
+    if len(dates) < 2:
         raise ValueError(f"{path}: need at least 2 data rows")
 
-    dates: list[date] = []
-    raw = np.full((len(body), len(tickers)), np.nan)
-    for t, row in enumerate(body):
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: row {t + 2} has {len(row)} cells, expected {len(header)}"
-            )
-        dates.append(date.fromisoformat(row[0].strip()))
-        for i, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if not cell:
-                continue
-            try:
-                raw[t, i] = float(cell)
-            except ValueError:
-                pass  # unparseable cell == gap: the ticker is dropped below
-
+    raw = np.frombuffer(values, dtype=float).reshape(len(dates), len(tickers))
     complete = np.all(np.isfinite(raw) & (raw > 0.0), axis=0)
     dropped = tuple(tk for tk, ok in zip(tickers, complete) if not ok)
     if dropped:

@@ -91,6 +91,71 @@ class TestWardCluster:
         np.testing.assert_array_equal(a, b)
 
 
+def reference_ward_labels(dist):
+    """The Ward loop that rebuilt its live-pair mask on every merge: the
+    reference for ``ward_cluster``. Yields ``(n, labels)`` for n = M..1."""
+    d2 = np.asarray(dist, dtype=float) ** 2
+    m = d2.shape[0]
+    np.fill_diagonal(d2, np.inf)
+    size = np.ones(m)
+    alive = np.ones(m, dtype=bool)
+    members = [[i] for i in range(m)]
+    for n in range(m, 0, -1):
+        clusters = sorted((members[s] for s in np.flatnonzero(alive)), key=min)
+        labels = np.empty(m, dtype=int)
+        for cid, idx in enumerate(clusters):
+            labels[idx] = cid
+        yield n, labels
+        if n == 1:
+            break
+        masked = np.where(alive[:, None] & alive[None, :], d2, np.inf)
+        masked[np.tril_indices(m)] = np.inf
+        i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
+        si, sj, sk = size[i], size[j], size
+        dij = d2[i, j]
+        merged = ((si + sk) * d2[i] + (sj + sk) * d2[j] - sk * dij) / (si + sj + sk)
+        d2[i, :] = merged
+        d2[:, i] = merged
+        d2[i, i] = np.inf
+        size[i] = si + sj
+        alive[j] = False
+        members[i].extend(members[j])
+        members[j] = []
+
+
+def duplicated_columns_distance(seed, m):
+    """Angular distances of a panel whose columns repeat: exact zero-distance
+    ties and exactly equal rows."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((40, max(2, m // 3)))
+    x = base[:, rng.integers(0, base.shape[1], size=m)]
+    rho = np.clip(np.corrcoef(x.T), -1.0, 1.0)
+    d = np.sqrt((1.0 - rho) / 2.0)
+    d = (d + d.T) / 2
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def all_tied_distance(m):
+    """Shrinkage alpha = 1: every off-diagonal distance is 1/sqrt(2)."""
+    d = np.full((m, m), np.sqrt(0.5))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+class TestWardBitIdentity:
+    @pytest.mark.parametrize("m", range(2, 61))
+    def test_labels_match_reference_for_every_n(self, m):
+        inputs = (
+            random_distance(1000 + m, m),
+            duplicated_columns_distance(2000 + m, m),
+            all_tied_distance(m),
+        )
+        for d in inputs:
+            for n, ref in reference_ward_labels(d):
+                assert np.array_equal(ward_cluster(d, n).labels, ref), n
+
+
 class TestAnnualisedSharpe:
     def test_constant_series_is_error(self):
         with pytest.raises(ZeroVolatilityError):

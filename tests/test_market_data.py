@@ -1,8 +1,13 @@
+import csv
 import math
-from datetime import date
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantfolio import (
     PricePanel,
@@ -85,6 +90,156 @@ class TestLoadCsv:
         assert back.tickers == panel.tickers
         assert back.dates == panel.dates
         np.testing.assert_array_equal(back.prices, panel.prices)
+
+    def test_row_length_error_names_the_file_line(self, tmp_path):
+        path = _write(tmp_path, (
+            "date,AAA,BBB\n"
+            "\n"
+            "\n"
+            "2024-01-02,100.0,50.0\n"
+            "2024-01-03,101.0\n"
+        ))
+        with pytest.raises(ValueError, match="line 5 has 2 cells, expected 3"):
+            load_csv(path)
+
+    def test_duplicate_ticker_column_rejected(self, tmp_path):
+        path = _write(tmp_path, (
+            "date,AAA,BBB,AAA\n"
+            "2024-01-02,100.0,50.0,\n"
+            "2024-01-03,101.0,49.5,\n"
+        ))
+        for tickers in (None, ["BBB"]):
+            with pytest.raises(ValueError, match=r"prices\.csv: duplicate ticker column 'AAA'"):
+                load_csv(path, tickers)
+
+    def test_unknown_ticker_subset_rejected(self, tmp_path):
+        path = _write(tmp_path, (
+            "date,AAA,BBB\n"
+            "2024-01-02,100.0,50.0\n"
+            "2024-01-03,101.0,49.5\n"
+        ))
+        with pytest.raises(ValueError, match="unknown tickers: ZZZ"):
+            load_csv(path, ["AAA", "ZZZ"])
+
+    def test_subset_parses_only_named_columns_in_order(self, tmp_path):
+        path = _write(tmp_path, (
+            "date,AAA,BBB,CCC\n"
+            "2024-01-02,100.0,n/a,20.0\n"
+            "2024-01-03,101.0,,21.0\n"
+        ))
+        panel = load_csv(path, ["CCC", "AAA"])
+        assert panel.tickers == ("CCC", "AAA")
+        assert panel.dropped == ()
+        np.testing.assert_array_equal(panel.prices, [[20.0, 100.0], [21.0, 101.0]])
+
+    def test_subset_still_checks_every_date(self, tmp_path):
+        path = _write(tmp_path, (
+            "date,AAA,BBB\n"
+            "2024-01-02,100.0,50.0\n"
+            "2024-13-03,101.0,49.5\n"
+        ))
+        with pytest.raises(ValueError):
+            load_csv(path, ["AAA"])
+
+
+def reference_load_csv(path):
+    """The cell-by-cell parser that read every row into memory first: the
+    reference for ``load_csv``'s dates, tickers, drops and price bits."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if any(c.strip() for c in r)]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    if header[0].lower() != "date":
+        raise ValueError(f"{path}: first column must be 'date'")
+    tickers = header[1:]
+    if not tickers:
+        raise ValueError(f"{path}: no ticker columns")
+    body = rows[1:]
+    if len(body) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows")
+
+    dates = []
+    raw = np.full((len(body), len(tickers)), np.nan)
+    for t, row in enumerate(body):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: row {t + 2} has {len(row)} cells, expected {len(header)}"
+            )
+        dates.append(date.fromisoformat(row[0].strip()))
+        for i, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if not cell:
+                continue
+            try:
+                raw[t, i] = float(cell)
+            except ValueError:
+                pass
+
+    complete = np.all(np.isfinite(raw) & (raw > 0.0), axis=0)
+    dropped = tuple(tk for tk, ok in zip(tickers, complete) if not ok)
+    if not np.any(complete):
+        raise ValueError(f"{path}: no ticker has a complete positive price history")
+    keep = tuple(tk for tk, ok in zip(tickers, complete) if ok)
+    return PricePanel(tuple(dates), keep, raw[:, complete], dropped=dropped)
+
+
+_ODD_CELLS = ("", "  ", " 12.5 ", "\t7\t", "n/a", "0", "-1", "nan", "inf", "1e-3")
+_BLANK_LINES = ("", "  ", " , ")
+
+
+@st.composite
+def price_csvs(draw):
+    """Small wide CSVs mixing valid prices with blank, padded, non-numeric,
+    zero, negative and non-finite cells, and blank lines anywhere."""
+    n_tickers = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(2, 7))
+    price = st.floats(0.01, 1e4).map(repr)
+    odd = st.one_of(price, st.sampled_from(_ODD_CELLS))
+    # a clean column holds plain prices only, so some tickers survive
+    columns = [price if draw(st.booleans()) else odd for _ in range(n_tickers)]
+    lines = ["date," + ",".join(f"T{i}" for i in range(n_tickers))]
+    for t in range(n_rows):
+        day = (date(2024, 1, 1) + timedelta(days=t)).isoformat()
+        lines.append(",".join([day, *(draw(col) for col in columns)]))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANK_LINES)))
+    return "\n".join(lines) + "\n", [f"T{i}" for i in range(n_tickers)]
+
+
+class TestLoadCsvMatchesReference:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=price_csvs(), data=st.data())
+    def test_full_and_subset_parse_match_reference(self, case, data):
+        text, header = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "prices.csv"
+            path.write_text(text)
+            subset = data.draw(st.permutations(header).flatmap(
+                lambda p: st.integers(1, len(p)).map(lambda k: p[:k])))
+            try:
+                ref = reference_load_csv(path)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    load_csv(path)
+                return
+            full = load_csv(path)
+            assert full.dates == ref.dates
+            assert full.tickers == ref.tickers
+            assert full.dropped == ref.dropped
+            assert np.array_equal(full.prices, ref.prices)
+
+            kept = [tk for tk in subset if tk in ref.tickers]
+            if not kept:
+                with pytest.raises(ValueError, match="no ticker"):
+                    load_csv(path, subset)
+                return
+            part = load_csv(path, subset)
+            assert part.dates == ref.dates
+            assert part.tickers == tuple(kept)
+            assert part.dropped == tuple(tk for tk in subset if tk in ref.dropped)
+            cols = [ref.tickers.index(tk) for tk in kept]
+            assert np.array_equal(part.prices, ref.prices[:, cols])
 
 
 class TestPanelInvariants:
