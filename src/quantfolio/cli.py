@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
@@ -162,12 +163,21 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one of several cells in a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text, ""])
+    return buf.getvalue()[:-1]
+
+
 def _write_matrix_csv(path, tickers, matrix) -> None:
+    """The bytes ``csv.writer`` gives for rows ``[ticker, *map(repr, row)]``,
+    with each row's numbers formatted by one ``repr`` of the row's list (the
+    same ``repr(float)`` per cell, and no cell ever needs quoting)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ticker", *tickers])
+        csv.writer(fh).writerow(["ticker", *tickers])
         for t, row in zip(tickers, matrix):
-            writer.writerow([t, *[repr(float(v)) for v in row]])
+            fh.write(f"{_csv_cell(t)},{repr(row.tolist())[1:-1].replace(', ', ',')}\r\n")
 
 
 def _fmt(value) -> str:

@@ -210,7 +210,10 @@ def load_csv(path, tickers=None) -> PricePanel:
                     f"{path}: line {reader.line_num} has {len(row)} cells, "
                     f"expected {len(header)}"
                 )
-            dates.append(date.fromisoformat(row[0].strip()))
+            try:
+                dates.append(date.fromisoformat(row[0].strip()))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num} has a bad date: {exc}") from None
             cells = row[1:] if pick is None else [row[c] for c in pick]
             try:
                 # the list is built first, so a row that raises appends nothing

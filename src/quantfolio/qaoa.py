@@ -6,13 +6,16 @@ The cost layer is applied as diagonal phases per basis state (mathematically
 identical to the gate decomposition into Rz/CNOT, and far faster); the table
 of 2^W phases is built once per model (``IsingModel.phases``) and reused by
 every ansatz evaluation. The mixer is a product of single-qubit Rx(2*beta)
-rotations. All randomness flows from one master seed through per-restart (and
-per-window) derived streams, so serial and parallel execution order cannot
-change results.
+rotations. ``simulate_ansatz`` takes one angle vector or a batch of them, so
+every point the optimiser scores in one step is simulated in one pass.
 
-scipy is imported only when the angle optimiser first runs (``minimize``), so
-importing this module, or any CLI stage other than ``schedule``, does not
-load it.
+The angle search is numpy only (no scipy): a p = 1 grid scored by the shot
+loss, its best point repeated over the p layers (INTERP; Zhou et al., PRX 10,
+021067, 2020), then SPSA (Spall, IEEE TAC 37, 1992) on all restarts at once,
+all within ``restarts * max_iters`` loss evaluations per window. All
+randomness flows from one master seed through per-window, per-restart and
+grid streams, so results never depend on evaluation order, and restart r's
+result does not depend on how many restarts follow it.
 """
 from __future__ import annotations
 
@@ -36,14 +39,51 @@ from .schedule_qubo import (
 
 STATEVECTOR_LIMIT = 24  # 2^W amplitudes; memory guard
 _BRUTE_DIAGNOSTIC_LIMIT = 16  # report the exact optimum alongside QAOA up to here
-OPTIMISER = "scipy-COBYLA"
+OPTIMISER = "grid-INTERP-SPSA"
+_BATCH_AMPLITUDES = 2 ** 18  # most amplitudes one simulate_ansatz call holds
+# p = 1 grid (gamma points x beta points): the fine one when the window's
+# budget is at least twice its size, else the coarse one
+_FINE_GRID, _COARSE_GRID = (12, 6), (8, 4)
+_JITTER = 0.3  # standard deviation of each restart's offset from the grid start
+_SPSA_GAINS = (0.3, 0.2, 0.602, 0.101)  # a, c, alpha, gamma of ``minimize``
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use."""
-    from scipy.optimize import minimize as scipy_minimize
+@dataclass(frozen=True, eq=False)
+class SpsaResult:
+    """What ``minimize`` returns: the final iterates and the evaluation count."""
 
-    return scipy_minimize(fun, x0, **kwargs)
+    x: np.ndarray  # (R, n) final iterates
+    nfev: int  # loss evaluations (points), all restarts together
+
+
+def minimize(fun, x0, rngs, steps) -> SpsaResult:
+    """SPSA (Spall 1992) from each row of ``x0`` at once.
+
+    Row r takes ``steps[r]`` steps with gains ``a_k = a / (k + 1 + A_r)^alpha``,
+    ``A_r = 0.1 * steps[r]``, and ``c_k = c / (k + 1)^gamma``. Each step draws
+    a +-1 direction d per row from ``rngs[r]`` and scores every row still
+    stepping at x + c_k d and x - c_k d in one call ``fun(points, point_rngs)``:
+    the '+' points first, then the '-' points, each with its row's generator.
+    So every generator sees the same draws, in the same order, whatever the
+    other rows do. ``a``, ``c``, ``alpha``, ``gamma`` are ``_SPSA_GAINS``.
+    """
+    a, c, alpha, gamma = _SPSA_GAINS
+    x = np.array(x0, dtype=float)
+    steps = np.asarray(steps)
+    if x.ndim != 2 or steps.shape != (x.shape[0],) or len(rngs) != x.shape[0]:
+        raise ValueError("need one step count and one generator per row of x0")
+    nfev = 0
+    for k in range(int(steps.max(initial=0))):
+        rows = np.flatnonzero(steps > k)
+        delta = np.array([2.0 * rngs[r].integers(0, 2, size=x.shape[1]) - 1.0 for r in rows])
+        ck = c / (k + 1) ** gamma
+        losses = fun(np.concatenate([x[rows] + ck * delta, x[rows] - ck * delta]),
+                     [rngs[r] for r in rows] * 2)
+        slope = (losses[: rows.size] - losses[rows.size :]) / (2.0 * ck)
+        ak = a / (k + 1 + 0.1 * steps[rows]) ** alpha
+        x[rows] -= (ak * slope)[:, None] * delta
+        nfev += 2 * rows.size
+    return SpsaResult(x, nfev)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +147,7 @@ class QaoaConfig:
     restarts: int = 5
     opt_shots: int = 2048
     eval_shots: int = 4096
-    max_iters: int = 150
+    max_iters: int = 150  # loss evaluations per restart; a window's budget is restarts x this
     seed: int = 0
     exact_expectation: bool = False  # debug mode: noiseless loss instead of shots
 
@@ -115,6 +155,9 @@ class QaoaConfig:
         for name in ("depth", "restarts", "opt_shots", "eval_shots", "max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        grid = _COARSE_GRID[0] * _COARSE_GRID[1]
+        if self.restarts * self.max_iters < grid:
+            raise ValueError(f"restarts x max_iters must be >= {grid} (the p = 1 grid)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +168,8 @@ class QaoaOutcome:
     evaluation histogram (count ties -> lower bitstring value) and
     ``best_energy`` is that bitstring's energy x' Q x. ``histogram`` holds the
     winner's evaluation counts indexed by bitstring value;
-    ``restart_energies`` the per-restart final expected energies.
+    ``restart_energies`` the per-restart final expected energies and
+    ``restart_angles`` the per-restart final angles, one row each.
     """
 
     best_bits: BitSchedule
@@ -134,6 +178,7 @@ class QaoaOutcome:
     angles: np.ndarray  # gamma_1..gamma_p, beta_1..beta_p of the winner
     restart_energies: np.ndarray
     eval_shots: int
+    restart_angles: np.ndarray
 
     def histogram_top(self, top: int = 20) -> list[tuple[str, int]]:
         """Most frequent bitstrings, count desc, ties by bitstring value asc."""
@@ -183,30 +228,51 @@ def simulate_ansatz(model: IsingModel, gammas, betas) -> np.ndarray:
 
     Basis index v encodes the bitstring MSB-first (qubit k <-> axis k), so
     ``abs(state[v])**2`` is the probability of the bitstring with value v.
+    With ``(B, p)`` angle arrays the result is the ``(B, 2**W)`` batch of
+    states, row b bit-identical to the call on row b's angles alone.
     """
     w = model.w
     if w > STATEVECTOR_LIMIT:
         raise ValueError(f"W = {w} exceeds the statevector guard ({STATEVECTOR_LIMIT})")
-    gammas = np.asarray(gammas, dtype=float).ravel()
-    betas = np.asarray(betas, dtype=float).ravel()
-    if gammas.size != betas.size:
-        raise ValueError("need one beta per gamma")
+    gammas = np.asarray(gammas, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    batched = gammas.ndim == 2
+    if gammas.shape != betas.shape or gammas.ndim > 2:
+        raise ValueError("need one beta per gamma: (p,) or (B, p) arrays of one shape")
+    if not batched:
+        gammas, betas = gammas.reshape(1, -1), betas.reshape(1, -1)
 
     phase = model.phases
-    axes = list(range(w))
-    psi = np.full(2 ** w, 2.0 ** (-w / 2.0), dtype=complex)
-    for gamma, beta in zip(gammas, betas):
-        psi = psi * np.exp(-1j * gamma * phase)
-        c, s = np.cos(beta), np.sin(beta)
-        rx = np.array([[c, -1j * s], [-1j * s, c]])
-        psi = psi.reshape((2,) * w)
-        for k in range(w):
-            # the single product np.tensordot(rx, psi, axes=([1], [k])) forms,
-            # without its bookkeeping: same operands, same bits
-            front = psi.transpose([k, *axes[:k], *axes[k + 1:]]).reshape(2, -1)
-            psi = np.moveaxis(np.dot(rx, front).reshape((2,) * w), 0, k)
-        psi = psi.reshape(-1)
-    return psi
+    n = gammas.shape[0]
+    axes = list(range(1, w + 1))
+    psi = np.full((n, 2 ** w), 2.0 ** (-w / 2.0), dtype=complex)
+    rx = np.empty((n, 2, 2), dtype=complex)
+    for gamma, beta in zip(gammas.T, betas.T):
+        # a named factor: numpy would otherwise reuse a large temporary as the
+        # output, whose loop rounds differently from the plain product
+        factor = np.exp(-1j * gamma[:, None] * phase)
+        psi = psi * factor
+        rx[:, 0, 0] = rx[:, 1, 1] = np.cos(beta)
+        rx[:, 0, 1] = rx[:, 1, 0] = -1j * np.sin(beta)
+        psi = psi.reshape((n,) + (2,) * w)
+        for k in range(1, w + 1):
+            # per row, the single product np.tensordot(rx, psi, axes=([1], [k]))
+            # forms, without its bookkeeping: same operands, same bits
+            front = psi.transpose([0, k, *axes[: k - 1], *axes[k:]]).reshape(n, 2, -1)
+            psi = np.moveaxis(np.matmul(rx, front).reshape((n,) + (2,) * w), 1, k)
+        psi = psi.reshape(n, -1)
+    return psi if batched else psi[0]
+
+
+def _probabilities(model: IsingModel, points: np.ndarray):
+    """|amplitude|^2 of the ansatz state of each row of ``points`` (gammas,
+    then betas), simulated in batches of at most ``_BATCH_AMPLITUDES``
+    amplitudes; one row at a time."""
+    p = points.shape[1] // 2
+    rows = max(1, _BATCH_AMPLITUDES >> model.w)
+    for lo in range(0, len(points), rows):
+        chunk = points[lo : lo + rows]
+        yield from np.abs(simulate_ansatz(model, chunk[:, :p], chunk[:, p:])) ** 2
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -249,56 +315,70 @@ def expected_energy(histogram, q) -> float:
 
 
 def optimise_angles(model: IsingModel, q, cfg: QaoaConfig = QaoaConfig()) -> QaoaOutcome:
-    """Multi-restart derivative-free angle search minimising the sampled
-    expected energy.
+    """Multi-restart angle search minimising the sampled expected energy,
+    within ``restarts * max_iters`` loss evaluations.
 
-    Each restart draws initial angles uniformly from [0, 2pi]^p x [0, pi]^p
-    and runs COBYLA (bounded iterations, angles unbounded; the landscape is
-    periodic) on the shot-estimated loss. The winner is the restart with the
-    lowest expected energy over its ``eval_shots`` evaluation histogram;
-    restarts own independent RNG streams, so they can run in any order.
+    1. Score a p = 1 grid of gamma in [0, 2pi), beta in [0, pi) (12 x 6
+       points, 8 x 4 if the budget is under 144) on shots from the grid's own
+       stream.
+    2. Repeat the best grid point over the p layers (INTERP from p = 1).
+    3. Restart r starts there plus N(0, 0.3^2) jitter from its own stream
+       and runs SPSA (``minimize``) on the shot loss, all restarts batched.
+       The grid's cost is charged to the first restarts' evaluations:
+       restart r gets ``clip((r + 1) * max_iters - grid, 0, max_iters)``, two
+       per step, so no restart's result depends on how many follow it.
+    4. The winner is the restart with the lowest expected energy over its
+       ``eval_shots`` evaluation histogram (tie -> earlier restart).
     """
     mat = q.q if isinstance(q, QuboProblem) else np.atleast_2d(np.asarray(q, float))
     if mat.shape[0] != model.w:
         raise ValueError("model and QUBO sizes differ")
     energies = enumerate_energies(mat)
-    p = cfg.depth
+    p, restarts = cfg.depth, cfg.restarts
 
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    per_restart: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        x0 = np.concatenate([
-            rng.uniform(0.0, 2.0 * np.pi, size=p),
-            rng.uniform(0.0, np.pi, size=p),
-        ])
-
-        def loss(angles: np.ndarray) -> float:
-            psi = simulate_ansatz(model, angles[:p], angles[p:])
-            probs = np.abs(psi) ** 2
+    def loss(points: np.ndarray, rngs) -> np.ndarray:
+        out = np.empty(len(points))
+        for i, (probs, rng) in enumerate(zip(_probabilities(model, points), rngs)):
             if cfg.exact_expectation:
-                return float(probs @ energies)
-            counts = rng.multinomial(cfg.opt_shots, probs / probs.sum())
-            return float(counts @ energies / cfg.opt_shots)
+                out[i] = probs @ energies
+            else:
+                out[i] = rng.multinomial(cfg.opt_shots, probs / probs.sum()) @ energies / cfg.opt_shots
+        return out
 
-        res = minimize(loss, x0, method="COBYLA", options={"maxiter": cfg.max_iters})
-        psi = simulate_ansatz(model, res.x[:p], res.x[p:])
-        probs = np.abs(psi) ** 2
-        counts = rng.multinomial(cfg.eval_shots, probs / probs.sum())
-        per_restart.append((float(counts @ energies / cfg.eval_shots), res.x, counts))
+    grid_stream, *streams = np.random.SeedSequence(cfg.seed).spawn(restarts + 1)
+    budget = restarts * cfg.max_iters
+    n_gamma, n_beta = _FINE_GRID if budget >= 2 * _FINE_GRID[0] * _FINE_GRID[1] else _COARSE_GRID
+    grid = np.stack(np.meshgrid(
+        np.arange(n_gamma) * (2.0 * np.pi / n_gamma),
+        np.arange(n_beta) * (np.pi / n_beta),
+        indexing="ij",
+    ), axis=-1).reshape(-1, 2)
+    grid_rng = np.random.default_rng(grid_stream)
+    gamma0, beta0 = grid[int(np.argmin(loss(grid, [grid_rng] * len(grid))))]
+    start = np.concatenate([np.full(p, gamma0), np.full(p, beta0)])
 
-    restart_energies = np.array([e for e, _, _ in per_restart])
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    x0 = np.array([start + rng.normal(0.0, _JITTER, size=2 * p) for rng in rngs])
+    share = np.clip(np.arange(1, restarts + 1) * cfg.max_iters - len(grid), 0, cfg.max_iters)
+    res = minimize(loss, x0, rngs, share // 2)
+
+    histograms = [
+        rng.multinomial(cfg.eval_shots, probs / probs.sum())
+        for probs, rng in zip(_probabilities(model, res.x), rngs)
+    ]
+    restart_energies = np.array([counts @ energies / cfg.eval_shots for counts in histograms])
     winner = int(np.argmin(restart_energies))  # tie -> earlier restart
-    _, angles, counts = per_restart[winner]
+    counts = histograms[winner]
     best_value = int(np.argmax(counts))  # tie -> lower bitstring value
     best_bits = BitSchedule(value_to_bits(best_value, model.w), float(energies[best_value]))
     return QaoaOutcome(
         best_bits=best_bits,
         histogram=counts,
         best_energy=float(energies[best_value]),
-        angles=np.asarray(angles, dtype=float),
+        angles=res.x[winner].copy(),
         restart_energies=restart_energies,
         eval_shots=cfg.eval_shots,
+        restart_angles=res.x,
     )
 
 

@@ -2,11 +2,11 @@
 
 Generates a seeded synthetic price panel, runs the four CLI stages on it, and
 freezes the resulting metrics table. Byte-identity is promised within one
-environment only: the COBYLA iterate sequence is defined by scipy (since scipy
-1.16 it is the pure-Python PRIMA port, whose iterates differ from the older
-Fortran code) and the last digits of the floats by numpy and its BLAS.
-``golden_env.json`` names the environment the golden bytes were made in:
-Python, numpy and scipy versions and the BLAS name and version.
+environment only: the pipeline runs on numpy alone (the QAOA angle search
+included), and the last digits of its floats, and so the path of the angle
+search, depend on the numpy version and its BLAS. ``golden_env.json`` names
+the environment the golden bytes were made in: the Python and numpy versions
+and the BLAS name and version.
 
 When acceptance test 11 fails, its message names the file that differs, each
 metrics row and column that differs with its golden and current value, and
@@ -106,13 +106,10 @@ def run_pipeline(workdir) -> pathlib.Path:
 
 def environment() -> dict:
     """The library versions that the golden bytes are tied to."""
-    import scipy
-
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
     }

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from quantfolio import load_csv, synth_panel, to_returns, write_csv
-from quantfolio.cli import _child_seed, _fmt, main, parse_config
+from quantfolio.cli import _child_seed, _fmt, _write_matrix_csv, main, parse_config
 
 from conftest import block_correlation, subprocess_env
 
@@ -16,6 +17,25 @@ def test_float_cells_render_full_precision_and_blank_for_undefined():
     assert _fmt(0.1) == "0.1"
     assert _fmt(1 / 3) == repr(1 / 3)
     assert _fmt(np.float64(2.5)) == "2.5"
+
+
+def test_matrix_csv_bytes_equal_csv_writer_reference(tmp_path):
+    tickers = ["A,B", 'say "hi"', "plain", "  padded "]
+    matrix = np.array([
+        [1.0, np.nan, np.inf, -np.inf],
+        [-0.0, 1e-300, 5e-324, 1 / 3],
+        [0.1, -2.5, 1e16, 123456789.0],
+        [np.finfo(float).max, -1e-7, 0.0, 2.0 ** 0.5],
+    ])
+    path = tmp_path / "matrix.csv"
+    _write_matrix_csv(path, tickers, matrix)
+    ref = tmp_path / "reference.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ticker", *tickers])
+        for t, row in zip(tickers, matrix):
+            writer.writerow([t, *[repr(float(v)) for v in row]])
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_child_seed_streams_are_stable_and_distinct():
@@ -263,7 +283,7 @@ class TestBacktestCommand:
         blob = json.loads((workspace["out"] / "manifest.json").read_text())
         assert blob["seed"] == 5
         assert blob["curve_returns"] == "log"
-        assert blob["optimiser"] == "scipy-COBYLA"
+        assert blob["optimiser"] == "grid-INTERP-SPSA"
         assert len(blob["config_sha256"]) == 64
         assert len(blob["strategies"]) == 13
 
@@ -348,10 +368,10 @@ def _scipy_loaded_after(config, out, *commands) -> bool:
 
 
 class TestImportBoundary:
-    """scipy is loaded only by the stage that runs the angle optimiser."""
+    """The package runs on numpy alone: scipy is a test dependency only."""
 
-    def test_only_schedule_loads_scipy(self, workspace, tmp_path):
+    def test_no_stage_loads_scipy(self, workspace, tmp_path):
         cfg, out = workspace["config"], tmp_path / "run"
-        assert not _scipy_loaded_after(cfg, out, "--help", "select", "weights")
-        assert _scipy_loaded_after(cfg, out, "schedule")
-        assert not _scipy_loaded_after(cfg, out, "backtest")
+        assert not _scipy_loaded_after(
+            cfg, out, "--help", "select", "weights", "schedule", "backtest"
+        )

@@ -102,6 +102,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 5 has 2 cells, expected 3"):
             load_csv(path)
 
+    def test_bad_date_names_the_file_line(self, tmp_path):
+        path = _write(tmp_path, (
+            "date,AAA,BBB\n"
+            "2024-01-02,1,2\n"
+            "2024-13-03,2,3\n"
+        ))
+        for tickers in (None, ["BBB"]):
+            with pytest.raises(ValueError, match=(
+                r"prices\.csv: line 3 has a bad date: month must be in 1\.\.12"
+            )):
+                load_csv(path, tickers)
+
     def test_duplicate_ticker_column_rejected(self, tmp_path):
         path = _write(tmp_path, (
             "date,AAA,BBB,AAA\n"

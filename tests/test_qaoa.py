@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from quantfolio import (
     to_returns,
     walk_forward,
 )
+from quantfolio import qaoa
 from quantfolio.qaoa import IsingModel
 from quantfolio.schedule_qubo import enumerate_energies
 
@@ -190,6 +192,26 @@ class TestKernelBitIdentity:
         for _ in range(2):
             assert np.array_equal(simulate_ansatz(model, gammas, betas), ref)
 
+    @pytest.mark.parametrize("w", [1, 3, 6, 13])
+    def test_batch_rows_equal_single_calls(self, w):
+        rng = np.random.default_rng(200 + w)
+        model = to_ising(random_symmetric(rng, w))
+        gammas = rng.uniform(0, 2 * np.pi, size=(5, 2))
+        betas = rng.uniform(0, np.pi, size=(5, 2))
+        batch = simulate_ansatz(model, gammas, betas)
+        assert batch.shape == (5, 2**w)
+        for row, g, b in zip(batch, gammas, betas):
+            assert np.array_equal(row, simulate_ansatz(model, g, b))
+            if w <= 6:
+                np.testing.assert_allclose(row, kron_oracle_state(model, g, b), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shapes", [((3, 2), (3, 1)), ((3, 2), (2, 2)), ((3, 2), (6,)),
+                                        ((2,), (3,)), ((1, 2, 2), (1, 2, 2))])
+    def test_mismatched_angle_shapes_raise(self, shapes):
+        model = to_ising(random_symmetric(np.random.default_rng(9), 3))
+        with pytest.raises(ValueError, match="one beta per gamma"):
+            simulate_ansatz(model, np.zeros(shapes[0]), np.zeros(shapes[1]))
+
     def test_phases_built_once_and_read_only(self):
         model = to_ising(random_symmetric(np.random.default_rng(4), 6))
         assert model.phases is model.phases
@@ -337,6 +359,68 @@ class TestOptimiseAngles:
         assert out.best_bits.bits[0] == 1
 
 
+class TestAngleSearch:
+    def test_restart_prefix_does_not_depend_on_restart_count(self):
+        rng = np.random.default_rng(8)
+        for seed in range(5):
+            q = random_symmetric(rng, 5)
+            model = to_ising(q)
+            # few shots, so the grid's pick hangs on the grid stream
+            cfg = replace(FAST, opt_shots=8, seed=seed)
+            three = optimise_angles(model, q, cfg)
+            five = optimise_angles(model, q, replace(cfg, restarts=5))
+            assert np.array_equal(five.restart_angles[:3], three.restart_angles)
+            assert np.array_equal(five.restart_energies[:3], three.restart_energies)
+            assert five.restart_energies.min() <= three.restart_energies.min()
+
+    @pytest.mark.parametrize("restarts,max_iters", [(1, 32), (2, 30), (3, 60), (5, 150), (4, 19)])
+    def test_loss_evaluations_within_budget(self, monkeypatch, restarts, max_iters):
+        rows = []
+
+        def counting(model, gammas, betas):
+            rows.append(np.shape(gammas)[0] if np.ndim(gammas) == 2 else 1)
+            return simulate_ansatz(model, gammas, betas)
+
+        monkeypatch.setattr(qaoa, "simulate_ansatz", counting)
+        q = random_symmetric(np.random.default_rng(10), 4)
+        cfg = replace(FAST, restarts=restarts, max_iters=max_iters)
+        optimise_angles(to_ising(q), q, cfg)
+        # every simulated row is one loss evaluation, except each restart's
+        # final evaluation histogram
+        loss_evals = sum(rows) - restarts
+        budget = restarts * max_iters
+        assert budget - 2 * restarts <= loss_evals <= budget
+
+    def test_budget_below_the_grid_rejected(self):
+        with pytest.raises(ValueError, match="restarts x max_iters"):
+            QaoaConfig(restarts=1, max_iters=31)
+
+    def test_batches_chunked_at_2_to_18_amplitudes(self, monkeypatch):
+        sizes = []
+
+        def recording(model, gammas, betas):
+            state = simulate_ansatz(model, gammas, betas)
+            sizes.append(state.size)
+            return state
+
+        monkeypatch.setattr(qaoa, "simulate_ansatz", recording)
+        q = random_symmetric(np.random.default_rng(11), 16)
+        cfg = QaoaConfig(depth=1, restarts=3, opt_shots=64, eval_shots=64, max_iters=16, seed=2)
+        optimise_angles(to_ising(q), q, cfg)
+        # the 32-point grid runs as 8 batches of 4 states; the grid uses up
+        # restarts 0 and 1, so restart 2's 8 SPSA steps are batches of 2
+        # states, and the final evaluation is one batch of 3
+        assert max(sizes) == 2**18
+        assert sizes == [2**18] * 8 + [2**17] * 8 + [3 * 2**16]
+
+    def test_spsa_steps_down_a_quadratic(self):
+        rngs = [np.random.default_rng(s) for s in (1, 2)]
+        x0 = np.array([[1.0, -1.0, 0.5], [2.0, 0.0, -2.0]])
+        res = qaoa.minimize(lambda pts, _: (pts**2).sum(axis=1), x0, rngs, np.array([200, 100]))
+        assert res.nfev == 2 * (200 + 100)
+        assert np.all(np.abs(res.x) < 0.05)
+
+
 def wf_config(**kw):
     defaults = dict(depth=1, restarts=2, opt_shots=256, eval_shots=512, max_iters=30, seed=3)
     defaults.update(kw)
@@ -428,7 +512,7 @@ class TestWalkForward:
         result = walk_forward(panel, wf_target(panel), 2, 4, wf_config())
         blob = result.to_json_dict()
         assert len(blob["schedule"]) == panel.n_days
-        assert blob["optimiser"] == "scipy-COBYLA"
+        assert blob["optimiser"] == "grid-INTERP-SPSA"
         win = blob["windows"][0]
         assert set(win) >= {
             "start", "end", "candidates", "best_bits", "best_energy",
