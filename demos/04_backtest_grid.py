@@ -62,7 +62,7 @@ qcfg = QaoaConfig(depth=2, restarts=3, opt_shots=1024, eval_shots=2048, max_iter
 schedules = {}
 for i, (method, wv) in enumerate(weights.items()):
     result = walk_forward(test_sel, wv, k_windows=3, w_count=8,
-                          cfg=dataclasses.replace(qcfg, seed=100 + i))
+                          cfgs=dataclasses.replace(qcfg, seed=100 + i))
     schedules[method] = result.bits
     print(f"  {method}: {result.total_rebalances} rebalances, "
           f"max window gap {max(w.gap for w in result.windows):.4f}")

@@ -16,7 +16,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .allocation import WeightVector
+from .allocation import METHODS, WeightVector
 from .market_data import ANNUALISATION, ReturnPanel
 
 
@@ -80,8 +80,6 @@ class Strategy:
     def describe(self) -> str:
         prefix = self.weights.method
         sched = self.scheduler.describe()
-        if isinstance(self.scheduler, BuyAndHold):
-            return f"{prefix} {sched}"
         if isinstance(self.scheduler, Explicit):
             return f"{prefix} + {sched}"
         return f"{prefix} {sched}"
@@ -225,23 +223,22 @@ def run_grid(
     (QAOA walk-forward) schedule for every weight method.
 
     ``weight_sets`` and ``qaoa_schedules`` are keyed by method name
-    (GA/MinVar/Equal/Ensemble). Reports come back labelled, in grid order.
+    (``allocation.METHODS``). Reports come back labelled, in grid order.
     """
-    order = ("GA", "MinVar", "Equal", "Ensemble")
-    missing = [m for m in order if m not in weight_sets]
+    missing = [m for m in METHODS if m not in weight_sets]
     if missing:
         raise ValueError(f"weight_sets missing methods: {', '.join(missing)}")
-    missing = [m for m in order if m not in qaoa_schedules]
+    missing = [m for m in METHODS if m not in qaoa_schedules]
     if missing:
         raise ValueError(f"qaoa_schedules missing methods: {', '.join(missing)}")
 
     strategies: list[Strategy] = []
-    for method in order:
+    for method in METHODS:
         strategies.append(Strategy(weight_sets[method], BuyAndHold()))
     for every in periodic:
         strategies.append(Strategy(weight_sets["GA"], Periodic(every)))
     strategies.append(Strategy(weight_sets["GA"], Threshold(threshold)))
-    for method in order:
+    for method in METHODS:
         strategies.append(Strategy(weight_sets[method], Explicit(np.asarray(qaoa_schedules[method]))))
 
     return [run(test, strat, cost_c) for strat in strategies]

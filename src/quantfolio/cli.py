@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import (
+    METHODS,
     GaConfig,
     WeightVector,
     ensemble,
@@ -43,8 +44,6 @@ from .schedule_qubo import QuboParams
 from .shrinkage import ledoit_wolf
 
 log = logging.getLogger(__name__)
-
-METHOD_ORDER = ("GA", "MinVar", "Equal", "Ensemble")
 
 
 @dataclass
@@ -207,7 +206,7 @@ def _weights_path(cfg: RunConfig, method: str) -> str:
 
 def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
     out = {}
-    for method in METHOD_ORDER:
+    for method in METHODS:
         path = _weights_path(cfg, method)
         if not os.path.exists(path):
             raise FileNotFoundError(f"{path} not found: run the 'weights' command first")
@@ -224,7 +223,7 @@ def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
 
 def _read_schedules(cfg: RunConfig) -> dict[str, np.ndarray]:
     out = {}
-    for method in METHOD_ORDER:
+    for method in METHODS:
         path = os.path.join(cfg.out_dir, f"schedule_{method.lower()}.json")
         if not os.path.exists(path):
             raise FileNotFoundError(f"{path} not found: run the 'schedule' command first")
@@ -290,16 +289,19 @@ def cmd_weights(cfg: RunConfig) -> dict:
 
 
 def cmd_schedule(cfg: RunConfig) -> dict:
-    """Run the walk-forward QAOA scheduler for every weight method."""
+    """Run the walk-forward QAOA scheduler for every weight method.
+
+    Every window of every method is solved in one ``walk_forward`` call, so
+    the angle search runs over all of them in lockstep.
+    """
     selected = _read_selection(cfg)
     weights = _read_weights(cfg)
     _, _, test = _load_panels(cfg, selected)
     test_sel = test.restrict(selected)
     qubo_params = QuboParams(cfg.lambda1, cfg.lambda2, cfg.lambda3, cfg.cost_c)
 
-    paths = {}
-    for i, method in enumerate(METHOD_ORDER):
-        qcfg = QaoaConfig(
+    qcfgs = [
+        QaoaConfig(
             depth=cfg.depth,
             restarts=cfg.restarts,
             opt_shots=cfg.opt_shots,
@@ -307,10 +309,14 @@ def cmd_schedule(cfg: RunConfig) -> dict:
             max_iters=cfg.max_iters,
             seed=_child_seed(cfg.seed, 10 + i),
         )
-        result = walk_forward(
-            test_sel, weights[method], cfg.windows, cfg.candidates_per_window,
-            qcfg, qubo_params,
-        )
+        for i in range(len(METHODS))
+    ]
+    results = walk_forward(
+        test_sel, [weights[method] for method in METHODS], cfg.windows,
+        cfg.candidates_per_window, qcfgs, qubo_params,
+    )
+    paths = {}
+    for method, result in zip(METHODS, results):
         sched_path = os.path.join(cfg.out_dir, f"schedule_{method.lower()}.json")
         blob = result.to_json_dict()
         blob["method"] = method

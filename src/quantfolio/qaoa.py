@@ -3,11 +3,16 @@ simulation, shot sampling, multi-restart angle optimisation, and the
 walk-forward scheduling driver.
 
 The cost layer is applied as diagonal phases per basis state (mathematically
-identical to the gate decomposition into Rz/CNOT, and far faster); the table
-of 2^W phases is built once per model (``IsingModel.phases``) and reused by
-every ansatz evaluation. The mixer is a product of single-qubit Rx(2*beta)
-rotations. ``simulate_ansatz`` takes one angle vector or a batch of them, so
-every point the optimiser scores in one step is simulated in one pass.
+identical to the gate decomposition into Rz/CNOT, and far faster). The phase
+table is the QUBO's own energy table, ``enumerate_energies(q)``: it differs
+from the Ising Hamiltonian only by the constant ``offset``, a global phase, and
+the search needs it anyway to score shots. The mixer is a product of
+single-qubit Rx(2*beta) rotations, each applied as
+``psi <- cos(beta) psi - i sin(beta) X_k psi``, where ``X_k psi`` is the view
+of ``psi`` with qubit k's two halves swapped: no transpose, no matmul, and one
+preallocated buffer. ``simulate_ansatz`` takes one angle vector or a batch of
+them, with one energy table for all rows or one per row, so a batch can mix
+rows of different QUBOs.
 
 The angle search is numpy only (no scipy): a p = 1 grid scored by the shot
 loss, its best point repeated over the p layers (INTERP; Zhou et al., PRX 10,
@@ -16,11 +21,25 @@ all within ``restarts * max_iters`` loss evaluations per window. All
 randomness flows from one master seed through per-window, per-restart and
 grid streams, so results never depend on evaluation order, and restart r's
 result does not depend on how many restarts follow it.
+
+``walk_forward`` builds every window's QUBO of every target first (a window's
+QUBO depends only on its own returns and the target), then runs one search
+over all of them in lockstep: one scoring pass over every grid point, one
+SPSA loop (``minimize``) over every (window, restart) row, one pass for the
+evaluation histograms. Each row keeps its own energy table and generator, so
+every window's outcome is bit-identical to solving it alone.
+
+Each ``simulate_ansatz`` call holds at most ``_BATCH_AMPLITUDES`` = 2^14
+amplitudes, because the batch would otherwise set the stage's peak memory
+while buying no speed: on a 2-vCPU Xeon VM the golden ``schedule`` stage
+peaks at 38.2 MB of RSS with 2^14, 42.6 MB with 2^16 and 48.5 MB with 2^18
+(W = 14 windows: 41.1, 46.0 and 60.8 MB), in the same time. One search holds
+at most ``_BATCH_ENERGIES`` energy-table entries, so wide windows never stack
+many 2^W tables at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +59,8 @@ from .schedule_qubo import (
 STATEVECTOR_LIMIT = 24  # 2^W amplitudes; memory guard
 _BRUTE_DIAGNOSTIC_LIMIT = 16  # report the exact optimum alongside QAOA up to here
 OPTIMISER = "grid-INTERP-SPSA"
-_BATCH_AMPLITUDES = 2 ** 18  # most amplitudes one simulate_ansatz call holds
+_BATCH_AMPLITUDES = 2 ** 14  # most amplitudes one simulate_ansatz call holds
+_BATCH_ENERGIES = 2 ** 20  # most energy-table entries one batched search holds
 # p = 1 grid (gamma points x beta points): the fine one when the window's
 # budget is at least twice its size, else the coarse one
 _FINE_GRID, _COARSE_GRID = (12, 6), (8, 4)
@@ -62,9 +82,10 @@ def minimize(fun, x0, rngs, steps) -> SpsaResult:
     Row r takes ``steps[r]`` steps with gains ``a_k = a / (k + 1 + A_r)^alpha``,
     ``A_r = 0.1 * steps[r]``, and ``c_k = c / (k + 1)^gamma``. Each step draws
     a +-1 direction d per row from ``rngs[r]`` and scores every row still
-    stepping at x + c_k d and x - c_k d in one call ``fun(points, point_rngs)``:
-    the '+' points first, then the '-' points, each with its row's generator.
-    So every generator sees the same draws, in the same order, whatever the
+    stepping at x + c_k d and x - c_k d in one call ``fun(points, rows)``:
+    the '+' points first, then the '-' points, ``rows[i]`` the row of point
+    i. So when ``fun`` draws each point's shots from its row's generator,
+    every generator sees the same draws, in the same order, whatever the
     other rows do. ``a``, ``c``, ``alpha``, ``gamma`` are ``_SPSA_GAINS``.
     """
     a, c, alpha, gamma = _SPSA_GAINS
@@ -78,7 +99,7 @@ def minimize(fun, x0, rngs, steps) -> SpsaResult:
         delta = np.array([2.0 * rngs[r].integers(0, 2, size=x.shape[1]) - 1.0 for r in rows])
         ck = c / (k + 1) ** gamma
         losses = fun(np.concatenate([x[rows] + ck * delta, x[rows] - ck * delta]),
-                     [rngs[r] for r in rows] * 2)
+                     np.concatenate([rows, rows]))
         slope = (losses[: rows.size] - losses[rows.size :]) / (2.0 * ck)
         ak = a / (k + 1 + 0.1 * steps[rows]) ** alpha
         x[rows] -= (ak * slope)[:, None] * delta
@@ -116,29 +137,6 @@ class IsingModel:
     @property
     def w(self) -> int:
         return int(self.h.size)
-
-    @cached_property
-    def phases(self) -> np.ndarray:
-        """Cost-Hamiltonian eigenvalues (no offset) for all 2^W basis states,
-        indexed by bitstring value; built on first use, then read-only."""
-        w = self.w
-        z_axis = np.array([1.0, -1.0])  # basis index 0 -> z=+1, index 1 -> z=-1
-
-        def axis_view(i: int) -> np.ndarray:
-            shape = [1] * w
-            shape[i] = 2
-            return z_axis.reshape(shape)
-
-        energies = np.zeros((2,) * w)
-        for i in range(w):
-            if self.h[i] != 0.0:
-                energies += self.h[i] * axis_view(i)
-            for jj in range(i + 1, w):
-                if self.j[i, jj] != 0.0:
-                    energies += self.j[i, jj] * (axis_view(i) * axis_view(jj))
-        energies = energies.reshape(-1)
-        energies.flags.writeable = False
-        return energies
 
 
 @dataclass(frozen=True)
@@ -222,16 +220,41 @@ def ising_energy(model: IsingModel, bits) -> float:
     return float(model.h @ z + z @ model.j @ z + model.offset)
 
 
-def simulate_ansatz(model: IsingModel, gammas, betas) -> np.ndarray:
+def _cost_table(model: IsingModel) -> np.ndarray:
+    """``h . z + sum_{i<j} J_ij z_i z_j`` (the energy less ``offset``) for
+    every basis state, indexed by bitstring value, built one qubit at a time
+    in O(2^W) flops."""
+    table, field = np.zeros(1), model.h[None, :]
+    for k in range(model.w):
+        # field[s, m] = h_m + sum_{i<k} J_im z_i for qubits m >= k, over the
+        # states s of qubits 0..k-1; qubit k's z = +1 half comes first
+        table = np.stack([table + field[:, 0], table - field[:, 0]], axis=1).ravel()
+        rest, coupling = field[:, 1:], model.j[k, k + 1 :]
+        field = np.stack([rest + coupling, rest - coupling], axis=1).reshape(table.size, -1)
+    return table
+
+
+def simulate_ansatz(cost, gammas, betas) -> np.ndarray:
     """Statevector after p alternating cost-phase and mixer layers on the
     uniform superposition.
 
-    Basis index v encodes the bitstring MSB-first (qubit k <-> axis k), so
-    ``abs(state[v])**2`` is the probability of the bitstring with value v.
-    With ``(B, p)`` angle arrays the result is the ``(B, 2**W)`` batch of
-    states, row b bit-identical to the call on row b's angles alone.
+    ``cost`` is an ``IsingModel`` or a table of basis-state energies: one
+    ``(2**W,)`` table for every row, or a ``(B, 2**W)`` table per row (any
+    table that differs from the model's energies by a constant gives the same
+    state up to a global phase). Basis index v encodes the bitstring
+    MSB-first (qubit k <-> axis k), so ``abs(state[v])**2`` is the
+    probability of the bitstring with value v. With ``(B, p)`` angle arrays
+    the result is the ``(B, 2**W)`` batch of states, row b bit-identical to
+    the call on row b's angles and table alone.
     """
-    w = model.w
+    if isinstance(cost, IsingModel):
+        if cost.w > STATEVECTOR_LIMIT:
+            raise ValueError(f"W = {cost.w} exceeds the statevector guard ({STATEVECTOR_LIMIT})")
+        cost = _cost_table(cost)
+    table = np.asarray(cost, dtype=float)
+    w = table.shape[-1].bit_length() - 1
+    if table.ndim not in (1, 2) or table.shape[-1] != 2 ** w:
+        raise ValueError("need 2**W energies per table")
     if w > STATEVECTOR_LIMIT:
         raise ValueError(f"W = {w} exceeds the statevector guard ({STATEVECTOR_LIMIT})")
     gammas = np.asarray(gammas, dtype=float)
@@ -241,38 +264,38 @@ def simulate_ansatz(model: IsingModel, gammas, betas) -> np.ndarray:
         raise ValueError("need one beta per gamma: (p,) or (B, p) arrays of one shape")
     if not batched:
         gammas, betas = gammas.reshape(1, -1), betas.reshape(1, -1)
-
-    phase = model.phases
     n = gammas.shape[0]
-    axes = list(range(1, w + 1))
+    if table.ndim == 2 and table.shape[0] != n:
+        raise ValueError("need one energy table, or one per row of angles")
+
     psi = np.full((n, 2 ** w), 2.0 ** (-w / 2.0), dtype=complex)
-    rx = np.empty((n, 2, 2), dtype=complex)
+    swapped = np.empty_like(psi)
     for gamma, beta in zip(gammas.T, betas.T):
         # a named factor: numpy would otherwise reuse a large temporary as the
         # output, whose loop rounds differently from the plain product
-        factor = np.exp(-1j * gamma[:, None] * phase)
+        factor = np.exp(-1j * gamma[:, None] * table)
         psi = psi * factor
-        rx[:, 0, 0] = rx[:, 1, 1] = np.cos(beta)
-        rx[:, 0, 1] = rx[:, 1, 0] = -1j * np.sin(beta)
-        psi = psi.reshape((n,) + (2,) * w)
-        for k in range(1, w + 1):
-            # per row, the single product np.tensordot(rx, psi, axes=([1], [k]))
-            # forms, without its bookkeeping: same operands, same bits
-            front = psi.transpose([0, k, *axes[: k - 1], *axes[k:]]).reshape(n, 2, -1)
-            psi = np.moveaxis(np.matmul(rx, front).reshape((n,) + (2,) * w), 1, k)
-        psi = psi.reshape(n, -1)
+        cos = np.cos(beta).reshape(n, 1, 1, 1)
+        sin = (-1j * np.sin(beta)).reshape(n, 1, 1, 1)
+        for k in range(w):
+            # qubit k is axis 2 of this view; [:, :, ::-1] swaps its halves
+            halves = psi.reshape(n, 2 ** k, 2, -1)
+            flip = swapped.reshape(halves.shape)
+            np.multiply(halves[:, :, ::-1], sin, out=flip)
+            np.multiply(halves, cos, out=halves)
+            np.add(halves, flip, out=halves)
     return psi if batched else psi[0]
 
 
-def _probabilities(model: IsingModel, points: np.ndarray):
-    """|amplitude|^2 of the ansatz state of each row of ``points`` (gammas,
-    then betas), simulated in batches of at most ``_BATCH_AMPLITUDES``
-    amplitudes; one row at a time."""
+def _probabilities(tables: np.ndarray, owner: np.ndarray, points: np.ndarray):
+    """|amplitude|^2 of the ansatz state of each row i of ``points`` (gammas,
+    then betas) under the energy table ``tables[owner[i]]``, simulated in
+    batches of at most ``_BATCH_AMPLITUDES`` amplitudes; one row at a time."""
     p = points.shape[1] // 2
-    rows = max(1, _BATCH_AMPLITUDES >> model.w)
+    rows = max(1, _BATCH_AMPLITUDES // tables.shape[1])
     for lo in range(0, len(points), rows):
         chunk = points[lo : lo + rows]
-        yield from np.abs(simulate_ansatz(model, chunk[:, :p], chunk[:, p:])) ** 2
+        yield from np.abs(simulate_ansatz(tables[owner[lo : lo + rows]], chunk[:, :p], chunk[:, p:])) ** 2
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -333,53 +356,87 @@ def optimise_angles(model: IsingModel, q, cfg: QaoaConfig = QaoaConfig()) -> Qao
     mat = q.q if isinstance(q, QuboProblem) else np.atleast_2d(np.asarray(q, float))
     if mat.shape[0] != model.w:
         raise ValueError("model and QUBO sizes differ")
-    energies = enumerate_energies(mat)
-    p, restarts = cfg.depth, cfg.restarts
+    return _search(enumerate_energies(mat)[None, :], [cfg])[0]
 
-    def loss(points: np.ndarray, rngs) -> np.ndarray:
-        out = np.empty(len(points))
-        for i, (probs, rng) in enumerate(zip(_probabilities(model, points), rngs)):
-            if cfg.exact_expectation:
-                out[i] = probs @ energies
-            else:
-                out[i] = rng.multinomial(cfg.opt_shots, probs / probs.sum()) @ energies / cfg.opt_shots
-        return out
 
-    grid_stream, *streams = np.random.SeedSequence(cfg.seed).spawn(restarts + 1)
-    budget = restarts * cfg.max_iters
+def _grid(cfg: QaoaConfig) -> np.ndarray:
+    """The p = 1 (gamma, beta) grid of a window with this config."""
+    budget = cfg.restarts * cfg.max_iters
     n_gamma, n_beta = _FINE_GRID if budget >= 2 * _FINE_GRID[0] * _FINE_GRID[1] else _COARSE_GRID
-    grid = np.stack(np.meshgrid(
+    return np.stack(np.meshgrid(
         np.arange(n_gamma) * (2.0 * np.pi / n_gamma),
         np.arange(n_beta) * (np.pi / n_beta),
         indexing="ij",
     ), axis=-1).reshape(-1, 2)
-    grid_rng = np.random.default_rng(grid_stream)
-    gamma0, beta0 = grid[int(np.argmin(loss(grid, [grid_rng] * len(grid))))]
-    start = np.concatenate([np.full(p, gamma0), np.full(p, beta0)])
 
-    rngs = [np.random.default_rng(stream) for stream in streams]
-    x0 = np.array([start + rng.normal(0.0, _JITTER, size=2 * p) for rng in rngs])
-    share = np.clip(np.arange(1, restarts + 1) * cfg.max_iters - len(grid), 0, cfg.max_iters)
-    res = minimize(loss, x0, rngs, share // 2)
+
+def _search(tables: np.ndarray, cfgs) -> list[QaoaOutcome]:
+    """``optimise_angles`` for every row of ``tables`` (a QUBO's
+    ``enumerate_energies``) with the config of the same index, all at once.
+
+    Each step of the search is one pass over every problem: one loss call
+    scores all grid points, one ``minimize`` call steps every (problem,
+    restart) row, one pass draws the evaluation histograms. A problem's points
+    use only its own table and generators, so its outcome is bit-identical to
+    searching it alone. Every config needs the same depth.
+    """
+    p = cfgs[0].depth
+    if any(cfg.depth != p for cfg in cfgs):
+        raise ValueError("one depth for every problem of a batch")
+
+    def loss(points: np.ndarray, owner: np.ndarray, rngs) -> np.ndarray:
+        out = np.empty(len(points))
+        for i, probs in enumerate(_probabilities(tables, owner, points)):
+            energies, cfg = tables[owner[i]], cfgs[owner[i]]
+            if cfg.exact_expectation:
+                out[i] = probs @ energies
+            else:
+                counts = rngs[i].multinomial(cfg.opt_shots, probs / probs.sum())
+                out[i] = counts @ energies / cfg.opt_shots
+        return out
+
+    problems = np.arange(len(cfgs))
+    streams = [np.random.SeedSequence(cfg.seed).spawn(cfg.restarts + 1) for cfg in cfgs]
+    grids = [_grid(cfg) for cfg in cfgs]
+    grid_owner = np.repeat(problems, [len(g) for g in grids])
+    grid_rngs = [np.random.default_rng(stream[0]) for stream in streams]
+    grid_losses = loss(np.concatenate(grids), grid_owner, [grid_rngs[i] for i in grid_owner])
+    # the best grid point, repeated over the p layers
+    starts = [np.repeat(grid[int(np.argmin(grid_losses[grid_owner == i]))], p)
+              for i, grid in enumerate(grids)]
+
+    owner = np.repeat(problems, [cfg.restarts for cfg in cfgs])
+    rngs = [np.random.default_rng(s) for stream in streams for s in stream[1:]]
+    x0 = np.array([starts[i] + rng.normal(0.0, _JITTER, size=2 * p) for i, rng in zip(owner, rngs)])
+    steps = np.concatenate([
+        np.clip(np.arange(1, cfg.restarts + 1) * cfg.max_iters - len(grid), 0, cfg.max_iters) // 2
+        for cfg, grid in zip(cfgs, grids)
+    ])
+    res = minimize(lambda points, rows: loss(points, owner[rows], [rngs[r] for r in rows]),
+                   x0, rngs, steps)
 
     histograms = [
-        rng.multinomial(cfg.eval_shots, probs / probs.sum())
-        for probs, rng in zip(_probabilities(model, res.x), rngs)
+        rng.multinomial(cfgs[i].eval_shots, probs / probs.sum())
+        for i, probs, rng in zip(owner, _probabilities(tables, owner, res.x), rngs)
     ]
-    restart_energies = np.array([counts @ energies / cfg.eval_shots for counts in histograms])
-    winner = int(np.argmin(restart_energies))  # tie -> earlier restart
-    counts = histograms[winner]
-    best_value = int(np.argmax(counts))  # tie -> lower bitstring value
-    best_bits = BitSchedule(value_to_bits(best_value, model.w), float(energies[best_value]))
-    return QaoaOutcome(
-        best_bits=best_bits,
-        histogram=counts,
-        best_energy=float(energies[best_value]),
-        angles=res.x[winner].copy(),
-        restart_energies=restart_energies,
-        eval_shots=cfg.eval_shots,
-        restart_angles=res.x,
-    )
+    w = tables.shape[1].bit_length() - 1
+    outcomes = []
+    for i, (cfg, energies) in enumerate(zip(cfgs, tables)):
+        rows = np.flatnonzero(owner == i)
+        restart_energies = np.array([histograms[r] @ energies / cfg.eval_shots for r in rows])
+        winner = int(np.argmin(restart_energies))  # tie -> earlier restart
+        counts = histograms[rows[winner]]
+        best_value = int(np.argmax(counts))  # tie -> lower bitstring value
+        outcomes.append(QaoaOutcome(
+            best_bits=BitSchedule(value_to_bits(best_value, w), float(energies[best_value])),
+            histogram=counts,
+            best_energy=float(energies[best_value]),
+            angles=res.x[rows[winner]].copy(),
+            restart_energies=restart_energies,
+            eval_shots=cfg.eval_shots,
+            restart_angles=res.x[rows],
+        ))
+    return outcomes
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,21 +502,33 @@ class ScheduleResult:
 
 def walk_forward(
     test: ReturnPanel,
-    target: WeightVector,
+    targets,
     k_windows: int,
     w_count: int,
-    cfg: QaoaConfig = QaoaConfig(),
+    cfgs=QaoaConfig(),
     qubo_params: QuboParams = QuboParams(),
-) -> ScheduleResult:
+):
     """Chunk the test panel into ``k_windows`` equal windows (the last absorbs
     the remainder), build each window's QUBO from that window's returns only,
     solve it with multi-restart QAOA, and splice the winning local bits into a
     global schedule.
 
-    Window k's RNG stream is derived from the master seed and k alone, so
-    perturbing a later window can never change an earlier window's schedule.
+    ``targets`` is a sequence of weight vectors and ``cfgs`` one config per
+    target, all of one depth; a tuple of one ``ScheduleResult`` per target
+    comes back, and every window of every target is solved in one batched
+    search (``_search``). A single ``WeightVector`` with a single
+    ``QaoaConfig`` returns a single result.
+
+    Window k's RNG stream is derived from its target's master seed and k
+    alone, so perturbing a later window can never change an earlier window's
+    schedule, and a window's outcome does not depend on the other windows or
+    targets it is batched with.
     """
-    if target.tickers != test.tickers:
+    if isinstance(targets, WeightVector):
+        return walk_forward(test, [targets], k_windows, w_count, [cfgs], qubo_params)[0]
+    if isinstance(cfgs, QaoaConfig) or len(cfgs) != len(targets):
+        raise ValueError("need one QaoaConfig per target")
+    if any(target.tickers != test.tickers for target in targets):
         raise ValueError("target weight tickers do not match test panel tickers")
     t_total = test.n_days
     if k_windows < 1:
@@ -470,34 +539,43 @@ def walk_forward(
             f"of {w_count} candidates"
         )
     chunk = t_total // k_windows
-    window_seeds = np.random.SeedSequence(cfg.seed).generate_state(
-        k_windows, dtype=np.uint64
-    )
+    spans = [(k * chunk, (k + 1) * chunk if k < k_windows - 1 else t_total)
+             for k in range(k_windows)]
+    segments = [test.slice_rows(start, end) for start, end in spans]
+    qubos = [build_qubo(target, segment, w_count, qubo_params)
+             for target in targets for segment in segments]
+    window_cfgs = [
+        replace(cfg, seed=int(seed))
+        for cfg in cfgs
+        for seed in np.random.SeedSequence(cfg.seed).generate_state(k_windows, dtype=np.uint64)
+    ]
+    outcomes: list[QaoaOutcome] = []
+    per_search = max(1, _BATCH_ENERGIES >> w_count)
+    for lo in range(0, len(qubos), per_search):
+        tables = np.array([enumerate_energies(qp) for qp in qubos[lo : lo + per_search]])
+        outcomes += _search(tables, window_cfgs[lo : lo + per_search])
 
-    bits = np.zeros(t_total, dtype=np.uint8)
-    windows: list[WindowDiagnostics] = []
-    for k in range(k_windows):
-        start = k * chunk
-        end = (k + 1) * chunk if k < k_windows - 1 else t_total
-        segment = test.slice_rows(start, end)
-        qp = build_qubo(target, segment, w_count, qubo_params)
-        model = to_ising(qp)
-        outcome = optimise_angles(model, qp, replace(cfg, seed=int(window_seeds[k])))
+    results = []
+    for t in range(len(targets)):
+        bits = np.zeros(t_total, dtype=np.uint8)
+        windows: list[WindowDiagnostics] = []
+        for k, (start, end) in enumerate(spans):
+            qp, outcome = qubos[t * k_windows + k], outcomes[t * k_windows + k]
+            brute_energy = gap = None
+            if w_count <= _BRUTE_DIAGNOSTIC_LIMIT:
+                brute_energy = brute_force(qp).energy
+                gap = outcome.best_energy - brute_energy  # >= 0: brute force is exact
 
-        brute_energy = gap = None
-        if w_count <= _BRUTE_DIAGNOSTIC_LIMIT:
-            brute_energy = brute_force(qp).energy
-            gap = outcome.best_energy - brute_energy  # >= 0: brute force is exact
-
-        bits[start + qp.candidates.indices] = outcome.best_bits.bits
-        windows.append(
-            WindowDiagnostics(
-                start=start,
-                end=end,
-                qubo=qp,
-                outcome=outcome,
-                brute_energy=brute_energy,
-                gap=gap,
+            bits[start + qp.candidates.indices] = outcome.best_bits.bits
+            windows.append(
+                WindowDiagnostics(
+                    start=start,
+                    end=end,
+                    qubo=qp,
+                    outcome=outcome,
+                    brute_energy=brute_energy,
+                    gap=gap,
+                )
             )
-        )
-    return ScheduleResult(bits=bits, windows=tuple(windows))
+        results.append(ScheduleResult(bits=bits, windows=tuple(windows)))
+    return tuple(results)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantfolio import (
     BuyAndHold,
@@ -165,6 +167,76 @@ class TestSchedulers:
         drifted = drift_weights(target, panel, day + 1)
         expected = COST * np.abs(drifted - target.weights).sum()
         assert rep.total_cost_bp == pytest.approx(1e4 * expected, rel=1e-12)
+
+
+@st.composite
+def simplex_weights(draw, m):
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=m, max_size=m)))
+    return raw / raw.sum()
+
+
+@st.composite
+def panels_and_weights(draw, drift_free=False):
+    """A gross-return panel (days x assets) and target weights on it."""
+    t = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 5))
+    if drift_free:
+        daily = draw(st.lists(st.floats(0.9, 1.1), min_size=t, max_size=t))
+        gross = np.tile(np.array(daily)[:, None], (1, m))
+    else:
+        rows = draw(st.lists(st.lists(st.floats(0.9, 1.1), min_size=m, max_size=m),
+                             min_size=t, max_size=t))
+        gross = np.array(rows)
+    panel = gross_panel(gross)
+    return panel, WeightVector(panel.tickers, draw(simplex_weights(m)), "GA")
+
+
+class TestRunProperties:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=panels_and_weights(drift_free=True), data=st.data())
+    def test_drift_free_panel_costs_nothing_under_any_schedule(self, case, data):
+        # every asset earns the same return each day, so holdings never drift
+        # from target: any schedule costs nothing (up to rounding) and earns
+        # the common compounded return
+        panel, weights = case
+        bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=panel.n_days,
+                                           max_size=panel.n_days)), dtype=np.uint8)
+        scheduler = data.draw(st.sampled_from(
+            [BuyAndHold(), Periodic(1), Periodic(3), Threshold(1e-9), Explicit(bits)]))
+        cost_c = data.draw(st.floats(0.0, 0.05))
+        rep = run(panel, Strategy(weights, scheduler), cost_c)
+        assert rep.total_cost_bp <= 1e-9
+        oracle = np.concatenate([[1.0], np.cumprod(panel.gross_returns[:, 0])])
+        np.testing.assert_allclose(rep.equity_curve, oracle, rtol=1e-12, atol=0)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=panels_and_weights())
+    def test_buy_and_hold_equals_static_holdings(self, case):
+        panel, weights = case
+        rep = run(panel, Strategy(weights, BuyAndHold()), COST)
+        assert rep.rebalance_count == 0
+        assert rep.total_cost_bp == 0.0
+        cumulative = np.cumprod(panel.gross_returns, axis=0)
+        oracle = np.concatenate([[1.0], cumulative @ weights.weights])
+        np.testing.assert_allclose(rep.equity_curve, oracle, rtol=1e-12, atol=0)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(m=st.integers(2, 5), gap=st.integers(1, 8), data=st.data())
+    def test_cost_monotone_in_rebalances_under_constant_drift(self, m, gap, data):
+        # the same gross returns every day and a rebalance every ``gap`` days:
+        # each rebalance follows the same drift from target, so costs the same
+        daily = np.array(data.draw(st.lists(st.floats(0.95, 1.05), min_size=m, max_size=m)))
+        panel = gross_panel(np.tile(daily, (6 * gap, 1)))
+        weights = WeightVector(panel.tickers, data.draw(simplex_weights(m)), "GA")
+        costs = []
+        for events in range(7):
+            bits = np.zeros(panel.n_days, dtype=np.uint8)
+            bits[gap - 1 : events * gap : gap] = 1
+            rep = run(panel, Strategy(weights, Explicit(bits)), COST)
+            assert rep.rebalance_count == events
+            costs.append(rep.total_cost_bp)
+        assert all(a <= b for a, b in zip(costs, costs[1:]))
+        np.testing.assert_allclose(costs, costs[1] * np.arange(7), rtol=1e-9, atol=0)
 
 
 class TestMetrics:

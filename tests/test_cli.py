@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from quantfolio import load_csv, synth_panel, to_returns, write_csv
+from quantfolio import QuboParams, load_csv, synth_panel, to_returns, write_csv
 from quantfolio.cli import _child_seed, _fmt, _write_matrix_csv, main, parse_config
 
 from conftest import block_correlation, subprocess_env
@@ -259,6 +259,40 @@ class TestScheduleCommand:
         assert run_cli("schedule", "--config", workspace["config"]) == 0
         for m, payload in first.items():
             assert (workspace["out"] / f"schedule_{m}.json").read_bytes() == payload
+
+
+    def test_one_walk_forward_call_equal_to_one_per_method(self, scheduled, tmp_path, monkeypatch):
+        from quantfolio import cli
+        from quantfolio.allocation import METHODS
+        from quantfolio.qaoa import QaoaConfig
+
+        calls = []
+        batched = cli.walk_forward
+
+        def recording(test, targets, *args):
+            calls.append([t.method for t in targets])
+            return batched(test, targets, *args)
+
+        monkeypatch.setattr(cli, "walk_forward", recording)
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("selection.json", *(f"weights_{m.lower()}.json" for m in METHODS)):
+            (out / name).write_bytes((scheduled["out"] / name).read_bytes())
+        assert run_cli("schedule", "--config", scheduled["config"], "--out", out) == 0
+        assert calls == [list(METHODS)]
+
+        cfg = parse_config(scheduled["config"])
+        _, _, test = cli._load_panels(cfg)
+        test = test.restrict(cli._read_selection(cfg))
+        weights = cli._read_weights(cfg)
+        for i, method in enumerate(METHODS):
+            qcfg = QaoaConfig(depth=cfg.depth, restarts=cfg.restarts, opt_shots=cfg.opt_shots,
+                              eval_shots=cfg.eval_shots, max_iters=cfg.max_iters,
+                              seed=_child_seed(cfg.seed, 10 + i))
+            alone = batched(test, weights[method], cfg.windows, cfg.candidates_per_window,
+                            qcfg, QuboParams(cfg.lambda1, cfg.lambda2, cfg.lambda3, cfg.cost_c))
+            blob = json.loads((out / f"schedule_{method.lower()}.json").read_text())
+            assert blob == {**json.loads(json.dumps(alone.to_json_dict())), "method": method}
 
 
 class TestBacktestCommand:

@@ -23,6 +23,7 @@ from quantfolio import (
     walk_forward,
 )
 from quantfolio import qaoa
+from quantfolio.allocation import METHODS
 from quantfolio.qaoa import IsingModel
 from quantfolio.schedule_qubo import enumerate_energies
 
@@ -163,8 +164,9 @@ def reference_phase_energies(model):
 
 
 def reference_ansatz(model, gammas, betas):
-    """The tensordot + moveaxis simulator with a per-call phase table: the
-    bit-level reference for ``simulate_ansatz``."""
+    """The tensordot + moveaxis simulator with a per-call phase table, an
+    earlier kernel of the package: the reference where the dense oracle is
+    too large."""
     w = model.w
     phase = reference_phase_energies(model)
     psi = np.full(2**w, 2.0 ** (-w / 2.0), dtype=complex)
@@ -183,14 +185,16 @@ class TestKernelBitIdentity:
     @pytest.mark.parametrize("w", [1, 2, 5, 8, 12])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_simulate_ansatz_matches_reference_bits(self, w, depth):
+        # the swapped-halves mixer and the energy-table phases round
+        # differently from the old tensordot kernel in the last bits (at
+        # W = 2, say), so the contract is the dense expm oracle at 1e-12; at
+        # W = 12 that oracle is a 4096 x 4096 expm, so the old kernel stands in
         rng = np.random.default_rng(100 * w + depth)
         model = to_ising(random_symmetric(rng, w))
         gammas = rng.uniform(0, 2 * np.pi, size=depth)
         betas = rng.uniform(0, np.pi, size=depth)
-        ref = reference_ansatz(model, gammas, betas)
-        # twice: the second call reads the cached phase table
-        for _ in range(2):
-            assert np.array_equal(simulate_ansatz(model, gammas, betas), ref)
+        ref = kron_oracle_state(model, gammas, betas) if w <= 8 else reference_ansatz(model, gammas, betas)
+        np.testing.assert_allclose(simulate_ansatz(model, gammas, betas), ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("w", [1, 3, 6, 13])
     def test_batch_rows_equal_single_calls(self, w):
@@ -205,6 +209,30 @@ class TestKernelBitIdentity:
             if w <= 6:
                 np.testing.assert_allclose(row, kron_oracle_state(model, g, b), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("w", [1, 2, 4, 8, 12])
+    @pytest.mark.parametrize("rows", [2, 7, 64])
+    def test_rows_with_their_own_tables_equal_single_calls(self, w, rows):
+        # the lockstep search mixes rows of different QUBOs in one call
+        rng = np.random.default_rng(300 + 10 * w + rows)
+        tables = np.array([enumerate_energies(random_symmetric(rng, w)) for _ in range(rows)])
+        gammas = rng.uniform(0, 2 * np.pi, size=(rows, 2))
+        betas = rng.uniform(0, np.pi, size=(rows, 2))
+        batch = simulate_ansatz(tables, gammas, betas)
+        for row, table, g, b in zip(batch, tables, gammas, betas):
+            assert np.array_equal(row, simulate_ansatz(table, g, b))
+
+    def test_energy_table_gives_the_model_state_up_to_global_phase(self):
+        rng = np.random.default_rng(5)
+        q = random_symmetric(rng, 6)
+        model = to_ising(q)
+        gammas, betas = rng.uniform(0, np.pi, size=(2, 3))
+        from_model = simulate_ansatz(model, gammas, betas)
+        from_table = simulate_ansatz(enumerate_energies(q), gammas, betas)
+        # the QUBO energies are the Ising energies plus the offset
+        np.testing.assert_allclose(
+            from_table, from_model * np.exp(-1j * gammas.sum() * model.offset), rtol=0, atol=1e-12
+        )
+
     @pytest.mark.parametrize("shapes", [((3, 2), (3, 1)), ((3, 2), (2, 2)), ((3, 2), (6,)),
                                         ((2,), (3,)), ((1, 2, 2), (1, 2, 2))])
     def test_mismatched_angle_shapes_raise(self, shapes):
@@ -212,11 +240,10 @@ class TestKernelBitIdentity:
         with pytest.raises(ValueError, match="one beta per gamma"):
             simulate_ansatz(model, np.zeros(shapes[0]), np.zeros(shapes[1]))
 
-    def test_phases_built_once_and_read_only(self):
-        model = to_ising(random_symmetric(np.random.default_rng(4), 6))
-        assert model.phases is model.phases
-        assert not model.phases.flags.writeable
-        assert np.array_equal(model.phases, reference_phase_energies(model))
+    @pytest.mark.parametrize("table_shape", [(6,), (2, 3, 4), (3, 8)])
+    def test_bad_energy_tables_raise(self, table_shape):
+        with pytest.raises(ValueError, match="energ"):
+            simulate_ansatz(np.zeros(table_shape), np.zeros((2, 1)), np.zeros((2, 1)))
 
 
 @st.composite
@@ -238,11 +265,14 @@ class TestQuboIsingProperties:
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(q=symmetric_qubos())
-    def test_phases_plus_offset_equal_enumerated_energies(self, q):
+    def test_cost_table_plus_offset_equal_enumerated_energies(self, q):
         model = to_ising(q)
         tol = 1e-12 * max(1.0, np.abs(q).sum())
         np.testing.assert_allclose(
-            model.phases + model.offset, enumerate_energies(q), rtol=0, atol=tol
+            qaoa._cost_table(model) + model.offset, enumerate_energies(q), rtol=0, atol=tol
+        )
+        np.testing.assert_allclose(
+            qaoa._cost_table(model), reference_phase_energies(model), rtol=0, atol=tol
         )
 
 
@@ -395,7 +425,7 @@ class TestAngleSearch:
         with pytest.raises(ValueError, match="restarts x max_iters"):
             QaoaConfig(restarts=1, max_iters=31)
 
-    def test_batches_chunked_at_2_to_18_amplitudes(self, monkeypatch):
+    def test_batches_chunked_at_2_to_14_amplitudes(self, monkeypatch):
         sizes = []
 
         def recording(model, gammas, betas):
@@ -404,14 +434,14 @@ class TestAngleSearch:
             return state
 
         monkeypatch.setattr(qaoa, "simulate_ansatz", recording)
-        q = random_symmetric(np.random.default_rng(11), 16)
+        q = random_symmetric(np.random.default_rng(11), 12)
         cfg = QaoaConfig(depth=1, restarts=3, opt_shots=64, eval_shots=64, max_iters=16, seed=2)
         optimise_angles(to_ising(q), q, cfg)
         # the 32-point grid runs as 8 batches of 4 states; the grid uses up
         # restarts 0 and 1, so restart 2's 8 SPSA steps are batches of 2
         # states, and the final evaluation is one batch of 3
-        assert max(sizes) == 2**18
-        assert sizes == [2**18] * 8 + [2**17] * 8 + [3 * 2**16]
+        assert max(sizes) == 2**14
+        assert sizes == [2**14] * 8 + [2**13] * 8 + [3 * 2**12]
 
     def test_spsa_steps_down_a_quadratic(self):
         rngs = [np.random.default_rng(s) for s in (1, 2)]
@@ -419,6 +449,85 @@ class TestAngleSearch:
         res = qaoa.minimize(lambda pts, _: (pts**2).sum(axis=1), x0, rngs, np.array([200, 100]))
         assert res.nfev == 2 * (200 + 100)
         assert np.all(np.abs(res.x) < 0.05)
+
+
+class TestBatchedSearch:
+    """Every window of every target is searched in one lockstep batch; each
+    window's outcome must equal the one it gets when solved alone."""
+
+    @staticmethod
+    def targets(panel, rng):
+        raw = rng.uniform(0.05, 1.0, size=(len(METHODS), panel.n_assets))
+        return [WeightVector(panel.tickers, r / r.sum(), m) for m, r in zip(METHODS, raw)]
+
+    @pytest.mark.parametrize("w", [4, 8])
+    @pytest.mark.parametrize("k_windows", [1, 3])
+    def test_window_outcome_same_alone_and_in_all_methods_batch(self, w, k_windows):
+        for seed in range(3):
+            rng = np.random.default_rng(1000 * w + 10 * k_windows + seed)
+            panel = to_returns(synth_panel(seed=50 + seed, T=k_windows * (4 * w) + 1, M=3))
+            targets = self.targets(panel, rng)
+            cfgs = [QaoaConfig(depth=2, restarts=3, opt_shots=64, eval_shots=256,
+                               max_iters=40, seed=int(s)) for s in rng.integers(0, 2**31, 4)]
+            batch = walk_forward(panel, targets, k_windows, w, cfgs)
+            assert len(batch) == len(targets)
+            for target, cfg, result in zip(targets, cfgs, batch):
+                single = walk_forward(panel, target, k_windows, w, cfg)
+                seeds = np.random.SeedSequence(cfg.seed).generate_state(k_windows, dtype=np.uint64)
+                np.testing.assert_array_equal(single.bits, result.bits)
+                for win, one, window_seed in zip(result.windows, single.windows, seeds):
+                    alone = optimise_angles(to_ising(win.qubo), win.qubo,
+                                            replace(cfg, seed=int(window_seed)))
+                    for other in (alone, one.outcome):
+                        assert np.array_equal(win.outcome.histogram, other.histogram)
+                        assert np.array_equal(win.outcome.restart_angles, other.restart_angles)
+                        assert np.array_equal(win.outcome.restart_energies, other.restart_energies)
+                        assert np.array_equal(win.outcome.best_bits.bits, other.best_bits.bits)
+
+    def test_mixed_budgets_and_modes_in_one_batch(self):
+        # fine and coarse grids, shot and exact losses, 1 to 4 restarts
+        panel = to_returns(synth_panel(seed=60, T=3 * 24 + 1, M=3))
+        targets = self.targets(panel, np.random.default_rng(61))
+        cfgs = [wf_config(restarts=1, max_iters=40), wf_config(restarts=4, max_iters=80, seed=4),
+                wf_config(exact_expectation=True, seed=5), wf_config(eval_shots=100, seed=6)]
+        batch = walk_forward(panel, targets, 3, 5, cfgs)
+        for target, cfg, result in zip(targets, cfgs, batch):
+            single = walk_forward(panel, target, 3, 5, cfg)
+            for win, one in zip(result.windows, single.windows):
+                assert np.array_equal(win.outcome.histogram, one.outcome.histogram)
+                assert np.array_equal(win.outcome.restart_angles, one.outcome.restart_angles)
+                assert win.outcome.histogram.sum() == cfg.eval_shots
+
+    def test_one_config_per_target(self):
+        panel = to_returns(synth_panel(seed=62, T=60, M=2))
+        targets = self.targets(panel, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="one QaoaConfig per target"):
+            walk_forward(panel, targets, 1, 4, [wf_config()])
+
+    def test_one_depth_per_batch(self):
+        panel = to_returns(synth_panel(seed=63, T=60, M=2))
+        targets = self.targets(panel, np.random.default_rng(0))[:2]
+        with pytest.raises(ValueError, match="one depth"):
+            walk_forward(panel, targets, 1, 4, [wf_config(depth=1), wf_config(depth=2)])
+
+    def test_wide_windows_split_into_several_searches(self, monkeypatch):
+        panel = to_returns(synth_panel(seed=64, T=3 * 32 + 1, M=2))
+        targets = self.targets(panel, np.random.default_rng(1))[:2]
+        one_search = walk_forward(panel, targets[0], 3, 8, wf_config())
+        calls = []
+        search = qaoa._search
+
+        def recording(tables, cfgs):
+            calls.append(len(cfgs))
+            return search(tables, cfgs)
+
+        monkeypatch.setattr(qaoa, "_search", recording)
+        monkeypatch.setattr(qaoa, "_BATCH_ENERGIES", 2**10)
+        results = walk_forward(panel, targets, 3, 8, [wf_config(), wf_config(seed=9)])
+        # 2^10 table entries hold four 2^8 tables: 6 windows in searches of 4 and 2
+        assert calls == [4, 2]
+        for win, one in zip(results[0].windows, one_search.windows):
+            assert np.array_equal(win.outcome.histogram, one.outcome.histogram)
 
 
 def wf_config(**kw):
