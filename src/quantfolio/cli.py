@@ -84,35 +84,16 @@ class RunConfig:
         return out
 
 
-_PARSERS = {
-    "prices_csv": str,
-    "out_dir": str,
-    "train_end": date.fromisoformat,
-    "test_end": date.fromisoformat,
-    "n_clusters": int,
-    "ga_population": int,
-    "ga_generations": int,
-    "ga_mutation_rate": float,
-    "ga_gene_low": float,
-    "ga_gene_high": float,
-    "lambda_ent": float,
-    "depth": int,
-    "candidates_per_window": int,
-    "windows": int,
-    "restarts": int,
-    "opt_shots": int,
-    "eval_shots": int,
-    "max_iters": int,
-    "lambda1": float,
-    "lambda2": float,
-    "lambda3": float,
-    "cost_c": float,
-    "threshold": float,
-    "periodic": lambda s: tuple(int(x) for x in s.split(",") if x.strip()),
-    "seed": int,
+# value parser per RunConfig annotation (a string under postponed annotations)
+_TYPE_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "date": date.fromisoformat,
+    "tuple[int, ...]": lambda s: tuple(int(x) for x in s.split(",") if x.strip()),
 }
-
-_REQUIRED = ("prices_csv", "train_end", "test_end")
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in dataclasses.fields(RunConfig)}
+_REQUIRED = tuple(f.name for f in dataclasses.fields(RunConfig) if f.default is dataclasses.MISSING)
 
 
 def parse_config(path) -> RunConfig:

@@ -24,10 +24,12 @@ result does not depend on how many restarts follow it.
 
 ``walk_forward`` builds every window's QUBO of every target first (a window's
 QUBO depends only on its own returns and the target), then runs one search
-over all of them in lockstep: one scoring pass over every grid point, one
-SPSA loop (``minimize``) over every (window, restart) row, one pass for the
-evaluation histograms. Each row keeps its own energy table and generator, so
-every window's outcome is bit-identical to solving it alone.
+over all of them in lockstep, with one config that differs between windows
+only in its seed: one scoring pass over every grid point, one SPSA loop
+(``minimize``) over every (window, restart) row, one pass for the evaluation
+histograms. Each row keeps its own energy table and generator, and every
+shot is drawn by ``sample``, so every window's outcome is bit-identical to
+solving it alone.
 
 Each ``simulate_ansatz`` call holds at most ``_BATCH_AMPLITUDES`` = 2^14
 amplitudes, because the batch would otherwise set the stage's peak memory
@@ -147,7 +149,6 @@ class QaoaConfig:
     eval_shots: int = 4096
     max_iters: int = 150  # loss evaluations per restart; a window's budget is restarts x this
     seed: int = 0
-    exact_expectation: bool = False  # debug mode: noiseless loss instead of shots
 
     def __post_init__(self) -> None:
         for name in ("depth", "restarts", "opt_shots", "eval_shots", "max_iters"):
@@ -252,8 +253,10 @@ def simulate_ansatz(cost, gammas, betas) -> np.ndarray:
             raise ValueError(f"W = {cost.w} exceeds the statevector guard ({STATEVECTOR_LIMIT})")
         cost = _cost_table(cost)
     table = np.asarray(cost, dtype=float)
+    if table.ndim not in (1, 2):
+        raise ValueError("need 2**W energies per table")
     w = table.shape[-1].bit_length() - 1
-    if table.ndim not in (1, 2) or table.shape[-1] != 2 ** w:
+    if table.shape[-1] != 2 ** w:
         raise ValueError("need 2**W energies per table")
     if w > STATEVECTOR_LIMIT:
         raise ValueError(f"W = {w} exceeds the statevector guard ({STATEVECTOR_LIMIT})")
@@ -287,21 +290,15 @@ def simulate_ansatz(cost, gammas, betas) -> np.ndarray:
     return psi if batched else psi[0]
 
 
-def _probabilities(tables: np.ndarray, owner: np.ndarray, points: np.ndarray):
-    """|amplitude|^2 of the ansatz state of each row i of ``points`` (gammas,
-    then betas) under the energy table ``tables[owner[i]]``, simulated in
-    batches of at most ``_BATCH_AMPLITUDES`` amplitudes; one row at a time."""
+def _states(tables: np.ndarray, owner: np.ndarray, points: np.ndarray):
+    """The ansatz state of each row i of ``points`` (gammas, then betas) under
+    the energy table ``tables[owner[i]]``, simulated in batches of at most
+    ``_BATCH_AMPLITUDES`` amplitudes; one row at a time."""
     p = points.shape[1] // 2
     rows = max(1, _BATCH_AMPLITUDES // tables.shape[1])
     for lo in range(0, len(points), rows):
         chunk = points[lo : lo + rows]
-        yield from np.abs(simulate_ansatz(tables[owner[lo : lo + rows]], chunk[:, :p], chunk[:, p:])) ** 2
-
-
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+        yield from simulate_ansatz(tables[owner[lo : lo + rows]], chunk[:, :p], chunk[:, p:])
 
 
 def sample(state: np.ndarray, shots: int, seed) -> np.ndarray:
@@ -313,24 +310,14 @@ def sample(state: np.ndarray, shots: int, seed) -> np.ndarray:
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"state is not normalised (sum p = {total!r})")
-    rng = _as_generator(seed)
-    return rng.multinomial(shots, probs / total)
-
-
-def _as_counts(histogram, w: int) -> np.ndarray:
-    if isinstance(histogram, dict):
-        counts = np.zeros(2 ** w, dtype=float)
-        for key, c in histogram.items():
-            value = int(key, 2) if isinstance(key, str) else int(key)
-            counts[value] += c
-        return counts
-    return np.asarray(histogram, dtype=float)
+    return np.random.default_rng(seed).multinomial(shots, probs / total)
 
 
 def expected_energy(histogram, q) -> float:
-    """Shot-weighted mean of x' Q x over a measurement histogram."""
+    """Shot-weighted mean of x' Q x over a measurement histogram (counts
+    indexed by bitstring value)."""
     mat = q.q if isinstance(q, QuboProblem) else np.atleast_2d(np.asarray(q, float))
-    counts = _as_counts(histogram, mat.shape[0])
+    counts = np.asarray(histogram, dtype=float)
     total = counts.sum()
     if total <= 0:
         raise ValueError("empty histogram")
@@ -352,11 +339,15 @@ def optimise_angles(model: IsingModel, q, cfg: QaoaConfig = QaoaConfig()) -> Qao
        per step, so no restart's result depends on how many follow it.
     4. The winner is the restart with the lowest expected energy over its
        ``eval_shots`` evaluation histogram (tie -> earlier restart).
+
+    Every loss and every evaluation histogram is a ``sample`` of the state
+    (``opt_shots`` and ``eval_shots`` shots) from the stream named above.
+    This is ``_search`` on one problem, with ``cfg.seed`` as its seed.
     """
     mat = q.q if isinstance(q, QuboProblem) else np.atleast_2d(np.asarray(q, float))
     if mat.shape[0] != model.w:
         raise ValueError("model and QUBO sizes differ")
-    return _search(enumerate_energies(mat)[None, :], [cfg])[0]
+    return _search(enumerate_energies(mat)[None, :], cfg, [cfg.seed])[0]
 
 
 def _grid(cfg: QaoaConfig) -> np.ndarray:
@@ -370,58 +361,45 @@ def _grid(cfg: QaoaConfig) -> np.ndarray:
     ), axis=-1).reshape(-1, 2)
 
 
-def _search(tables: np.ndarray, cfgs) -> list[QaoaOutcome]:
+def _search(tables: np.ndarray, cfg: QaoaConfig, seeds) -> list[QaoaOutcome]:
     """``optimise_angles`` for every row of ``tables`` (a QUBO's
-    ``enumerate_energies``) with the config of the same index, all at once.
+    ``enumerate_energies``) under ``cfg`` with the seed of the same index, all
+    at once.
 
     Each step of the search is one pass over every problem: one loss call
     scores all grid points, one ``minimize`` call steps every (problem,
     restart) row, one pass draws the evaluation histograms. A problem's points
     use only its own table and generators, so its outcome is bit-identical to
-    searching it alone. Every config needs the same depth.
+    searching it alone.
     """
-    p = cfgs[0].depth
-    if any(cfg.depth != p for cfg in cfgs):
-        raise ValueError("one depth for every problem of a batch")
+    n, p = len(tables), cfg.depth
 
     def loss(points: np.ndarray, owner: np.ndarray, rngs) -> np.ndarray:
         out = np.empty(len(points))
-        for i, probs in enumerate(_probabilities(tables, owner, points)):
-            energies, cfg = tables[owner[i]], cfgs[owner[i]]
-            if cfg.exact_expectation:
-                out[i] = probs @ energies
-            else:
-                counts = rngs[i].multinomial(cfg.opt_shots, probs / probs.sum())
-                out[i] = counts @ energies / cfg.opt_shots
+        for i, state in enumerate(_states(tables, owner, points)):
+            out[i] = sample(state, cfg.opt_shots, rngs[i]) @ tables[owner[i]] / cfg.opt_shots
         return out
 
-    problems = np.arange(len(cfgs))
-    streams = [np.random.SeedSequence(cfg.seed).spawn(cfg.restarts + 1) for cfg in cfgs]
-    grids = [_grid(cfg) for cfg in cfgs]
-    grid_owner = np.repeat(problems, [len(g) for g in grids])
+    streams = [np.random.SeedSequence(seed).spawn(cfg.restarts + 1) for seed in seeds]
+    grid = _grid(cfg)
+    grid_owner = np.repeat(np.arange(n), len(grid))
     grid_rngs = [np.random.default_rng(stream[0]) for stream in streams]
-    grid_losses = loss(np.concatenate(grids), grid_owner, [grid_rngs[i] for i in grid_owner])
-    # the best grid point, repeated over the p layers
-    starts = [np.repeat(grid[int(np.argmin(grid_losses[grid_owner == i]))], p)
-              for i, grid in enumerate(grids)]
+    grid_losses = loss(np.tile(grid, (n, 1)), grid_owner, [grid_rngs[i] for i in grid_owner])
+    # each problem's best grid point, repeated over the p layers
+    starts = np.repeat(grid[np.argmin(grid_losses.reshape(n, len(grid)), axis=1)], p, axis=1)
 
-    owner = np.repeat(problems, [cfg.restarts for cfg in cfgs])
+    owner = np.repeat(np.arange(n), cfg.restarts)
     rngs = [np.random.default_rng(s) for stream in streams for s in stream[1:]]
     x0 = np.array([starts[i] + rng.normal(0.0, _JITTER, size=2 * p) for i, rng in zip(owner, rngs)])
-    steps = np.concatenate([
-        np.clip(np.arange(1, cfg.restarts + 1) * cfg.max_iters - len(grid), 0, cfg.max_iters) // 2
-        for cfg, grid in zip(cfgs, grids)
-    ])
+    steps = np.clip(np.arange(1, cfg.restarts + 1) * cfg.max_iters - len(grid), 0, cfg.max_iters) // 2
     res = minimize(lambda points, rows: loss(points, owner[rows], [rngs[r] for r in rows]),
-                   x0, rngs, steps)
+                   x0, rngs, np.tile(steps, n))
 
-    histograms = [
-        rng.multinomial(cfgs[i].eval_shots, probs / probs.sum())
-        for i, probs, rng in zip(owner, _probabilities(tables, owner, res.x), rngs)
-    ]
+    histograms = [sample(state, cfg.eval_shots, rng)
+                  for state, rng in zip(_states(tables, owner, res.x), rngs)]
     w = tables.shape[1].bit_length() - 1
     outcomes = []
-    for i, (cfg, energies) in enumerate(zip(cfgs, tables)):
+    for i, energies in enumerate(tables):
         rows = np.flatnonzero(owner == i)
         restart_energies = np.array([histograms[r] @ energies / cfg.eval_shots for r in rows])
         winner = int(np.argmin(restart_energies))  # tie -> earlier restart
@@ -514,10 +492,10 @@ def walk_forward(
     global schedule.
 
     ``targets`` is a sequence of weight vectors and ``cfgs`` one config per
-    target, all of one depth; a tuple of one ``ScheduleResult`` per target
-    comes back, and every window of every target is solved in one batched
-    search (``_search``). A single ``WeightVector`` with a single
-    ``QaoaConfig`` returns a single result.
+    target; the configs may differ only in seed. A tuple of one
+    ``ScheduleResult`` per target comes back, and every window of every
+    target is solved in one batched search (``_search``). A single
+    ``WeightVector`` with a single ``QaoaConfig`` returns a single result.
 
     Window k's RNG stream is derived from its target's master seed and k
     alone, so perturbing a later window can never change an earlier window's
@@ -528,6 +506,8 @@ def walk_forward(
         return walk_forward(test, [targets], k_windows, w_count, [cfgs], qubo_params)[0]
     if isinstance(cfgs, QaoaConfig) or len(cfgs) != len(targets):
         raise ValueError("need one QaoaConfig per target")
+    if len({replace(cfg, seed=0) for cfg in cfgs}) > 1:
+        raise ValueError("the configs of one walk_forward call may differ only in seed")
     if any(target.tickers != test.tickers for target in targets):
         raise ValueError("target weight tickers do not match test panel tickers")
     t_total = test.n_days
@@ -544,8 +524,8 @@ def walk_forward(
     segments = [test.slice_rows(start, end) for start, end in spans]
     qubos = [build_qubo(target, segment, w_count, qubo_params)
              for target in targets for segment in segments]
-    window_cfgs = [
-        replace(cfg, seed=int(seed))
+    seeds = [
+        int(seed)
         for cfg in cfgs
         for seed in np.random.SeedSequence(cfg.seed).generate_state(k_windows, dtype=np.uint64)
     ]
@@ -553,7 +533,7 @@ def walk_forward(
     per_search = max(1, _BATCH_ENERGIES >> w_count)
     for lo in range(0, len(qubos), per_search):
         tables = np.array([enumerate_energies(qp) for qp in qubos[lo : lo + per_search]])
-        outcomes += _search(tables, window_cfgs[lo : lo + per_search])
+        outcomes += _search(tables, cfgs[0], seeds[lo : lo + per_search])
 
     results = []
     for t in range(len(targets)):

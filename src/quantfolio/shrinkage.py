@@ -125,10 +125,12 @@ def ledoit_wolf(returns: ReturnPanel) -> ShrunkCovariance:
         raise ValueError(f"constant asset(s) with zero variance: {', '.join(flat)}")
 
     xc = x - x.mean(axis=0)
-    sample = (xc.T @ xc) / (t - 1)
+    gram = xc.T @ xc
+    sample = gram / (t - 1)
 
-    # intensity from biased moments: alpha = min(b2, d2) / d2
-    biased = (xc.T @ xc) / t
+    # intensity from biased moments: alpha = min(b2, d2) / d2; dividing in
+    # place keeps two M x M products alive, not three (peak RSS of ``select``)
+    biased = np.divide(gram, t, out=gram)
     mu_biased = float(np.trace(biased) / m)
     d2 = float(((biased - mu_biased * np.eye(m)) ** 2).sum() / m)
     sq_norms = (xc ** 2).sum(axis=1)

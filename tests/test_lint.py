@@ -1,0 +1,63 @@
+"""Dead-code checks on the package source, with the standard library's ``ast``:
+no module imports a name it never uses, and every private module-level
+function is referenced somewhere in the package."""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quantfolio"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every bare name read and every attribute name, anywhere in the tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = parse(path)
+    unused = imported_names(tree) - referenced_names(tree)
+    assert not unused, f"{path.name} imports unused name(s): {', '.join(sorted(unused))}"
+
+
+def test_every_private_function_is_referenced():
+    trees = {path.name: parse(path) for path in MODULES}
+    assert trees, f"no modules under {PACKAGE}"
+    everywhere = set().union(*(referenced_names(tree) for tree in trees.values()))
+    unreferenced = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in everywhere
+    ]
+    assert not unreferenced, f"private functions nothing references: {', '.join(unreferenced)}"
+
+
+def test_checks_catch_dead_code():
+    tree = ast.parse("import os\nfrom json import dumps as d\n\ndef _dead():\n    return 1\n")
+    assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
+    assert "_dead" not in referenced_names(tree)
