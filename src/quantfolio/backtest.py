@@ -55,7 +55,6 @@ class Explicit:
     """Fires exactly on the days whose global schedule bit is 1."""
 
     bits: np.ndarray
-    name: str = "QAOA"
 
     def __post_init__(self) -> None:
         bits = np.asarray(self.bits).astype(np.uint8)
@@ -65,7 +64,7 @@ class Explicit:
         object.__setattr__(self, "bits", bits)
 
     def describe(self) -> str:
-        return self.name
+        return "QAOA"
 
 
 Scheduler = Union[BuyAndHold, Periodic, Threshold, Explicit]
@@ -75,7 +74,6 @@ Scheduler = Union[BuyAndHold, Periodic, Threshold, Explicit]
 class Strategy:
     weights: WeightVector
     scheduler: Scheduler
-    label: str | None = None
 
     def describe(self) -> str:
         prefix = self.weights.method
@@ -103,7 +101,6 @@ class BacktestReport:
     sortino: float | None
     mdd: float
     calmar: float | None
-    rebalance_count: int
     total_cost_bp: float
     rebalance_days: tuple[int, ...]
 
@@ -111,6 +108,10 @@ class BacktestReport:
         curve = np.asarray(self.equity_curve, dtype=float)
         curve.flags.writeable = False
         object.__setattr__(self, "equity_curve", curve)
+
+    @property
+    def rebalance_count(self) -> int:
+        return len(self.rebalance_days)
 
 
 def metrics(equity_curve) -> Metrics:
@@ -197,14 +198,13 @@ def run(test: ReturnPanel, strat: Strategy, cost_c: float) -> BacktestReport:
 
     m = metrics(curve)
     return BacktestReport(
-        label=strat.label or strat.describe(),
+        label=strat.describe(),
         equity_curve=curve,
         total_return=m.total_return,
         sharpe=m.sharpe,
         sortino=m.sortino,
         mdd=m.mdd,
         calmar=m.calmar,
-        rebalance_count=len(rebalance_days),
         total_cost_bp=1e4 * total_cost,
         rebalance_days=tuple(rebalance_days),
     )

@@ -2,8 +2,10 @@
 and a seeded synthetic panel generator.
 
 All panel types are immutable after construction (their arrays are marked
-read-only), so they can be shared freely across threads. Every operation in
-this module is a pure function of its arguments.
+read-only), so they can be shared freely across threads. A panel stores one
+matrix; what derives from it (``ReturnPanel.log_returns``) is computed once,
+on first use, and is read-only as well. Every operation in this module is a
+pure function of its arguments.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from datetime import date, timedelta
+from functools import cached_property
 
 import numpy as np
 
@@ -22,10 +25,13 @@ TRADING_DAYS_PER_YEAR = 252
 ANNUALISATION = math.sqrt(TRADING_DAYS_PER_YEAR)
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _read_only(out: np.ndarray) -> np.ndarray:
     out.flags.writeable = False
     return out
+
+
+def _frozen_array(values, dtype=float) -> np.ndarray:
+    return _read_only(np.array(values, dtype=dtype))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,24 +81,21 @@ class PricePanel:
 
 @dataclass(frozen=True, eq=False)
 class ReturnPanel:
-    """Daily gross and log returns derived from a price panel.
+    """Daily gross returns derived from a price panel.
 
     Row ``t`` holds the return accruing on ``dates[t]`` (one row fewer than
-    the source price panel). ``log_returns == ln(gross_returns)`` elementwise.
+    the source price panel). ``log_returns`` is ``ln(gross_returns)``,
+    computed on first use and then kept, read-only like ``gross_returns``.
     """
 
     dates: tuple[date, ...]
     tickers: tuple[str, ...]
-    log_returns: np.ndarray
     gross_returns: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "tickers", tuple(str(t) for t in self.tickers))
-        logr = np.atleast_2d(np.asarray(self.log_returns, dtype=float))
         gross = np.atleast_2d(np.asarray(self.gross_returns, dtype=float))
-        if logr.shape != gross.shape:
-            raise ValueError("log and gross return shapes differ")
         t, m = gross.shape
         if len(self.dates) != t or len(self.tickers) != m:
             raise ValueError("dates/tickers do not match return matrix shape")
@@ -102,15 +105,11 @@ class ReturnPanel:
             raise ValueError("dates must be strictly increasing")
         if not np.all(np.isfinite(gross)) or np.any(gross <= 0.0):
             raise ValueError("gross returns must be finite and strictly positive")
-        if not np.allclose(logr, np.log(gross), rtol=0.0, atol=1e-9):
-            raise ValueError("log_returns must equal ln(gross_returns)")
-        object.__setattr__(self, "log_returns", _frozen_array(logr))
         object.__setattr__(self, "gross_returns", _frozen_array(gross))
 
-    @classmethod
-    def from_gross(cls, dates, tickers, gross_returns) -> "ReturnPanel":
-        gross = np.asarray(gross_returns, dtype=float)
-        return cls(tuple(dates), tuple(tickers), np.log(gross), gross)
+    @cached_property
+    def log_returns(self) -> np.ndarray:
+        return _read_only(np.log(self.gross_returns))
 
     @property
     def n_days(self) -> int:
@@ -124,12 +123,7 @@ class ReturnPanel:
         """Contiguous row slice ``[start, stop)`` as a new panel."""
         if not 0 <= start < stop <= self.n_days:
             raise ValueError(f"bad row slice [{start}, {stop}) for {self.n_days} rows")
-        return ReturnPanel(
-            self.dates[start:stop],
-            self.tickers,
-            self.log_returns[start:stop],
-            self.gross_returns[start:stop],
-        )
+        return ReturnPanel(self.dates[start:stop], self.tickers, self.gross_returns[start:stop])
 
     def restrict(self, tickers) -> "ReturnPanel":
         """Column subset, in the order given."""
@@ -138,12 +132,7 @@ class ReturnPanel:
         if missing:
             raise ValueError(f"unknown tickers: {', '.join(missing)}")
         cols = [index[t] for t in tickers]
-        return ReturnPanel(
-            self.dates,
-            tuple(tickers),
-            self.log_returns[:, cols],
-            self.gross_returns[:, cols],
-        )
+        return ReturnPanel(self.dates, tuple(tickers), self.gross_returns[:, cols])
 
 
 @dataclass(frozen=True)
@@ -247,9 +236,8 @@ def write_csv(panel: PricePanel, path) -> None:
 
 
 def to_returns(panel: PricePanel) -> ReturnPanel:
-    """Daily gross ratios ``P[t+1]/P[t]`` and their logs."""
-    gross = panel.prices[1:] / panel.prices[:-1]
-    return ReturnPanel(panel.dates[1:], panel.tickers, np.log(gross), gross)
+    """Daily gross ratios ``P[t+1]/P[t]``."""
+    return ReturnPanel(panel.dates[1:], panel.tickers, panel.prices[1:] / panel.prices[:-1])
 
 
 def split(panel: ReturnPanel, spec: SplitSpec) -> tuple[ReturnPanel, ReturnPanel]:
@@ -267,10 +255,7 @@ def split(panel: ReturnPanel, spec: SplitSpec) -> tuple[ReturnPanel, ReturnPanel
         )
     def take(idx):
         return ReturnPanel(
-            tuple(panel.dates[i] for i in idx),
-            panel.tickers,
-            panel.log_returns[idx],
-            panel.gross_returns[idx],
+            tuple(panel.dates[i] for i in idx), panel.tickers, panel.gross_returns[idx]
         )
     return take(train_idx), take(test_idx)
 

@@ -318,6 +318,8 @@ def expected_energy(histogram, q) -> float:
     indexed by bitstring value)."""
     mat = q.q if isinstance(q, QuboProblem) else np.atleast_2d(np.asarray(q, float))
     counts = np.asarray(histogram, dtype=float)
+    if counts.shape != (2 ** mat.shape[0],):
+        raise ValueError("need 2**W counts")
     total = counts.sum()
     if total <= 0:
         raise ValueError("empty histogram")
@@ -426,7 +428,13 @@ class WindowDiagnostics:
     qubo: QuboProblem
     outcome: QaoaOutcome
     brute_energy: float | None
-    gap: float | None
+
+    @property
+    def gap(self) -> float | None:
+        """QAOA energy minus the exact optimum, >= 0 (``None`` without brute force)."""
+        if self.brute_energy is None:
+            return None
+        return self.outcome.best_energy - self.brute_energy
 
     @property
     def candidates_global(self) -> np.ndarray:
@@ -541,10 +549,9 @@ def walk_forward(
         windows: list[WindowDiagnostics] = []
         for k, (start, end) in enumerate(spans):
             qp, outcome = qubos[t * k_windows + k], outcomes[t * k_windows + k]
-            brute_energy = gap = None
+            brute_energy = None
             if w_count <= _BRUTE_DIAGNOSTIC_LIMIT:
                 brute_energy = brute_force(qp).energy
-                gap = outcome.best_energy - brute_energy  # >= 0: brute force is exact
 
             bits[start + qp.candidates.indices] = outcome.best_bits.bits
             windows.append(
@@ -554,7 +561,6 @@ def walk_forward(
                     qubo=qp,
                     outcome=outcome,
                     brute_energy=brute_energy,
-                    gap=gap,
                 )
             )
         results.append(ScheduleResult(bits=bits, windows=tuple(windows)))

@@ -143,8 +143,6 @@ def candidate_dates(window_len: int, w: int) -> CandidateDates:
     """
     if w < 1:
         raise ValueError("need at least one candidate date")
-    if window_len <= w:
-        raise ValueError(f"window of {window_len} days cannot host {w} candidates")
     if window_len < w + 2:
         raise ValueError(
             f"window too short: {window_len} days cannot host {w} distinct interior dates"

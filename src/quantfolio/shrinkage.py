@@ -12,70 +12,59 @@ are pure and thread-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .market_data import ReturnPanel, _frozen_array
+from .market_data import ReturnPanel, _frozen_array, _read_only
 
 
 @dataclass(frozen=True, eq=False)
 class ShrunkCovariance:
-    """Shrunk covariance with its intensity and derived matrices.
+    """Shrunk covariance with its intensity and shrinkage target.
 
-    ``corr`` is exactly the correlation of ``sigma`` (diagonal 1, entries
-    clamped to [-1, 1]); ``dist`` is the angular distance
-    ``sqrt((1 - corr) / 2)`` (diagonal 0, entries in [0, 1]).
+    ``sigma`` is the one stored matrix. ``corr`` (its correlation: diagonal
+    1, entries clamped to [-1, 1]) and ``dist`` (the angular distance
+    ``sqrt((1 - corr) / 2)``: diagonal 0, entries in [0, 1]) are computed
+    from it on first use and then kept; all three are read-only.
     """
 
     tickers: tuple[str, ...]
     sigma: np.ndarray
     alpha: float
     mu_target: float
-    corr: np.ndarray
-    dist: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tickers", tuple(str(t) for t in self.tickers))
         sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        corr = np.atleast_2d(np.asarray(self.corr, dtype=float))
-        dist = np.atleast_2d(np.asarray(self.dist, dtype=float))
         m = sigma.shape[0]
-        if sigma.shape != (m, m) or corr.shape != (m, m) or dist.shape != (m, m):
-            raise ValueError("sigma/corr/dist must be square and same size")
+        if sigma.shape != (m, m):
+            raise ValueError("sigma must be square")
         if len(self.tickers) != m:
-            raise ValueError(f"{len(self.tickers)} tickers for {m}x{m} matrices")
+            raise ValueError(f"{len(self.tickers)} tickers for a {m}x{m} sigma")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-10):
             raise ValueError("sigma must be symmetric")
-        if not np.allclose(np.diag(corr), 1.0, rtol=0.0, atol=1e-12):
-            raise ValueError("corr diagonal must be 1")
-        if np.any(np.abs(corr) > 1.0):
-            raise ValueError("corr entries must lie in [-1, 1]")
-        if not np.allclose(np.diag(dist), 0.0, rtol=0.0, atol=1e-12):
-            raise ValueError("dist diagonal must be 0")
-        if np.any(dist < 0.0) or np.any(dist > 1.0):
-            raise ValueError("dist entries must lie in [0, 1]")
-        if not np.allclose(dist, dist.T, rtol=0.0, atol=1e-12):
-            raise ValueError("dist must be symmetric")
+        if not np.all(np.diag(sigma) > 0.0):
+            raise ValueError("sigma has a non-positive diagonal entry")
         object.__setattr__(self, "sigma", _frozen_array(sigma))
-        object.__setattr__(self, "corr", _frozen_array(corr))
-        object.__setattr__(self, "dist", _frozen_array(dist))
 
     @property
     def n_assets(self) -> int:
         return len(self.tickers)
 
-    @classmethod
-    def from_sigma(cls, sigma, tickers=None, alpha: float = 0.0) -> "ShrunkCovariance":
-        """Wrap a raw covariance matrix, deriving corr/dist from it."""
-        sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-        m = sigma.shape[0]
-        if tickers is None:
-            tickers = tuple(f"A{i:03d}" for i in range(m))
-        corr, dist = _corr_and_dist(sigma)
-        mu = float(np.trace(sigma) / m)
-        return cls(tuple(tickers), sigma, alpha, mu, corr, dist)
+    @cached_property
+    def corr(self) -> np.ndarray:
+        std = np.sqrt(np.diag(self.sigma))
+        corr = self.sigma / np.outer(std, std)
+        corr = np.clip(corr, -1.0, 1.0)  # absorb 1-ulp overshoot from the division
+        np.fill_diagonal(corr, 1.0)
+        return _read_only((corr + corr.T) / 2.0)
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        return _read_only(angular_distance(self.corr))
 
     def restrict(self, tickers) -> "ShrunkCovariance":
         """Sub-estimate for a ticker subset, in the order given."""
@@ -85,26 +74,8 @@ class ShrunkCovariance:
             raise ValueError(f"unknown tickers: {', '.join(missing)}")
         idx = np.array([index[t] for t in tickers], dtype=int)
         return ShrunkCovariance(
-            tuple(tickers),
-            self.sigma[np.ix_(idx, idx)],
-            self.alpha,
-            self.mu_target,
-            self.corr[np.ix_(idx, idx)],
-            self.dist[np.ix_(idx, idx)],
+            tuple(tickers), self.sigma[np.ix_(idx, idx)], self.alpha, self.mu_target
         )
-
-
-def _corr_and_dist(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    std = np.sqrt(np.diag(sigma))
-    if np.any(std <= 0.0):
-        raise ValueError("sigma has a non-positive diagonal entry")
-    corr = sigma / np.outer(std, std)
-    corr = np.clip(corr, -1.0, 1.0)  # absorb 1-ulp overshoot from the division
-    np.fill_diagonal(corr, 1.0)
-    corr = (corr + corr.T) / 2.0
-    dist = np.sqrt((1.0 - corr) / 2.0)
-    np.fill_diagonal(dist, 0.0)
-    return corr, dist
 
 
 def ledoit_wolf(returns: ReturnPanel) -> ShrunkCovariance:
@@ -143,8 +114,7 @@ def ledoit_wolf(returns: ReturnPanel) -> ShrunkCovariance:
     mu_target = float(np.trace(sample) / m)
     sigma = (1.0 - alpha) * sample + alpha * mu_target * np.eye(m)
     sigma = (sigma + sigma.T) / 2.0
-    corr, dist = _corr_and_dist(sigma)
-    return ShrunkCovariance(returns.tickers, sigma, float(alpha), mu_target, corr, dist)
+    return ShrunkCovariance(returns.tickers, sigma, float(alpha), mu_target)
 
 
 def angular_distance(rho):

@@ -43,7 +43,7 @@ def gross_panel(gross, tickers=None) -> ReturnPanel:
     if tickers is None:
         tickers = tuple(f"A{i:03d}" for i in range(m))
     dates = tuple(date(2020, 1, 1) + timedelta(days=i) for i in range(t))
-    return ReturnPanel.from_gross(dates, tickers, gross)
+    return ReturnPanel(dates, tickers, gross)
 
 
 @pytest.fixture

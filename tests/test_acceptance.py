@@ -110,7 +110,7 @@ def test_04_walk_forward_no_lookahead():
     def perturb(panel, row_from):
         gross = panel.gross_returns.copy()
         gross[row_from:] *= np.exp(rng.normal(0, 0.02, size=gross[row_from:].shape))
-        return ReturnPanel.from_gross(panel.dates, panel.tickers, gross)
+        return ReturnPanel(panel.dates, panel.tickers, gross)
 
     reference = walk_forward(base, target, 3, 6, cfg)
     ok = True

@@ -168,7 +168,7 @@ class TestMinVar:
             assert var_opt <= var_rand.min() + 1e-12
 
     def test_accepts_shrunk_covariance(self):
-        est = ShrunkCovariance.from_sigma(np.diag([1.0, 4.0]), tickers=("A", "B"))
+        est = ShrunkCovariance(("A", "B"), np.diag([1.0, 4.0]), 0.0, 2.5)
         v = minvar(est)
         assert v.tickers == ("A", "B")
         np.testing.assert_array_equal(v.weights, [0.8, 0.2])

@@ -224,9 +224,7 @@ class TestSelectRepresentatives:
         scaled_log[:, 0] *= 3.0
         from quantfolio import ReturnPanel
 
-        scaled = ReturnPanel(
-            panel.dates, panel.tickers, scaled_log, np.exp(scaled_log)
-        )
+        scaled = ReturnPanel(panel.dates, panel.tickers, np.exp(scaled_log))
         again = select_representatives(assign, scaled)
         assert again.tickers == base.tickers
 

@@ -1,6 +1,7 @@
-"""Dead-code checks on the package source, with the standard library's ``ast``:
-no module imports a name it never uses, and every private module-level
-function is referenced somewhere in the package."""
+"""Checks on the package source, with the standard library's ``ast``: no
+module imports a name it never uses, every private module-level function is
+referenced somewhere in the package, and no module uses ``assert`` (runtime
+invariants raise, since ``python -O`` strips asserts)."""
 import ast
 from pathlib import Path
 
@@ -12,6 +13,10 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def assert_lines(tree: ast.Module) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -57,7 +62,16 @@ def test_every_private_function_is_referenced():
     assert not unreferenced, f"private functions nothing references: {', '.join(unreferenced)}"
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_asserts(path):
+    lines = assert_lines(parse(path))
+    assert not lines, f"{path.name} uses assert on line(s) {lines}: raise instead"
+
+
 def test_checks_catch_dead_code():
-    tree = ast.parse("import os\nfrom json import dumps as d\n\ndef _dead():\n    return 1\n")
+    tree = ast.parse(
+        "import os\nfrom json import dumps as d\n\ndef _dead(x):\n    assert x\n    return 1\n"
+    )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
     assert "_dead" not in referenced_names(tree)
+    assert assert_lines(tree) == [5]

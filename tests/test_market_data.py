@@ -1,6 +1,7 @@
 import csv
 import math
 import tempfile
+from dataclasses import FrozenInstanceError, fields
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -276,10 +277,39 @@ class TestPanelInvariants:
         with pytest.raises(ValueError):
             panel.prices[0, 0] = 1.0
 
-    def test_log_gross_consistency_enforced(self):
+    def test_non_positive_gross_return_rejected(self):
         dates = (date(2024, 1, 2), date(2024, 1, 3))
-        with pytest.raises(ValueError, match="ln"):
-            ReturnPanel(dates, ("AAA",), [[0.5], [0.5]], [[1.01], [1.01]])
+        with pytest.raises(ValueError, match="positive"):
+            ReturnPanel(dates, ("AAA",), [[1.01], [0.0]])
+
+
+class TestDerivedLogReturns:
+    """``log_returns`` is derived from ``gross_returns`` on first use."""
+
+    def _panel(self):
+        return to_returns(synth_panel(seed=21, T=301, M=37))  # odd sizes: SIMD tails
+
+    def test_one_stored_matrix(self):
+        assert [f.name for f in fields(ReturnPanel)] == ["dates", "tickers", "gross_returns"]
+
+    def test_slices_equal_the_parent_slices(self):
+        r = self._panel()
+        np.testing.assert_array_equal(r.slice_rows(7, 250).log_returns, r.log_returns[7:250])
+        cols = [30, 2, 17, 5, 36]
+        sub = r.restrict([r.tickers[c] for c in cols])
+        np.testing.assert_array_equal(sub.log_returns, r.log_returns[:, cols])
+        train, test = split(r, SplitSpec(r.dates[199], r.dates[-1]))
+        np.testing.assert_array_equal(train.log_returns, r.log_returns[:200])
+        np.testing.assert_array_equal(test.log_returns, r.log_returns[200:])
+
+    def test_read_only_and_kept(self):
+        r = self._panel()
+        logr = r.log_returns
+        assert r.log_returns is logr
+        with pytest.raises(ValueError):
+            logr[0, 0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            r.log_returns = np.zeros_like(logr)
 
 
 class TestToReturns:

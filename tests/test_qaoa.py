@@ -339,6 +339,11 @@ class TestExpectedEnergy:
         with pytest.raises(ValueError, match="empty"):
             expected_energy(np.zeros(4), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("counts", [np.ones(3), np.ones((2, 4))], ids=["length", "rank"])
+    def test_counts_must_be_one_per_bitstring(self, counts):
+        with pytest.raises(ValueError, match=r"need 2\*\*W counts"):
+            expected_energy(counts, np.zeros((2, 2)))
+
 
 FAST = QaoaConfig(depth=2, restarts=3, opt_shots=512, eval_shots=1024, max_iters=60, seed=5)
 
@@ -568,7 +573,7 @@ class TestWalkForward:
         gross[80:] *= np.exp(rng.normal(0, 0.02, size=gross[80:].shape))  # chunk 2 only
         from quantfolio import ReturnPanel
 
-        perturbed = ReturnPanel.from_gross(base.dates, base.tickers, gross)
+        perturbed = ReturnPanel(base.dates, base.tickers, gross)
         target = wf_target(base)
         cfg = wf_config()
         a = walk_forward(base, target, 3, 4, cfg)

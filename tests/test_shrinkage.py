@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,12 @@ class TestLedoitWolf:
         assert sub.sigma[0, 1] == est.sigma[4, 1]
         assert sub.dist[1, 0] == est.dist[1, 4]
         assert sub.alpha == est.alpha
+        # derived from the sliced sigma, yet equal to the slices of the parent's
+        big = ledoit_wolf(random_panel(31, t=120, m=37))
+        idx = [30, 2, 17, 5, 36, 11]
+        sub = big.restrict([big.tickers[i] for i in idx])
+        np.testing.assert_array_equal(sub.corr, big.corr[np.ix_(idx, idx)])
+        np.testing.assert_array_equal(sub.dist, big.dist[np.ix_(idx, idx)])
 
 
 class TestAngularDistance:
@@ -152,9 +160,33 @@ class TestAngularDistance:
         np.testing.assert_allclose(out, [0.0, 1 / np.sqrt(2), 1.0], atol=1e-15)
 
 
-class TestFromSigma:
+class TestConstructor:
     def test_wraps_matrix(self):
-        est = ShrunkCovariance.from_sigma(np.diag([1.0, 4.0]))
+        est = ShrunkCovariance(("A", "B"), np.diag([1.0, 4.0]), 0.0, 2.5)
         assert est.alpha == 0.0
         np.testing.assert_array_equal(est.corr, np.eye(2))
         assert est.dist[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+
+    def test_one_stored_matrix(self):
+        assert [f.name for f in fields(ShrunkCovariance)] == [
+            "tickers", "sigma", "alpha", "mu_target"
+        ]
+
+    @pytest.mark.parametrize("diag", [[1.0, 0.0], [1.0, -2.0]])
+    def test_non_positive_diagonal_rejected(self, diag):
+        with pytest.raises(ValueError, match="non-positive diagonal"):
+            ShrunkCovariance(("A", "B"), np.diag(diag), 0.0, 1.0)
+
+
+class TestDerivedMatrices:
+    """``corr`` and ``dist`` are derived from ``sigma`` on first use."""
+
+    def test_read_only_and_kept(self):
+        est = ledoit_wolf(random_panel(3))
+        for name in ("sigma", "corr", "dist"):
+            arr = getattr(est, name)
+            assert getattr(est, name) is arr
+            with pytest.raises(ValueError):
+                arr[0, 1] = 0.5
+            with pytest.raises(FrozenInstanceError):
+                setattr(est, name, np.eye(est.n_assets))
