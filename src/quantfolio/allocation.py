@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import ZeroVolatilityError, annualised_sharpe
-from .market_data import ANNUALISATION, ReturnPanel
+from .market_data import ANNUALISATION, ReturnPanel, _frozen_array
 from .shrinkage import ShrunkCovariance
 
 METHODS = ("GA", "MinVar", "Equal", "Ensemble")
@@ -41,9 +41,7 @@ class WeightVector:
             raise ValueError("weights must be non-negative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _frozen_array(w))
 
     @property
     def n_assets(self) -> int:

@@ -17,7 +17,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .allocation import METHODS, WeightVector
-from .market_data import ANNUALISATION, ReturnPanel
+from .market_data import ANNUALISATION, ReturnPanel, _frozen_array, _frozen_bits
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,7 @@ class Explicit:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        bits = np.asarray(self.bits).astype(np.uint8)
-        if bits.ndim != 1 or not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("schedule bits must be a 0/1 vector")
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", _frozen_bits(self.bits))
 
     def describe(self) -> str:
         return "QAOA"
@@ -105,9 +101,7 @@ class BacktestReport:
     rebalance_days: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        curve = np.asarray(self.equity_curve, dtype=float)
-        curve.flags.writeable = False
-        object.__setattr__(self, "equity_curve", curve)
+        object.__setattr__(self, "equity_curve", _frozen_array(self.equity_curve))
 
     @property
     def rebalance_count(self) -> int:
@@ -239,6 +233,6 @@ def run_grid(
         strategies.append(Strategy(weight_sets["GA"], Periodic(every)))
     strategies.append(Strategy(weight_sets["GA"], Threshold(threshold)))
     for method in METHODS:
-        strategies.append(Strategy(weight_sets[method], Explicit(np.asarray(qaoa_schedules[method]))))
+        strategies.append(Strategy(weight_sets[method], Explicit(qaoa_schedules[method])))
 
     return [run(test, strat, cost_c) for strat in strategies]

@@ -76,6 +76,12 @@ class RunConfig:
     periodic: tuple[int, ...] = (1, 5, 10, 21)
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.train_end >= self.test_end:
+            raise ValueError("train_end must precede test_end")
+
     def as_dict(self) -> dict:
         out = dataclasses.asdict(self)
         out["train_end"] = self.train_end.isoformat()
@@ -118,10 +124,6 @@ def parse_config(path) -> RunConfig:
     if missing:
         raise ValueError(f"{path}: missing required key(s): {', '.join(missing)}")
     cfg = RunConfig(**values)
-    if cfg.seed < 0:
-        raise ValueError("seed must be non-negative")
-    if cfg.train_end >= cfg.test_end:
-        raise ValueError("train_end must precede test_end")
     if not os.path.exists(cfg.prices_csv):
         raise FileNotFoundError(f"prices CSV not found: {cfg.prices_csv}")
     return cfg
@@ -173,44 +175,33 @@ def _load_panels(cfg: RunConfig, tickers=None):
     return panel, train, test
 
 
-def _read_selection(cfg: RunConfig) -> list[str]:
-    path = os.path.join(cfg.out_dir, "selection.json")
+def _read_artifact(cfg: RunConfig, name: str, stage: str):
+    """The JSON artifact ``name`` that the ``stage`` command wrote."""
+    path = os.path.join(cfg.out_dir, name)
     if not os.path.exists(path):
-        raise FileNotFoundError(f"{path} not found: run the 'select' command first")
+        raise FileNotFoundError(f"{path} not found: run the '{stage}' command first")
     with open(path) as fh:
-        return list(json.load(fh)["tickers"])
+        return json.load(fh)
 
 
-def _weights_path(cfg: RunConfig, method: str) -> str:
-    return os.path.join(cfg.out_dir, f"weights_{method.lower()}.json")
+def _read_selection(cfg: RunConfig) -> list[str]:
+    return list(_read_artifact(cfg, "selection.json", "select")["tickers"])
 
 
 def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
-    out = {}
-    for method in METHODS:
-        path = _weights_path(cfg, method)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"{path} not found: run the 'weights' command first")
-        with open(path) as fh:
-            blob = json.load(fh)
-        out[method] = WeightVector(
-            tuple(blob["tickers"]),
-            np.asarray(blob["weights"], dtype=float),
-            blob["method"],
-            blob.get("train_sharpe"),
-        )
-    return out
+    return {
+        method: WeightVector(**_read_artifact(cfg, f"weights_{method.lower()}.json", "weights"))
+        for method in METHODS
+    }
 
 
-def _read_schedules(cfg: RunConfig) -> dict[str, np.ndarray]:
-    out = {}
-    for method in METHODS:
-        path = os.path.join(cfg.out_dir, f"schedule_{method.lower()}.json")
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"{path} not found: run the 'schedule' command first")
-        with open(path) as fh:
-            out[method] = np.asarray(json.load(fh)["schedule"], dtype=np.uint8)
-    return out
+def _read_schedules(cfg: RunConfig) -> dict[str, list]:
+    """Each method's schedule bits as written, so ``Explicit`` checks them
+    uncast."""
+    return {
+        method: _read_artifact(cfg, f"schedule_{method.lower()}.json", "schedule")["schedule"]
+        for method in METHODS
+    }
 
 
 def cmd_select(cfg: RunConfig) -> dict:
@@ -263,7 +254,7 @@ def cmd_weights(cfg: RunConfig) -> dict:
 
     paths = {}
     for wv in (ga, mv, eq, ens):
-        path = _weights_path(cfg, wv.method)
+        path = os.path.join(cfg.out_dir, f"weights_{wv.method.lower()}.json")
         _write_json(path, wv.to_json_dict())
         paths[wv.method] = path
     return paths
@@ -401,8 +392,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ValueError("seed must be non-negative")
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=args.out)

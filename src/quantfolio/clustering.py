@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import ANNUALISATION, ReturnPanel
+from .market_data import ANNUALISATION, ReturnPanel, _frozen_array
 
 
 class ZeroVolatilityError(ValueError):
@@ -39,9 +39,7 @@ class ClusterAssignment:
             raise ValueError(
                 f"labels must cover exactly 0..{self.n_clusters - 1}, got {sorted(present)}"
             )
-        labels = labels.copy()
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _frozen_array(labels, int))
 
     def members(self, cluster: int) -> np.ndarray:
         return np.flatnonzero(self.labels == cluster)

@@ -6,6 +6,12 @@ read-only), so they can be shared freely across threads. A panel stores one
 matrix; what derives from it (``ReturnPanel.log_returns``) is computed once,
 on first use, and is read-only as well. Every operation in this module is a
 pure function of its arguments.
+
+The helpers below own that rule for every value type of the package. Each
+stored array is a read-only copy made by ``_frozen_array``. A bit vector
+(``BitSchedule``, ``Explicit``, ``ScheduleResult``) must be 1-D and hold only
+0 and 1; ``_frozen_bits`` checks that before its ``uint8`` cast. ``_read_only``
+is the one place that marks an array read-only.
 """
 from __future__ import annotations
 
@@ -34,6 +40,37 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return _read_only(np.array(values, dtype=dtype))
 
 
+def _frozen_bits(values) -> np.ndarray:
+    """A read-only ``uint8`` copy of a bit vector, checked before the cast
+    (which would turn 0.5 or 256 into 0)."""
+    bits = np.asarray(values)
+    if bits.ndim != 1 or not np.all((bits == 0) | (bits == 1)):
+        raise ValueError("bits must be a 0/1 vector")
+    return _frozen_array(bits, np.uint8)
+
+
+def _check_panel(panel, values, what: str) -> np.ndarray:
+    """The checks ``PricePanel`` and ``ReturnPanel`` share. Normalises the
+    panel's dates and tickers to tuples, then returns ``values`` as a 2-D float
+    array (a view if it already is one) whose shape matches them, with distinct
+    tickers, strictly increasing dates and every entry finite and positive."""
+    object.__setattr__(panel, "dates", tuple(panel.dates))
+    object.__setattr__(panel, "tickers", tuple(str(t) for t in panel.tickers))
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    t, m = values.shape
+    if len(panel.dates) != t:
+        raise ValueError(f"{len(panel.dates)} dates for {t} rows of {what}")
+    if len(panel.tickers) != m:
+        raise ValueError(f"{len(panel.tickers)} tickers for {m} columns of {what}")
+    if len(set(panel.tickers)) != m:
+        raise ValueError("duplicate tickers in panel")
+    if any(b <= a for a, b in zip(panel.dates, panel.dates[1:])):
+        raise ValueError("dates must be strictly increasing")
+    if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
+        raise ValueError(f"{what} must be finite and strictly positive")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class PricePanel:
     """Daily adjusted close prices for a fixed asset universe.
@@ -49,25 +86,13 @@ class PricePanel:
     dropped: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "tickers", tuple(str(t) for t in self.tickers))
         object.__setattr__(self, "dropped", tuple(self.dropped))
-        prices = np.atleast_2d(np.asarray(self.prices, dtype=float))
+        prices = _check_panel(self, self.prices, "prices")
         t, m = prices.shape
         if t < 2:
             raise ValueError("price panel needs at least 2 rows")
         if m < 1:
             raise ValueError("price panel needs at least 1 ticker")
-        if len(self.dates) != t:
-            raise ValueError(f"{len(self.dates)} dates for {t} price rows")
-        if len(self.tickers) != m:
-            raise ValueError(f"{len(self.tickers)} tickers for {m} price columns")
-        if len(set(self.tickers)) != m:
-            raise ValueError("duplicate tickers in panel")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
-            raise ValueError("dates must be strictly increasing")
-        if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
-            raise ValueError("prices must be finite and strictly positive")
         object.__setattr__(self, "prices", _frozen_array(prices))
 
     @property
@@ -93,18 +118,7 @@ class ReturnPanel:
     gross_returns: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "tickers", tuple(str(t) for t in self.tickers))
-        gross = np.atleast_2d(np.asarray(self.gross_returns, dtype=float))
-        t, m = gross.shape
-        if len(self.dates) != t or len(self.tickers) != m:
-            raise ValueError("dates/tickers do not match return matrix shape")
-        if len(set(self.tickers)) != m:
-            raise ValueError("duplicate tickers in panel")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
-            raise ValueError("dates must be strictly increasing")
-        if not np.all(np.isfinite(gross)) or np.any(gross <= 0.0):
-            raise ValueError("gross returns must be finite and strictly positive")
+        gross = _check_panel(self, self.gross_returns, "gross returns")
         object.__setattr__(self, "gross_returns", _frozen_array(gross))
 
     @cached_property

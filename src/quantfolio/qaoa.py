@@ -46,11 +46,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .allocation import WeightVector
-from .market_data import ReturnPanel
+from .market_data import ReturnPanel, _frozen_array, _frozen_bits
 from .schedule_qubo import (
     BitSchedule,
     QuboParams,
     QuboProblem,
+    _qubo_matrix,
     bits_to_str,
     brute_force,
     build_qubo,
@@ -129,12 +130,8 @@ class IsingModel:
             raise ValueError("J must be W x W")
         if np.any(np.tril(j) != 0.0):
             raise ValueError("J must be strictly upper-triangular")
-        h = h.copy()
-        j = j.copy()
-        h.flags.writeable = False
-        j.flags.writeable = False
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "h", _frozen_array(h))
+        object.__setattr__(self, "j", _frozen_array(j))
 
     @property
     def w(self) -> int:
@@ -202,10 +199,7 @@ def to_ising(q) -> IsingModel:
     ``h_i = -Q_ii/2 - sum_{j!=i} Q_ij / 2``, ``J_ij = Q_ij / 2`` for i < j,
     ``offset = sum_i Q_ii / 2 + sum_{i<j} Q_ij / 2``.
     """
-    mat = q.q if isinstance(q, QuboProblem) else np.atleast_2d(np.asarray(q, float))
-    w = mat.shape[0]
-    if mat.shape != (w, w):
-        raise ValueError("Q must be square")
+    mat = _qubo_matrix(q)
     sym = (mat + mat.T) / 2.0
     diag = np.diag(sym)
     off_row = sym.sum(axis=1) - diag
@@ -316,7 +310,7 @@ def sample(state: np.ndarray, shots: int, seed) -> np.ndarray:
 def expected_energy(histogram, q) -> float:
     """Shot-weighted mean of x' Q x over a measurement histogram (counts
     indexed by bitstring value)."""
-    mat = q.q if isinstance(q, QuboProblem) else np.atleast_2d(np.asarray(q, float))
+    mat = _qubo_matrix(q)
     counts = np.asarray(histogram, dtype=float)
     if counts.shape != (2 ** mat.shape[0],):
         raise ValueError("need 2**W counts")
@@ -346,7 +340,7 @@ def optimise_angles(model: IsingModel, q, cfg: QaoaConfig = QaoaConfig()) -> Qao
     (``opt_shots`` and ``eval_shots`` shots) from the stream named above.
     This is ``_search`` on one problem, with ``cfg.seed`` as its seed.
     """
-    mat = q.q if isinstance(q, QuboProblem) else np.atleast_2d(np.asarray(q, float))
+    mat = _qubo_matrix(q)
     if mat.shape[0] != model.w:
         raise ValueError("model and QUBO sizes differ")
     return _search(enumerate_energies(mat)[None, :], cfg, [cfg.seed])[0]
@@ -449,9 +443,7 @@ class ScheduleResult:
     windows: tuple[WindowDiagnostics, ...]
 
     def __post_init__(self) -> None:
-        bits = np.asarray(self.bits).astype(np.uint8)
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", _frozen_bits(self.bits))
         object.__setattr__(self, "windows", tuple(self.windows))
 
     @property

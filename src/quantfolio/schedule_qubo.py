@@ -8,12 +8,12 @@ matches enumeration by rendered string.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .allocation import WeightVector
-from .market_data import ANNUALISATION, ReturnPanel
+from .market_data import ANNUALISATION, ReturnPanel, _frozen_array, _frozen_bits
 
 BRUTE_FORCE_LIMIT = 24  # 2^W energies; memory guard
 
@@ -33,9 +33,7 @@ class CandidateDates:
             raise ValueError("candidate indices must be strictly increasing")
         if idx[0] < 1 or idx[-1] > self.window_len - 2:
             raise ValueError("candidate indices must be interior to the window")
-        idx = idx.copy()
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", _frozen_array(idx, int))
 
     @property
     def w(self) -> int:
@@ -81,12 +79,8 @@ class QuboProblem:
         gains = np.asarray(self.gains, dtype=float)
         if gains.shape != (w,):
             raise ValueError("gains must have one entry per candidate")
-        q = q.copy()
-        q.flags.writeable = False
-        gains = gains.copy()
-        gains.flags.writeable = False
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "q", _frozen_array(q))
+        object.__setattr__(self, "gains", _frozen_array(gains))
         object.__setattr__(self, "params", dict(self.params))
 
     @property
@@ -113,14 +107,20 @@ class BitSchedule:
     energy: float
 
     def __post_init__(self) -> None:
-        bits = np.asarray(self.bits).astype(np.uint8)
-        if bits.ndim != 1 or not np.all((bits == 0) | (bits == 1)):
-            raise ValueError("bits must be a 0/1 vector")
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", _frozen_bits(self.bits))
 
     def __str__(self) -> str:
         return bits_to_str(self.bits)
+
+
+def _qubo_matrix(q) -> np.ndarray:
+    """The matrix of a ``QuboProblem``, or ``q`` as a square float matrix."""
+    if isinstance(q, QuboProblem):
+        return q.q
+    mat = np.atleast_2d(np.asarray(q, dtype=float))
+    if mat.shape != (len(mat), len(mat)):
+        raise ValueError("Q must be square")
+    return mat
 
 
 def bits_to_str(bits) -> str:
@@ -243,14 +243,7 @@ def build_qubo(
         raw_max_abs=raw_max_abs,
         candidates=cand,
         gains=gains,
-        params={
-            "lambda1": params.lambda1,
-            "lambda2": params.lambda2,
-            "lambda3": params.lambda3,
-            "cost_c": params.cost_c,
-            "n_assets": n,
-            "delta_t": delta_t,
-        },
+        params={**asdict(params), "n_assets": n, "delta_t": delta_t},
     )
 
 
@@ -260,10 +253,8 @@ def enumerate_energies(q) -> np.ndarray:
     Broadcast accumulation over the (2,)*W grid: O(W^2 2^W) flops but only one
     2^W array of memory.
     """
-    mat = q.q if isinstance(q, QuboProblem) else np.atleast_2d(np.asarray(q, float))
+    mat = _qubo_matrix(q)
     w = mat.shape[0]
-    if mat.shape != (w, w):
-        raise ValueError("Q must be square")
     if w > BRUTE_FORCE_LIMIT:
         raise ValueError(f"W = {w} exceeds the enumeration guard ({BRUTE_FORCE_LIMIT})")
     sym = (mat + mat.T) / 2.0
@@ -290,7 +281,7 @@ def brute_force(q) -> BitSchedule:
     Ties break toward the smallest bitstring value under the package bit-order
     convention (all-zeros wins a tie with anything).
     """
-    mat = q.q if isinstance(q, QuboProblem) else np.atleast_2d(np.asarray(q, float))
+    mat = _qubo_matrix(q)
     w = mat.shape[0]
     energies = enumerate_energies(mat)
     best = int(np.argmin(energies))  # first hit == smallest bitstring value

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 
@@ -126,6 +127,12 @@ class TestConfigParsing:
         )
         assert run_cli("select", "--config", cfg) == 1
         assert "/nonexistent/prices.csv" in capsys.readouterr().err
+
+    def test_negative_seed_override_exit_code(self, workspace, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert run_cli("select", "--config", workspace["config"], "--seed", -1, "--out", out) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSelectCommand:
@@ -341,6 +348,17 @@ class TestBacktestCommand:
         base = json.loads((workspace["out"] / "manifest.json").read_text())
         assert blob["seed"] == 123
         assert blob["config_sha256"] != base["config_sha256"]
+
+    @pytest.mark.parametrize("bit", [0.5, 256])
+    def test_edited_schedule_with_a_non_bit_exits_1(self, backtested, tmp_path, capsys, bit):
+        out = tmp_path / "edited"
+        shutil.copytree(backtested["out"], out)
+        path = out / "schedule_ga.json"
+        blob = json.loads(path.read_text())
+        blob["schedule"][0] = bit
+        path.write_text(json.dumps(blob))
+        assert run_cli("backtest", "--config", backtested["config"], "--out", out) == 1
+        assert "bits must be a 0/1 vector" in capsys.readouterr().err
 
 
 class TestCsvDropReporting:

@@ -1,7 +1,9 @@
 """Checks on the package source, with the standard library's ``ast``: no
 module imports a name it never uses, every private module-level function is
-referenced somewhere in the package, and no module uses ``assert`` (runtime
-invariants raise, since ``python -O`` strips asserts)."""
+referenced somewhere in the package, no module uses ``assert`` (runtime
+invariants raise, since ``python -O`` strips asserts), and only
+``market_data._read_only`` assigns ``<array>.flags.writeable`` (every value
+type freezes its arrays through it)."""
 import ast
 from pathlib import Path
 
@@ -17,6 +19,30 @@ def parse(path: Path) -> ast.Module:
 
 def assert_lines(tree: ast.Module) -> list[int]:
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def writeable_assignments(tree: ast.AST, owner: str = "<module>") -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of every assignment to ``<x>.flags.writeable``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += writeable_assignments(node, node.name)
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        found += [
+            (owner, node.lineno)
+            for target in targets
+            for sub in ast.walk(target)
+            if isinstance(sub, ast.Attribute) and sub.attr == "writeable"
+            and isinstance(sub.value, ast.Attribute) and sub.value.attr == "flags"
+        ]
+        found += writeable_assignments(node, owner)
+    return found
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -68,10 +94,22 @@ def test_no_asserts(path):
     assert not lines, f"{path.name} uses assert on line(s) {lines}: raise instead"
 
 
+def test_only_read_only_marks_arrays_read_only():
+    stray = [
+        f"{path.name}:{owner}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, line in writeable_assignments(parse(path))
+        if (path.name, owner) != ("market_data.py", "_read_only")
+    ]
+    assert not stray, f"flags.writeable assigned outside market_data._read_only: {', '.join(stray)}"
+
+
 def test_checks_catch_dead_code():
     tree = ast.parse(
         "import os\nfrom json import dumps as d\n\ndef _dead(x):\n    assert x\n    return 1\n"
+        "\nclass Box:\n    def freeze(self, a):\n        a.flags.writeable = False\n"
     )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
     assert "_dead" not in referenced_names(tree)
     assert assert_lines(tree) == [5]
+    assert writeable_assignments(tree) == [("freeze", 10)]

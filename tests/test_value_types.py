@@ -1,0 +1,134 @@
+"""The array rule every value type shares: each stored array is a read-only
+copy of its input, and each bit vector holds only 0 and 1."""
+from datetime import date, timedelta
+
+import numpy as np
+import pytest
+
+from quantfolio.allocation import WeightVector
+from quantfolio.backtest import BacktestReport, Explicit
+from quantfolio.clustering import ClusterAssignment
+from quantfolio.market_data import PricePanel, ReturnPanel
+from quantfolio.qaoa import IsingModel, ScheduleResult
+from quantfolio.schedule_qubo import BitSchedule, CandidateDates, QuboProblem
+from quantfolio.shrinkage import ShrunkCovariance
+
+DATES = tuple(date(2020, 1, 1) + timedelta(days=i) for i in range(3))
+TICKERS = ("A", "B")
+
+
+def price_panel():
+    prices = np.array([[1.0, 2.0], [1.1, 2.1], [1.2, 2.2]])
+    return PricePanel(DATES, TICKERS, prices), {"prices": prices}
+
+
+def return_panel():
+    gross = np.array([[1.01, 0.99], [0.98, 1.02], [1.0, 1.03]])
+    return ReturnPanel(DATES, TICKERS, gross), {"gross_returns": gross}
+
+
+def shrunk_covariance():
+    sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
+    return ShrunkCovariance(TICKERS, sigma, 0.1, 1.5), {"sigma": sigma}
+
+
+def weight_vector():
+    weights = np.array([0.25, 0.75])
+    return WeightVector(TICKERS, weights, "GA"), {"weights": weights}
+
+
+def cluster_assignment():
+    labels = np.array([0, 1, 0])
+    return ClusterAssignment(labels, 2), {"labels": labels}
+
+
+def candidate_dates():
+    indices = np.array([1, 3])
+    return CandidateDates(indices, 6), {"indices": indices}
+
+
+def qubo_problem():
+    q = np.array([[-1.0, 0.5], [0.5, 0.25]])
+    gains = np.array([0.3, -0.1])
+    cand = CandidateDates(np.array([1, 3]), 6)
+    return QuboProblem(q, 2.0, cand, gains, {}), {"q": q, "gains": gains}
+
+
+def bit_schedule():
+    bits = np.array([1, 0, 1], dtype=np.uint8)
+    return BitSchedule(bits, -1.0), {"bits": bits}
+
+
+def ising_model():
+    h = np.array([0.5, -0.25])
+    j = np.array([[0.0, 0.125], [0.0, 0.0]])
+    return IsingModel(h, j, 0.75), {"h": h, "j": j}
+
+
+def schedule_result():
+    bits = np.array([0, 1, 1, 0], dtype=np.uint8)
+    return ScheduleResult(bits, ()), {"bits": bits}
+
+
+def explicit():
+    bits = np.array([0, 1, 0], dtype=np.uint8)
+    return Explicit(bits), {"bits": bits}
+
+
+def backtest_report():
+    curve = np.array([1.0, 1.01, 0.99])
+    report = BacktestReport("GA Buy&Hold", curve, -0.01, None, None, -0.02, None, 0.0, ())
+    return report, {"equity_curve": curve}
+
+
+VALUE_TYPES = [
+    price_panel, return_panel, shrunk_covariance, weight_vector, cluster_assignment,
+    candidate_dates, qubo_problem, bit_schedule, ising_model, schedule_result, explicit,
+    backtest_report,
+]
+
+
+@pytest.mark.parametrize("build", VALUE_TYPES, ids=lambda build: build.__name__)
+def test_stored_arrays_are_read_only_copies(build):
+    value, inputs = build()
+    for field, given in inputs.items():
+        stored = getattr(value, field)
+        assert not stored.flags.writeable, field
+        assert not np.shares_memory(stored, given), field
+        assert given.flags.writeable, f"{field}: the caller's array was frozen"
+
+
+def test_backtest_report_leaves_callers_curve_writeable():
+    report, inputs = backtest_report()
+    curve = inputs["equity_curve"]
+    curve[1] = 2.0
+    assert report.equity_curve[1] == 1.01
+
+
+BIT_VECTORS = {
+    "Explicit": Explicit,
+    "BitSchedule": lambda bits: BitSchedule(bits, 0.0),
+    "ScheduleResult": lambda bits: ScheduleResult(bits, ()),
+}
+NOT_BITS = {
+    "half": [0, 0.5, 1],
+    "two": [0, 2, 1],
+    "256": [0, 256, 1],  # 0 after a uint8 cast
+    "minus_one": [0, -1, 1],
+    "2d": [[0, 1], [1, 0]],
+}
+
+
+@pytest.mark.parametrize("make", BIT_VECTORS.values(), ids=BIT_VECTORS.keys())
+@pytest.mark.parametrize("bits", NOT_BITS.values(), ids=NOT_BITS.keys())
+def test_bit_vectors_reject_anything_but_0_and_1(make, bits):
+    with pytest.raises(ValueError, match="bits must be a 0/1 vector"):
+        make(bits)
+
+
+@pytest.mark.parametrize("make", BIT_VECTORS.values(), ids=BIT_VECTORS.keys())
+def test_bit_vectors_store_uint8(make):
+    for bits in ([1, 0, 1], [1.0, 0.0, 1.0], [True, False, True]):
+        stored = make(bits).bits
+        assert stored.dtype == np.uint8
+        assert stored.tolist() == [1, 0, 1]
