@@ -74,11 +74,12 @@ print(f"\n{'strategy':<22}{'ret %':>8}{'sharpe':>8}{'sortino':>9}"
 for rep in reports:
     def fmt(x, spec=".3f"):
         return "  n/a" if x is None else format(x, spec)
+    m = rep.metrics
     print(f"{rep.label:<22}"
-          f"{100 * rep.total_return:>8.2f}"
-          f"{fmt(rep.sharpe):>8}"
-          f"{fmt(rep.sortino):>9}"
-          f"{100 * rep.mdd:>8.2f}"
-          f"{fmt(rep.calmar):>8}"
+          f"{100 * m.total_return:>8.2f}"
+          f"{fmt(m.sharpe):>8}"
+          f"{fmt(m.sortino):>9}"
+          f"{100 * m.mdd:>8.2f}"
+          f"{fmt(m.calmar):>8}"
           f"{rep.rebalance_count:>7d}"
           f"{rep.total_cost_bp:>9.2f}")

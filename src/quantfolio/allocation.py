@@ -101,11 +101,7 @@ def fitness(weights, train: ReturnPanel, lambda_ent: float = 0.05) -> float:
     if isinstance(weights, WeightVector) and weights.tickers != train.tickers:
         raise ValueError("weight tickers do not match panel tickers")
     w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights, float)
-    r = portfolio_log_returns(w, train)
-    sd = r.std(ddof=1)
-    if sd == 0.0:
-        raise ZeroVolatilityError("zero portfolio volatility: fitness undefined")
-    return float(r.mean() / sd * ANNUALISATION + lambda_ent * normalised_entropy(w))
+    return annualised_sharpe(portfolio_log_returns(w, train)) + lambda_ent * normalised_entropy(w)
 
 
 def with_train_sharpe(wv: WeightVector, train: ReturnPanel) -> WeightVector:
@@ -181,12 +177,7 @@ def ga_optimise(
         history.append(best_fit)
 
     w = best_genes / best_genes.sum()
-    result = WeightVector(
-        train.tickers,
-        w,
-        "GA",
-        train_sharpe=annualised_sharpe(portfolio_log_returns(w, train)),
-    )
+    result = with_train_sharpe(WeightVector(train.tickers, w, "GA"), train)
     if return_history:
         return result, np.asarray(history)
     return result

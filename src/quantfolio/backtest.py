@@ -6,12 +6,16 @@ Daily sequencing on a rebalance day follows the accounting identity
 initial allocation is free and uncounted; periodic(N) therefore fires on day
 indices t >= 1 with t % N == 0.
 
-Undefined metrics (zero volatility, zero drawdown) are reported as ``None``,
-never as silent infinities. Equity-curve returns are log returns.
+A ``BacktestReport`` stores what the run produced: the equity curve, the
+cost paid and the rebalance days. Its performance summary (``metrics``) is
+computed from the curve on first use. Undefined metrics (zero volatility,
+zero drawdown) are reported as ``None``, never as silent infinities.
+Equity-curve returns are log returns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
@@ -92,16 +96,16 @@ class Metrics:
 class BacktestReport:
     label: str
     equity_curve: np.ndarray  # length T+1, starts at 1.0
-    total_return: float
-    sharpe: float | None
-    sortino: float | None
-    mdd: float
-    calmar: float | None
     total_cost_bp: float
     rebalance_days: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "equity_curve", _frozen_array(self.equity_curve))
+
+    @cached_property
+    def metrics(self) -> Metrics:
+        """Return, Sharpe, Sortino, MDD and Calmar of the equity curve."""
+        return metrics(self.equity_curve)
 
     @property
     def rebalance_count(self) -> int:
@@ -190,18 +194,7 @@ def run(test: ReturnPanel, strat: Strategy, cost_c: float) -> BacktestReport:
             w = drifted
         curve[t + 1] = value
 
-    m = metrics(curve)
-    return BacktestReport(
-        label=strat.describe(),
-        equity_curve=curve,
-        total_return=m.total_return,
-        sharpe=m.sharpe,
-        sortino=m.sortino,
-        mdd=m.mdd,
-        calmar=m.calmar,
-        total_cost_bp=1e4 * total_cost,
-        rebalance_days=tuple(rebalance_days),
-    )
+    return BacktestReport(strat.describe(), curve, 1e4 * total_cost, tuple(rebalance_days))
 
 
 def run_grid(

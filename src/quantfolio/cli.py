@@ -175,22 +175,28 @@ def _load_panels(cfg: RunConfig, tickers=None):
     return panel, train, test
 
 
-def _read_artifact(cfg: RunConfig, name: str, stage: str):
-    """The JSON artifact ``name`` that the ``stage`` command wrote."""
+def _read_artifact(cfg: RunConfig, name: str, stage: str, *keys: str) -> dict:
+    """The JSON artifact ``name`` that the ``stage`` command wrote, which must
+    hold every one of ``keys``."""
     path = os.path.join(cfg.out_dir, name)
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path} not found: run the '{stage}' command first")
     with open(path) as fh:
-        return json.load(fh)
+        blob = json.load(fh)
+    missing = [key for key in keys if key not in blob]
+    if missing:
+        raise ValueError(f"{path}: malformed artifact, missing key(s): {', '.join(missing)}")
+    return blob
 
 
 def _read_selection(cfg: RunConfig) -> list[str]:
-    return list(_read_artifact(cfg, "selection.json", "select")["tickers"])
+    return list(_read_artifact(cfg, "selection.json", "select", "tickers")["tickers"])
 
 
 def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
     return {
-        method: WeightVector(**_read_artifact(cfg, f"weights_{method.lower()}.json", "weights"))
+        method: WeightVector(**_read_artifact(
+            cfg, f"weights_{method.lower()}.json", "weights", "tickers", "weights", "method"))
         for method in METHODS
     }
 
@@ -199,7 +205,8 @@ def _read_schedules(cfg: RunConfig) -> dict[str, list]:
     """Each method's schedule bits as written, so ``Explicit`` checks them
     uncast."""
     return {
-        method: _read_artifact(cfg, f"schedule_{method.lower()}.json", "schedule")["schedule"]
+        method: _read_artifact(cfg, f"schedule_{method.lower()}.json", "schedule",
+                               "schedule")["schedule"]
         for method in METHODS
     }
 
@@ -307,7 +314,7 @@ def _write_histogram_csv(path, result: ScheduleResult) -> None:
         writer = csv.writer(fh)
         writer.writerow(["window", "bitstring", "count"])
         for k, win in enumerate(result.windows):
-            for bitstring, count in win.outcome.histogram_nonzero():
+            for bitstring, count in win.outcome.histogram_top(win.outcome.histogram.size):
                 writer.writerow([k, bitstring, count])
 
 
@@ -332,13 +339,14 @@ def cmd_backtest(cfg: RunConfig) -> dict:
             "mdd_pct", "calmar", "rebalances", "cost_bp",
         ])
         for rep in reports:
+            m = rep.metrics
             writer.writerow([
                 rep.label,
-                _fmt(100.0 * rep.total_return),
-                _fmt(rep.sharpe),
-                _fmt(rep.sortino),
-                _fmt(100.0 * rep.mdd),
-                _fmt(rep.calmar),
+                _fmt(100.0 * m.total_return),
+                _fmt(m.sharpe),
+                _fmt(m.sortino),
+                _fmt(100.0 * m.mdd),
+                _fmt(m.calmar),
                 rep.rebalance_count,
                 _fmt(rep.total_cost_bp),
             ])

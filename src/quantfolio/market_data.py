@@ -9,9 +9,9 @@ pure function of its arguments.
 
 The helpers below own that rule for every value type of the package. Each
 stored array is a read-only copy made by ``_frozen_array``. A bit vector
-(``BitSchedule``, ``Explicit``, ``ScheduleResult``) must be 1-D and hold only
-0 and 1; ``_frozen_bits`` checks that before its ``uint8`` cast. ``_read_only``
-is the one place that marks an array read-only.
+(``BitSchedule``, ``Explicit``) must be 1-D and hold only 0 and 1;
+``_frozen_bits`` checks that before its ``uint8`` cast. ``_read_only`` is the
+one place that marks an array read-only.
 """
 from __future__ import annotations
 

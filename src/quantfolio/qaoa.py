@@ -29,7 +29,9 @@ only in its seed: one scoring pass over every grid point, one SPSA loop
 (``minimize``) over every (window, restart) row, one pass for the evaluation
 histograms. Each row keeps its own energy table and generator, and every
 shot is drawn by ``sample``, so every window's outcome is bit-identical to
-solving it alone.
+solving it alone. The result types store only what they cannot derive:
+the winner's energy and angles, a window's exact optimum and the spliced
+global schedule are computed from their fields, the costly ones on first use.
 
 Each ``simulate_ansatz`` call holds at most ``_BATCH_AMPLITUDES`` = 2^14
 amplitudes, because the batch would otherwise set the stage's peak memory
@@ -42,11 +44,12 @@ many 2^W tables at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .allocation import WeightVector
-from .market_data import ReturnPanel, _frozen_array, _frozen_bits
+from .market_data import ReturnPanel, _frozen_array, _read_only
 from .schedule_qubo import (
     BitSchedule,
     QuboParams,
@@ -77,6 +80,9 @@ class SpsaResult:
 
     x: np.ndarray  # (R, n) final iterates
     nfev: int  # loss evaluations (points), all restarts together
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "x", _frozen_array(self.x))
 
 
 def minimize(fun, x0, rngs, steps) -> SpsaResult:
@@ -161,20 +167,36 @@ class QaoaOutcome:
     """Result of a multi-restart run on one QUBO.
 
     ``best_bits`` is the highest-count bitstring of the winning restart's
-    evaluation histogram (count ties -> lower bitstring value) and
-    ``best_energy`` is that bitstring's energy x' Q x. ``histogram`` holds the
-    winner's evaluation counts indexed by bitstring value;
-    ``restart_energies`` the per-restart final expected energies and
-    ``restart_angles`` the per-restart final angles, one row each.
+    evaluation histogram (count ties -> lower bitstring value), with its
+    energy x' Q x. ``histogram`` holds the winner's evaluation counts indexed
+    by bitstring value; ``restart_energies`` the per-restart final expected
+    energies and ``restart_angles`` the per-restart final angles (gamma_1..
+    gamma_p, beta_1..beta_p), one row each. The winner is the restart with the
+    lowest expected energy (tie -> earlier restart).
     """
 
     best_bits: BitSchedule
     histogram: np.ndarray
-    best_energy: float
-    angles: np.ndarray  # gamma_1..gamma_p, beta_1..beta_p of the winner
     restart_energies: np.ndarray
-    eval_shots: int
     restart_angles: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "histogram", _frozen_array(self.histogram, int))
+        object.__setattr__(self, "restart_energies", _frozen_array(self.restart_energies))
+        object.__setattr__(self, "restart_angles", _frozen_array(self.restart_angles))
+
+    @property
+    def best_energy(self) -> float:
+        return self.best_bits.energy
+
+    @property
+    def angles(self) -> np.ndarray:
+        """The winning restart's angles."""
+        return self.restart_angles[int(np.argmin(self.restart_energies))]
+
+    @property
+    def eval_shots(self) -> int:
+        return int(self.histogram.sum())
 
     def histogram_top(self, top: int = 20) -> list[tuple[str, int]]:
         """Most frequent bitstrings, count desc, ties by bitstring value asc."""
@@ -187,9 +209,6 @@ class QaoaOutcome:
                 break
             out.append((bits_to_str(value_to_bits(int(v), w)), int(counts[v])))
         return out
-
-    def histogram_nonzero(self) -> list[tuple[str, int]]:
-        return self.histogram_top(top=self.histogram.size)
 
 
 def to_ising(q) -> IsingModel:
@@ -401,15 +420,8 @@ def _search(tables: np.ndarray, cfg: QaoaConfig, seeds) -> list[QaoaOutcome]:
         winner = int(np.argmin(restart_energies))  # tie -> earlier restart
         counts = histograms[rows[winner]]
         best_value = int(np.argmax(counts))  # tie -> lower bitstring value
-        outcomes.append(QaoaOutcome(
-            best_bits=BitSchedule(value_to_bits(best_value, w), float(energies[best_value])),
-            histogram=counts,
-            best_energy=float(energies[best_value]),
-            angles=res.x[rows[winner]].copy(),
-            restart_energies=restart_energies,
-            eval_shots=cfg.eval_shots,
-            restart_angles=res.x[rows],
-        ))
+        best_bits = BitSchedule(value_to_bits(best_value, w), float(energies[best_value]))
+        outcomes.append(QaoaOutcome(best_bits, counts, restart_energies, res.x[rows]))
     return outcomes
 
 
@@ -421,7 +433,13 @@ class WindowDiagnostics:
     end: int
     qubo: QuboProblem
     outcome: QaoaOutcome
-    brute_energy: float | None
+
+    @cached_property
+    def brute_energy(self) -> float | None:
+        """The exact optimum's energy (``None`` above ``_BRUTE_DIAGNOSTIC_LIMIT`` qubits)."""
+        if self.qubo.w > _BRUTE_DIAGNOSTIC_LIMIT:
+            return None
+        return brute_force(self.qubo).energy
 
     @property
     def gap(self) -> float | None:
@@ -434,17 +452,39 @@ class WindowDiagnostics:
     def candidates_global(self) -> np.ndarray:
         return self.qubo.candidates.indices + self.start
 
+    def to_json_dict(self, top: int = 20) -> dict:
+        out = self.outcome
+        gamma, beta = np.split(out.angles, 2)
+        return {
+            "start": self.start,
+            "end": self.end,
+            "candidates": self.candidates_global.tolist(),
+            "best_bits": bits_to_str(out.best_bits.bits),
+            "best_energy": out.best_energy,
+            "expected_energy": float(np.min(out.restart_energies)),
+            "brute_force_energy": self.brute_energy,
+            "gap": self.gap,
+            "angles": {"gamma": gamma.tolist(), "beta": beta.tolist()},
+            "restart_energies": out.restart_energies.tolist(),
+            "histogram_top20": out.histogram_top(top),
+            "qubo": self.qubo.to_json_dict(),
+        }
+
 
 @dataclass(frozen=True, eq=False)
 class ScheduleResult:
-    """Global binary rebalancing schedule with per-window diagnostics."""
+    """Global binary rebalancing schedule of one or more consecutive windows."""
 
-    bits: np.ndarray
-    windows: tuple[WindowDiagnostics, ...]
+    windows: tuple[WindowDiagnostics, ...]  # at least one, in day order
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _frozen_bits(self.bits))
-        object.__setattr__(self, "windows", tuple(self.windows))
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """Each window's ``best_bits`` on its candidate days, 0 elsewhere, over
+        ``windows[-1].end`` days; read-only."""
+        bits = np.zeros(self.windows[-1].end, dtype=np.uint8)
+        for win in self.windows:
+            bits[win.candidates_global] = win.outcome.best_bits.bits
+        return _read_only(bits)
 
     @property
     def total_rebalances(self) -> int:
@@ -455,26 +495,7 @@ class ScheduleResult:
             "schedule": [int(b) for b in self.bits],
             "total_rebalances": self.total_rebalances,
             "optimiser": OPTIMISER,
-            "windows": [
-                {
-                    "start": win.start,
-                    "end": win.end,
-                    "candidates": [int(i) for i in win.candidates_global],
-                    "best_bits": bits_to_str(win.outcome.best_bits.bits),
-                    "best_energy": float(win.outcome.best_energy),
-                    "expected_energy": float(np.min(win.outcome.restart_energies)),
-                    "brute_force_energy": win.brute_energy,
-                    "gap": win.gap,
-                    "angles": {
-                        "gamma": [float(a) for a in win.outcome.angles[: len(win.outcome.angles) // 2]],
-                        "beta": [float(a) for a in win.outcome.angles[len(win.outcome.angles) // 2 :]],
-                    },
-                    "restart_energies": [float(e) for e in win.outcome.restart_energies],
-                    "histogram_top20": win.outcome.histogram_top(top),
-                    "qubo": win.qubo.to_json_dict(),
-                }
-                for win in self.windows
-            ],
+            "windows": [win.to_json_dict(top) for win in self.windows],
         }
 
 
@@ -535,25 +556,10 @@ def walk_forward(
         tables = np.array([enumerate_energies(qp) for qp in qubos[lo : lo + per_search]])
         outcomes += _search(tables, cfgs[0], seeds[lo : lo + per_search])
 
-    results = []
-    for t in range(len(targets)):
-        bits = np.zeros(t_total, dtype=np.uint8)
-        windows: list[WindowDiagnostics] = []
-        for k, (start, end) in enumerate(spans):
-            qp, outcome = qubos[t * k_windows + k], outcomes[t * k_windows + k]
-            brute_energy = None
-            if w_count <= _BRUTE_DIAGNOSTIC_LIMIT:
-                brute_energy = brute_force(qp).energy
-
-            bits[start + qp.candidates.indices] = outcome.best_bits.bits
-            windows.append(
-                WindowDiagnostics(
-                    start=start,
-                    end=end,
-                    qubo=qp,
-                    outcome=outcome,
-                    brute_energy=brute_energy,
-                )
-            )
-        results.append(ScheduleResult(bits=bits, windows=tuple(windows)))
-    return tuple(results)
+    return tuple(
+        ScheduleResult(tuple(
+            WindowDiagnostics(start, end, qubos[t * k_windows + k], outcomes[t * k_windows + k])
+            for k, (start, end) in enumerate(spans)
+        ))
+        for t in range(len(targets))
+    )

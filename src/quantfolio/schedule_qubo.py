@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .allocation import WeightVector
+from .clustering import ZeroVolatilityError, annualised_sharpe
 from .market_data import ANNUALISATION, ReturnPanel, _frozen_array, _frozen_bits
 
 BRUTE_FORCE_LIMIT = 24  # 2^W energies; memory guard
@@ -180,11 +181,10 @@ def drift_weights(target, window: ReturnPanel, upto: int) -> np.ndarray:
 
 
 def _sharpe_or_zero(gross_series: np.ndarray) -> float:
-    r = np.log(gross_series)
-    sd = r.std(ddof=1)
-    if sd == 0.0:
+    try:
+        return annualised_sharpe(np.log(gross_series))
+    except ZeroVolatilityError:
         return 0.0  # degenerate forward window: no Sharpe contribution
-    return float(r.mean() / sd * ANNUALISATION)
 
 
 def marginal_gain(

@@ -361,6 +361,22 @@ class TestBacktestCommand:
         assert "bits must be a 0/1 vector" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("artifact,key", [
+        ("selection.json", "tickers"),
+        ("weights_ga.json", "weights"),
+        ("schedule_ga.json", "schedule"),
+    ])
+    def test_artifact_without_a_key_exits_1(self, backtested, tmp_path, capsys, artifact, key):
+        out = tmp_path / "malformed"
+        shutil.copytree(backtested["out"], out)
+        path = out / artifact
+        blob = json.loads(path.read_text())
+        del blob[key]
+        path.write_text(json.dumps(blob))
+        assert run_cli("backtest", "--config", backtested["config"], "--out", out) == 1
+        assert f"{path}: malformed artifact, missing key(s): {key}" in capsys.readouterr().err
+
+
 class TestCsvDropReporting:
     def test_dropped_tickers_reach_selection_report(self, tmp_path):
         panel = synth_panel(seed=7, T=120, M=3)

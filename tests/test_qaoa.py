@@ -24,8 +24,8 @@ from quantfolio import (
 )
 from quantfolio import qaoa
 from quantfolio.allocation import METHODS
-from quantfolio.qaoa import IsingModel
-from quantfolio.schedule_qubo import enumerate_energies
+from quantfolio.qaoa import IsingModel, QaoaOutcome, ScheduleResult, WindowDiagnostics
+from quantfolio.schedule_qubo import BitSchedule, CandidateDates, QuboProblem, enumerate_energies
 
 
 def random_symmetric(rng, w, scale=1.0):
@@ -593,6 +593,35 @@ class TestWalkForward:
             assert win.brute_energy == pytest.approx(
                 brute_force(win.qubo).energy, abs=1e-15
             )
+
+    def test_brute_force_once_per_window(self, monkeypatch):
+        panel = to_returns(synth_panel(seed=35, T=130, M=3))
+        result = walk_forward(panel, wf_target(panel), 2, 5, wf_config())
+        calls = []
+        monkeypatch.setattr(qaoa, "brute_force", lambda q: calls.append(q) or brute_force(q))
+        result.to_json_dict()
+        result.to_json_dict()
+        assert calls == [win.qubo for win in result.windows]
+
+    def test_no_brute_force_above_the_diagnostic_limit(self, monkeypatch):
+        w = qaoa._BRUTE_DIAGNOSTIC_LIMIT + 1
+        cand = CandidateDates(np.arange(1, w + 1), w + 2)
+        qubo = QuboProblem(np.eye(w), 1.0, cand, np.zeros(w), {})
+        histogram = np.zeros(2 ** w, dtype=int)
+        histogram[0] = 8
+        outcome = QaoaOutcome(BitSchedule(np.zeros(w), 0.0), histogram,
+                              np.zeros(1), np.zeros((1, 2)))
+        win = WindowDiagnostics(0, w + 2, qubo, outcome)
+
+        def forbidden(q):
+            raise AssertionError("brute_force called above the diagnostic limit")
+
+        monkeypatch.setattr(qaoa, "brute_force", forbidden)
+        assert win.brute_energy is None
+        assert win.gap is None
+        blob = ScheduleResult((win,)).to_json_dict()["windows"][0]
+        assert blob["gap"] is None
+        assert blob["brute_force_energy"] is None
 
     def test_too_short_panel_rejected(self):
         panel = to_returns(synth_panel(seed=36, T=18, M=2))  # 17 rows < 3*(4+2)

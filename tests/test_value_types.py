@@ -1,15 +1,22 @@
 """The array rule every value type shares: each stored array is a read-only
 copy of its input, and each bit vector holds only 0 and 1."""
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+import quantfolio
 from quantfolio.allocation import WeightVector
 from quantfolio.backtest import BacktestReport, Explicit
 from quantfolio.clustering import ClusterAssignment
 from quantfolio.market_data import PricePanel, ReturnPanel
-from quantfolio.qaoa import IsingModel, ScheduleResult
+from quantfolio.qaoa import (
+    IsingModel, QaoaOutcome, ScheduleResult, SpsaResult, WindowDiagnostics,
+)
 from quantfolio.schedule_qubo import BitSchedule, CandidateDates, QuboProblem
 from quantfolio.shrinkage import ShrunkCovariance
 
@@ -65,9 +72,28 @@ def ising_model():
     return IsingModel(h, j, 0.75), {"h": h, "j": j}
 
 
+def spsa_result():
+    x = np.array([[0.1, 0.2], [0.3, 0.4]])
+    return SpsaResult(x, 8), {"x": x}
+
+
+def qaoa_outcome():
+    histogram = np.array([0, 3, 1, 0])
+    restart_energies = np.array([-0.5, -0.25])
+    restart_angles = np.array([[0.1, 0.2], [0.3, 0.4]])
+    outcome = QaoaOutcome(BitSchedule([0, 1], -1.0), histogram, restart_energies, restart_angles)
+    return outcome, {"histogram": histogram, "restart_energies": restart_energies,
+                     "restart_angles": restart_angles}
+
+
 def schedule_result():
-    bits = np.array([0, 1, 1, 0], dtype=np.uint8)
-    return ScheduleResult(bits, ()), {"bits": bits}
+    """One window whose best bits land on days 1 and 3 of 6; the given array
+    is the one its ``BitSchedule`` was built from."""
+    bits = np.array([1, 1], dtype=np.uint8)
+    qubo, _ = qubo_problem()
+    outcome = QaoaOutcome(BitSchedule(bits, -0.75), np.array([0, 0, 0, 4]),
+                          np.array([-0.75]), np.array([[0.1, 0.2]]))
+    return ScheduleResult((WindowDiagnostics(0, 6, qubo, outcome),)), {"bits": bits}
 
 
 def explicit():
@@ -77,15 +103,34 @@ def explicit():
 
 def backtest_report():
     curve = np.array([1.0, 1.01, 0.99])
-    report = BacktestReport("GA Buy&Hold", curve, -0.01, None, None, -0.02, None, 0.0, ())
+    report = BacktestReport("GA Buy&Hold", curve, 0.0, ())
     return report, {"equity_curve": curve}
 
 
 VALUE_TYPES = [
     price_panel, return_panel, shrunk_covariance, weight_vector, cluster_assignment,
-    candidate_dates, qubo_problem, bit_schedule, ising_model, schedule_result, explicit,
-    backtest_report,
+    candidate_dates, qubo_problem, bit_schedule, ising_model, spsa_result, qaoa_outcome,
+    schedule_result, explicit, backtest_report,
 ]
+
+
+def array_holding_dataclasses() -> set[type]:
+    """Every dataclass of the package with a field annotated ``np.ndarray``."""
+    found = set()
+    for info in pkgutil.iter_modules(quantfolio.__path__):
+        module = importlib.import_module(f"quantfolio.{info.name}")
+        for _, cls in inspect.getmembers(module, dataclasses.is_dataclass):
+            if cls.__module__ == module.__name__ and any(
+                "np.ndarray" in str(field.type) for field in dataclasses.fields(cls)
+            ):
+                found.add(cls)
+    return found
+
+
+def test_every_array_holding_dataclass_has_a_builder():
+    covered = {type(build()[0]) for build in VALUE_TYPES}
+    missing = sorted(cls.__qualname__ for cls in array_holding_dataclasses() - covered)
+    assert not missing, f"add a VALUE_TYPES builder for {missing}"
 
 
 @pytest.mark.parametrize("build", VALUE_TYPES, ids=lambda build: build.__name__)
@@ -105,10 +150,22 @@ def test_backtest_report_leaves_callers_curve_writeable():
     assert report.equity_curve[1] == 1.01
 
 
+def test_qaoa_outcome_histogram_keeps_integer_counts():
+    outcome, _ = qaoa_outcome()
+    assert outcome.histogram.dtype.kind == "i"
+    assert outcome.eval_shots == 4
+
+
+def test_schedule_result_splices_window_bits():
+    result, _ = schedule_result()
+    assert result.bits.tolist() == [0, 1, 0, 1, 0, 0]
+    assert result.bits.dtype == np.uint8
+    assert result.total_rebalances == 2
+
+
 BIT_VECTORS = {
     "Explicit": Explicit,
     "BitSchedule": lambda bits: BitSchedule(bits, 0.0),
-    "ScheduleResult": lambda bits: ScheduleResult(bits, ()),
 }
 NOT_BITS = {
     "half": [0, 0.5, 1],
