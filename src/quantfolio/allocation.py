@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import ZeroVolatilityError, annualised_sharpe
-from .market_data import ANNUALISATION, ReturnPanel, _frozen_array
+from .clustering import annualised_sharpe
+from .market_data import ReturnPanel, _frozen_array, _square
 from .shrinkage import ShrunkCovariance
 
 METHODS = ("GA", "MinVar", "Equal", "Ensemble")
@@ -75,21 +75,28 @@ class GaConfig:
             raise ValueError("population >= 2 and generations >= 1 required")
 
 
-def normalised_entropy(weights) -> float:
-    """H(w) = -sum(w ln w) / ln n, in [0, 1]. 0 ln 0 := 0; H := 0 for n = 1."""
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.size <= 1:
-        return 0.0
-    p = w[w > 0.0]
-    return float(-(p * np.log(p)).sum() / math.log(w.size))
+def normalised_entropy(weights):
+    """H(w) = -sum(w ln w) / ln n over the last axis, in [0, 1]: a float for
+    one weight vector, one entropy per row of a batch. 0 ln 0 := 0; H := 0
+    for n = 1."""
+    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    n = w.shape[-1]
+    plogp = w * np.log(np.where(w > 0.0, w, 1.0))
+    h = -plogp.sum(axis=-1) / math.log(n) if n > 1 else np.zeros(w.shape[:-1])
+    return float(h) if w.ndim == 1 else h
+
+
+def _weight_array(weights, n_assets: int) -> np.ndarray:
+    """The weights of a ``WeightVector`` or a plain vector, one per asset."""
+    w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights, float)
+    if w.shape != (n_assets,):
+        raise ValueError(f"{w.size} weights for {n_assets} assets")
+    return w
 
 
 def portfolio_log_returns(weights, panel: ReturnPanel) -> np.ndarray:
     """ln(w . R_t) per day for fixed weights on the panel's gross returns."""
-    w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights, float)
-    if w.shape != (panel.n_assets,):
-        raise ValueError(f"{w.size} weights for {panel.n_assets} assets")
-    port = panel.gross_returns @ w
+    port = panel.gross_returns @ _weight_array(weights, panel.n_assets)
     # long-only weights on strictly positive gross returns cannot go <= 0
     if not np.all(port > 0.0):
         raise ValueError("non-positive portfolio gross return")
@@ -100,7 +107,7 @@ def fitness(weights, train: ReturnPanel, lambda_ent: float = 0.05) -> float:
     """Annualised portfolio Sharpe plus ``lambda_ent`` times normalised entropy."""
     if isinstance(weights, WeightVector) and weights.tickers != train.tickers:
         raise ValueError("weight tickers do not match panel tickers")
-    w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights, float)
+    w = _weight_array(weights, train.n_assets)
     return annualised_sharpe(portfolio_log_returns(w, train)) + lambda_ent * normalised_entropy(w)
 
 
@@ -111,16 +118,9 @@ def with_train_sharpe(wv: WeightVector, train: ReturnPanel) -> WeightVector:
 
 
 def _population_fitness(genes: np.ndarray, gross: np.ndarray, lambda_ent: float) -> np.ndarray:
+    """``fitness`` of every row of ``genes`` (normalised to weights) at once."""
     wts = genes / genes.sum(axis=1, keepdims=True)
-    port = wts @ gross.T  # (pop, T)
-    r = np.log(port)
-    mu = r.mean(axis=1)
-    sd = r.std(axis=1, ddof=1)
-    if np.any(sd == 0.0):
-        raise ZeroVolatilityError("degenerate training panel: zero portfolio volatility")
-    n = genes.shape[1]
-    ent = -(wts * np.log(wts)).sum(axis=1) / math.log(n)
-    return mu / sd * ANNUALISATION + lambda_ent * ent
+    return annualised_sharpe(np.log(wts @ gross.T)) + lambda_ent * normalised_entropy(wts)
 
 
 def ga_optimise(
@@ -190,16 +190,10 @@ def minvar(cov, tickers=None) -> WeightVector:
     to zero and the rest renormalised to sum to 1.
     """
     if isinstance(cov, ShrunkCovariance):
-        sigma = cov.sigma
-        if tickers is None:
-            tickers = cov.tickers
-    else:
-        sigma = np.atleast_2d(np.asarray(cov, dtype=float))
-    n = sigma.shape[0]
-    if sigma.shape != (n, n):
-        raise ValueError("covariance must be square")
-    if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-10):
-        raise ValueError("covariance must be symmetric")
+        tickers = cov.tickers if tickers is None else tickers
+        cov = cov.sigma
+    sigma = _square(cov, "covariance", sym_atol=1e-10)
+    n = len(sigma)
     if tickers is None:
         tickers = tuple(f"A{i:03d}" for i in range(n))
 

@@ -21,6 +21,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .allocation import METHODS, WeightVector
+from .clustering import annualised_sharpe
 from .market_data import ANNUALISATION, ReturnPanel, _frozen_array, _frozen_bits
 
 
@@ -117,8 +118,9 @@ def metrics(equity_curve) -> Metrics:
 
     Sharpe/Sortino use daily log returns of the curve with sqrt(252)
     annualisation; Sortino's downside deviation is sqrt(mean(min(r, 0)^2)).
-    MDD is min(V_t / running_peak - 1); Calmar is total return over |MDD|.
-    Degenerate cases (zero vol, no drawdown) yield None.
+    MDD is the minimum of :func:`drawdown`; Calmar is total return over
+    |MDD|. Degenerate cases (zero vol, a single return, no drawdown) yield
+    None.
     """
     curve = np.asarray(equity_curve, dtype=float).ravel()
     if curve.size < 2:
@@ -127,17 +129,23 @@ def metrics(equity_curve) -> Metrics:
         raise ValueError("equity curve must be strictly positive")
 
     r = np.diff(np.log(curve))
-    mu = r.mean()
-    sd = r.std(ddof=1)
-    sharpe = float(mu / sd * ANNUALISATION) if sd > 0.0 else None
+    try:
+        sharpe = annualised_sharpe(r)
+    except ValueError:  # zero volatility or a single return
+        sharpe = None
     downside = float(np.sqrt(np.mean(np.minimum(r, 0.0) ** 2)))
-    sortino = float(mu / downside * ANNUALISATION) if downside > 0.0 else None
+    sortino = float(r.mean() / downside * ANNUALISATION) if downside > 0.0 else None
 
-    peak = np.maximum.accumulate(curve)
-    mdd = float(np.min(curve / peak - 1.0))
+    mdd = float(np.min(drawdown(curve)))
     total_return = float(curve[-1] / curve[0] - 1.0)
     calmar = float(total_return / abs(mdd)) if mdd < 0.0 else None
     return Metrics(total_return, sharpe, sortino, mdd, calmar)
+
+
+def drawdown(equity_curve) -> np.ndarray:
+    """``V_t / running_peak - 1`` at every point of an equity curve."""
+    curve = np.asarray(equity_curve, dtype=float)
+    return curve / np.maximum.accumulate(curve) - 1.0
 
 
 def _fires(scheduler: Scheduler, t: int, drifted: np.ndarray, target: np.ndarray) -> bool:

@@ -36,7 +36,7 @@ from .allocation import (
     minvar,
     with_train_sharpe,
 )
-from .backtest import run_grid
+from .backtest import drawdown, run_grid
 from .clustering import select_representatives, ward_cluster
 from .market_data import SplitSpec, load_csv, split, to_returns
 from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, walk_forward
@@ -79,8 +79,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.train_end >= self.test_end:
-            raise ValueError("train_end must precede test_end")
+        SplitSpec(self.train_end, self.test_end)  # raises unless train_end < test_end
 
     def as_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -175,9 +174,9 @@ def _load_panels(cfg: RunConfig, tickers=None):
     return panel, train, test
 
 
-def _read_artifact(cfg: RunConfig, name: str, stage: str, *keys: str) -> dict:
+def _read_artifact(cfg: RunConfig, name: str, stage: str, *keys: str, allowed=None) -> dict:
     """The JSON artifact ``name`` that the ``stage`` command wrote, which must
-    hold every one of ``keys``."""
+    hold every one of ``keys`` and, given ``allowed``, no other key."""
     path = os.path.join(cfg.out_dir, name)
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path} not found: run the '{stage}' command first")
@@ -186,6 +185,9 @@ def _read_artifact(cfg: RunConfig, name: str, stage: str, *keys: str) -> dict:
     missing = [key for key in keys if key not in blob]
     if missing:
         raise ValueError(f"{path}: malformed artifact, missing key(s): {', '.join(missing)}")
+    unknown = [] if allowed is None else [key for key in blob if key not in allowed]
+    if unknown:
+        raise ValueError(f"{path}: malformed artifact, unknown key(s): {', '.join(unknown)}")
     return blob
 
 
@@ -196,7 +198,8 @@ def _read_selection(cfg: RunConfig) -> list[str]:
 def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
     return {
         method: WeightVector(**_read_artifact(
-            cfg, f"weights_{method.lower()}.json", "weights", "tickers", "weights", "method"))
+            cfg, f"weights_{method.lower()}.json", "weights", "tickers", "weights", "method",
+            allowed=[f.name for f in dataclasses.fields(WeightVector)]))
         for method in METHODS
     }
 
@@ -357,9 +360,8 @@ def cmd_backtest(cfg: RunConfig) -> dict:
         writer.writerow(["strategy", "day", "date", "value", "drawdown"])
         dates = ["start"] + [d.isoformat() for d in test_sel.dates]
         for rep in reports:
-            peak = np.maximum.accumulate(rep.equity_curve)
-            drawdown = rep.equity_curve / peak - 1.0
-            for day, (d, v, dd) in enumerate(zip(dates, rep.equity_curve, drawdown)):
+            curve = rep.equity_curve
+            for day, (d, v, dd) in enumerate(zip(dates, curve, drawdown(curve))):
                 writer.writerow([rep.label, day, d, repr(float(v)), repr(float(dd))])
 
     manifest_path = os.path.join(cfg.out_dir, "manifest.json")

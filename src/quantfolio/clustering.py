@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import ANNUALISATION, ReturnPanel, _frozen_array
+from .market_data import ANNUALISATION, ReturnPanel, _frozen_array, _square
 
 
 class ZeroVolatilityError(ValueError):
@@ -60,15 +60,18 @@ class SelectionResult:
             raise ValueError("representatives must be distinct")
 
 
-def annualised_sharpe(series) -> float:
-    """Mean over sample standard deviation (T-1 denominator) times sqrt(252)."""
-    r = np.asarray(series, dtype=float).ravel()
-    if r.size < 2:
+def annualised_sharpe(series):
+    """Mean over sample standard deviation (T-1 denominator) times sqrt(252)
+    over the last axis: a float for one series, one Sharpe per row of a
+    ``(P, T)`` batch. Any flat series raises ``ZeroVolatilityError``."""
+    r = np.asarray(series, dtype=float)
+    if r.ndim == 0 or r.shape[-1] < 2:
         raise ValueError("need at least 2 observations")
-    sd = r.std(ddof=1)
-    if sd == 0.0:
+    sd = r.std(axis=-1, ddof=1)
+    if np.any(sd == 0.0):
         raise ZeroVolatilityError("zero volatility: Sharpe ratio undefined")
-    return float(r.mean() / sd * ANNUALISATION)
+    sharpe = r.mean(axis=-1) / sd * ANNUALISATION
+    return float(sharpe) if r.ndim == 1 else sharpe
 
 
 def ward_cluster(dist, n: int) -> ClusterAssignment:
@@ -78,12 +81,8 @@ def ward_cluster(dist, n: int) -> ClusterAssignment:
     d2(ij,k) = ((si+sk) d2(i,k) + (sj+sk) d2(j,k) - sk d2(i,j)) / (si+sj+sk).
     Deterministic for a given input; relabelling-invariant to input order.
     """
-    d = np.atleast_2d(np.asarray(dist, dtype=float))
-    m = d.shape[0]
-    if d.shape != (m, m):
-        raise ValueError("distance matrix must be square")
-    if not np.allclose(d, d.T, rtol=0.0, atol=1e-10):
-        raise ValueError("distance matrix must be symmetric")
+    d = _square(dist, "distance matrix", sym_atol=1e-10)
+    m = len(d)
     if not np.allclose(np.diag(d), 0.0, rtol=0.0, atol=1e-12):
         raise ValueError("distance matrix diagonal must be 0")
     if np.any(d < 0.0) or not np.all(np.isfinite(d)):

@@ -49,6 +49,26 @@ def _frozen_bits(values) -> np.ndarray:
     return _frozen_array(bits, np.uint8)
 
 
+def _square(values, what: str, sym_atol: float | None = None) -> np.ndarray:
+    """``values`` as a float matrix, checked square (and symmetric within
+    ``sym_atol``, if given). The one such check of the package."""
+    mat = np.atleast_2d(np.asarray(values, dtype=float))
+    if mat.shape != (len(mat), len(mat)):
+        raise ValueError(f"{what} must be square")
+    if sym_atol is not None and not np.allclose(mat, mat.T, rtol=0.0, atol=sym_atol):
+        raise ValueError(f"{what} must be symmetric")
+    return mat
+
+
+def _positions(tickers, wanted) -> list[int]:
+    """The index in ``tickers`` of each of ``wanted``, in the order given."""
+    index = {t: i for i, t in enumerate(tickers)}
+    missing = [t for t in wanted if t not in index]
+    if missing:
+        raise ValueError(f"unknown tickers: {', '.join(missing)}")
+    return [index[t] for t in wanted]
+
+
 def _check_panel(panel, values, what: str) -> np.ndarray:
     """The checks ``PricePanel`` and ``ReturnPanel`` share. Normalises the
     panel's dates and tickers to tuples, then returns ``values`` as a 2-D float
@@ -141,11 +161,7 @@ class ReturnPanel:
 
     def restrict(self, tickers) -> "ReturnPanel":
         """Column subset, in the order given."""
-        index = {t: i for i, t in enumerate(self.tickers)}
-        missing = [t for t in tickers if t not in index]
-        if missing:
-            raise ValueError(f"unknown tickers: {', '.join(missing)}")
-        cols = [index[t] for t in tickers]
+        cols = _positions(self.tickers, tickers)
         return ReturnPanel(self.dates, tuple(tickers), self.gross_returns[:, cols])
 
 
@@ -314,8 +330,7 @@ def synth_panel(
     corr = np.eye(M) if target_corr is None else np.asarray(target_corr, dtype=float)
     if corr.shape != (M, M):
         raise ValueError(f"target_corr must be {M}x{M}")
-    if not np.allclose(corr, corr.T, rtol=0.0, atol=1e-12):
-        raise ValueError("target_corr must be symmetric")
+    _square(corr, "target_corr", sym_atol=1e-12)
     if not np.allclose(np.diag(corr), 1.0, rtol=0.0, atol=1e-12):
         raise ValueError("target_corr must have a unit diagonal")
     try:

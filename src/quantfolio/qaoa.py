@@ -198,7 +198,7 @@ class QaoaOutcome:
     def eval_shots(self) -> int:
         return int(self.histogram.sum())
 
-    def histogram_top(self, top: int = 20) -> list[tuple[str, int]]:
+    def histogram_top(self, top: int) -> list[tuple[str, int]]:
         """Most frequent bitstrings, count desc, ties by bitstring value asc."""
         counts = self.histogram
         order = np.lexsort((np.arange(counts.size), -counts))
@@ -452,7 +452,7 @@ class WindowDiagnostics:
     def candidates_global(self) -> np.ndarray:
         return self.qubo.candidates.indices + self.start
 
-    def to_json_dict(self, top: int = 20) -> dict:
+    def to_json_dict(self) -> dict:
         out = self.outcome
         gamma, beta = np.split(out.angles, 2)
         return {
@@ -466,7 +466,7 @@ class WindowDiagnostics:
             "gap": self.gap,
             "angles": {"gamma": gamma.tolist(), "beta": beta.tolist()},
             "restart_energies": out.restart_energies.tolist(),
-            "histogram_top20": out.histogram_top(top),
+            "histogram_top20": out.histogram_top(20),
             "qubo": self.qubo.to_json_dict(),
         }
 
@@ -490,12 +490,12 @@ class ScheduleResult:
     def total_rebalances(self) -> int:
         return int(self.bits.sum())
 
-    def to_json_dict(self, top: int = 20) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "schedule": [int(b) for b in self.bits],
             "total_rebalances": self.total_rebalances,
             "optimiser": OPTIMISER,
-            "windows": [win.to_json_dict(top) for win in self.windows],
+            "windows": [win.to_json_dict() for win in self.windows],
         }
 
 

@@ -12,9 +12,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .allocation import WeightVector
+from .allocation import _weight_array
 from .clustering import ZeroVolatilityError, annualised_sharpe
-from .market_data import ANNUALISATION, ReturnPanel, _frozen_array, _frozen_bits
+from .market_data import ANNUALISATION, ReturnPanel, _frozen_array, _frozen_bits, _square
 
 BRUTE_FORCE_LIMIT = 24  # 2^W energies; memory guard
 
@@ -67,14 +67,10 @@ class QuboProblem:
     params: dict
 
     def __post_init__(self) -> None:
-        q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        w = q.shape[0]
-        if q.shape != (w, w):
-            raise ValueError("q must be square")
+        q = _square(self.q, "q", sym_atol=1e-12)
+        w = len(q)
         if w != self.candidates.w:
             raise ValueError(f"{w}x{w} matrix for {self.candidates.w} candidates")
-        if not np.allclose(q, q.T, rtol=0.0, atol=1e-12):
-            raise ValueError("q must be symmetric")
         if self.raw_max_abs <= 0.0:
             raise ValueError("raw_max_abs must be positive")
         gains = np.asarray(self.gains, dtype=float)
@@ -116,12 +112,7 @@ class BitSchedule:
 
 def _qubo_matrix(q) -> np.ndarray:
     """The matrix of a ``QuboProblem``, or ``q`` as a square float matrix."""
-    if isinstance(q, QuboProblem):
-        return q.q
-    mat = np.atleast_2d(np.asarray(q, dtype=float))
-    if mat.shape != (len(mat), len(mat)):
-        raise ValueError("Q must be square")
-    return mat
+    return q.q if isinstance(q, QuboProblem) else _square(q, "Q")
 
 
 def bits_to_str(bits) -> str:
@@ -170,9 +161,7 @@ def drift_weights(target, window: ReturnPanel, upto: int) -> np.ndarray:
     ``w_drift = (w * pi) / sum(w * pi)`` with ``pi`` the cumulative gross
     return of each asset over rows ``[0, upto)``; no intermediate rebalances.
     """
-    w = target.weights if isinstance(target, WeightVector) else np.asarray(target, float)
-    if w.shape != (window.n_assets,):
-        raise ValueError(f"{w.size} weights for {window.n_assets} assets")
+    w = _weight_array(target, window.n_assets)
     if not 0 <= upto <= window.n_days:
         raise ValueError(f"upto must be in [0, {window.n_days}]")
     pi = np.prod(window.gross_returns[:upto], axis=0)  # empty product -> ones
@@ -199,7 +188,7 @@ def marginal_gain(
     """
     if not 0 <= k < candidates.w:
         raise ValueError(f"candidate index {k} out of range")
-    w = target.weights if isinstance(target, WeightVector) else np.asarray(target, float)
+    w = _weight_array(target, window.n_assets)
     idx = candidates.indices
     start = int(idx[k])
     end = int(idx[k + 1]) if k + 1 < candidates.w else window.n_days

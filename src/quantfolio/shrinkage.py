@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .market_data import ReturnPanel, _frozen_array, _read_only
+from .market_data import ReturnPanel, _frozen_array, _positions, _read_only, _square
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,16 +36,12 @@ class ShrunkCovariance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tickers", tuple(str(t) for t in self.tickers))
-        sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        m = sigma.shape[0]
-        if sigma.shape != (m, m):
-            raise ValueError("sigma must be square")
+        sigma = _square(self.sigma, "sigma", sym_atol=1e-10)
+        m = len(sigma)
         if len(self.tickers) != m:
             raise ValueError(f"{len(self.tickers)} tickers for a {m}x{m} sigma")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-10):
-            raise ValueError("sigma must be symmetric")
         if not np.all(np.diag(sigma) > 0.0):
             raise ValueError("sigma has a non-positive diagonal entry")
         object.__setattr__(self, "sigma", _frozen_array(sigma))
@@ -68,11 +64,7 @@ class ShrunkCovariance:
 
     def restrict(self, tickers) -> "ShrunkCovariance":
         """Sub-estimate for a ticker subset, in the order given."""
-        index = {t: i for i, t in enumerate(self.tickers)}
-        missing = [t for t in tickers if t not in index]
-        if missing:
-            raise ValueError(f"unknown tickers: {', '.join(missing)}")
-        idx = np.array([index[t] for t in tickers], dtype=int)
+        idx = _positions(self.tickers, tickers)
         return ShrunkCovariance(
             tuple(tickers), self.sigma[np.ix_(idx, idx)], self.alpha, self.mu_target
         )

@@ -17,7 +17,7 @@ from quantfolio import (
     to_returns,
 )
 
-from quantfolio.allocation import portfolio_log_returns
+from quantfolio.allocation import _population_fitness, portfolio_log_returns
 
 from conftest import gross_panel
 
@@ -71,6 +71,22 @@ class TestEntropyAndFitness:
         eq = equal_weights(panel.tickers)
         base = annualised_sharpe(np.log(panel.gross_returns @ eq.weights))
         assert fitness(eq, panel, lambda_ent=0.05) == pytest.approx(base + 0.05, abs=1e-12)
+
+    def test_entropy_batch_equals_single_calls(self):
+        w = np.random.default_rng(5).dirichlet(np.ones(9), size=6)
+        w[1, :4] = 0.0  # rows with zeros: 0 ln 0 counts as 0
+        w[4] = np.eye(9)[2]
+        batch = normalised_entropy(w)
+        assert batch.shape == (6,)
+        assert batch.tolist() == [normalised_entropy(row) for row in w]
+        assert normalised_entropy(np.ones((3, 1))).tolist() == [0.0, 0.0, 0.0]
+
+    def test_population_fitness_rows_equal_fitness(self):
+        panel = to_returns(synth_panel(seed=6, T=150, M=7))
+        genes = np.random.default_rng(6).uniform(0.01, 1.0, size=(20, 7))
+        batch = _population_fitness(genes, panel.gross_returns, 0.05)
+        single = [fitness(g / g.sum(), panel, lambda_ent=0.05) for g in genes]
+        np.testing.assert_allclose(batch, single, rtol=0.0, atol=1e-12)
 
     def test_single_asset_fitness_is_plain_sharpe(self):
         panel = to_returns(synth_panel(seed=2, T=90, M=1))

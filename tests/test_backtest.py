@@ -10,6 +10,7 @@ from quantfolio import (
     Strategy,
     Threshold,
     WeightVector,
+    annualised_sharpe,
     equal_weights,
     metrics,
     run,
@@ -17,6 +18,8 @@ from quantfolio import (
     synth_panel,
     to_returns,
 )
+
+from quantfolio.backtest import drawdown
 
 from conftest import gross_panel
 
@@ -266,6 +269,21 @@ class TestMetrics:
         assert m.sortino is None
         assert m.calmar is None
         assert m.mdd == 0.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sharpe_is_annualised_sharpe_of_log_returns(self, seed):
+        daily = np.random.default_rng(seed).normal(0.0005, 0.01, 60)
+        curve = np.cumprod(np.concatenate([[1.0], 1.0 + daily]))
+        assert metrics(curve).sharpe == annualised_sharpe(np.diff(np.log(curve)))
+
+    @pytest.mark.parametrize("curve", [np.ones(10), [1.0, 1.1]], ids=["flat", "two_points"])
+    def test_undefined_sharpe_is_none(self, curve):
+        assert metrics(curve).sharpe is None
+
+    def test_drawdown_from_running_peak(self):
+        dd = drawdown([1.0, 2.0, 1.5, 3.0, 1.5])
+        assert dd.tolist() == [0.0, 0.0, -0.25, 0.0, -0.5]
+        assert metrics([1.0, 2.0, 1.5, 3.0, 1.5]).mdd == -0.5
 
     def test_sortino_uses_downside_only(self):
         curve = np.cumprod(np.concatenate([[1.0], np.tile([1.02, 0.995], 30)]))

@@ -376,6 +376,16 @@ class TestBacktestCommand:
         assert run_cli("backtest", "--config", backtested["config"], "--out", out) == 1
         assert f"{path}: malformed artifact, missing key(s): {key}" in capsys.readouterr().err
 
+    def test_weights_with_an_extra_key_exits_1(self, backtested, tmp_path, capsys):
+        out = tmp_path / "extra"
+        shutil.copytree(backtested["out"], out)
+        path = out / "weights_ga.json"
+        blob = json.loads(path.read_text())
+        blob["note"] = "hand-edited"
+        path.write_text(json.dumps(blob))
+        assert run_cli("backtest", "--config", backtested["config"], "--out", out) == 1
+        assert f"{path}: malformed artifact, unknown key(s): note" in capsys.readouterr().err
+
 
 class TestCsvDropReporting:
     def test_dropped_tickers_reach_selection_report(self, tmp_path):

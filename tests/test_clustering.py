@@ -173,6 +173,18 @@ class TestAnnualisedSharpe:
         with pytest.raises(ValueError, match="at least 2"):
             annualised_sharpe([0.01])
 
+    def test_batch_rows_equal_single_calls(self):
+        r = np.random.default_rng(3).normal(0.0005, 0.01, size=(5, 40))
+        batch = annualised_sharpe(r)
+        assert batch.shape == (5,)
+        assert batch.tolist() == [annualised_sharpe(row) for row in r]
+
+    def test_batch_with_a_flat_row_is_error(self):
+        r = np.random.default_rng(4).normal(0.0, 0.01, size=(3, 20))
+        r[1] = 0.25
+        with pytest.raises(ZeroVolatilityError):
+            annualised_sharpe(r)
+
 
 class TestSelectRepresentatives:
     def test_argmax_within_cluster(self):

@@ -1,9 +1,12 @@
 """Checks on the package source, with the standard library's ``ast``: no
 module imports a name it never uses, every private module-level function is
 referenced somewhere in the package, no module uses ``assert`` (runtime
-invariants raise, since ``python -O`` strips asserts), and only
-``market_data._read_only`` assigns ``<array>.flags.writeable`` (every value
-type freezes its arrays through it)."""
+invariants raise, since ``python -O`` strips asserts), and each shared rule
+has one owner: only ``market_data._read_only`` assigns
+``<array>.flags.writeable`` (every value type freezes its arrays through it),
+only ``clustering.annualised_sharpe`` calls ``.std(``, only
+``backtest.drawdown`` calls ``np.maximum.accumulate`` and only
+``market_data._square`` checks ``np.allclose(m, m.T, ...)``."""
 import ast
 from pathlib import Path
 
@@ -21,28 +24,55 @@ def assert_lines(tree: ast.Module) -> list[int]:
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
-def writeable_assignments(tree: ast.AST, owner: str = "<module>") -> list[tuple[str, int]]:
-    """``(enclosing function, line)`` of every assignment to ``<x>.flags.writeable``."""
+def owned(tree: ast.AST, hit, owner: str = "<module>") -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of every node below ``tree`` that ``hit`` accepts."""
     found = []
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found += writeable_assignments(node, node.name)
-            continue
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        else:
-            targets = []
-        found += [
-            (owner, node.lineno)
-            for target in targets
-            for sub in ast.walk(target)
-            if isinstance(sub, ast.Attribute) and sub.attr == "writeable"
-            and isinstance(sub.value, ast.Attribute) and sub.value.attr == "flags"
-        ]
-        found += writeable_assignments(node, owner)
+        if hit(node):
+            found.append((owner, node.lineno))
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        found += owned(node, hit, inner)
     return found
+
+
+def assigns_writeable(node: ast.AST) -> bool:
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(
+        isinstance(sub, ast.Attribute) and sub.attr == "writeable"
+        and isinstance(sub.value, ast.Attribute) and sub.value.attr == "flags"
+        for target in targets
+        for sub in ast.walk(target)
+    )
+
+
+def writeable_assignments(tree: ast.AST) -> list[tuple[str, int]]:
+    """``(enclosing function, line)`` of every assignment to ``<x>.flags.writeable``."""
+    return owned(tree, assigns_writeable)
+
+
+def calls_method(name: str, of: str | None = None):
+    """Accepts a call ``<x>.name(...)``, or ``<x>.of.name(...)`` given ``of``."""
+    def hit(node: ast.AST) -> bool:
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            return False
+        func = node.func
+        return func.attr == name and (
+            of is None or isinstance(func.value, ast.Attribute) and func.value.attr == of
+        )
+    return hit
+
+
+def checks_symmetry(node: ast.AST) -> bool:
+    """Accepts ``<x>.allclose(m, m.T, ...)`` for any expression ``m``."""
+    if not calls_method("allclose")(node) or len(node.args) < 2:
+        return False
+    m, mt = node.args[:2]
+    return isinstance(mt, ast.Attribute) and mt.attr == "T" and ast.dump(mt.value) == ast.dump(m)
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -104,12 +134,39 @@ def test_only_read_only_marks_arrays_read_only():
     assert not stray, f"flags.writeable assigned outside market_data._read_only: {', '.join(stray)}"
 
 
+# each formula or check that several modules need, and the one function that owns it
+OWNERS = {
+    "std": (calls_method("std"), ("clustering.py", "annualised_sharpe")),
+    "running_peak": (calls_method("accumulate", of="maximum"), ("backtest.py", "drawdown")),
+    "symmetry": (checks_symmetry, ("market_data.py", "_square")),
+}
+
+
+@pytest.mark.parametrize("rule", OWNERS)
+def test_each_rule_has_one_owner(rule):
+    hit, owner = OWNERS[rule]
+    found = [
+        ((path.name, fn), line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn, line in owned(parse(path), hit)
+    ]
+    assert owner in {where for where, _ in found}, f"{owner} no longer owns {rule}"
+    stray = [f"{name}:{fn}:{line}" for (name, fn), line in found if (name, fn) != owner]
+    assert not stray, f"{rule} written outside {':'.join(owner)}: {', '.join(stray)}"
+
+
 def test_checks_catch_dead_code():
     tree = ast.parse(
         "import os\nfrom json import dumps as d\n\ndef _dead(x):\n    assert x\n    return 1\n"
         "\nclass Box:\n    def freeze(self, a):\n        a.flags.writeable = False\n"
+        "\ndef stats(r, c, m):\n    sd = r.std(ddof=1)\n    peak = np.maximum.accumulate(c)\n"
+        "    ok = np.allclose(m, m.T, atol=0.0) and np.allclose(m.diagonal(), 0.0)\n"
+        "    return np.minimum.accumulate(c), np.allclose(m, c.T)\n"
     )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
     assert "_dead" not in referenced_names(tree)
     assert assert_lines(tree) == [5]
     assert writeable_assignments(tree) == [("freeze", 10)]
+    assert {rule: owned(tree, hit) for rule, (hit, _) in OWNERS.items()} == {
+        "std": [("stats", 13)], "running_peak": [("stats", 14)], "symmetry": [("stats", 15)],
+    }

@@ -20,6 +20,10 @@ from quantfolio import (
     to_returns,
     write_csv,
 )
+from quantfolio.allocation import minvar
+from quantfolio.clustering import ward_cluster
+from quantfolio.schedule_qubo import CandidateDates, QuboProblem, _qubo_matrix
+from quantfolio.shrinkage import ShrunkCovariance
 
 
 def _write(tmp_path, text, name="prices.csv"):
@@ -415,3 +419,37 @@ class TestSynthPanel:
     def test_weekday_dates(self):
         panel = synth_panel(seed=0, T=30, M=1)
         assert all(d.weekday() < 5 for d in panel.dates)
+
+
+_CORR = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])
+
+
+def _bumped(matrix, by):
+    out = matrix.copy()
+    out[0, 1] += by
+    return out
+
+
+@pytest.mark.parametrize("call,base,sym_atol,not_square,what", [
+    pytest.param(_qubo_matrix, _CORR, None, "Q must be square", "Q", id="_qubo_matrix"),
+    pytest.param(lambda m: QuboProblem(m, 1.0, CandidateDates([1, 2, 3], 5), np.zeros(3), {}),
+                 _CORR, 1e-12, "q must be square", "q", id="QuboProblem"),
+    pytest.param(lambda m: ShrunkCovariance(("A", "B", "C"), m, 0.1, 1.0),
+                 _CORR, 1e-10, "sigma must be square", "sigma", id="ShrunkCovariance"),
+    pytest.param(minvar, _CORR, 1e-10, "covariance must be square", "covariance", id="minvar"),
+    pytest.param(lambda m: ward_cluster(m, 1), 1.0 - _CORR, 1e-10,
+                 "distance matrix must be square", "distance matrix", id="ward_cluster"),
+    pytest.param(lambda m: synth_panel(seed=0, T=5, M=3, target_corr=m),
+                 _CORR, 1e-12, "target_corr must be 3x3", "target_corr", id="synth_panel"),
+])
+def test_square_matrix_callers_keep_their_tolerance(call, base, sym_atol, not_square, what):
+    """Every caller of ``_square`` accepts an asymmetry below its own tolerance
+    (any asymmetry where it checks none), rejects one above it, and rejects a
+    non-square matrix, each with its own words."""
+    call(base)
+    call(_bumped(base, 0.5 * sym_atol if sym_atol else 1.0))
+    if sym_atol:
+        with pytest.raises(ValueError, match=f"{what} must be symmetric"):
+            call(_bumped(base, 2.0 * sym_atol))
+    with pytest.raises(ValueError, match=not_square):
+        call(base[:2])
