@@ -117,10 +117,17 @@ def with_train_sharpe(wv: WeightVector, train: ReturnPanel) -> WeightVector:
     return replace(wv, train_sharpe=s)
 
 
-def _population_fitness(genes: np.ndarray, gross: np.ndarray, lambda_ent: float) -> np.ndarray:
-    """``fitness`` of every row of ``genes`` (normalised to weights) at once."""
+def _population_fitness(genes: np.ndarray, gross: np.ndarray, lambda_ent: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """``fitness`` of every row of ``genes`` (normalised to weights) at once.
+
+    The portfolios' daily log returns are written into ``out``, a
+    ``(population, days)`` buffer, if given: ``ga_optimise`` passes one
+    buffer to every generation rather than allocating two such matrices each
+    time."""
     wts = genes / genes.sum(axis=1, keepdims=True)
-    return annualised_sharpe(np.log(wts @ gross.T)) + lambda_ent * normalised_entropy(wts)
+    port = np.matmul(wts, gross.T, out=out)
+    return annualised_sharpe(np.log(port, out=port)) + lambda_ent * normalised_entropy(wts)
 
 
 def ga_optimise(
@@ -148,7 +155,8 @@ def ga_optimise(
     genes = rng.uniform(lo, hi, size=(pop, n))
     genes[0] = 0.5 * (lo + hi)  # constant genes normalise to equal weights
 
-    fit = _population_fitness(genes, gross, cfg.lambda_ent)
+    port = np.empty((pop, len(gross)))
+    fit = _population_fitness(genes, gross, cfg.lambda_ent, port)
     best = int(np.argmax(fit))
     best_fit = float(fit[best])
     best_genes = genes[best].copy()
@@ -169,7 +177,7 @@ def ga_optimise(
         children = np.where(mutate, rng.uniform(lo, hi, size=(k, n)), children)
 
         genes = np.vstack([elite[None, :], children])
-        fit = _population_fitness(genes, gross, cfg.lambda_ent)
+        fit = _population_fitness(genes, gross, cfg.lambda_ent, port)
         best = int(np.argmax(fit))
         if fit[best] > best_fit:
             best_fit = float(fit[best])

@@ -41,7 +41,7 @@ from .clustering import select_representatives, ward_cluster
 from .market_data import SplitSpec, load_csv, split, to_returns
 from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, walk_forward
 from .schedule_qubo import QuboParams
-from .shrinkage import ledoit_wolf
+from .shrinkage import _shrunk, ledoit_wolf
 
 log = logging.getLogger(__name__)
 
@@ -217,8 +217,10 @@ def _read_schedules(cfg: RunConfig) -> dict[str, list]:
 def cmd_select(cfg: RunConfig) -> dict:
     """Cluster the training universe and pick one representative per cluster.
 
-    Writes selection.json plus the full shrinkage correlation and angular
-    distance matrices as CSV.
+    Writes selection.json, which holds the universe's shrinkage intensity and
+    target for ``weights``, and the full shrinkage correlation matrix as CSV.
+    The angular distances that Ward clusters on are not written: they are
+    ``angular_distance`` of correlation.csv, bit for bit.
     """
     panel, train, _ = _load_panels(cfg)
     cov = ledoit_wolf(train)
@@ -233,20 +235,27 @@ def cmd_select(cfg: RunConfig) -> dict:
         "n_clusters": assign.n_clusters,
         "labels": {t: int(lbl) for t, lbl in zip(train.tickers, assign.labels)},
         "shrinkage_alpha": cov.alpha,
+        "shrinkage_mu_target": cov.mu_target,
         "dropped_tickers": list(panel.dropped),
     })
     corr_path = os.path.join(cfg.out_dir, "correlation.csv")
-    dist_path = os.path.join(cfg.out_dir, "distance.csv")
     _write_matrix_csv(corr_path, train.tickers, cov.corr)
-    _write_matrix_csv(dist_path, train.tickers, cov.dist)
     log.info("selected %s", ", ".join(selection.tickers))
-    return {"selection": sel_path, "correlation": corr_path, "distance": dist_path}
+    return {"selection": sel_path, "correlation": corr_path}
 
 
 def cmd_weights(cfg: RunConfig) -> dict:
-    """Compute the four weight vectors for the selected assets."""
-    selected = _read_selection(cfg)
-    _, train, _ = _load_panels(cfg)
+    """Compute the four weight vectors for the selected assets.
+
+    Only the selected columns of the prices are parsed. MinVar's covariance
+    is their sample covariance shrunk with the universe's intensity and
+    target from selection.json, which is the selected block of the universe
+    estimate ``select`` made.
+    """
+    sel = _read_artifact(cfg, "selection.json", "select",
+                         "tickers", "shrinkage_alpha", "shrinkage_mu_target")
+    selected = list(sel["tickers"])
+    _, train, _ = _load_panels(cfg, selected)
     train_sel = train.restrict(selected)
 
     ga = ga_optimise(train_sel, GaConfig(
@@ -258,7 +267,8 @@ def cmd_weights(cfg: RunConfig) -> dict:
         lambda_ent=cfg.lambda_ent,
         seed=_child_seed(cfg.seed, 1),
     ))
-    mv = with_train_sharpe(minvar(ledoit_wolf(train).restrict(selected)), train)
+    cov = _shrunk(train_sel, float(sel["shrinkage_alpha"]), float(sel["shrinkage_mu_target"]))
+    mv = with_train_sharpe(minvar(cov), train)
     eq = with_train_sharpe(equal_weights(selected), train)
     ens = with_train_sharpe(ensemble(ga, mv, eq), train)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import ANNUALISATION, ReturnPanel, _frozen_array, _square
+from .market_data import ANNUALISATION, ReturnPanel, _flat, _frozen_array, _square
 
 
 class ZeroVolatilityError(ValueError):
@@ -63,14 +63,16 @@ class SelectionResult:
 def annualised_sharpe(series):
     """Mean over sample standard deviation (T-1 denominator) times sqrt(252)
     over the last axis: a float for one series, one Sharpe per row of a
-    ``(P, T)`` batch. Any flat series raises ``ZeroVolatilityError``."""
+    ``(P, T)`` batch. Any flat series (constant up to rounding, see
+    ``market_data._flat``) raises ``ZeroVolatilityError``."""
     r = np.asarray(series, dtype=float)
     if r.ndim == 0 or r.shape[-1] < 2:
         raise ValueError("need at least 2 observations")
     sd = r.std(axis=-1, ddof=1)
-    if np.any(sd == 0.0):
+    mean = r.mean(axis=-1)
+    if np.any(_flat(sd, mean)):
         raise ZeroVolatilityError("zero volatility: Sharpe ratio undefined")
-    sharpe = r.mean(axis=-1) / sd * ANNUALISATION
+    sharpe = mean / sd * ANNUALISATION
     return float(sharpe) if r.ndim == 1 else sharpe
 
 

@@ -31,6 +31,19 @@ TRADING_DAYS_PER_YEAR = 252
 ANNUALISATION = math.sqrt(TRADING_DAYS_PER_YEAR)
 
 
+# a series whose sample std is at most this fraction of its |mean| is flat:
+# a constant series of a value that is not a binary fraction (0.002) keeps a
+# std of a few ulps of its mean, not 0
+_FLAT_RTOL = 1e-9
+
+
+def _flat(sd, mean):
+    """Whether each series with sample standard deviation ``sd`` and mean
+    ``mean`` is constant up to rounding. The one flatness test of the
+    package."""
+    return sd <= _FLAT_RTOL * np.abs(mean)
+
+
 def _read_only(out: np.ndarray) -> np.ndarray:
     out.flags.writeable = False
     return out

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .market_data import ReturnPanel, _frozen_array, _positions, _read_only, _square
+from .market_data import ReturnPanel, _flat, _frozen_array, _positions, _read_only, _square
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,19 +75,21 @@ def ledoit_wolf(returns: ReturnPanel) -> ShrunkCovariance:
 
     The sample covariance uses the T-1 denominator; the intensity is computed
     from the biased (1/T) moments of the centred data, as in the original
-    recipe. Constant (zero-variance) assets are rejected by name.
+    recipe. Constant assets (sample std at most rounding noise against the
+    mean, see ``market_data._flat``) are rejected by name.
     """
     x = returns.log_returns
     t, m = x.shape
     if t < 2:
         raise ValueError("need at least 2 return rows")
 
-    variances = x.var(axis=0, ddof=1)
-    flat = [returns.tickers[i] for i in np.flatnonzero(variances == 0.0)]
+    mean = x.mean(axis=0)
+    sd = np.sqrt(x.var(axis=0, ddof=1))
+    flat = [returns.tickers[i] for i in np.flatnonzero(_flat(sd, mean))]
     if flat:
         raise ValueError(f"constant asset(s) with zero variance: {', '.join(flat)}")
 
-    xc = x - x.mean(axis=0)
+    xc = x - mean
     gram = xc.T @ xc
     sample = gram / (t - 1)
 
@@ -103,10 +105,23 @@ def ledoit_wolf(returns: ReturnPanel) -> ShrunkCovariance:
     else:
         alpha = min(b2_bar, d2) / d2
 
-    mu_target = float(np.trace(sample) / m)
-    sigma = (1.0 - alpha) * sample + alpha * mu_target * np.eye(m)
+    return _shrunk(returns, float(alpha), float(np.trace(sample) / m), sample)
+
+
+def _shrunk(returns: ReturnPanel, alpha: float, mu_target: float,
+            sample=None) -> ShrunkCovariance:
+    """``(1 - alpha) * sample + alpha * mu_target * I``, symmetrised: the
+    shrinkage blend of the panel's sample covariance (T-1 denominator) with a
+    given intensity and target. ``sample`` is that covariance if the caller
+    already has it. A subset of a universe shrinks with the universe's
+    ``alpha`` and ``mu_target``, so its estimate is the universe estimate's
+    block without the universe's returns."""
+    if sample is None:
+        xc = returns.log_returns - returns.log_returns.mean(axis=0)
+        sample = xc.T @ xc / (returns.n_days - 1)
+    sigma = (1.0 - alpha) * sample + alpha * mu_target * np.eye(returns.n_assets)
     sigma = (sigma + sigma.T) / 2.0
-    return ShrunkCovariance(returns.tickers, sigma, float(alpha), mu_target)
+    return ShrunkCovariance(returns.tickers, sigma, alpha, mu_target)
 
 
 def angular_distance(rho):

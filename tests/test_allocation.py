@@ -88,6 +88,16 @@ class TestEntropyAndFitness:
         single = [fitness(g / g.sum(), panel, lambda_ent=0.05) for g in genes]
         np.testing.assert_allclose(batch, single, rtol=0.0, atol=1e-12)
 
+    def test_population_fitness_into_a_reused_buffer_is_bit_identical(self):
+        gross = to_returns(synth_panel(seed=8, T=150, M=7)).gross_returns
+        rng = np.random.default_rng(8)
+        buffer = np.empty((20, len(gross)))
+        for _ in range(3):
+            genes = rng.uniform(0.01, 1.0, size=(20, 7))
+            wts = genes / genes.sum(axis=1, keepdims=True)
+            fresh = annualised_sharpe(np.log(wts @ gross.T)) + 0.05 * normalised_entropy(wts)
+            assert np.array_equal(_population_fitness(genes, gross, 0.05, buffer), fresh)
+
     def test_single_asset_fitness_is_plain_sharpe(self):
         panel = to_returns(synth_panel(seed=2, T=90, M=1))
         one = WeightVector(panel.tickers, np.array([1.0]), "Equal")

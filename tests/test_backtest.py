@@ -276,6 +276,12 @@ class TestMetrics:
         curve = np.cumprod(np.concatenate([[1.0], 1.0 + daily]))
         assert metrics(curve).sharpe == annualised_sharpe(np.diff(np.log(curve)))
 
+    def test_constant_growth_curve_sharpe_is_none(self):
+        # log returns equal up to rounding: their sample std is ulps, not 0
+        curve = 1.001 ** np.arange(250)
+        assert np.diff(np.log(curve)).std(ddof=1) > 0.0
+        assert metrics(curve).sharpe is None
+
     @pytest.mark.parametrize("curve", [np.ones(10), [1.0, 1.1]], ids=["flat", "two_points"])
     def test_undefined_sharpe_is_none(self, curve):
         assert metrics(curve).sharpe is None

@@ -1,16 +1,26 @@
 import csv
 import json
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quantfolio import QuboParams, load_csv, synth_panel, to_returns, write_csv
-from quantfolio.cli import _child_seed, _fmt, _write_matrix_csv, main, parse_config
+from quantfolio import (
+    QuboParams, angular_distance, cli, ledoit_wolf, load_csv, minvar, synth_panel, to_returns,
+    write_csv,
+)
+from quantfolio.allocation import METHODS
+from quantfolio.cli import _child_seed, _fmt, _load_panels, _write_matrix_csv, main, parse_config
+from quantfolio.shrinkage import _shrunk
 
 from conftest import block_correlation, subprocess_env
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_float_cells_render_full_precision_and_blank_for_undefined():
@@ -151,13 +161,17 @@ class TestSelectCommand:
     def test_matrix_csvs_written(self, workspace):
         run_cli("select", "--config", workspace["config"])
         corr_lines = (workspace["out"] / "correlation.csv").read_text().splitlines()
-        dist_lines = (workspace["out"] / "distance.csv").read_text().splitlines()
         assert corr_lines[0] == "ticker,A000,A001,A002,A003,A004,A005"
         assert len(corr_lines) == 7
-        assert len(dist_lines) == 7
         first = corr_lines[1].split(",")
         assert first[0] == "A000"
         assert float(first[1]) == 1.0
+        # the distances Ward clusters on are not written: they re-derive from
+        # correlation.csv bit for bit
+        assert not (workspace["out"] / "distance.csv").exists()
+        corr = np.array([[float(c) for c in line.split(",")[1:]] for line in corr_lines[1:]])
+        _, train, _ = _load_panels(parse_config(workspace["config"]))
+        assert np.array_equal(angular_distance(corr), ledoit_wolf(train).dist)
 
     def test_n_equals_m_selects_everything(self, workspace, tmp_path):
         cfg_text = workspace["config"].read_text().replace(
@@ -199,6 +213,32 @@ class TestWeightsCommand:
         first = (workspace["out"] / "weights_ga.json").read_bytes()
         run_cli("weights", "--config", workspace["config"])
         assert (workspace["out"] / "weights_ga.json").read_bytes() == first
+
+    def test_parses_only_the_selected_columns(self, workspace, monkeypatch):
+        run_cli("select", "--config", workspace["config"])
+        selected = json.loads((workspace["out"] / "selection.json").read_text())["tickers"]
+        calls = []
+
+        def spy(path, tickers=None):
+            calls.append(tickers)
+            return load_csv(path, tickers)
+
+        monkeypatch.setattr(cli, "load_csv", spy)
+        assert run_cli("weights", "--config", workspace["config"]) == 0
+        assert calls == [selected]
+
+    def test_minvar_is_minvar_of_the_universe_estimate_block(self, workspace):
+        run_cli("select", "--config", workspace["config"])
+        assert run_cli("weights", "--config", workspace["config"]) == 0
+        sel = json.loads((workspace["out"] / "selection.json").read_text())
+        _, train, _ = _load_panels(parse_config(workspace["config"]))
+        block = ledoit_wolf(train).restrict(sel["tickers"])
+        est = _shrunk(train.restrict(sel["tickers"]),
+                      sel["shrinkage_alpha"], sel["shrinkage_mu_target"])
+        np.testing.assert_allclose(est.sigma, block.sigma, rtol=1e-12, atol=0.0)
+        mv = json.loads((workspace["out"] / "weights_minvar.json").read_text())
+        assert mv["tickers"] == sel["tickers"]
+        np.testing.assert_allclose(mv["weights"], minvar(block).weights, rtol=1e-12, atol=0.0)
 
     def test_requires_selection(self, workspace, tmp_path, capsys):
         out = tmp_path / "fresh"
@@ -269,8 +309,6 @@ class TestScheduleCommand:
 
 
     def test_one_walk_forward_call_equal_to_one_per_method(self, scheduled, tmp_path, monkeypatch):
-        from quantfolio import cli
-        from quantfolio.allocation import METHODS
         from quantfolio.qaoa import QaoaConfig
 
         calls = []
@@ -361,19 +399,22 @@ class TestBacktestCommand:
         assert "bits must be a 0/1 vector" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("artifact,key", [
-        ("selection.json", "tickers"),
-        ("weights_ga.json", "weights"),
-        ("schedule_ga.json", "schedule"),
+    @pytest.mark.parametrize("artifact,key,command", [
+        pytest.param("selection.json", "tickers", "backtest", id="selection.json-tickers"),
+        pytest.param("selection.json", "shrinkage_mu_target", "weights",
+                     id="selection.json-shrinkage_mu_target"),
+        pytest.param("weights_ga.json", "weights", "backtest", id="weights_ga.json-weights"),
+        pytest.param("schedule_ga.json", "schedule", "backtest", id="schedule_ga.json-schedule"),
     ])
-    def test_artifact_without_a_key_exits_1(self, backtested, tmp_path, capsys, artifact, key):
+    def test_artifact_without_a_key_exits_1(self, backtested, tmp_path, capsys, artifact, key,
+                                            command):
         out = tmp_path / "malformed"
         shutil.copytree(backtested["out"], out)
         path = out / artifact
         blob = json.loads(path.read_text())
         del blob[key]
         path.write_text(json.dumps(blob))
-        assert run_cli("backtest", "--config", backtested["config"], "--out", out) == 1
+        assert run_cli(command, "--config", backtested["config"], "--out", out) == 1
         assert f"{path}: malformed artifact, missing key(s): {key}" in capsys.readouterr().err
 
     def test_weights_with_an_extra_key_exits_1(self, backtested, tmp_path, capsys):
@@ -385,6 +426,38 @@ class TestBacktestCommand:
         path.write_text(json.dumps(blob))
         assert run_cli("backtest", "--config", backtested["config"], "--out", out) == 1
         assert f"{path}: malformed artifact, unknown key(s): note" in capsys.readouterr().err
+
+
+def _expand(name: str) -> list[str]:
+    """``name`` with each ``{a,b}`` group expanded, ``sh``-style."""
+    group = re.search(r"\{([^{}]*)\}", name)
+    if group is None:
+        return [name]
+    return [
+        expanded
+        for alt in group.group(1).split(",")
+        for expanded in _expand(name[:group.start()] + alt + name[group.end():])
+    ]
+
+
+def readme_artifacts() -> set[str]:
+    """Every file name in the README's "Artifacts" section, with ``{a,b}``
+    and ``<method>`` expanded."""
+    section = README.read_text().split("### Artifacts\n", 1)[1].split("\n#", 1)[0]
+    methods = "{" + ",".join(m.lower() for m in METHODS) + "}"
+    return {
+        expanded
+        for name in re.findall(r"`([^`\s]+\.(?:json|csv))`", section)
+        for expanded in _expand(name.replace("<method>", methods))
+    }
+
+
+def test_readme_artifacts_are_the_files_a_run_writes(workspace, tmp_path):
+    assert _expand("a_{x,y}_{1,2}.csv") == ["a_x_1.csv", "a_x_2.csv", "a_y_1.csv", "a_y_2.csv"]
+    out = tmp_path / "run"
+    for command in ("select", "weights", "schedule", "backtest"):
+        assert run_cli(command, "--config", workspace["config"], "--out", out) == 0
+    assert readme_artifacts() == {path.name for path in out.iterdir()}
 
 
 class TestCsvDropReporting:

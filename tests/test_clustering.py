@@ -161,6 +161,11 @@ class TestAnnualisedSharpe:
         with pytest.raises(ZeroVolatilityError):
             annualised_sharpe([0.001, 0.001, 0.001])
 
+    def test_constant_series_of_an_inexact_value_is_error(self):
+        # 0.002 is not a binary fraction: its sample std is 4.4e-19, not 0
+        with pytest.raises(ZeroVolatilityError):
+            annualised_sharpe([0.002] * 20)
+
     def test_alternating_mean_zero(self):
         assert annualised_sharpe([0.01, -0.01, 0.01, -0.01]) == pytest.approx(0.0, abs=1e-15)
 

@@ -3,7 +3,10 @@ from dataclasses import FrozenInstanceError, fields
 import numpy as np
 import pytest
 
-from quantfolio import ShrunkCovariance, angular_distance, ledoit_wolf, synth_panel, to_returns
+from quantfolio import (
+    ShrunkCovariance, angular_distance, ledoit_wolf, minvar, synth_panel, to_returns,
+)
+from quantfolio.shrinkage import _shrunk
 
 from conftest import gross_panel
 
@@ -85,6 +88,27 @@ class TestLedoitWolf:
         )
         with pytest.raises(ValueError, match="FLAT"):
             ledoit_wolf(panel)
+
+    def test_constant_growth_column_rejected_by_name(self):
+        # zero volatility: the prices grow at one rate, the ratios of
+        # neighbouring prices keep a rounding spread
+        panel = to_returns(synth_panel(seed=9, T=61, M=2, ann_vol=[0.2, 0.0],
+                                       tickers=("AAA", "STEADY")))
+        assert panel.log_returns[:, 1].var(ddof=1) > 0.0
+        with pytest.raises(ValueError, match="constant asset.*: STEADY$"):
+            ledoit_wolf(panel)
+
+    def test_subset_shrunk_with_universe_intensity_is_the_universe_block(self):
+        train = to_returns(synth_panel(seed=12, T=300, M=200))
+        universe = ledoit_wolf(train)
+        subset = [f"A{i:03d}" for i in range(7, 200, 19)]
+        block = universe.restrict(subset)
+        est = _shrunk(train.restrict(subset), universe.alpha, universe.mu_target)
+        assert est.tickers == block.tickers
+        assert (est.alpha, est.mu_target) == (universe.alpha, universe.mu_target)
+        np.testing.assert_allclose(est.sigma, block.sigma, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(minvar(est).weights, minvar(block).weights,
+                                   rtol=1e-12, atol=0.0)
 
     def test_alpha_in_unit_interval(self):
         for seed in range(8):
