@@ -22,7 +22,7 @@ import numpy as np
 
 from .allocation import METHODS, WeightVector
 from .clustering import annualised_sharpe
-from .market_data import ANNUALISATION, ReturnPanel, _frozen_array, _frozen_bits
+from .market_data import ANNUALISATION, ReturnPanel, _check_cost, _frozen_array, _frozen_bits
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,7 @@ def run(test: ReturnPanel, strat: Strategy, cost_c: float) -> BacktestReport:
     day's return is applied with the drifted weights first, then the L1
     rebalancing cost is deducted and weights reset to target.
     """
+    _check_cost(cost_c)
     if strat.weights.tickers != test.tickers:
         raise ValueError("strategy weights do not match test panel tickers")
     if isinstance(strat.scheduler, Explicit) and strat.scheduler.bits.size != test.n_days:

@@ -36,7 +36,7 @@ from .allocation import (
     minvar,
     with_train_sharpe,
 )
-from .backtest import drawdown, run_grid
+from .backtest import Periodic, Threshold, run_grid
 from .clustering import select_representatives, ward_cluster
 from .market_data import SplitSpec, load_csv, split, to_returns
 from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, walk_forward
@@ -80,13 +80,31 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         SplitSpec(self.train_end, self.test_end)  # raises unless train_end < test_end
+        # build what the stages build, so a bad value fails before any stage runs
+        self.ga_config()
+        self.qaoa_configs()
+        self.qubo_params()
+        Threshold(self.threshold)
+        for every in self.periodic:
+            Periodic(every)
+
+    def ga_config(self) -> GaConfig:
+        return GaConfig(self.ga_population, self.ga_generations, self.ga_mutation_rate,
+                        self.ga_gene_low, self.ga_gene_high, self.lambda_ent,
+                        seed=_child_seed(self.seed, 1))
+
+    def qaoa_configs(self) -> list[QaoaConfig]:
+        """One search config per weight method, in ``METHODS`` order."""
+        return [QaoaConfig(self.depth, self.restarts, self.opt_shots, self.eval_shots,
+                           self.max_iters, seed=_child_seed(self.seed, 10 + i))
+                for i in range(len(METHODS))]
+
+    def qubo_params(self) -> QuboParams:
+        return QuboParams(self.lambda1, self.lambda2, self.lambda3, self.cost_c)
 
     def as_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["train_end"] = self.train_end.isoformat()
-        out["test_end"] = self.test_end.isoformat()
-        out["periodic"] = list(self.periodic)
-        return out
+        return {**dataclasses.asdict(self), "train_end": self.train_end.isoformat(),
+                "test_end": self.test_end.isoformat(), "periodic": list(self.periodic)}
 
 
 # value parser per RunConfig annotation (a string under postponed annotations)
@@ -232,7 +250,6 @@ def cmd_select(cfg: RunConfig) -> dict:
     _write_json(sel_path, {
         "tickers": list(selection.tickers),
         "per_cluster_sharpe": [float(s) for s in selection.per_cluster_sharpe],
-        "n_clusters": assign.n_clusters,
         "labels": {t: int(lbl) for t, lbl in zip(train.tickers, assign.labels)},
         "shrinkage_alpha": cov.alpha,
         "shrinkage_mu_target": cov.mu_target,
@@ -258,15 +275,7 @@ def cmd_weights(cfg: RunConfig) -> dict:
     _, train, _ = _load_panels(cfg, selected)
     train_sel = train.restrict(selected)
 
-    ga = ga_optimise(train_sel, GaConfig(
-        population=cfg.ga_population,
-        generations=cfg.ga_generations,
-        mutation_rate=cfg.ga_mutation_rate,
-        gene_low=cfg.ga_gene_low,
-        gene_high=cfg.ga_gene_high,
-        lambda_ent=cfg.lambda_ent,
-        seed=_child_seed(cfg.seed, 1),
-    ))
+    ga = ga_optimise(train_sel, cfg.ga_config())
     cov = _shrunk(train_sel, float(sel["shrinkage_alpha"]), float(sel["shrinkage_mu_target"]))
     mv = with_train_sharpe(minvar(cov), train)
     eq = with_train_sharpe(equal_weights(selected), train)
@@ -289,30 +298,14 @@ def cmd_schedule(cfg: RunConfig) -> dict:
     selected = _read_selection(cfg)
     weights = _read_weights(cfg)
     _, _, test = _load_panels(cfg, selected)
-    test_sel = test.restrict(selected)
-    qubo_params = QuboParams(cfg.lambda1, cfg.lambda2, cfg.lambda3, cfg.cost_c)
-
-    qcfgs = [
-        QaoaConfig(
-            depth=cfg.depth,
-            restarts=cfg.restarts,
-            opt_shots=cfg.opt_shots,
-            eval_shots=cfg.eval_shots,
-            max_iters=cfg.max_iters,
-            seed=_child_seed(cfg.seed, 10 + i),
-        )
-        for i in range(len(METHODS))
-    ]
     results = walk_forward(
-        test_sel, [weights[method] for method in METHODS], cfg.windows,
-        cfg.candidates_per_window, qcfgs, qubo_params,
+        test.restrict(selected), [weights[method] for method in METHODS], cfg.windows,
+        cfg.candidates_per_window, cfg.qaoa_configs(), cfg.qubo_params(),
     )
     paths = {}
     for method, result in zip(METHODS, results):
         sched_path = os.path.join(cfg.out_dir, f"schedule_{method.lower()}.json")
-        blob = result.to_json_dict()
-        blob["method"] = method
-        _write_json(sched_path, blob)
+        _write_json(sched_path, {**result.to_json_dict(), "method": method})
         hist_path = os.path.join(cfg.out_dir, f"histogram_{method.lower()}.csv")
         _write_histogram_csv(hist_path, result)
         paths[method] = sched_path
@@ -322,7 +315,8 @@ def cmd_schedule(cfg: RunConfig) -> dict:
 
 def _write_histogram_csv(path, result: ScheduleResult) -> None:
     """Full per-window measurement histogram, count desc (ties by bitstring
-    value asc); the first 20 rows of each window are the top-20 export."""
+    value asc): a window's first N rows are its ``histogram_top(N)``, which
+    the schedule JSON therefore does not repeat."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window", "bitstring", "count"])
@@ -367,22 +361,19 @@ def cmd_backtest(cfg: RunConfig) -> dict:
     curves_path = os.path.join(cfg.out_dir, "curves.csv")
     with open(curves_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["strategy", "day", "date", "value", "drawdown"])
+        writer.writerow(["strategy", "day", "date", "value"])
         dates = ["start"] + [d.isoformat() for d in test_sel.dates]
         for rep in reports:
-            curve = rep.equity_curve
-            for day, (d, v, dd) in enumerate(zip(dates, curve, drawdown(curve))):
-                writer.writerow([rep.label, day, d, repr(float(v)), repr(float(dd))])
+            for day, (d, v) in enumerate(zip(dates, rep.equity_curve)):
+                writer.writerow([rep.label, day, d, repr(float(v))])
 
     manifest_path = os.path.join(cfg.out_dir, "manifest.json")
     _write_json(manifest_path, {
         "version": __version__,
-        "seed": cfg.seed,
         "config": cfg.as_dict(),
         "config_sha256": _config_sha256(cfg),
         "optimiser": OPTIMISER,
         "curve_returns": "log",
-        "strategies": [rep.label for rep in reports],
     })
     return {"metrics": metrics_path, "curves": curves_path, "manifest": manifest_path}
 

@@ -73,6 +73,13 @@ def _square(values, what: str, sym_atol: float | None = None) -> np.ndarray:
     return mat
 
 
+def _check_cost(cost_c) -> None:
+    """Raise unless the trade cost ``cost_c`` is >= 0 (a negative one credits
+    every trade). The one such check of the package."""
+    if not cost_c >= 0.0:
+        raise ValueError(f"cost_c must be >= 0, got {cost_c!r}")
+
+
 def _positions(tickers, wanted) -> list[int]:
     """The index in ``tickers`` of each of ``wanted``, in the order given."""
     index = {t: i for i, t in enumerate(tickers)}

@@ -63,7 +63,6 @@ from .schedule_qubo import (
 )
 
 STATEVECTOR_LIMIT = 24  # 2^W amplitudes; memory guard
-_BRUTE_DIAGNOSTIC_LIMIT = 16  # report the exact optimum alongside QAOA up to here
 OPTIMISER = "grid-INTERP-SPSA"
 _BATCH_AMPLITUDES = 2 ** 14  # most amplitudes one simulate_ansatz call holds
 _BATCH_ENERGIES = 2 ** 20  # most energy-table entries one batched search holds
@@ -427,7 +426,10 @@ def _search(tables: np.ndarray, cfg: QaoaConfig, seeds) -> list[QaoaOutcome]:
 
 @dataclass(frozen=True, eq=False)
 class WindowDiagnostics:
-    """Everything the scheduler decided for one walk-forward window."""
+    """Everything the scheduler decided for one walk-forward window. Its JSON
+    record leaves out what its other fields and the histogram CSV determine:
+    ``candidates_global``, ``end - start``, ``min(restart_energies)`` and the
+    top of the histogram."""
 
     start: int
     end: int
@@ -435,17 +437,13 @@ class WindowDiagnostics:
     outcome: QaoaOutcome
 
     @cached_property
-    def brute_energy(self) -> float | None:
-        """The exact optimum's energy (``None`` above ``_BRUTE_DIAGNOSTIC_LIMIT`` qubits)."""
-        if self.qubo.w > _BRUTE_DIAGNOSTIC_LIMIT:
-            return None
+    def brute_energy(self) -> float:
+        """The exact optimum's energy: one more ``2**W`` table than the search built."""
         return brute_force(self.qubo).energy
 
     @property
-    def gap(self) -> float | None:
-        """QAOA energy minus the exact optimum, >= 0 (``None`` without brute force)."""
-        if self.brute_energy is None:
-            return None
+    def gap(self) -> float:
+        """QAOA energy minus the exact optimum, >= 0."""
         return self.outcome.best_energy - self.brute_energy
 
     @property
@@ -458,15 +456,12 @@ class WindowDiagnostics:
         return {
             "start": self.start,
             "end": self.end,
-            "candidates": self.candidates_global.tolist(),
             "best_bits": bits_to_str(out.best_bits.bits),
             "best_energy": out.best_energy,
-            "expected_energy": float(np.min(out.restart_energies)),
             "brute_force_energy": self.brute_energy,
             "gap": self.gap,
             "angles": {"gamma": gamma.tolist(), "beta": beta.tolist()},
             "restart_energies": out.restart_energies.tolist(),
-            "histogram_top20": out.histogram_top(20),
             "qubo": self.qubo.to_json_dict(),
         }
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .allocation import _weight_array
 from .clustering import ZeroVolatilityError, annualised_sharpe
-from .market_data import ANNUALISATION, ReturnPanel, _frozen_array, _frozen_bits, _square
+from .market_data import ANNUALISATION, ReturnPanel, _check_cost, _frozen_array, _frozen_bits, _square
 
 BRUTE_FORCE_LIMIT = 24  # 2^W energies; memory guard
 
@@ -49,6 +49,9 @@ class QuboParams:
     lambda2: float = 0.5
     lambda3: float = 0.3
     cost_c: float = 0.001
+
+    def __post_init__(self) -> None:
+        _check_cost(self.cost_c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,10 +90,8 @@ class QuboProblem:
     def to_json_dict(self) -> dict:
         return {
             "q": [float(v) for v in self.q.ravel()],  # row-major
-            "size": self.w,
             "raw_max_abs": float(self.raw_max_abs),
             "candidates": [int(i) for i in self.candidates.indices],
-            "window_len": int(self.candidates.window_len),
             "gains": [float(g) for g in self.gains],
             "params": {k: (float(v) if isinstance(v, float) else v) for k, v in self.params.items()},
         }

@@ -88,6 +88,13 @@ class TestRunIdentities:
         with pytest.raises(ValueError, match="wipe out"):
             run(panel, Strategy(target, Periodic(1)), 4.0)
 
+    @pytest.mark.parametrize("cost_c", [-0.01, float("nan")])
+    def test_negative_cost_rejected(self, cost_c):
+        # a negative cost would credit the portfolio on every rebalance
+        panel = gross_panel([[2.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="cost_c must be >= 0"):
+            run(panel, strat(panel, Periodic(1)), cost_c)
+
 
 class TestSchedulers:
     def _drifting_panel(self, t=249):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import shutil
@@ -10,11 +11,14 @@ import numpy as np
 import pytest
 
 from quantfolio import (
-    QuboParams, angular_distance, cli, ledoit_wolf, load_csv, minvar, synth_panel, to_returns,
-    write_csv,
+    GaConfig, QaoaConfig, QuboParams, angular_distance, cli, expected_energy, ledoit_wolf,
+    load_csv, minvar, run_grid, synth_panel, to_returns, walk_forward, write_csv,
 )
 from quantfolio.allocation import METHODS
-from quantfolio.cli import _child_seed, _fmt, _load_panels, _write_matrix_csv, main, parse_config
+from quantfolio.backtest import drawdown
+from quantfolio.cli import (
+    RunConfig, _child_seed, _fmt, _load_panels, _write_matrix_csv, main, parse_config,
+)
 from quantfolio.shrinkage import _shrunk
 
 from conftest import block_correlation, subprocess_env
@@ -144,6 +148,19 @@ class TestConfigParsing:
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("threshold", "1.5"), ("periodic", "0"), ("restarts", "0"), ("cost_c", "-0.01"),
+    ])
+    def test_value_a_later_stage_rejects_exits_1_before_select(
+        self, workspace, tmp_path, capsys, key, value
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(workspace["config"].read_text() + f"{key} = {value}\n")
+        out = tmp_path / "never"
+        assert run_cli("select", "--config", cfg, "--out", out) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSelectCommand:
     def test_recovers_planted_groups(self, workspace):
@@ -267,7 +284,7 @@ class TestScheduleCommand:
         test_days = 259 - 160
         assert len(blob["schedule"]) == test_days
         assert len(blob["windows"]) == 3
-        candidates = [c for w in blob["windows"] for c in w["candidates"]]
+        candidates = [w["start"] + c for w in blob["windows"] for c in w["qubo"]["candidates"]]
         assert len(candidates) == 12  # K * W
         assert candidates == sorted(candidates)
 
@@ -294,8 +311,8 @@ class TestScheduleCommand:
         blob = json.loads((workspace["out"] / "schedule_ga.json").read_text())
         bits = blob["schedule"]
         for window in blob["windows"]:
-            for offset, bit in zip(window["candidates"], window["best_bits"]):
-                assert bits[offset] == int(bit)
+            for offset, bit in zip(window["qubo"]["candidates"], window["best_bits"]):
+                assert bits[window["start"] + offset] == int(bit)
 
     def test_idempotent_rerun(self, scheduled):
         workspace = scheduled
@@ -360,16 +377,16 @@ class TestBacktestCommand:
     def test_manifest_contents(self, backtested):
         workspace = backtested
         blob = json.loads((workspace["out"] / "manifest.json").read_text())
-        assert blob["seed"] == 5
+        assert set(blob) == {"version", "config", "config_sha256", "optimiser", "curve_returns"}
+        assert blob["config"]["seed"] == 5
         assert blob["curve_returns"] == "log"
         assert blob["optimiser"] == "grid-INTERP-SPSA"
         assert len(blob["config_sha256"]) == 64
-        assert len(blob["strategies"]) == 13
 
     def test_curves_csv_shape(self, backtested):
         workspace = backtested
         lines = (workspace["out"] / "curves.csv").read_text().splitlines()
-        assert lines[0] == "strategy,day,date,value,drawdown"
+        assert lines[0] == "strategy,day,date,value"
         test_days = 259 - 160
         assert len(lines) == 1 + 13 * (test_days + 1)
         first = lines[1].split(",")
@@ -384,7 +401,7 @@ class TestBacktestCommand:
                            "--seed", 123, "--out", out) == 0
         blob = json.loads((out / "manifest.json").read_text())
         base = json.loads((workspace["out"] / "manifest.json").read_text())
-        assert blob["seed"] == 123
+        assert blob["config"]["seed"] == 123
         assert blob["config_sha256"] != base["config_sha256"]
 
     @pytest.mark.parametrize("bit", [0.5, 256])
@@ -428,6 +445,80 @@ class TestBacktestCommand:
         assert f"{path}: malformed artifact, unknown key(s): note" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def in_memory(backtested):
+    """The config, each method's ``ScheduleResult`` and the backtest reports,
+    computed in memory from the ``select`` and ``weights`` handoffs."""
+    cfg = parse_config(backtested["config"])
+    selected = cli._read_selection(cfg)
+    weights = cli._read_weights(cfg)
+    _, _, test = _load_panels(cfg, selected)
+    test = test.restrict(selected)
+    results = dict(zip(METHODS, walk_forward(
+        test, [weights[m] for m in METHODS], cfg.windows, cfg.candidates_per_window,
+        cfg.qaoa_configs(), cfg.qubo_params())))
+    reports = run_grid(test, weights, {m: results[m].bits for m in METHODS}, cfg.cost_c,
+                       periodic=cfg.periodic, threshold=cfg.threshold)
+    return cfg, results, reports
+
+
+def _schedule_windows(cfg, method: str) -> list[dict]:
+    return json.loads((Path(cfg.out_dir) / f"schedule_{method.lower()}.json").read_text())["windows"]
+
+
+def _csv_rows(cfg, name: str) -> list[dict]:
+    with open(Path(cfg.out_dir) / name, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestDroppedFieldsRederive:
+    """Every field the artifacts no longer write re-derives from the fields
+    they keep, bit for bit equal to what the in-memory result reports."""
+
+    def test_top20_histogram_is_each_windows_first_20_csv_rows(self, in_memory):
+        cfg, results, _ = in_memory
+        for method in METHODS:
+            rows = _csv_rows(cfg, f"histogram_{method.lower()}.csv")
+            for k, win in enumerate(results[method].windows):
+                top = [(row["bitstring"], int(row["count"])) for row in rows
+                       if row["window"] == str(k)][:20]
+                assert top == win.outcome.histogram_top(20)
+
+    def test_expected_energy_is_the_least_restart_energy(self, in_memory):
+        cfg, results, _ = in_memory
+        for method in METHODS:
+            for blob, win in zip(_schedule_windows(cfg, method), results[method].windows):
+                least = min(blob["restart_energies"])
+                assert least == float(np.min(win.outcome.restart_energies))
+                assert least == expected_energy(win.outcome.histogram, win.qubo)
+
+    def test_candidates_size_and_window_length_from_start_end_and_qubo(self, in_memory):
+        cfg, results, _ = in_memory
+        for method in METHODS:
+            for blob, win in zip(_schedule_windows(cfg, method), results[method].windows):
+                local = blob["qubo"]["candidates"]
+                assert [blob["start"] + c for c in local] == win.candidates_global.tolist()
+                assert len(local) == win.qubo.w
+                assert blob["end"] - blob["start"] == win.qubo.candidates.window_len
+
+    def test_drawdown_of_the_value_column(self, in_memory):
+        cfg, _, reports = in_memory
+        rows = _csv_rows(cfg, "curves.csv")
+        for rep in reports:
+            values = np.array([float(row["value"]) for row in rows if row["strategy"] == rep.label])
+            assert np.array_equal(values, rep.equity_curve)
+            assert np.array_equal(drawdown(values), drawdown(rep.equity_curve))
+
+    def test_strategies_seed_and_cluster_count(self, in_memory):
+        cfg, _, reports = in_memory
+        labels = [row["strategy"] for row in _csv_rows(cfg, "metrics.csv")]
+        assert labels == [rep.label for rep in reports]
+        manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == cfg.seed
+        selection = json.loads((Path(cfg.out_dir) / "selection.json").read_text())
+        assert len(selection["tickers"]) == cfg.n_clusters
+
+
 def _expand(name: str) -> list[str]:
     """``name`` with each ``{a,b}`` group expanded, ``sh``-style."""
     group = re.search(r"\{([^{}]*)\}", name)
@@ -458,6 +549,38 @@ def test_readme_artifacts_are_the_files_a_run_writes(workspace, tmp_path):
     for command in ("select", "weights", "schedule", "backtest"):
         assert run_cli(command, "--config", workspace["config"], "--out", out) == 0
     assert readme_artifacts() == {path.name for path in out.iterdir()}
+
+
+def readme_config_defaults() -> dict:
+    """Each key of the README's config table with its default parsed by the
+    key's config parser; a key without one (``—``) maps to ``MISSING``."""
+    section = README.read_text().split("### Config file\n", 1)[1].split("\n#", 1)[0]
+    out = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        keys = re.findall(r"`(\w+)`", cells[0]) if line.startswith("| `") else []
+        defaults = cells[1].split(" / ") if keys and cells[1] != "—" else [None] * len(keys)
+        assert len(defaults) == len(keys), line
+        for key, text in zip(keys, defaults):
+            out[key] = (dataclasses.MISSING if text is None
+                        else cli._PARSERS[key](text.strip("`")))
+    return out
+
+
+def test_readme_config_table_defaults_are_run_config_defaults():
+    assert readme_config_defaults() == {f.name: f.default for f in dataclasses.fields(RunConfig)}
+
+
+def test_run_config_defaults_equal_the_stage_config_defaults():
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    mirrored = {
+        ("ga_" + f.name if "ga_" + f.name in defaults else f.name): f.default
+        for cls in (GaConfig, QaoaConfig, QuboParams)
+        for f in dataclasses.fields(cls)
+        if f.name != "seed"
+    }
+    assert len(mirrored) == 15
+    assert {key: defaults[key] for key in mirrored} == mirrored
 
 
 class TestCsvDropReporting:

@@ -5,8 +5,9 @@ invariants raise, since ``python -O`` strips asserts), and each shared rule
 has one owner: only ``market_data._read_only`` assigns
 ``<array>.flags.writeable`` (every value type freezes its arrays through it),
 only ``clustering.annualised_sharpe`` calls ``.std(``, only
-``backtest.drawdown`` calls ``np.maximum.accumulate`` and only
-``market_data._square`` checks ``np.allclose(m, m.T, ...)``."""
+``backtest.drawdown`` calls ``np.maximum.accumulate``, only
+``market_data._square`` checks ``np.allclose(m, m.T, ...)`` and only
+``market_data._check_cost`` compares a ``cost_c``."""
 import ast
 from pathlib import Path
 
@@ -75,6 +76,15 @@ def checks_symmetry(node: ast.AST) -> bool:
     return isinstance(mt, ast.Attribute) and mt.attr == "T" and ast.dump(mt.value) == ast.dump(m)
 
 
+def compares_cost(node: ast.AST) -> bool:
+    """Accepts a comparison with ``cost_c`` or ``<x>.cost_c`` on either side."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.Name) and side.id == "cost_c"
+        or isinstance(side, ast.Attribute) and side.attr == "cost_c"
+        for side in (node.left, *node.comparators)
+    )
+
+
 def imported_names(tree: ast.Module) -> set[str]:
     names = set()
     for node in ast.walk(tree):
@@ -139,6 +149,7 @@ OWNERS = {
     "std": (calls_method("std"), ("clustering.py", "annualised_sharpe")),
     "running_peak": (calls_method("accumulate", of="maximum"), ("backtest.py", "drawdown")),
     "symmetry": (checks_symmetry, ("market_data.py", "_square")),
+    "cost_sign": (compares_cost, ("market_data.py", "_check_cost")),
 }
 
 
@@ -162,6 +173,7 @@ def test_checks_catch_dead_code():
         "\ndef stats(r, c, m):\n    sd = r.std(ddof=1)\n    peak = np.maximum.accumulate(c)\n"
         "    ok = np.allclose(m, m.T, atol=0.0) and np.allclose(m.diagonal(), 0.0)\n"
         "    return np.minimum.accumulate(c), np.allclose(m, c.T)\n"
+        "\ndef charge(p, cost_c):\n    return p.cost_c < 0 or 0.0 > cost_c or cost_c * 2.0\n"
     )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
     assert "_dead" not in referenced_names(tree)
@@ -169,4 +181,5 @@ def test_checks_catch_dead_code():
     assert writeable_assignments(tree) == [("freeze", 10)]
     assert {rule: owned(tree, hit) for rule, (hit, _) in OWNERS.items()} == {
         "std": [("stats", 13)], "running_peak": [("stats", 14)], "symmetry": [("stats", 15)],
+        "cost_sign": [("charge", 19), ("charge", 19)],
     }

@@ -603,25 +603,23 @@ class TestWalkForward:
         result.to_json_dict()
         assert calls == [win.qubo for win in result.windows]
 
-    def test_no_brute_force_above_the_diagnostic_limit(self, monkeypatch):
-        w = qaoa._BRUTE_DIAGNOSTIC_LIMIT + 1
+    def test_exact_optimum_above_sixteen_candidates(self):
+        # every window reports its exact optimum and gap, W = 17 included
+        w = 17
+        raw = np.random.default_rng(17).normal(size=(w, w))
         cand = CandidateDates(np.arange(1, w + 1), w + 2)
-        qubo = QuboProblem(np.eye(w), 1.0, cand, np.zeros(w), {})
+        qubo = QuboProblem((raw + raw.T) / 2.0, 1.0, cand, np.zeros(w), {})
         histogram = np.zeros(2 ** w, dtype=int)
         histogram[0] = 8
         outcome = QaoaOutcome(BitSchedule(np.zeros(w), 0.0), histogram,
                               np.zeros(1), np.zeros((1, 2)))
         win = WindowDiagnostics(0, w + 2, qubo, outcome)
-
-        def forbidden(q):
-            raise AssertionError("brute_force called above the diagnostic limit")
-
-        monkeypatch.setattr(qaoa, "brute_force", forbidden)
-        assert win.brute_energy is None
-        assert win.gap is None
+        assert win.brute_energy == brute_force(qubo).energy
+        assert isinstance(win.gap, float)
+        assert win.gap == -win.brute_energy > 0.0
         blob = ScheduleResult((win,)).to_json_dict()["windows"][0]
-        assert blob["gap"] is None
-        assert blob["brute_force_energy"] is None
+        assert blob["brute_force_energy"] == win.brute_energy
+        assert blob["gap"] == win.gap
 
     def test_too_short_panel_rejected(self):
         panel = to_returns(synth_panel(seed=36, T=18, M=2))  # 17 rows < 3*(4+2)
@@ -648,9 +646,12 @@ class TestWalkForward:
         assert len(blob["schedule"]) == panel.n_days
         assert blob["optimiser"] == "grid-INTERP-SPSA"
         win = blob["windows"][0]
-        assert set(win) >= {
-            "start", "end", "candidates", "best_bits", "best_energy",
-            "brute_force_energy", "gap", "histogram_top20", "qubo",
+        # one record per fact: the candidates' days, the expected energy, the
+        # top-20 histogram, the QUBO's size and window length all derive
+        assert set(win) == {
+            "start", "end", "best_bits", "best_energy", "brute_force_energy", "gap",
+            "angles", "restart_energies", "qubo",
         }
+        assert set(win["qubo"]) == {"q", "raw_max_abs", "candidates", "gains", "params"}
         assert len(win["best_bits"]) == 4
         assert win["gap"] >= 0.0

@@ -162,6 +162,12 @@ class TestMarginalGain:
 
 
 class TestBuildQubo:
+    @pytest.mark.parametrize("cost_c", [-0.01, float("nan")])
+    def test_negative_cost_rejected(self, cost_c):
+        with pytest.raises(ValueError, match="cost_c must be >= 0"):
+            QuboParams(cost_c=cost_c)
+        assert QuboParams(cost_c=0.0).cost_c == 0.0
+
     def test_off_diagonal_decay_value(self):
         # adjacent candidates sit one mean-spacing apart: lambda3 * exp(-1)
         panel = to_returns(synth_panel(seed=9, T=84, M=3))
