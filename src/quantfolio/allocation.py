@@ -47,14 +47,6 @@ class WeightVector:
     def n_assets(self) -> int:
         return len(self.tickers)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "tickers": list(self.tickers),
-            "weights": [float(x) for x in self.weights],
-            "train_sharpe": self.train_sharpe,
-        }
-
 
 @dataclass(frozen=True)
 class GaConfig:
@@ -103,7 +95,7 @@ def portfolio_log_returns(weights, panel: ReturnPanel) -> np.ndarray:
     return np.log(port)
 
 
-def fitness(weights, train: ReturnPanel, lambda_ent: float = 0.05) -> float:
+def fitness(weights, train: ReturnPanel, lambda_ent: float = GaConfig.lambda_ent) -> float:
     """Annualised portfolio Sharpe plus ``lambda_ent`` times normalised entropy."""
     if isinstance(weights, WeightVector) and weights.tickers != train.tickers:
         raise ValueError("weight tickers do not match panel tickers")

@@ -4,7 +4,8 @@ Daily sequencing on a rebalance day follows the accounting identity
 ``V_t = V_{t-1} * (w_t . R_t)`` with drifted weights, then the cost deduction
 ``V_t *= 1 - c * ||w_drift - w_target||_1``, then the reset to target. Day 0's
 initial allocation is free and uncounted; periodic(N) therefore fires on day
-indices t >= 1 with t % N == 0.
+indices t >= 1 with t % N == 0. Each scheduler owns its firing rule
+(``fires``) and its part of the strategy's label (``describe``).
 
 A ``BacktestReport`` stores what the run produced: the equity curve, the
 cost paid and the rebalance days. Its performance summary (``metrics``) is
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -25,8 +26,16 @@ from .clustering import annualised_sharpe
 from .market_data import ANNUALISATION, ReturnPanel, _check_cost, _frozen_array, _frozen_bits
 
 
+# run_grid's default periodic intervals (days) and drift threshold
+GRID_PERIODIC = (1, 5, 10, 21)
+GRID_THRESHOLD = 0.05
+
+
 @dataclass(frozen=True)
 class BuyAndHold:
+    def fires(self, t: int, drifted: np.ndarray, target: np.ndarray) -> bool:
+        return False
+
     def describe(self) -> str:
         return "Buy&Hold"
 
@@ -39,6 +48,9 @@ class Periodic:
         if self.every < 1:
             raise ValueError("periodic interval must be >= 1 day")
 
+    def fires(self, t: int, drifted: np.ndarray, target: np.ndarray) -> bool:
+        return t >= 1 and t % self.every == 0
+
     def describe(self) -> str:
         return f"Rebal/{self.every}d"
 
@@ -50,6 +62,9 @@ class Threshold:
     def __post_init__(self) -> None:
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("threshold fraction must be in (0, 1)")
+
+    def fires(self, t: int, drifted: np.ndarray, target: np.ndarray) -> bool:
+        return float(np.max(np.abs(drifted - target))) > self.fraction
 
     def describe(self) -> str:
         return f"Threshold ({self.fraction:.0%})"
@@ -64,24 +79,20 @@ class Explicit:
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", _frozen_bits(self.bits))
 
+    def fires(self, t: int, drifted: np.ndarray, target: np.ndarray) -> bool:
+        return bool(self.bits[t])
+
     def describe(self) -> str:
-        return "QAOA"
-
-
-Scheduler = Union[BuyAndHold, Periodic, Threshold, Explicit]
+        return "+ QAOA"
 
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
     weights: WeightVector
-    scheduler: Scheduler
+    scheduler: object  # BuyAndHold, Periodic, Threshold or Explicit
 
     def describe(self) -> str:
-        prefix = self.weights.method
-        sched = self.scheduler.describe()
-        if isinstance(self.scheduler, Explicit):
-            return f"{prefix} + {sched}"
-        return f"{prefix} {sched}"
+        return f"{self.weights.method} {self.scheduler.describe()}"
 
 
 @dataclass(frozen=True)
@@ -148,18 +159,6 @@ def drawdown(equity_curve) -> np.ndarray:
     return curve / np.maximum.accumulate(curve) - 1.0
 
 
-def _fires(scheduler: Scheduler, t: int, drifted: np.ndarray, target: np.ndarray) -> bool:
-    if isinstance(scheduler, BuyAndHold):
-        return False
-    if isinstance(scheduler, Periodic):
-        return t >= 1 and t % scheduler.every == 0
-    if isinstance(scheduler, Threshold):
-        return float(np.max(np.abs(drifted - target))) > scheduler.fraction
-    if isinstance(scheduler, Explicit):
-        return bool(scheduler.bits[t])
-    raise TypeError(f"unknown scheduler {scheduler!r}")
-
-
 def run(test: ReturnPanel, strat: Strategy, cost_c: float) -> BacktestReport:
     """Simulate one strategy on the test panel, net of proportional costs.
 
@@ -191,7 +190,7 @@ def run(test: ReturnPanel, strat: Strategy, cost_c: float) -> BacktestReport:
         port = float(w @ day)
         value *= port
         drifted = w * day / port
-        if _fires(strat.scheduler, t, drifted, target):
+        if strat.scheduler.fires(t, drifted, target):
             cost = cost_c * float(np.abs(drifted - target).sum())
             if not cost < 1.0:
                 raise ValueError("rebalancing cost cannot wipe out the portfolio")
@@ -211,8 +210,8 @@ def run_grid(
     weight_sets: Mapping[str, WeightVector],
     qaoa_schedules: Mapping[str, np.ndarray],
     cost_c: float,
-    periodic: tuple[int, ...] = (1, 5, 10, 21),
-    threshold: float = 0.05,
+    periodic: tuple[int, ...] = GRID_PERIODIC,
+    threshold: float = GRID_THRESHOLD,
 ) -> list[BacktestReport]:
     """The full strategy cross: buy-and-hold for every weight method, periodic
     and threshold scheduling for the GA weights, and the externally supplied

@@ -36,11 +36,11 @@ from .allocation import (
     minvar,
     with_train_sharpe,
 )
-from .backtest import Periodic, Threshold, run_grid
+from .backtest import GRID_PERIODIC, GRID_THRESHOLD, Periodic, Threshold, run_grid
 from .clustering import select_representatives, ward_cluster
 from .market_data import SplitSpec, load_csv, split, to_returns
-from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, walk_forward
-from .schedule_qubo import QuboParams
+from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, WindowDiagnostics, walk_forward
+from .schedule_qubo import QuboParams, QuboProblem, _check_width, bits_to_str
 from .shrinkage import _shrunk, ledoit_wolf
 
 log = logging.getLogger(__name__)
@@ -48,38 +48,42 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class RunConfig:
-    """Resolved run parameters; defaults mirror the standard configuration."""
+    """Resolved run parameters; a stage's parameter defaults to the stage's own default."""
 
     prices_csv: str
     train_end: date
     test_end: date
     out_dir: str = "runs"
     n_clusters: int = 10
-    ga_population: int = 300
-    ga_generations: int = 200
-    ga_mutation_rate: float = 0.15
-    ga_gene_low: float = 0.01
-    ga_gene_high: float = 1.0
-    lambda_ent: float = 0.05
-    depth: int = 2
+    ga_population: int = GaConfig.population
+    ga_generations: int = GaConfig.generations
+    ga_mutation_rate: float = GaConfig.mutation_rate
+    ga_gene_low: float = GaConfig.gene_low
+    ga_gene_high: float = GaConfig.gene_high
+    lambda_ent: float = GaConfig.lambda_ent
+    depth: int = QaoaConfig.depth
     candidates_per_window: int = 8
     windows: int = 3
-    restarts: int = 5
-    opt_shots: int = 2048
-    eval_shots: int = 4096
-    max_iters: int = 150
-    lambda1: float = 1.0
-    lambda2: float = 0.5
-    lambda3: float = 0.3
-    cost_c: float = 0.001
-    threshold: float = 0.05
-    periodic: tuple[int, ...] = (1, 5, 10, 21)
+    restarts: int = QaoaConfig.restarts
+    opt_shots: int = QaoaConfig.opt_shots
+    eval_shots: int = QaoaConfig.eval_shots
+    max_iters: int = QaoaConfig.max_iters
+    lambda1: float = QuboParams.lambda1
+    lambda2: float = QuboParams.lambda2
+    lambda3: float = QuboParams.lambda3
+    cost_c: float = QuboParams.cost_c
+    threshold: float = GRID_THRESHOLD
+    periodic: tuple[int, ...] = GRID_PERIODIC
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         SplitSpec(self.train_end, self.test_end)  # raises unless train_end < test_end
+        for name in ("windows", "candidates_per_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        _check_width(self.candidates_per_window, "candidates_per_window")
         # build what the stages build, so a bad value fails before any stage runs
         self.ga_config()
         self.qaoa_configs()
@@ -89,18 +93,21 @@ class RunConfig:
             Periodic(every)
 
     def ga_config(self) -> GaConfig:
-        return GaConfig(self.ga_population, self.ga_generations, self.ga_mutation_rate,
-                        self.ga_gene_low, self.ga_gene_high, self.lambda_ent,
+        return GaConfig(population=self.ga_population, generations=self.ga_generations,
+                        mutation_rate=self.ga_mutation_rate, gene_low=self.ga_gene_low,
+                        gene_high=self.ga_gene_high, lambda_ent=self.lambda_ent,
                         seed=_child_seed(self.seed, 1))
 
     def qaoa_configs(self) -> list[QaoaConfig]:
         """One search config per weight method, in ``METHODS`` order."""
-        return [QaoaConfig(self.depth, self.restarts, self.opt_shots, self.eval_shots,
-                           self.max_iters, seed=_child_seed(self.seed, 10 + i))
+        return [QaoaConfig(depth=self.depth, restarts=self.restarts, opt_shots=self.opt_shots,
+                           eval_shots=self.eval_shots, max_iters=self.max_iters,
+                           seed=_child_seed(self.seed, 10 + i))
                 for i in range(len(METHODS))]
 
     def qubo_params(self) -> QuboParams:
-        return QuboParams(self.lambda1, self.lambda2, self.lambda3, self.cost_c)
+        return QuboParams(lambda1=self.lambda1, lambda2=self.lambda2, lambda3=self.lambda3,
+                          cost_c=self.cost_c)
 
     def as_dict(self) -> dict:
         return {**dataclasses.asdict(self), "train_end": self.train_end.isoformat(),
@@ -213,6 +220,49 @@ def _read_selection(cfg: RunConfig) -> list[str]:
     return list(_read_artifact(cfg, "selection.json", "select", "tickers")["tickers"])
 
 
+def _weights_record(wv: WeightVector) -> dict:
+    return {"method": wv.method, "tickers": list(wv.tickers), "weights": wv.weights.tolist(),
+            "train_sharpe": wv.train_sharpe}
+
+
+def _window_record(win: WindowDiagnostics) -> dict:
+    """One window's record, without what its fields and the histogram CSV determine
+    (global candidate days, ``end - start``, least restart energy, histogram top)."""
+    out = win.outcome
+    gamma, beta = np.split(out.angles, 2)
+    return {
+        "start": win.start,
+        "end": win.end,
+        "best_bits": bits_to_str(out.best_bits.bits),
+        "best_energy": out.best_energy,
+        "brute_force_energy": win.brute_energy,
+        "gap": win.gap,
+        "angles": {"gamma": gamma.tolist(), "beta": beta.tolist()},
+        "restart_energies": out.restart_energies.tolist(),
+        "qubo": _qubo_record(win.qubo),
+    }
+
+
+def _qubo_record(qubo: QuboProblem) -> dict:
+    return {
+        "q": qubo.q.ravel().tolist(),  # row-major
+        "raw_max_abs": float(qubo.raw_max_abs),
+        "candidates": qubo.candidates.indices.tolist(),
+        "gains": qubo.gains.tolist(),
+        "params": {k: (float(v) if isinstance(v, float) else v) for k, v in qubo.params.items()},
+    }
+
+
+def _schedule_record(method: str, result: ScheduleResult) -> dict:
+    return {
+        "method": method,
+        "schedule": result.bits.tolist(),
+        "total_rebalances": result.total_rebalances,
+        "optimiser": OPTIMISER,
+        "windows": [_window_record(win) for win in result.windows],
+    }
+
+
 def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
     return {
         method: WeightVector(**_read_artifact(
@@ -284,7 +334,7 @@ def cmd_weights(cfg: RunConfig) -> dict:
     paths = {}
     for wv in (ga, mv, eq, ens):
         path = os.path.join(cfg.out_dir, f"weights_{wv.method.lower()}.json")
-        _write_json(path, wv.to_json_dict())
+        _write_json(path, _weights_record(wv))
         paths[wv.method] = path
     return paths
 
@@ -305,7 +355,7 @@ def cmd_schedule(cfg: RunConfig) -> dict:
     paths = {}
     for method, result in zip(METHODS, results):
         sched_path = os.path.join(cfg.out_dir, f"schedule_{method.lower()}.json")
-        _write_json(sched_path, {**result.to_json_dict(), "method": method})
+        _write_json(sched_path, _schedule_record(method, result))
         hist_path = os.path.join(cfg.out_dir, f"histogram_{method.lower()}.csv")
         _write_histogram_csv(hist_path, result)
         paths[method] = sched_path

@@ -19,8 +19,9 @@ import csv
 import logging
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from functools import cached_property
 
 import numpy as np
@@ -273,7 +274,8 @@ def load_csv(path, tickers=None) -> PricePanel:
     if not np.any(complete):
         raise ValueError(f"{path}: no ticker has a complete positive price history")
     keep = tuple(tk for tk, ok in zip(tickers, complete) if ok)
-    return PricePanel(tuple(dates), keep, raw[:, complete], dropped=dropped)
+    # row-major, unlike raw[:, complete]: downstream BLAS digits depend on the layout
+    return PricePanel(tuple(dates), keep, raw.compress(complete, axis=1), dropped=dropped)
 
 
 def write_csv(panel: PricePanel, path) -> None:
@@ -293,31 +295,19 @@ def to_returns(panel: PricePanel) -> ReturnPanel:
 def split(panel: ReturnPanel, spec: SplitSpec) -> tuple[ReturnPanel, ReturnPanel]:
     """Chronological split: train rows have date <= train_end, test rows fall
     in (train_end, test_end]."""
-    train_idx = [i for i, d in enumerate(panel.dates) if d <= spec.train_end]
-    test_idx = [
-        i for i, d in enumerate(panel.dates) if spec.train_end < d <= spec.test_end
-    ]
-    if not train_idx:
+    # the dates strictly increase, so each side is one contiguous run of rows
+    n_train = bisect_right(panel.dates, spec.train_end)
+    n_test_end = bisect_right(panel.dates, spec.test_end)
+    if n_train == 0:
         raise ValueError(f"empty train: no rows on or before {spec.train_end}")
-    if not test_idx:
-        raise ValueError(
-            f"empty test: no rows in ({spec.train_end}, {spec.test_end}]"
-        )
-    def take(idx):
-        return ReturnPanel(
-            tuple(panel.dates[i] for i in idx), panel.tickers, panel.gross_returns[idx]
-        )
-    return take(train_idx), take(test_idx)
+    if n_test_end == n_train:
+        raise ValueError(f"empty test: no rows in ({spec.train_end}, {spec.test_end}]")
+    return panel.slice_rows(0, n_train), panel.slice_rows(n_train, n_test_end)
 
 
 def _business_days(start: date, count: int) -> tuple[date, ...]:
-    out = []
-    d = start
-    while len(out) < count:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return tuple(out)
+    """The first ``count`` weekdays from ``start`` on (``start`` included)."""
+    return tuple(np.busday_offset(start, np.arange(count), roll="forward").tolist())
 
 
 def synth_panel(

@@ -54,6 +54,7 @@ from .schedule_qubo import (
     BitSchedule,
     QuboParams,
     QuboProblem,
+    _check_width,
     _qubo_matrix,
     bits_to_str,
     brute_force,
@@ -62,7 +63,6 @@ from .schedule_qubo import (
     value_to_bits,
 )
 
-STATEVECTOR_LIMIT = 24  # 2^W amplitudes; memory guard
 OPTIMISER = "grid-INTERP-SPSA"
 _BATCH_AMPLITUDES = 2 ** 14  # most amplitudes one simulate_ansatz call holds
 _BATCH_ENERGIES = 2 ** 20  # most energy-table entries one batched search holds
@@ -261,8 +261,7 @@ def simulate_ansatz(cost, gammas, betas) -> np.ndarray:
     the call on row b's angles and table alone.
     """
     if isinstance(cost, IsingModel):
-        if cost.w > STATEVECTOR_LIMIT:
-            raise ValueError(f"W = {cost.w} exceeds the statevector guard ({STATEVECTOR_LIMIT})")
+        _check_width(cost.w)
         cost = _cost_table(cost)
     table = np.asarray(cost, dtype=float)
     if table.ndim not in (1, 2):
@@ -270,8 +269,7 @@ def simulate_ansatz(cost, gammas, betas) -> np.ndarray:
     w = table.shape[-1].bit_length() - 1
     if table.shape[-1] != 2 ** w:
         raise ValueError("need 2**W energies per table")
-    if w > STATEVECTOR_LIMIT:
-        raise ValueError(f"W = {w} exceeds the statevector guard ({STATEVECTOR_LIMIT})")
+    _check_width(w)
     gammas = np.asarray(gammas, dtype=float)
     betas = np.asarray(betas, dtype=float)
     batched = gammas.ndim == 2
@@ -426,10 +424,7 @@ def _search(tables: np.ndarray, cfg: QaoaConfig, seeds) -> list[QaoaOutcome]:
 
 @dataclass(frozen=True, eq=False)
 class WindowDiagnostics:
-    """Everything the scheduler decided for one walk-forward window. Its JSON
-    record leaves out what its other fields and the histogram CSV determine:
-    ``candidates_global``, ``end - start``, ``min(restart_energies)`` and the
-    top of the histogram."""
+    """Everything the scheduler decided for one walk-forward window."""
 
     start: int
     end: int
@@ -450,21 +445,6 @@ class WindowDiagnostics:
     def candidates_global(self) -> np.ndarray:
         return self.qubo.candidates.indices + self.start
 
-    def to_json_dict(self) -> dict:
-        out = self.outcome
-        gamma, beta = np.split(out.angles, 2)
-        return {
-            "start": self.start,
-            "end": self.end,
-            "best_bits": bits_to_str(out.best_bits.bits),
-            "best_energy": out.best_energy,
-            "brute_force_energy": self.brute_energy,
-            "gap": self.gap,
-            "angles": {"gamma": gamma.tolist(), "beta": beta.tolist()},
-            "restart_energies": out.restart_energies.tolist(),
-            "qubo": self.qubo.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class ScheduleResult:
@@ -484,14 +464,6 @@ class ScheduleResult:
     @property
     def total_rebalances(self) -> int:
         return int(self.bits.sum())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schedule": [int(b) for b in self.bits],
-            "total_rebalances": self.total_rebalances,
-            "optimiser": OPTIMISER,
-            "windows": [win.to_json_dict() for win in self.windows],
-        }
 
 
 def walk_forward(

@@ -16,7 +16,13 @@ from .allocation import _weight_array
 from .clustering import ZeroVolatilityError, annualised_sharpe
 from .market_data import ANNUALISATION, ReturnPanel, _check_cost, _frozen_array, _frozen_bits, _square
 
-BRUTE_FORCE_LIMIT = 24  # 2^W energies; memory guard
+MAX_WIDTH = 24  # largest W of any 2^W energy table or statevector: memory guard
+
+
+def _check_width(w: int, what: str = "W") -> None:
+    """Raise unless a ``2**w`` table fits the memory guard; the one such check."""
+    if w > MAX_WIDTH:
+        raise ValueError(f"{what} = {w} exceeds the 2^W memory guard ({MAX_WIDTH})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,15 +92,6 @@ class QuboProblem:
     @property
     def w(self) -> int:
         return int(self.q.shape[0])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q": [float(v) for v in self.q.ravel()],  # row-major
-            "raw_max_abs": float(self.raw_max_abs),
-            "candidates": [int(i) for i in self.candidates.indices],
-            "gains": [float(g) for g in self.gains],
-            "params": {k: (float(v) if isinstance(v, float) else v) for k, v in self.params.items()},
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,8 +242,7 @@ def enumerate_energies(q) -> np.ndarray:
     """
     mat = _qubo_matrix(q)
     w = mat.shape[0]
-    if w > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"W = {w} exceeds the enumeration guard ({BRUTE_FORCE_LIMIT})")
+    _check_width(w)
     sym = (mat + mat.T) / 2.0
     x_axis = np.array([0.0, 1.0])
     energies = np.zeros((2,) * w)

@@ -18,6 +18,7 @@ from quantfolio import (
 )
 
 from quantfolio.allocation import _population_fitness, portfolio_log_returns
+from quantfolio.cli import _weights_record
 
 from conftest import gross_panel
 
@@ -44,7 +45,7 @@ class TestWeightVector:
 
     def test_json_surface(self):
         v = wv([0.25, 0.75], tickers=("X", "Y"), method="GA")
-        blob = v.to_json_dict()
+        blob = _weights_record(v)
         assert blob == {
             "method": "GA",
             "tickers": ["X", "Y"],

@@ -150,6 +150,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key,value", [
         ("threshold", "1.5"), ("periodic", "0"), ("restarts", "0"), ("cost_c", "-0.01"),
+        ("windows", "0"), ("candidates_per_window", "0"), ("candidates_per_window", "30"),
     ])
     def test_value_a_later_stage_rejects_exits_1_before_select(
         self, workspace, tmp_path, capsys, key, value
@@ -354,7 +355,7 @@ class TestScheduleCommand:
             alone = batched(test, weights[method], cfg.windows, cfg.candidates_per_window,
                             qcfg, QuboParams(cfg.lambda1, cfg.lambda2, cfg.lambda3, cfg.cost_c))
             blob = json.loads((out / f"schedule_{method.lower()}.json").read_text())
-            assert blob == {**json.loads(json.dumps(alone.to_json_dict())), "method": method}
+            assert blob == json.loads(json.dumps(cli._schedule_record(method, alone)))
 
 
 class TestBacktestCommand:

@@ -6,8 +6,11 @@ has one owner: only ``market_data._read_only`` assigns
 ``<array>.flags.writeable`` (every value type freezes its arrays through it),
 only ``clustering.annualised_sharpe`` calls ``.std(``, only
 ``backtest.drawdown`` calls ``np.maximum.accumulate``, only
-``market_data._square`` checks ``np.allclose(m, m.T, ...)`` and only
-``market_data._check_cost`` compares a ``cost_c``."""
+``market_data._square`` checks ``np.allclose(m, m.T, ...)``, only
+``market_data._check_cost`` compares a ``cost_c`` and only
+``schedule_qubo._check_width`` compares a width with the 2^W memory guard
+``MAX_WIDTH``. The artifact format has one owner too: no module but ``cli``
+defines a ``to_json_dict``."""
 import ast
 from pathlib import Path
 
@@ -76,13 +79,22 @@ def checks_symmetry(node: ast.AST) -> bool:
     return isinstance(mt, ast.Attribute) and mt.attr == "T" and ast.dump(mt.value) == ast.dump(m)
 
 
-def compares_cost(node: ast.AST) -> bool:
-    """Accepts a comparison with ``cost_c`` or ``<x>.cost_c`` on either side."""
-    return isinstance(node, ast.Compare) and any(
-        isinstance(side, ast.Name) and side.id == "cost_c"
-        or isinstance(side, ast.Attribute) and side.attr == "cost_c"
-        for side in (node.left, *node.comparators)
-    )
+def compares(name: str):
+    """Accepts a comparison with ``name`` or ``<x>.name`` on either side."""
+    def hit(node: ast.AST) -> bool:
+        return isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Name) and side.id == name
+            or isinstance(side, ast.Attribute) and side.attr == name
+            for side in (node.left, *node.comparators)
+        )
+    return hit
+
+
+def defines(name: str):
+    """Accepts a function or method definition called ``name``."""
+    def hit(node: ast.AST) -> bool:
+        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
+    return hit
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -149,7 +161,8 @@ OWNERS = {
     "std": (calls_method("std"), ("clustering.py", "annualised_sharpe")),
     "running_peak": (calls_method("accumulate", of="maximum"), ("backtest.py", "drawdown")),
     "symmetry": (checks_symmetry, ("market_data.py", "_square")),
-    "cost_sign": (compares_cost, ("market_data.py", "_check_cost")),
+    "cost_sign": (compares("cost_c"), ("market_data.py", "_check_cost")),
+    "width_guard": (compares("MAX_WIDTH"), ("schedule_qubo.py", "_check_width")),
 }
 
 
@@ -166,6 +179,16 @@ def test_each_rule_has_one_owner(rule):
     assert not stray, f"{rule} written outside {':'.join(owner)}: {', '.join(stray)}"
 
 
+def test_only_cli_builds_json_records():
+    stray = [
+        f"{path.name}:{line}"
+        for path in MODULES
+        if path.name != "cli.py"
+        for _, line in owned(parse(path), defines("to_json_dict"))
+    ]
+    assert not stray, f"to_json_dict defined outside cli.py: {', '.join(stray)}"
+
+
 def test_checks_catch_dead_code():
     tree = ast.parse(
         "import os\nfrom json import dumps as d\n\ndef _dead(x):\n    assert x\n    return 1\n"
@@ -174,6 +197,8 @@ def test_checks_catch_dead_code():
         "    ok = np.allclose(m, m.T, atol=0.0) and np.allclose(m.diagonal(), 0.0)\n"
         "    return np.minimum.accumulate(c), np.allclose(m, c.T)\n"
         "\ndef charge(p, cost_c):\n    return p.cost_c < 0 or 0.0 > cost_c or cost_c * 2.0\n"
+        "\ndef fits(w, q):\n    return w > MAX_WIDTH or q.MAX_WIDTH == 3 or 2 ** MAX_WIDTH\n"
+        "\nclass Record:\n    def to_json_dict(self):\n        return {}\n"
     )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
     assert "_dead" not in referenced_names(tree)
@@ -182,4 +207,6 @@ def test_checks_catch_dead_code():
     assert {rule: owned(tree, hit) for rule, (hit, _) in OWNERS.items()} == {
         "std": [("stats", 13)], "running_peak": [("stats", 14)], "symmetry": [("stats", 15)],
         "cost_sign": [("charge", 19), ("charge", 19)],
+        "width_guard": [("fits", 22), ("fits", 22)],
     }
+    assert owned(tree, defines("to_json_dict")) == [("<module>", 25)]

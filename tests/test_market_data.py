@@ -385,6 +385,28 @@ class TestSplit:
         with pytest.raises(ValueError, match="precede"):
             SplitSpec(date(2024, 1, 5), date(2024, 1, 5))
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(offsets=st.lists(st.integers(-5, 26), min_size=2, max_size=2, unique=True).map(sorted))
+    def test_split_is_the_row_filter(self, offsets):
+        # 15 rows over three weeks: boundaries fall on rows, on weekends,
+        # before the first row and after the last
+        r = self._panel(T=16)
+        train_end, test_end = (r.dates[0] + timedelta(days=o) for o in offsets)
+        train_rows = [i for i, d in enumerate(r.dates) if d <= train_end]
+        test_rows = [i for i, d in enumerate(r.dates) if train_end < d <= test_end]
+        spec = SplitSpec(train_end, test_end)
+        if not train_rows:
+            with pytest.raises(ValueError, match="empty train"):
+                split(r, spec)
+        elif not test_rows:
+            with pytest.raises(ValueError, match="empty test"):
+                split(r, spec)
+        else:
+            for part, rows in zip(split(r, spec), (train_rows, test_rows)):
+                assert part.dates == tuple(r.dates[i] for i in rows)
+                assert part.tickers == r.tickers
+                assert np.array_equal(part.gross_returns, r.gross_returns[rows])
+
 
 class TestSynthPanel:
     def test_deterministic(self):
@@ -417,8 +439,16 @@ class TestSynthPanel:
             synth_panel(seed=0, T=10, M=2, target_corr=corr)
 
     def test_weekday_dates(self):
-        panel = synth_panel(seed=0, T=30, M=1)
-        assert all(d.weekday() < 5 for d in panel.dates)
+        # the default start is a Thursday; a Saturday start rolls to Monday
+        for start, first in ((date(2015, 1, 1), date(2015, 1, 1)),
+                             (date(2024, 1, 6), date(2024, 1, 8))):
+            dates = synth_panel(seed=0, T=30, M=1, start=start).dates
+            assert dates[0] == first
+            assert all(d.weekday() < 5 for d in dates)
+            # consecutive business days: none skipped
+            assert all((b - a).days == (3 if a.weekday() == 4 else 1)
+                       for a, b in zip(dates, dates[1:]))
+        assert synth_panel(seed=0, T=30, M=1).dates[0] == date(2015, 1, 1)
 
 
 _CORR = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])

@@ -24,6 +24,7 @@ from quantfolio import (
 )
 from quantfolio import qaoa
 from quantfolio.allocation import METHODS
+from quantfolio.cli import _schedule_record
 from quantfolio.qaoa import IsingModel, QaoaOutcome, ScheduleResult, WindowDiagnostics
 from quantfolio.schedule_qubo import BitSchedule, CandidateDates, QuboProblem, enumerate_energies
 
@@ -599,8 +600,8 @@ class TestWalkForward:
         result = walk_forward(panel, wf_target(panel), 2, 5, wf_config())
         calls = []
         monkeypatch.setattr(qaoa, "brute_force", lambda q: calls.append(q) or brute_force(q))
-        result.to_json_dict()
-        result.to_json_dict()
+        _schedule_record("GA", result)
+        _schedule_record("GA", result)
         assert calls == [win.qubo for win in result.windows]
 
     def test_exact_optimum_above_sixteen_candidates(self):
@@ -617,7 +618,7 @@ class TestWalkForward:
         assert win.brute_energy == brute_force(qubo).energy
         assert isinstance(win.gap, float)
         assert win.gap == -win.brute_energy > 0.0
-        blob = ScheduleResult((win,)).to_json_dict()["windows"][0]
+        blob = _schedule_record("GA", ScheduleResult((win,)))["windows"][0]
         assert blob["brute_force_energy"] == win.brute_energy
         assert blob["gap"] == win.gap
 
@@ -642,7 +643,7 @@ class TestWalkForward:
     def test_json_surface(self):
         panel = to_returns(synth_panel(seed=38, T=70, M=2))
         result = walk_forward(panel, wf_target(panel), 2, 4, wf_config())
-        blob = result.to_json_dict()
+        blob = _schedule_record("GA", result)
         assert len(blob["schedule"]) == panel.n_days
         assert blob["optimiser"] == "grid-INTERP-SPSA"
         win = blob["windows"][0]

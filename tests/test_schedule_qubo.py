@@ -15,6 +15,7 @@ from quantfolio import (
     synth_panel,
     to_returns,
 )
+from quantfolio.cli import _qubo_record
 from quantfolio.market_data import ANNUALISATION
 from quantfolio.schedule_qubo import bits_to_str, enumerate_energies, value_to_bits
 
@@ -216,7 +217,7 @@ class TestBuildQubo:
     def test_json_roundtrip_surface(self):
         panel = to_returns(synth_panel(seed=14, T=50, M=2))
         qp = build_qubo(target([0.5, 0.5]), panel, 3)
-        blob = qp.to_json_dict()
+        blob = _qubo_record(qp)
         assert len(blob["q"]) == 9
         assert blob["candidates"] == list(qp.candidates.indices)
         assert blob["raw_max_abs"] == qp.raw_max_abs
