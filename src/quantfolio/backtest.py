@@ -67,7 +67,19 @@ class Threshold:
         return float(np.max(np.abs(drifted - target))) > self.fraction
 
     def describe(self) -> str:
-        return f"Threshold ({self.fraction:.0%})"
+        # 15 significant digits give back any fraction written with as many,
+        # and round off the product's last bit: 0.005 reads 0.5%, 0.05 reads 5%
+        return f"Threshold ({100 * self.fraction:.15g}%)"
+
+
+def _periodic_schedulers(intervals) -> list[Periodic]:
+    """One ``Periodic`` per interval, in order; an interval given twice
+    would add a second, identical strategy to the grid, so it raises."""
+    intervals = tuple(intervals)
+    repeated = sorted({every for every in intervals if intervals.count(every) > 1})
+    if repeated:
+        raise ValueError(f"periodic repeats interval(s): {', '.join(map(str, repeated))}")
+    return [Periodic(every) for every in intervals]
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,8 +242,8 @@ def run_grid(
     strategies: list[Strategy] = []
     for method in METHODS:
         strategies.append(Strategy(weight_sets[method], BuyAndHold()))
-    for every in periodic:
-        strategies.append(Strategy(weight_sets["GA"], Periodic(every)))
+    for scheduler in _periodic_schedulers(periodic):
+        strategies.append(Strategy(weight_sets["GA"], scheduler))
     strategies.append(Strategy(weight_sets["GA"], Threshold(threshold)))
     for method in METHODS:
         strategies.append(Strategy(weight_sets[method], Explicit(qaoa_schedules[method])))

@@ -36,7 +36,7 @@ from .allocation import (
     minvar,
     with_train_sharpe,
 )
-from .backtest import GRID_PERIODIC, GRID_THRESHOLD, Periodic, Threshold, run_grid
+from .backtest import GRID_PERIODIC, GRID_THRESHOLD, Threshold, _periodic_schedulers, run_grid
 from .clustering import select_representatives, ward_cluster
 from .market_data import SplitSpec, load_csv, split, to_returns
 from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, WindowDiagnostics, walk_forward
@@ -89,8 +89,7 @@ class RunConfig:
         self.qaoa_configs()
         self.qubo_params()
         Threshold(self.threshold)
-        for every in self.periodic:
-            Periodic(every)
+        _periodic_schedulers(self.periodic)
 
     def ga_config(self) -> GaConfig:
         return GaConfig(population=self.ga_population, generations=self.ga_generations,
@@ -190,13 +189,21 @@ def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _load_panels(cfg: RunConfig, tickers=None):
-    """Price panel and its train/test returns; ``tickers`` limits the parse to
-    those columns (see :func:`load_csv`)."""
-    panel = load_csv(cfg.prices_csv, tickers)
-    returns = to_returns(panel)
-    train, test = split(returns, SplitSpec(cfg.train_end, cfg.test_end))
-    return panel, train, test
+def _load_panels(cfg: RunConfig, last: date, tickers=None):
+    """The price panel through ``last`` and its returns; ``tickers`` limits
+    the parse to those columns (see :func:`load_csv`), and each of them must
+    have a complete price history through ``last``."""
+    panel = load_csv(cfg.prices_csv, tickers, last)
+    if tickers is not None and panel.dropped:
+        raise ValueError(f"selected ticker(s) with a missing or non-positive price on or "
+                         f"before {last}: {', '.join(panel.dropped)}")
+    return panel, to_returns(panel)
+
+
+def _test_returns(cfg: RunConfig, tickers):
+    """The test-period returns of ``tickers``."""
+    _, returns = _load_panels(cfg, cfg.test_end, tickers)
+    return split(returns, SplitSpec(cfg.train_end, cfg.test_end))[1]
 
 
 def _read_artifact(cfg: RunConfig, name: str, stage: str, *keys: str, allowed=None) -> dict:
@@ -288,9 +295,11 @@ def cmd_select(cfg: RunConfig) -> dict:
     Writes selection.json, which holds the universe's shrinkage intensity and
     target for ``weights``, and the full shrinkage correlation matrix as CSV.
     The angular distances that Ward clusters on are not written: they are
-    ``angular_distance`` of correlation.csv, bit for bit.
+    ``angular_distance`` of correlation.csv, bit for bit. Only rows through
+    ``train_end`` are read, so the universe (the tickers with a complete
+    price history) is decided on training rows alone.
     """
-    panel, train, _ = _load_panels(cfg)
+    panel, train = _load_panels(cfg, cfg.train_end)
     cov = ledoit_wolf(train)
     assign = ward_cluster(cov.dist, cfg.n_clusters)
     selection = select_representatives(assign, train)
@@ -322,11 +331,10 @@ def cmd_weights(cfg: RunConfig) -> dict:
     sel = _read_artifact(cfg, "selection.json", "select",
                          "tickers", "shrinkage_alpha", "shrinkage_mu_target")
     selected = list(sel["tickers"])
-    _, train, _ = _load_panels(cfg, selected)
-    train_sel = train.restrict(selected)
+    _, train = _load_panels(cfg, cfg.train_end, selected)
 
-    ga = ga_optimise(train_sel, cfg.ga_config())
-    cov = _shrunk(train_sel, float(sel["shrinkage_alpha"]), float(sel["shrinkage_mu_target"]))
+    ga = ga_optimise(train, cfg.ga_config())
+    cov = _shrunk(train, float(sel["shrinkage_alpha"]), float(sel["shrinkage_mu_target"]))
     mv = with_train_sharpe(minvar(cov), train)
     eq = with_train_sharpe(equal_weights(selected), train)
     ens = with_train_sharpe(ensemble(ga, mv, eq), train)
@@ -347,9 +355,8 @@ def cmd_schedule(cfg: RunConfig) -> dict:
     """
     selected = _read_selection(cfg)
     weights = _read_weights(cfg)
-    _, _, test = _load_panels(cfg, selected)
     results = walk_forward(
-        test.restrict(selected), [weights[method] for method in METHODS], cfg.windows,
+        _test_returns(cfg, selected), [weights[method] for method in METHODS], cfg.windows,
         cfg.candidates_per_window, cfg.qaoa_configs(), cfg.qubo_params(),
     )
     paths = {}
@@ -380,11 +387,10 @@ def cmd_backtest(cfg: RunConfig) -> dict:
     selected = _read_selection(cfg)
     weights = _read_weights(cfg)
     schedules = _read_schedules(cfg)
-    _, _, test = _load_panels(cfg, selected)
-    test_sel = test.restrict(selected)
+    test = _test_returns(cfg, selected)
 
     reports = run_grid(
-        test_sel, weights, schedules, cfg.cost_c,
+        test, weights, schedules, cfg.cost_c,
         periodic=cfg.periodic, threshold=cfg.threshold,
     )
 
@@ -412,7 +418,7 @@ def cmd_backtest(cfg: RunConfig) -> dict:
     with open(curves_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "day", "date", "value"])
-        dates = ["start"] + [d.isoformat() for d in test_sel.dates]
+        dates = ["start"] + [d.isoformat() for d in test.dates]
         for rep in reports:
             for day, (d, v) in enumerate(zip(dates, rep.equity_curve)):
                 writer.writerow([rep.label, day, d, repr(float(v))])

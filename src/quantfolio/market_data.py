@@ -8,7 +8,9 @@ on first use, and is read-only as well. Every operation in this module is a
 pure function of its arguments.
 
 The helpers below own that rule for every value type of the package. Each
-stored array is a read-only copy made by ``_frozen_array``. A bit vector
+stored array is a read-only, row-major copy made by ``_frozen_array``, so no
+result depends on the layout of the caller's array or on how a panel was cut
+(the last digits of a BLAS product do). A bit vector
 (``BitSchedule``, ``Explicit``) must be 1-D and hold only 0 and 1;
 ``_frozen_bits`` checks that before its ``uint8`` cast. ``_read_only`` is the
 one place that marks an array read-only.
@@ -51,7 +53,7 @@ def _read_only(out: np.ndarray) -> np.ndarray:
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    return _read_only(np.array(values, dtype=dtype))
+    return _read_only(np.array(values, dtype=dtype, order="C"))
 
 
 def _frozen_bits(values) -> np.ndarray:
@@ -205,7 +207,7 @@ def _cell_float(cell: str) -> float:
         return math.nan  # blank or unparseable cell == gap: the ticker is dropped
 
 
-def load_csv(path, tickers=None) -> PricePanel:
+def load_csv(path, tickers=None, last=None) -> PricePanel:
     """Read a wide price CSV: first column ``date`` (ISO-8601), one column per
     ticker, numeric cells or blank. Blank lines are skipped.
 
@@ -216,6 +218,10 @@ def load_csv(path, tickers=None) -> PricePanel:
     the others are not parsed, though every row's length and date are still
     checked. A name the header lacks is an error, as is a header that names
     one ticker twice. The file is read in one streamed pass.
+
+    ``last``, if given, is the last date kept. Later rows have their length
+    and date checked too, but their cells are not parsed, so they decide
+    nothing: not the prices, and not which tickers are complete.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -251,9 +257,12 @@ def load_csv(path, tickers=None) -> PricePanel:
                     f"expected {len(header)}"
                 )
             try:
-                dates.append(date.fromisoformat(row[0].strip()))
+                day = date.fromisoformat(row[0].strip())
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num} has a bad date: {exc}") from None
+            if last is not None and day > last:
+                continue
+            dates.append(day)
             cells = row[1:] if pick is None else [row[c] for c in pick]
             try:
                 # the list is built first, so a row that raises appends nothing
@@ -261,7 +270,8 @@ def load_csv(path, tickers=None) -> PricePanel:
             except ValueError:
                 values.extend(map(_cell_float, cells))
     if len(dates) < 2:
-        raise ValueError(f"{path}: need at least 2 data rows")
+        through = "" if last is None else f" on or before {last}"
+        raise ValueError(f"{path}: need at least 2 data rows{through}")
 
     raw = np.frombuffer(values, dtype=float).reshape(len(dates), len(tickers))
     complete = np.all(np.isfinite(raw) & (raw > 0.0), axis=0)
@@ -274,8 +284,7 @@ def load_csv(path, tickers=None) -> PricePanel:
     if not np.any(complete):
         raise ValueError(f"{path}: no ticker has a complete positive price history")
     keep = tuple(tk for tk, ok in zip(tickers, complete) if ok)
-    # row-major, unlike raw[:, complete]: downstream BLAS digits depend on the layout
-    return PricePanel(tuple(dates), keep, raw.compress(complete, axis=1), dropped=dropped)
+    return PricePanel(tuple(dates), keep, raw[:, complete], dropped=dropped)
 
 
 def write_csv(panel: PricePanel, path) -> None:

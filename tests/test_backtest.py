@@ -340,6 +340,20 @@ class TestRunGrid:
         ]
         assert len(reports) == 13
 
+    def test_threshold_label_states_the_fraction_it_fires_at(self):
+        panel, weights, schedules = self._inputs()
+        report = run_grid(panel, weights, schedules, COST, threshold=0.005)[8]
+        assert report.label == "GA Threshold (0.5%)"
+        assert [Threshold(f).describe() for f in (0.05, 0.025, 0.1, 0.125, 1e-9)] == [
+            "Threshold (5%)", "Threshold (2.5%)", "Threshold (10%)", "Threshold (12.5%)",
+            "Threshold (1e-07%)",
+        ]
+
+    def test_repeated_periodic_interval_rejected(self):
+        panel, weights, schedules = self._inputs()
+        with pytest.raises(ValueError, match=r"periodic repeats interval\(s\): 5$"):
+            run_grid(panel, weights, schedules, COST, periodic=(5, 1, 5))
+
     def test_missing_method_rejected(self):
         panel, weights, schedules = self._inputs()
         del weights["Equal"]

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import json
@@ -5,10 +6,14 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantfolio import (
     GaConfig, QaoaConfig, QuboParams, angular_distance, cli, expected_energy, ledoit_wolf,
@@ -151,6 +156,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key,value", [
         ("threshold", "1.5"), ("periodic", "0"), ("restarts", "0"), ("cost_c", "-0.01"),
         ("windows", "0"), ("candidates_per_window", "0"), ("candidates_per_window", "30"),
+        ("periodic", "5,10,5"),
     ])
     def test_value_a_later_stage_rejects_exits_1_before_select(
         self, workspace, tmp_path, capsys, key, value
@@ -188,7 +194,8 @@ class TestSelectCommand:
         # correlation.csv bit for bit
         assert not (workspace["out"] / "distance.csv").exists()
         corr = np.array([[float(c) for c in line.split(",")[1:]] for line in corr_lines[1:]])
-        _, train, _ = _load_panels(parse_config(workspace["config"]))
+        cfg = parse_config(workspace["config"])
+        _, train = _load_panels(cfg, cfg.train_end)
         assert np.array_equal(angular_distance(corr), ledoit_wolf(train).dist)
 
     def test_n_equals_m_selects_everything(self, workspace, tmp_path):
@@ -237,19 +244,20 @@ class TestWeightsCommand:
         selected = json.loads((workspace["out"] / "selection.json").read_text())["tickers"]
         calls = []
 
-        def spy(path, tickers=None):
-            calls.append(tickers)
-            return load_csv(path, tickers)
+        def spy(path, tickers=None, last=None):
+            calls.append((tickers, last))
+            return load_csv(path, tickers, last)
 
         monkeypatch.setattr(cli, "load_csv", spy)
         assert run_cli("weights", "--config", workspace["config"]) == 0
-        assert calls == [selected]
+        assert calls == [(selected, workspace["train_end"])]
 
     def test_minvar_is_minvar_of_the_universe_estimate_block(self, workspace):
         run_cli("select", "--config", workspace["config"])
         assert run_cli("weights", "--config", workspace["config"]) == 0
         sel = json.loads((workspace["out"] / "selection.json").read_text())
-        _, train, _ = _load_panels(parse_config(workspace["config"]))
+        cfg = parse_config(workspace["config"])
+        _, train = _load_panels(cfg, cfg.train_end)
         block = ledoit_wolf(train).restrict(sel["tickers"])
         est = _shrunk(train.restrict(sel["tickers"]),
                       sel["shrinkage_alpha"], sel["shrinkage_mu_target"])
@@ -345,8 +353,7 @@ class TestScheduleCommand:
         assert calls == [list(METHODS)]
 
         cfg = parse_config(scheduled["config"])
-        _, _, test = cli._load_panels(cfg)
-        test = test.restrict(cli._read_selection(cfg))
+        test = cli._test_returns(cfg, cli._read_selection(cfg))
         weights = cli._read_weights(cfg)
         for i, method in enumerate(METHODS):
             qcfg = QaoaConfig(depth=cfg.depth, restarts=cfg.restarts, opt_shots=cfg.opt_shots,
@@ -453,8 +460,7 @@ def in_memory(backtested):
     cfg = parse_config(backtested["config"])
     selected = cli._read_selection(cfg)
     weights = cli._read_weights(cfg)
-    _, _, test = _load_panels(cfg, selected)
-    test = test.restrict(selected)
+    test = cli._test_returns(cfg, selected)
     results = dict(zip(METHODS, walk_forward(
         test, [weights[m] for m in METHODS], cfg.windows, cfg.candidates_per_window,
         cfg.qaoa_configs(), cfg.qubo_params())))
@@ -611,6 +617,94 @@ class TestCsvDropReporting:
         assert run_cli("select", "--config", cfg) == 0
         blob = json.loads((tmp_path / "out" / "selection.json").read_text())
         assert blob["dropped_tickers"] == ["A001"]
+
+
+def _run_stages(workdir, prices: str, options: str, *commands) -> dict[str, bytes]:
+    """Every artifact that ``commands`` write for the CSV text ``prices`` and
+    the config lines ``options``, by file name. The config names its paths
+    relative to ``workdir``, so runs in two directories write the same bytes."""
+    workdir = Path(workdir)
+    (workdir / "prices.csv").write_text(prices)
+    (workdir / "run.cfg").write_text("prices_csv = prices.csv\nout_dir = out\n" + options)
+    with contextlib.chdir(workdir):
+        for command in commands:
+            assert main([command, "--config", "run.cfg"]) == 0, command
+    return {path.name: path.read_bytes() for path in sorted((workdir / "out").iterdir())}
+
+
+_ODD_CELLS = ("", "n/a", "0", "-1", "nan", "inf")
+_CELLS = st.one_of(st.sampled_from(_ODD_CELLS), st.floats(0.01, 1e4).map(repr))
+_STAGES = ("select", "weights", "schedule", "backtest")
+
+
+@pytest.fixture(scope="module")
+def unedited(workspace, tmp_path_factory):
+    """The workspace's CSV text and config lines (paths aside), and the
+    artifacts all four stages write for them."""
+    prices = workspace["csv"].read_text()
+    options = "".join(line + "\n" for line in workspace["config"].read_text().splitlines()
+                      if not line.startswith(("prices_csv", "out_dir")))
+    artifacts = _run_stages(tmp_path_factory.mktemp("unedited"), prices, options, *_STAGES)
+    return prices, options, artifacts
+
+
+class TestNoLookahead:
+    """Only training rows decide the universe, and no row after ``test_end``
+    decides anything."""
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), m=st.integers(3, 5), t=st.integers(30, 60),
+           data=st.data())
+    def test_cells_after_train_end_leave_the_selection_as_it_is(self, seed, m, t, data):
+        panel = synth_panel(seed=seed, T=t, M=m)
+        n_train = data.draw(st.integers(10, t - 3))  # price rows up to train_end
+        options = (f"train_end = {panel.dates[n_train - 1]}\n"
+                   f"test_end = {panel.dates[-1]}\nn_clusters = 2\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            write_csv(panel, Path(tmp) / "prices.csv")
+            text = (Path(tmp) / "prices.csv").read_text()
+        lines = text.splitlines()
+        for _ in range(data.draw(st.integers(1, 4))):
+            row = 1 + data.draw(st.integers(n_train, t - 1))
+            cells = lines[row].split(",")
+            cells[data.draw(st.integers(1, m))] = data.draw(_CELLS)
+            lines[row] = ",".join(cells)
+        with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+            before = _run_stages(a, text, options, "select")
+            after = _run_stages(b, "\n".join(lines) + "\n", options, "select")
+        assert after == before
+
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(late=st.lists(st.tuples(st.integers(1, 60),  # days after test_end, any order
+                                   st.lists(_CELLS, min_size=6, max_size=6)),  # 6 tickers
+                         min_size=1, max_size=3))
+    def test_rows_after_test_end_change_no_artifact(self, workspace, unedited, late):
+        prices, options, artifacts = unedited
+        rows = "".join(f"{workspace['test_end'] + timedelta(days=days)},{','.join(cells)}\n"
+                       for days, cells in late)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _run_stages(tmp, prices + rows, options, *_STAGES) == artifacts
+
+    def test_test_period_gap_in_a_selected_ticker_exits_1_naming_it(self, unedited, tmp_path,
+                                                                    capsys):
+        prices, options, artifacts = unedited
+        ticker = json.loads(artifacts["selection.json"])["tickers"][1]
+        lines = prices.splitlines()
+        col = lines[0].split(",").index(ticker)
+        cells = lines[-20].split(",")  # a test-period row
+        cells[col] = ""
+        lines[-20] = ",".join(cells)
+        edited = "\n".join(lines) + "\n"
+        written = _run_stages(tmp_path, edited, options, "select", "weights")
+        assert written == {name: artifacts[name] for name in written}
+        for name, blob in artifacts.items():
+            (tmp_path / "out" / name).write_bytes(blob)
+        with contextlib.chdir(tmp_path):
+            for command in ("schedule", "backtest"):
+                assert main([command, "--config", "run.cfg"]) == 1
+                err = capsys.readouterr().err
+                assert f"error [{command}]: selected ticker(s) with a missing" in err
+                assert err.rstrip().endswith(f": {ticker}")
 
 
 # Runs the given CLI commands in one fresh interpreter ("--help" prints the

@@ -9,7 +9,9 @@ only ``clustering.annualised_sharpe`` calls ``.std(``, only
 ``market_data._square`` checks ``np.allclose(m, m.T, ...)``, only
 ``market_data._check_cost`` compares a ``cost_c`` and only
 ``schedule_qubo._check_width`` compares a width with the 2^W memory guard
-``MAX_WIDTH``. The artifact format has one owner too: no module but ``cli``
+``MAX_WIDTH``, and only ``market_data._frozen_array`` chooses an array's
+memory layout (passes ``order=`` or calls ``compress``, ``asfortranarray``
+or ``ascontiguousarray``). The artifact format has one owner too: no module but ``cli``
 defines a ``to_json_dict``."""
 import ast
 from pathlib import Path
@@ -90,6 +92,18 @@ def compares(name: str):
     return hit
 
 
+LAYOUT_CALLS = {"compress", "asfortranarray", "ascontiguousarray"}
+
+
+def sets_layout(node: ast.AST) -> bool:
+    """Accepts a call that passes ``order=`` or calls one of ``LAYOUT_CALLS``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    return name in LAYOUT_CALLS or any(kw.arg == "order" for kw in node.keywords)
+
+
 def defines(name: str):
     """Accepts a function or method definition called ``name``."""
     def hit(node: ast.AST) -> bool:
@@ -163,6 +177,7 @@ OWNERS = {
     "symmetry": (checks_symmetry, ("market_data.py", "_square")),
     "cost_sign": (compares("cost_c"), ("market_data.py", "_check_cost")),
     "width_guard": (compares("MAX_WIDTH"), ("schedule_qubo.py", "_check_width")),
+    "layout": (sets_layout, ("market_data.py", "_frozen_array")),
 }
 
 
@@ -199,6 +214,8 @@ def test_checks_catch_dead_code():
         "\ndef charge(p, cost_c):\n    return p.cost_c < 0 or 0.0 > cost_c or cost_c * 2.0\n"
         "\ndef fits(w, q):\n    return w > MAX_WIDTH or q.MAX_WIDTH == 3 or 2 ** MAX_WIDTH\n"
         "\nclass Record:\n    def to_json_dict(self):\n        return {}\n"
+        "\ndef layout(a, ok):\n    b = np.array(a, order='F').reshape(-1)\n"
+        "    return a.compress(ok, axis=1), np.asfortranarray(b), ascontiguousarray(b), a[:, ok]\n"
     )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
     assert "_dead" not in referenced_names(tree)
@@ -208,5 +225,6 @@ def test_checks_catch_dead_code():
         "std": [("stats", 13)], "running_peak": [("stats", 14)], "symmetry": [("stats", 15)],
         "cost_sign": [("charge", 19), ("charge", 19)],
         "width_guard": [("fits", 22), ("fits", 22)],
+        "layout": [("layout", 29), ("layout", 30), ("layout", 30), ("layout", 30)],
     }
     assert owned(tree, defines("to_json_dict")) == [("<module>", 25)]

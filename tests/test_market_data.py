@@ -149,6 +149,25 @@ class TestLoadCsv:
         assert panel.dropped == ()
         np.testing.assert_array_equal(panel.prices, [[20.0, 100.0], [21.0, 101.0]])
 
+    def test_rows_after_last_are_checked_but_not_kept(self, tmp_path):
+        text = (
+            "date,AAA,BBB\n"
+            "2024-01-02,100.0,50.0\n"
+            "2024-01-03,101.0,49.5\n"
+            "2024-01-04,,-1\n"
+        )
+        for tickers in (None, ["BBB", "AAA"]):
+            panel = load_csv(_write(tmp_path, text), tickers, date(2024, 1, 3))
+            assert panel.dates == (date(2024, 1, 2), date(2024, 1, 3))
+            assert panel.dropped == ()
+            assert panel.tickers == tuple(tickers or ("AAA", "BBB"))
+        for late, what in (("2024-13-05,1,1", "line 5 has a bad date"),
+                           ("2024-01-05,1", "line 5 has 2 cells")):
+            with pytest.raises(ValueError, match=what):
+                load_csv(_write(tmp_path, text + late + "\n"), None, date(2024, 1, 3))
+        with pytest.raises(ValueError, match="need at least 2 data rows on or before 2024-01-02"):
+            load_csv(_write(tmp_path, text), None, date(2024, 1, 2))
+
     def test_subset_still_checks_every_date(self, tmp_path):
         path = _write(tmp_path, (
             "date,AAA,BBB\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quantfolio import (
-    ShrunkCovariance, angular_distance, ledoit_wolf, minvar, synth_panel, to_returns,
+    ReturnPanel, ShrunkCovariance, angular_distance, ledoit_wolf, minvar, synth_panel, to_returns,
 )
 from quantfolio.shrinkage import _shrunk
 
@@ -109,6 +109,14 @@ class TestLedoitWolf:
         np.testing.assert_allclose(est.sigma, block.sigma, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(minvar(est).weights, minvar(block).weights,
                                    rtol=1e-12, atol=0.0)
+
+    def test_sigma_bytes_do_not_depend_on_the_panel_layout(self):
+        rows = to_returns(synth_panel(seed=21, T=301, M=37))
+        cols = ReturnPanel(rows.dates, rows.tickers, np.asfortranarray(rows.gross_returns))
+        est = ledoit_wolf(rows)
+        assert ledoit_wolf(cols).sigma.tobytes() == est.sigma.tobytes()
+        shrunk = _shrunk(rows, est.alpha, est.mu_target).sigma
+        assert _shrunk(cols, est.alpha, est.mu_target).sigma.tobytes() == shrunk.tobytes()
 
     def test_alpha_in_unit_interval(self):
         for seed in range(8):

@@ -1,5 +1,5 @@
-"""The array rule every value type shares: each stored array is a read-only
-copy of its input, and each bit vector holds only 0 and 1."""
+"""The array rule every value type shares: each stored array is a read-only,
+row-major copy of its input, and each bit vector holds only 0 and 1."""
 import dataclasses
 import importlib
 import inspect
@@ -24,84 +24,85 @@ DATES = tuple(date(2020, 1, 1) + timedelta(days=i) for i in range(3))
 TICKERS = ("A", "B")
 
 
-def price_panel():
-    prices = np.array([[1.0, 2.0], [1.1, 2.1], [1.2, 2.2]])
+# each builder takes the memory order of its 2-D inputs
+def price_panel(order="C"):
+    prices = np.array([[1.0, 2.0], [1.1, 2.1], [1.2, 2.2]], order=order)
     return PricePanel(DATES, TICKERS, prices), {"prices": prices}
 
 
-def return_panel():
-    gross = np.array([[1.01, 0.99], [0.98, 1.02], [1.0, 1.03]])
+def return_panel(order="C"):
+    gross = np.array([[1.01, 0.99], [0.98, 1.02], [1.0, 1.03]], order=order)
     return ReturnPanel(DATES, TICKERS, gross), {"gross_returns": gross}
 
 
-def shrunk_covariance():
-    sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
+def shrunk_covariance(order="C"):
+    sigma = np.array([[2.0, 0.5], [0.5, 1.0]], order=order)
     return ShrunkCovariance(TICKERS, sigma, 0.1, 1.5), {"sigma": sigma}
 
 
-def weight_vector():
+def weight_vector(order="C"):
     weights = np.array([0.25, 0.75])
     return WeightVector(TICKERS, weights, "GA"), {"weights": weights}
 
 
-def cluster_assignment():
+def cluster_assignment(order="C"):
     labels = np.array([0, 1, 0])
     return ClusterAssignment(labels, 2), {"labels": labels}
 
 
-def candidate_dates():
+def candidate_dates(order="C"):
     indices = np.array([1, 3])
     return CandidateDates(indices, 6), {"indices": indices}
 
 
-def qubo_problem():
-    q = np.array([[-1.0, 0.5], [0.5, 0.25]])
+def qubo_problem(order="C"):
+    q = np.array([[-1.0, 0.5], [0.5, 0.25]], order=order)
     gains = np.array([0.3, -0.1])
     cand = CandidateDates(np.array([1, 3]), 6)
     return QuboProblem(q, 2.0, cand, gains, {}), {"q": q, "gains": gains}
 
 
-def bit_schedule():
+def bit_schedule(order="C"):
     bits = np.array([1, 0, 1], dtype=np.uint8)
     return BitSchedule(bits, -1.0), {"bits": bits}
 
 
-def ising_model():
+def ising_model(order="C"):
     h = np.array([0.5, -0.25])
-    j = np.array([[0.0, 0.125], [0.0, 0.0]])
+    j = np.array([[0.0, 0.125], [0.0, 0.0]], order=order)
     return IsingModel(h, j, 0.75), {"h": h, "j": j}
 
 
-def spsa_result():
-    x = np.array([[0.1, 0.2], [0.3, 0.4]])
+def spsa_result(order="C"):
+    x = np.array([[0.1, 0.2], [0.3, 0.4]], order=order)
     return SpsaResult(x, 8), {"x": x}
 
 
-def qaoa_outcome():
+def qaoa_outcome(order="C"):
     histogram = np.array([0, 3, 1, 0])
     restart_energies = np.array([-0.5, -0.25])
-    restart_angles = np.array([[0.1, 0.2], [0.3, 0.4]])
+    restart_angles = np.array([[0.1, 0.2], [0.3, 0.4]], order=order)
     outcome = QaoaOutcome(BitSchedule([0, 1], -1.0), histogram, restart_energies, restart_angles)
     return outcome, {"histogram": histogram, "restart_energies": restart_energies,
                      "restart_angles": restart_angles}
 
 
-def schedule_result():
+def schedule_result(order="C"):
     """One window whose best bits land on days 1 and 3 of 6; the given array
     is the one its ``BitSchedule`` was built from."""
     bits = np.array([1, 1], dtype=np.uint8)
-    qubo, _ = qubo_problem()
+    qubo, _ = qubo_problem(order)
     outcome = QaoaOutcome(BitSchedule(bits, -0.75), np.array([0, 0, 0, 4]),
                           np.array([-0.75]), np.array([[0.1, 0.2]]))
     return ScheduleResult((WindowDiagnostics(0, 6, qubo, outcome),)), {"bits": bits}
 
 
-def explicit():
+def explicit(order="C"):
     bits = np.array([0, 1, 0], dtype=np.uint8)
     return Explicit(bits), {"bits": bits}
 
 
-def backtest_report():
+def backtest_report(order="C"):
     curve = np.array([1.0, 1.01, 0.99])
     report = BacktestReport("GA Buy&Hold", curve, 0.0, ())
     return report, {"equity_curve": curve}
@@ -135,12 +136,14 @@ def test_every_array_holding_dataclass_has_a_builder():
 
 @pytest.mark.parametrize("build", VALUE_TYPES, ids=lambda build: build.__name__)
 def test_stored_arrays_are_read_only_copies(build):
-    value, inputs = build()
-    for field, given in inputs.items():
-        stored = getattr(value, field)
-        assert not stored.flags.writeable, field
-        assert not np.shares_memory(stored, given), field
-        assert given.flags.writeable, f"{field}: the caller's array was frozen"
+    for order in "CF":
+        value, inputs = build(order)
+        for field, given in inputs.items():
+            stored = getattr(value, field)
+            assert not stored.flags.writeable, field
+            assert not np.shares_memory(stored, given), field
+            assert given.flags.writeable, f"{field}: the caller's array was frozen"
+            assert stored.flags.c_contiguous, f"{field}: stored {order}-order input as given"
 
 
 def test_backtest_report_leaves_callers_curve_writeable():
