@@ -49,7 +49,6 @@ from .qaoa import (
     QaoaConfig,
     QaoaOutcome,
     ScheduleResult,
-    expected_energy,
     ising_energy,
     optimise_angles,
     sample,
@@ -78,7 +77,7 @@ __all__ = [
     "SplitSpec", "Strategy", "Threshold", "WeightVector",
     "ZeroVolatilityError", "angular_distance", "annualised_sharpe",
     "brute_force", "build_qubo", "candidate_dates", "drift_weights",
-    "ensemble", "equal_weights", "expected_energy", "fitness", "ga_optimise",
+    "ensemble", "equal_weights", "fitness", "ga_optimise",
     "ising_energy", "ledoit_wolf", "load_csv", "marginal_gain", "metrics",
     "minvar", "normalised_entropy", "optimise_angles", "run", "run_grid",
     "sample", "select_representatives", "simulate_ansatz", "split",

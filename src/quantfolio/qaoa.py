@@ -6,13 +6,14 @@ The cost layer is applied as diagonal phases per basis state (mathematically
 identical to the gate decomposition into Rz/CNOT, and far faster). The phase
 table is the QUBO's own energy table, ``enumerate_energies(q)``: it differs
 from the Ising Hamiltonian only by the constant ``offset``, a global phase, and
-the search needs it anyway to score shots. The mixer is a product of
-single-qubit Rx(2*beta) rotations, each applied as
-``psi <- cos(beta) psi - i sin(beta) X_k psi``, where ``X_k psi`` is the view
-of ``psi`` with qubit k's two halves swapped: no transpose, no matmul, and one
-preallocated buffer. ``simulate_ansatz`` takes one angle vector or a batch of
-them, with one energy table for all rows or one per row, so a batch can mix
-rows of different QUBOs.
+the search needs it anyway to score shots. An ``IsingModel``'s table comes
+from the same builder, ``schedule_qubo._table``, with z = +-1 in place of
+x = 0/1. The mixer is a product of single-qubit Rx(2*beta) rotations, each
+applied as ``psi <- cos(beta) psi - i sin(beta) X_k psi``, where ``X_k psi``
+is the view of ``psi`` with qubit k's two halves swapped: no transpose, no
+matmul, and one preallocated buffer. ``simulate_ansatz`` takes one angle
+vector or a batch of them, with one energy table for all rows or one per row,
+so a batch can mix rows of different QUBOs.
 
 The angle search is numpy only (no scipy): a p = 1 grid scored by the shot
 loss, its best point repeated over the p layers (INTERP; Zhou et al., PRX 10,
@@ -56,6 +57,7 @@ from .schedule_qubo import (
     QuboProblem,
     _check_width,
     _qubo_matrix,
+    _table,
     bits_to_str,
     brute_force,
     build_qubo,
@@ -233,36 +235,22 @@ def ising_energy(model: IsingModel, bits) -> float:
     return float(model.h @ z + z @ model.j @ z + model.offset)
 
 
-def _cost_table(model: IsingModel) -> np.ndarray:
-    """``h . z + sum_{i<j} J_ij z_i z_j`` (the energy less ``offset``) for
-    every basis state, indexed by bitstring value, built one qubit at a time
-    in O(2^W) flops."""
-    table, field = np.zeros(1), model.h[None, :]
-    for k in range(model.w):
-        # field[s, m] = h_m + sum_{i<k} J_im z_i for qubits m >= k, over the
-        # states s of qubits 0..k-1; qubit k's z = +1 half comes first
-        table = np.stack([table + field[:, 0], table - field[:, 0]], axis=1).ravel()
-        rest, coupling = field[:, 1:], model.j[k, k + 1 :]
-        field = np.stack([rest + coupling, rest - coupling], axis=1).reshape(table.size, -1)
-    return table
-
-
 def simulate_ansatz(cost, gammas, betas) -> np.ndarray:
     """Statevector after p alternating cost-phase and mixer layers on the
     uniform superposition.
 
-    ``cost`` is an ``IsingModel`` or a table of basis-state energies: one
-    ``(2**W,)`` table for every row, or a ``(B, 2**W)`` table per row (any
-    table that differs from the model's energies by a constant gives the same
-    state up to a global phase). Basis index v encodes the bitstring
-    MSB-first (qubit k <-> axis k), so ``abs(state[v])**2`` is the
-    probability of the bitstring with value v. With ``(B, p)`` angle arrays
-    the result is the ``(B, 2**W)`` batch of states, row b bit-identical to
-    the call on row b's angles and table alone.
+    ``cost`` is an ``IsingModel`` (its phase table is
+    ``h . z + sum_{i<j} J_ij z_i z_j``, the energy less ``offset``) or a
+    table of basis-state energies: one ``(2**W,)`` table for every row, or a
+    ``(B, 2**W)`` table per row (any table that differs from the model's
+    energies by a constant gives the same state up to a global phase). Basis
+    index v encodes the bitstring MSB-first (qubit k <-> axis k), so
+    ``abs(state[v])**2`` is the probability of the bitstring with value v.
+    With ``(B, p)`` angle arrays the result is the ``(B, 2**W)`` batch of
+    states, row b bit-identical to the call on row b's angles and table alone.
     """
     if isinstance(cost, IsingModel):
-        _check_width(cost.w)
-        cost = _cost_table(cost)
+        cost = _table(cost.h, cost.j, (1, -1))
     table = np.asarray(cost, dtype=float)
     if table.ndim not in (1, 2):
         raise ValueError("need 2**W energies per table")
@@ -321,19 +309,6 @@ def sample(state: np.ndarray, shots: int, seed) -> np.ndarray:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"state is not normalised (sum p = {total!r})")
     return np.random.default_rng(seed).multinomial(shots, probs / total)
-
-
-def expected_energy(histogram, q) -> float:
-    """Shot-weighted mean of x' Q x over a measurement histogram (counts
-    indexed by bitstring value)."""
-    mat = _qubo_matrix(q)
-    counts = np.asarray(histogram, dtype=float)
-    if counts.shape != (2 ** mat.shape[0],):
-        raise ValueError("need 2**W counts")
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("empty histogram")
-    return float(counts @ enumerate_energies(mat) / total)
 
 
 def optimise_angles(model: IsingModel, q, cfg: QaoaConfig = QaoaConfig()) -> QaoaOutcome:

@@ -1,6 +1,10 @@
 """Rebalancing-schedule QUBO: candidate date placement, weight drift, marginal
 Sharpe gains, the cost matrix itself, and an exhaustive classical solver.
 
+``_table`` is the one builder of a 2^W energy table, for 0/1 variables
+(``enumerate_energies``, x' Q x) and for +-1 spins (the Ising phase table of
+``qaoa.simulate_ansatz``) alike.
+
 Bit-order convention used throughout the package: bit ``k`` of a schedule maps
 to candidate date ``t_k``; rendered bitstrings list bit 0 leftmost, so a
 bitstring's integer value is ``sum(b_k * 2^(W-1-k))`` and enumeration by value
@@ -234,31 +238,30 @@ def build_qubo(
     )
 
 
-def enumerate_energies(q) -> np.ndarray:
-    """x' Q x for every bitstring, indexed by bitstring value.
-
-    Broadcast accumulation over the (2,)*W grid: O(W^2 2^W) flops but only one
-    2^W array of memory.
-    """
-    mat = _qubo_matrix(q)
-    w = mat.shape[0]
+def _table(linear, upper, values) -> np.ndarray:
+    """``sum_i linear_i v_i + sum_{i<j} upper_ij v_i v_j`` for every
+    bitstring, indexed by bitstring value, where bit k = 0 sets ``v_k`` to
+    ``values[0]`` and bit k = 1 to ``values[1]``: (0, 1) for a QUBO's x,
+    (1, -1) for an Ising model's z = 1 - 2x. ``upper`` is read above its
+    diagonal only. Built one variable at a time in O(W 2^W) flops."""
+    w = len(linear)
     _check_width(w)
+    table, field = np.zeros(1), np.asarray(linear, dtype=float)[None, :]
+    for k in range(w):
+        # field[s, m] = linear_m + sum_{i<k} upper_im v_i for variables m >= k,
+        # over the states s of variables 0..k-1; bit k = 0 comes first
+        table = np.stack([table + v * field[:, 0] for v in values], axis=1).ravel()
+        rest, coupling = field[:, 1:], upper[k, k + 1 :]
+        field = np.stack([rest + v * coupling for v in values], axis=1).reshape(table.size, -1)
+    return table
+
+
+def enumerate_energies(q) -> np.ndarray:
+    """x' Q x for every bitstring, indexed by bitstring value: with S the
+    symmetrised Q and x_i^2 = x_i, ``sum_i S_ii x_i + sum_{i<j} 2 S_ij x_i x_j``."""
+    mat = _qubo_matrix(q)
     sym = (mat + mat.T) / 2.0
-    x_axis = np.array([0.0, 1.0])
-    energies = np.zeros((2,) * w)
-
-    def axis_view(i: int) -> np.ndarray:
-        shape = [1] * w
-        shape[i] = 2
-        return x_axis.reshape(shape)
-
-    for i in range(w):
-        if sym[i, i] != 0.0:
-            energies += sym[i, i] * axis_view(i)
-        for j in range(i + 1, w):
-            if sym[i, j] != 0.0:
-                energies += 2.0 * sym[i, j] * (axis_view(i) * axis_view(j))
-    return energies.reshape(-1)
+    return _table(np.diag(sym), 2.0 * np.triu(sym, 1), (0, 1))
 
 
 def brute_force(q) -> BitSchedule:

@@ -99,7 +99,8 @@ def ledoit_wolf(returns: ReturnPanel) -> ShrunkCovariance:
     mu_biased = float(np.trace(biased) / m)
     d2 = float(((biased - mu_biased * np.eye(m)) ** 2).sum() / m)
     sq_norms = (xc ** 2).sum(axis=1)
-    b2_bar = float((np.sum(sq_norms ** 2) - t * (biased ** 2).sum()) / (t ** 2 * m))
+    # b2_bar >= 0 exactly; on 2 rows its two sums are equal up to rounding
+    b2_bar = max(0.0, float((np.sum(sq_norms ** 2) - t * (biased ** 2).sum()) / (t ** 2 * m)))
     if d2 <= 0.0:
         alpha = 0.0  # sample already equals the target (e.g. a single asset)
     else:

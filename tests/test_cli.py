@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantfolio import (
-    GaConfig, QaoaConfig, QuboParams, angular_distance, cli, expected_energy, ledoit_wolf,
+    GaConfig, QaoaConfig, QuboParams, angular_distance, cli, ledoit_wolf,
     load_csv, minvar, run_grid, synth_panel, to_returns, walk_forward, write_csv,
 )
 from quantfolio.allocation import METHODS
@@ -24,6 +24,7 @@ from quantfolio.backtest import drawdown
 from quantfolio.cli import (
     RunConfig, _child_seed, _fmt, _load_panels, _write_matrix_csv, main, parse_config,
 )
+from quantfolio.schedule_qubo import enumerate_energies
 from quantfolio.shrinkage import _shrunk
 
 from conftest import block_correlation, subprocess_env
@@ -497,7 +498,8 @@ class TestDroppedFieldsRederive:
             for blob, win in zip(_schedule_windows(cfg, method), results[method].windows):
                 least = min(blob["restart_energies"])
                 assert least == float(np.min(win.outcome.restart_energies))
-                assert least == expected_energy(win.outcome.histogram, win.qubo)
+                energies = enumerate_energies(win.qubo)
+                assert least == win.outcome.histogram @ energies / win.outcome.eval_shots
 
     def test_candidates_size_and_window_length_from_start_end_and_qubo(self, in_memory):
         cfg, results, _ = in_memory

@@ -1,7 +1,9 @@
 """Checks on the package source, with the standard library's ``ast``: no
 module imports a name it never uses, every private module-level function is
-referenced somewhere in the package, no module uses ``assert`` (runtime
-invariants raise, since ``python -O`` strips asserts), and each shared rule
+referenced somewhere in the package, every public name (``__all__``) is
+referenced by a package module, a demo or the acceptance suite, no module
+uses ``assert`` (runtime invariants raise, since ``python -O`` strips
+asserts), and each shared rule
 has one owner: only ``market_data._read_only`` assigns
 ``<array>.flags.writeable`` (every value type freezes its arrays through it),
 only ``clustering.annualised_sharpe`` calls ``.std(``, only
@@ -18,8 +20,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quantfolio"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "quantfolio"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# where a public name must have a caller: the package itself, the demos and
+# the acceptance suite, not the unit tests that only exercise it
+CALLERS = [*MODULES, *sorted((ROOT / "demos").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
 
 
 def parse(path: Path) -> ast.Module:
@@ -132,6 +138,23 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def public_names(tree: ast.Module) -> list[str]:
+    """The strings of the module's ``__all__`` list."""
+    return [
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        for elt in node.value.elts
+    ]
+
+
+def uncalled(names, trees) -> list[str]:
+    """The ``names`` that none of ``trees`` references."""
+    everywhere = set().union(*(referenced_names(tree) for tree in trees))
+    return [name for name in names if name not in everywhere]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = parse(path)
@@ -152,6 +175,13 @@ def test_every_private_function_is_referenced():
         and node.name not in everywhere
     ]
     assert not unreferenced, f"private functions nothing references: {', '.join(unreferenced)}"
+
+
+def test_every_public_name_has_a_caller():
+    public = public_names(parse(PACKAGE / "__init__.py"))
+    assert public, f"no __all__ in {PACKAGE / '__init__.py'}"
+    unused = uncalled(public, [parse(path) for path in CALLERS])
+    assert not unused, f"public names no module, demo or acceptance test uses: {', '.join(unused)}"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -216,6 +246,7 @@ def test_checks_catch_dead_code():
         "\nclass Record:\n    def to_json_dict(self):\n        return {}\n"
         "\ndef layout(a, ok):\n    b = np.array(a, order='F').reshape(-1)\n"
         "    return a.compress(ok, axis=1), np.asfortranarray(b), ascontiguousarray(b), a[:, ok]\n"
+        "\n__all__ = ['stats', 'fits', 'Box']\n"
     )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
     assert "_dead" not in referenced_names(tree)
@@ -228,3 +259,5 @@ def test_checks_catch_dead_code():
         "layout": [("layout", 29), ("layout", 30), ("layout", 30), ("layout", 30)],
     }
     assert owned(tree, defines("to_json_dict")) == [("<module>", 25)]
+    assert public_names(tree) == ["stats", "fits", "Box"]
+    assert uncalled(public_names(tree), [tree, ast.parse("stats(1, 2, 3)\nBox().freeze(a)\n")]) == ["fits"]

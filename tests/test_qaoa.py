@@ -12,7 +12,6 @@ from quantfolio import (
     QaoaConfig,
     WeightVector,
     brute_force,
-    expected_energy,
     ising_energy,
     optimise_angles,
     sample,
@@ -26,7 +25,9 @@ from quantfolio import qaoa
 from quantfolio.allocation import METHODS
 from quantfolio.cli import _schedule_record
 from quantfolio.qaoa import IsingModel, QaoaOutcome, ScheduleResult, WindowDiagnostics
-from quantfolio.schedule_qubo import BitSchedule, CandidateDates, QuboProblem, enumerate_energies
+from quantfolio.schedule_qubo import (
+    BitSchedule, CandidateDates, QuboProblem, _table, enumerate_energies,
+)
 
 
 def random_symmetric(rng, w, scale=1.0):
@@ -267,14 +268,12 @@ class TestQuboIsingProperties:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(q=symmetric_qubos())
     def test_cost_table_plus_offset_equal_enumerated_energies(self, q):
+        # the cost-phase table of simulate_ansatz(model, ...): the one builder on +-1 spins
         model = to_ising(q)
+        spins = _table(model.h, model.j, (1, -1))
         tol = 1e-12 * max(1.0, np.abs(q).sum())
-        np.testing.assert_allclose(
-            qaoa._cost_table(model) + model.offset, enumerate_energies(q), rtol=0, atol=tol
-        )
-        np.testing.assert_allclose(
-            qaoa._cost_table(model), reference_phase_energies(model), rtol=0, atol=tol
-        )
+        np.testing.assert_allclose(spins + model.offset, enumerate_energies(q), rtol=0, atol=tol)
+        np.testing.assert_allclose(spins, reference_phase_energies(model), rtol=0, atol=tol)
 
 
 class TestSample:
@@ -316,34 +315,6 @@ class TestSample:
     def test_rejects_unnormalised(self):
         with pytest.raises(ValueError, match="normalised"):
             sample(np.array([1.0, 1.0], dtype=complex), 10, seed=0)
-
-
-class TestExpectedEnergy:
-    def test_point_mass(self):
-        q = np.diag([-1.0, 2.0])
-        counts = np.zeros(4)
-        counts[2] = 64  # bitstring "10"
-        assert expected_energy(counts, q) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_zero_qubo(self):
-        counts = np.array([10, 20, 30, 40])
-        assert expected_energy(counts, np.zeros((2, 2))) == 0.0
-
-    def test_fifty_fifty_average(self):
-        q = np.diag([-1.0, 1.0])
-        counts = np.zeros(4)
-        counts[2] = 500  # "10" -> -1
-        counts[1] = 500  # "01" -> +1
-        assert expected_energy(counts, q) == pytest.approx(0.0, abs=1e-15)
-
-    def test_empty_histogram(self):
-        with pytest.raises(ValueError, match="empty"):
-            expected_energy(np.zeros(4), np.zeros((2, 2)))
-
-    @pytest.mark.parametrize("counts", [np.ones(3), np.ones((2, 4))], ids=["length", "rank"])
-    def test_counts_must_be_one_per_bitstring(self, counts):
-        with pytest.raises(ValueError, match=r"need 2\*\*W counts"):
-            expected_energy(counts, np.zeros((2, 2)))
 
 
 FAST = QaoaConfig(depth=2, restarts=3, opt_shots=512, eval_shots=1024, max_iters=60, seed=5)

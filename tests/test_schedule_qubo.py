@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quantfolio import (
     QuboParams,
@@ -290,3 +293,26 @@ class TestBruteForce:
 
     def test_bit_rendering(self):
         assert bits_to_str(value_to_bits(0b11000010, 8)) == "11000010"
+
+
+@st.composite
+def sparse_qubos(draw):
+    """A W x W matrix, W = 1..10, not symmetric, with about 40 % zero entries."""
+    w = draw(st.integers(min_value=1, max_value=10))
+    values = draw(arrays(np.float64, (w, w), elements=st.floats(-10.0, 10.0)))
+    keep = draw(arrays(np.int8, (w, w), elements=st.integers(0, 4))) >= 2
+    return np.where(keep, values, 0.0)
+
+
+class TestEnergyTable:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(q=sparse_qubos())
+    def test_table_is_the_explicit_enumeration(self, q):
+        w = q.shape[0]
+        table = enumerate_energies(q)
+        explicit = np.array([x @ q @ x for x in itertools.product((0.0, 1.0), repeat=w)])
+        tol = 1e-12 * (1.0 + np.abs(q).sum())
+        np.testing.assert_allclose(table, explicit, rtol=0, atol=tol)
+        assert table[0] == 0.0 and not np.signbit(table[0])
+        # the explicit argmin, or, where the minimum is tied within rounding, one of the tie
+        assert np.argmin(table) in np.flatnonzero(explicit <= explicit.min() + 2 * tol)

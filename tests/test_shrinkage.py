@@ -123,6 +123,13 @@ class TestLedoitWolf:
             est = ledoit_wolf(random_panel(seed + 100))
             assert 0.0 <= est.alpha <= 1.0
 
+    def test_two_return_rows_give_a_zero_intensity(self):
+        # on 2 rows the centred rows are r and -r, so b2_bar = 0 exactly; its
+        # two sums agree only up to rounding, which once made alpha about -1e-16
+        for seed in range(200):
+            est = ledoit_wolf(to_returns(synth_panel(seed, T=3, M=4)))
+            assert 0.0 <= est.alpha <= 1e-12
+
     def test_positive_definite_when_shrunk(self):
         for seed in range(5):
             est = ledoit_wolf(random_panel(seed + 30))
