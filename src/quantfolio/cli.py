@@ -15,7 +15,6 @@ import argparse
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import logging
 import os
@@ -38,7 +37,7 @@ from .allocation import (
 )
 from .backtest import GRID_PERIODIC, GRID_THRESHOLD, Threshold, _periodic_schedulers, run_grid
 from .clustering import select_representatives, ward_cluster
-from .market_data import SplitSpec, load_csv, split, to_returns
+from .market_data import SplitSpec, _write_labelled_csv, load_csv, split, to_returns
 from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, WindowDiagnostics, walk_forward
 from .schedule_qubo import QuboParams, QuboProblem, _check_width, bits_to_str
 from .shrinkage import _shrunk, ledoit_wolf
@@ -168,21 +167,11 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _csv_cell(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it as one of several cells in a row."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow([text, ""])
-    return buf.getvalue()[:-1]
-
-
 def _write_matrix_csv(path, tickers, matrix) -> None:
-    """The bytes ``csv.writer`` gives for rows ``[ticker, *map(repr, row)]``,
-    with each row's numbers formatted by one ``repr`` of the row's list (the
-    same ``repr(float)`` per cell, and no cell ever needs quoting)."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["ticker", *tickers])
-        for t, row in zip(tickers, matrix):
-            fh.write(f"{_csv_cell(t)},{repr(row.tolist())[1:-1].replace(', ', ',')}\r\n")
+    """A square matrix labelled by ``tickers`` on both sides, as ``csv.writer``
+    writes the rows ``[ticker, *map(repr, row)]`` under ``["ticker",
+    *tickers]``."""
+    _write_labelled_csv(path, "ticker", tickers, tickers, matrix)
 
 
 def _fmt(value) -> str:

@@ -14,10 +14,18 @@ result depends on the layout of the caller's array or on how a panel was cut
 (``BitSchedule``, ``Explicit``) must be 1-D and hold only 0 and 1;
 ``_frozen_bits`` checks that before its ``uint8`` cast. ``_read_only`` is the
 one place that marks an array read-only.
+
+Price files are UTF-8 on both sides, whatever the locale. ``load_csv``
+streams the file as bytes, one line at a time. Every row gets a cell count
+and a date check, but only a kept row is split, and only up to the last
+column wanted; a row after ``last`` is never split. A row holding a quote
+character (or a non-ASCII byte) is read by ``csv.reader``, for that row
+alone, so quoted cells parse as the header's do.
 """
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from array import array
@@ -25,6 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -200,34 +209,70 @@ class SplitSpec:
             raise ValueError("train_end must precede test_end")
 
 
-def _cell_float(cell: str) -> float:
+def _cell_float(cell: bytes | str) -> float:
     try:
         return float(cell)
     except ValueError:
         return math.nan  # blank or unparseable cell == gap: the ticker is dropped
 
 
+# what ``str.strip`` removes from an ASCII line, plus the delimiter: a line of
+# only these bytes holds no non-blank cell
+_BLANK = b", \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _lines(fh, path):
+    """``(line number, line)`` for each physical line of the binary file
+    ``fh``. A carriage return may only end a line: a file with bare ``\\r``
+    line ends is an error, not one long line."""
+    for n, line in enumerate(fh, start=1):
+        cr = line.find(b"\r")
+        if cr >= 0 and line[cr:] not in (b"\r\n", b"\r"):
+            raise ValueError(f"{path}: line {n} has a carriage return inside it; "
+                             "line ends must be \\n or \\r\\n")
+        yield n, line
+
+
+def _csv_row(line: bytes, lines) -> tuple[list[str], int]:
+    """The cells ``csv.reader`` reads from the UTF-8 ``line``, and how many
+    more lines it took from ``lines`` (a quoted cell may span lines)."""
+    more = (nxt.decode("utf-8") for _, nxt in lines)
+    reader = csv.reader(chain([line.decode("utf-8")], more))
+    return next(reader, []), reader.line_num - 1
+
+
 def load_csv(path, tickers=None, last=None) -> PricePanel:
     """Read a wide price CSV: first column ``date`` (ISO-8601), one column per
-    ticker, numeric cells or blank. Blank lines are skipped.
+    ticker, numeric cells or blank. The file is UTF-8 and its lines end in
+    ``\\n`` or ``\\r\\n``; a carriage return anywhere else is an error that
+    names the file and line. Lines whose cells are all blank are skipped.
 
     Tickers with any blank, unparseable, or non-positive cell are dropped and
     reported (warning log plus the panel's ``dropped`` field).
 
-    ``tickers``, if given, names the columns to read, in the order wanted;
-    the others are not parsed, though every row's length and date are still
-    checked. A name the header lacks is an error, as is a header that names
-    one ticker twice. The file is read in one streamed pass.
+    ``tickers``, if given, names the columns to read, in the order wanted. A
+    name the header lacks is an error, as is a header that names one ticker
+    twice.
 
-    ``last``, if given, is the last date kept. Later rows have their length
-    and date checked too, but their cells are not parsed, so they decide
-    nothing: not the prices, and not which tickers are complete.
+    ``last``, if given, is the last date kept. Later rows decide nothing: not
+    the prices, and not which tickers are complete.
+
+    The file is streamed as bytes in one pass, one line at a time. Every row's
+    cells are counted (its commas) and its date (the bytes before the first
+    comma) is checked, then a row after ``last`` is passed over. A kept row is
+    split once, up to the last column wanted (all of them when ``tickers`` is
+    None), and ``float`` reads the cells as bytes. The header, and any row
+    holding a ``"`` or a non-ASCII byte, is decoded and read by
+    ``csv.reader`` for that row alone, so quoted cells parse as in any CSV.
+    Errors name the physical line.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = (r for r in reader if any(c.strip() for c in r))
-        header = [c.strip() for c in next(rows, [])]
-        if not header:
+    with open(path, "rb") as fh:
+        lines = _lines(fh, path)
+        for _, line in lines:
+            header = [c.strip() for c in _csv_row(line, lines)[0]]
+            if any(header):
+                break
+        else:
             raise ValueError(f"{path}: empty file")
         if header[0].lower() != "date":
             raise ValueError(f"{path}: first column must be 'date'")
@@ -247,22 +292,36 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
             if unknown:
                 raise ValueError(f"{path}: unknown tickers: {', '.join(unknown)}")
             pick = [columns[tk] for tk in tickers]
+        maxsplit = -1 if pick is None else max(pick) + 1
 
         dates: list[date] = []
         values = array("d")
-        for row in rows:
-            if len(row) != len(header):
+        for lineno, line in lines:
+            if b'"' in line or not line.isascii():
+                row, spanned = _csv_row(line, lines)
+                lineno += spanned
+                if not any(c.strip() for c in row):
+                    continue
+                n_cells = len(row)
+            elif line.strip(_BLANK):
+                row = None  # split only if the row is kept
+                n_cells = line.count(b",") + 1
+            else:
+                continue
+            if n_cells != len(header):
                 raise ValueError(
-                    f"{path}: line {reader.line_num} has {len(row)} cells, "
-                    f"expected {len(header)}"
+                    f"{path}: line {lineno} has {n_cells} cells, expected {len(header)}"
                 )
+            head = line[:line.index(b",")].decode() if row is None else row[0]
             try:
-                day = date.fromisoformat(row[0].strip())
+                day = date.fromisoformat(head.strip())
             except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num} has a bad date: {exc}") from None
+                raise ValueError(f"{path}: line {lineno} has a bad date: {exc}") from None
             if last is not None and day > last:
                 continue
             dates.append(day)
+            if row is None:
+                row = line.split(b",", maxsplit)
             cells = row[1:] if pick is None else [row[c] for c in pick]
             try:
                 # the list is built first, so a row that raises appends nothing
@@ -287,13 +346,29 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
     return PricePanel(tuple(dates), keep, raw[:, complete], dropped=dropped)
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one of several cells in a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text, ""])
+    return buf.getvalue()[:-1]
+
+
+def _write_labelled_csv(path, corner: str, columns, labels, matrix) -> None:
+    """Write, in UTF-8, the bytes ``csv.writer`` gives for the row
+    ``[corner, *columns]`` and then one row ``[label, *map(repr, row)]`` per
+    label and matrix row. Each row's numbers are formatted by one ``repr`` of
+    the row's list: the same ``repr(float)`` per cell, and no number ever
+    needs quoting."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow([corner, *columns])
+        for label, row in zip(labels, matrix):
+            fh.write(f"{_csv_cell(label)},{repr(row.tolist())[1:-1].replace(', ', ',')}\r\n")
+
+
 def write_csv(panel: PricePanel, path) -> None:
     """Write a panel in the wide CSV format accepted by :func:`load_csv`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", *panel.tickers])
-        for t, d in enumerate(panel.dates):
-            writer.writerow([d.isoformat(), *[repr(float(p)) for p in panel.prices[t]]])
+    _write_labelled_csv(path, "date", panel.tickers,
+                        [d.isoformat() for d in panel.dates], panel.prices)
 
 
 def to_returns(panel: PricePanel) -> ReturnPanel:

@@ -41,7 +41,7 @@ def test_float_cells_render_full_precision_and_blank_for_undefined():
 
 
 def test_matrix_csv_bytes_equal_csv_writer_reference(tmp_path):
-    tickers = ["A,B", 'say "hi"', "plain", "  padded "]
+    tickers = ["A,B", 'say "hi"', "ÉLAN", "  padded "]
     matrix = np.array([
         [1.0, np.nan, np.inf, -np.inf],
         [-0.0, 1e-300, 5e-324, 1 / 3],
@@ -51,7 +51,7 @@ def test_matrix_csv_bytes_equal_csv_writer_reference(tmp_path):
     path = tmp_path / "matrix.csv"
     _write_matrix_csv(path, tickers, matrix)
     ref = tmp_path / "reference.csv"
-    with open(ref, "w", newline="") as fh:
+    with open(ref, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ticker", *tickers])
         for t, row in zip(tickers, matrix):

@@ -1,6 +1,10 @@
 import csv
+import gc
 import math
+import subprocess
+import sys
 import tempfile
+import warnings
 from dataclasses import FrozenInstanceError, fields
 from datetime import date, timedelta
 from pathlib import Path
@@ -24,6 +28,8 @@ from quantfolio.allocation import minvar
 from quantfolio.clustering import ward_cluster
 from quantfolio.schedule_qubo import CandidateDates, QuboProblem, _qubo_matrix
 from quantfolio.shrinkage import ShrunkCovariance
+
+from conftest import subprocess_env
 
 
 def _write(tmp_path, text, name="prices.csv"):
@@ -178,10 +184,112 @@ class TestLoadCsv:
             load_csv(path, ["AAA"])
 
 
-def reference_load_csv(path):
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("bad,what", [
+        ("2024-01-04,102.5", "line 6 has 2 cells, expected 3"),
+        ("2024-01-32,102.5,50.5", "line 6 has a bad date: day is out of range"),
+    ])
+    def test_errors_name_the_physical_line(self, tmp_path, end, bad, what):
+        lines = ["date,AAA,BBB", "", "2024-01-02,100.0,50.0", "  ", "2024-01-03,101.0,49.5",
+                 bad, "2024-01-05,103.0,51.0"]
+        path = tmp_path / "prices.csv"
+        path.write_bytes(end.join(lines).encode() + end.encode())
+        for tickers in (None, ["AAA"]):
+            with pytest.raises(ValueError, match=rf"prices\.csv: {what}"):
+                load_csv(path, tickers)
+
+    def test_quoted_cells_are_read_as_csv(self, tmp_path):
+        # a quoted header cell may hold a comma or span lines; errors still
+        # name the physical line
+        text = ('date,"A,1","B\nC",D\r\n'
+                '2024-01-02,"100.0",50.0, 7\r\n'
+                '2024-01-03,101.0,"49.5","8"\r\n')
+        path = _write(tmp_path, text)
+        panel = load_csv(path)
+        assert panel.tickers == ("A,1", "B\nC", "D")
+        np.testing.assert_array_equal(panel.prices, [[100.0, 50.0, 7.0], [101.0, 49.5, 8.0]])
+        assert load_csv(path, ["D", "A,1"]).tickers == ("D", "A,1")
+        with pytest.raises(ValueError, match="line 5 has 2 cells"):
+            load_csv(_write(tmp_path, text + '2024-01-04,"1"\r\n'))
+        # a row whose quoted cell spans lines 5-6 is a gap, and its errors
+        # name the line the row ends on
+        assert load_csv(_write(tmp_path, text + '2024-01-04,"1\r\n2",3,4\r\n')).dropped == ("A,1",)
+        with pytest.raises(ValueError, match="line 6 has 3 cells"):
+            load_csv(_write(tmp_path, text + '2024-01-04,"1\r\n2",3\r\n'))
+
+    def test_bare_carriage_return_line_ends_rejected(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"date,AAA\r2024-01-02,100.0\r2024-01-03,101.0\r")
+        with pytest.raises(ValueError, match=(r"prices\.csv: line 1 has a carriage return "
+                                              r"inside it; line ends must be \\n or \\r\\n")):
+            load_csv(path)
+        path.write_bytes(b"date,AAA\n2024-01-02,100.0\n2024-01-03,1\r01.0\n")
+        with pytest.raises(ValueError, match="line 3 has a carriage return"):
+            load_csv(path)
+        # a last line may end in a lone carriage return
+        path.write_bytes(b"date,AAA\r\n2024-01-02,100.0\r\n2024-01-03,101.0\r")
+        assert load_csv(path).prices[-1, 0] == 101.0
+
+    @pytest.mark.parametrize("bad", ["2024-01-04,1", "2024-02-30,1,2"])
+    def test_file_closed_when_a_row_raises(self, tmp_path, bad):
+        rows = [f"2024-01-0{d},{d},{d}" for d in (1, 2, 3)]
+        path = _write(tmp_path, "\n".join(["date,AAA,BBB", *rows, bad, *rows]) + "\n")
+        # a ResourceWarning made an error in a finaliser is unraisable: collect it
+        unraisable = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+            try:
+                for tickers in (None, ["BBB"]):
+                    with pytest.raises(ValueError, match="line 5"):
+                        load_csv(path, tickers)
+                gc.collect()
+            finally:
+                sys.unraisablehook = hook
+        assert not unraisable
+
+    def test_non_ascii_ticker_round_trips_in_utf8_under_any_locale(self, tmp_path):
+        panel = synth_panel(seed=4, T=5, M=2, tickers=("ÉLAN", "BBB"))
+        path = tmp_path / "prices.csv"
+        # an ASCII locale: text files opened with the locale's encoding fail
+        script = ("import sys; from quantfolio import load_csv, synth_panel, write_csv; "
+                  "p = synth_panel(seed=4, T=5, M=2, tickers=('\\xc9LAN', 'BBB')); "
+                  "write_csv(p, sys.argv[1]); print(ascii(load_csv(sys.argv[1]).tickers))")
+        env = {**subprocess_env(), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ascii(("ÉLAN", "BBB"))
+        assert path.read_bytes().startswith("date,ÉLAN,BBB\r\n".encode("utf-8"))
+        back = load_csv(path)
+        assert back.tickers == panel.tickers
+        np.testing.assert_array_equal(back.prices, panel.prices)
+
+
+def reference_write_csv(panel, path):
+    """The per-cell ``csv.writer`` output ``write_csv`` must equal byte for byte."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", *panel.tickers])
+        for t, d in enumerate(panel.dates):
+            writer.writerow([d.isoformat(), *[repr(float(p)) for p in panel.prices[t]]])
+
+
+def test_write_csv_bytes_equal_csv_writer_reference(tmp_path):
+    panel = synth_panel(seed=8, T=60, M=6, tickers=("A,B", 'say "hi"', "plain", " pad ",
+                                                     "ÉLAN", "F"))
+    path, ref = tmp_path / "prices.csv", tmp_path / "reference.csv"
+    write_csv(panel, path)
+    reference_write_csv(panel, ref)
+    assert path.read_bytes() == ref.read_bytes()
+    # the header's cells are stripped
+    assert load_csv(path).tickers == tuple(tk.strip() for tk in panel.tickers)
+
+def reference_load_csv(path, last=None):
     """The cell-by-cell parser that read every row into memory first: the
-    reference for ``load_csv``'s dates, tickers, drops and price bits."""
-    with open(path, newline="") as fh:
+    reference for ``load_csv``'s dates, tickers, drops and price bits. Rows
+    after ``last`` have their length and date checked, and nothing more."""
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if any(c.strip() for c in r)]
     if not rows:
         raise ValueError(f"{path}: empty file")
@@ -191,19 +299,24 @@ def reference_load_csv(path):
     tickers = header[1:]
     if not tickers:
         raise ValueError(f"{path}: no ticker columns")
-    body = rows[1:]
-    if len(body) < 2:
-        raise ValueError(f"{path}: need at least 2 data rows")
 
     dates = []
-    raw = np.full((len(body), len(tickers)), np.nan)
-    for t, row in enumerate(body):
+    kept = []
+    for t, row in enumerate(rows[1:]):
         if len(row) != len(header):
             raise ValueError(
                 f"{path}: row {t + 2} has {len(row)} cells, expected {len(header)}"
             )
-        dates.append(date.fromisoformat(row[0].strip()))
-        for i, cell in enumerate(row[1:]):
+        day = date.fromisoformat(row[0].strip())
+        if last is None or day <= last:
+            dates.append(day)
+            kept.append(row[1:])
+    if len(kept) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows")
+
+    raw = np.full((len(kept), len(tickers)), np.nan)
+    for t, row in enumerate(kept):
+        for i, cell in enumerate(row):
             cell = cell.strip()
             if not cell:
                 continue
@@ -220,46 +333,59 @@ def reference_load_csv(path):
     return PricePanel(tuple(dates), keep, raw[:, complete], dropped=dropped)
 
 
-_ODD_CELLS = ("", "  ", " 12.5 ", "\t7\t", "n/a", "0", "-1", "nan", "inf", "1e-3")
-_BLANK_LINES = ("", "  ", " , ")
+# "\xa0" (no-break space) is whitespace to str.strip and float, but not ASCII
+_ODD_CELLS = ("", "  ", " 12.5 ", "\t7\t", "\xa03\xa0", "n/a", "0", "-1", "nan", "inf", "1e-3")
+_BLANK_LINES = ("", "  ", " , ", '""', "\xa0,")
+# plain, quoted, quoted with the delimiter inside, and non-ASCII header cells
+_TICKER_FORMS = (("T{}", "T{}"), ('"T{}"', "T{}"), ('"T,{}"', "T,{}"), ("É{}", "É{}"))
 
 
 @st.composite
 def price_csvs(draw):
     """Small wide CSVs mixing valid prices with blank, padded, non-numeric,
-    zero, negative and non-finite cells, and blank lines anywhere."""
+    zero, negative and non-finite cells, quoted cells, quoted header tickers
+    (some holding a comma), blank lines anywhere and LF or CRLF line ends.
+    Returns the text, the parsed ticker names and a ``last`` date (or None)
+    drawn from before the first row to after the last."""
     n_tickers = draw(st.integers(1, 5))
     n_rows = draw(st.integers(2, 7))
     price = st.floats(0.01, 1e4).map(repr)
     odd = st.one_of(price, st.sampled_from(_ODD_CELLS))
+    quote = st.sampled_from(("{}", "{}", '"{}"'))  # a third of the cells quoted
     # a clean column holds plain prices only, so some tickers survive
     columns = [price if draw(st.booleans()) else odd for _ in range(n_tickers)]
-    lines = ["date," + ",".join(f"T{i}" for i in range(n_tickers))]
+    forms = [draw(st.sampled_from(_TICKER_FORMS)) for _ in range(n_tickers)]
+    lines = ["date," + ",".join(cell.format(i) for i, (cell, _) in enumerate(forms))]
     for t in range(n_rows):
         day = (date(2024, 1, 1) + timedelta(days=t)).isoformat()
-        lines.append(",".join([day, *(draw(col) for col in columns)]))
+        lines.append(",".join([day, *(draw(quote).format(draw(col)) for col in columns)]))
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANK_LINES)))
-    return "\n".join(lines) + "\n", [f"T{i}" for i in range(n_tickers)]
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    last = draw(st.none() | st.integers(-1, n_rows).map(
+        lambda k: date(2024, 1, 1) + timedelta(days=k)))
+    return end.join(lines) + end, [name.format(i) for i, (_, name) in enumerate(forms)], last
 
 
 class TestLoadCsvMatchesReference:
-    @settings(derandomize=True, max_examples=150, deadline=None)
+    @settings(derandomize=True, max_examples=200, deadline=None)
     @given(case=price_csvs(), data=st.data())
     def test_full_and_subset_parse_match_reference(self, case, data):
-        text, header = case
+        text, header, last = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "prices.csv"
-            path.write_text(text)
+            path.write_bytes(text.encode("utf-8"))
             subset = data.draw(st.permutations(header).flatmap(
                 lambda p: st.integers(1, len(p)).map(lambda k: p[:k])))
             try:
-                ref = reference_load_csv(path)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    load_csv(path)
+                ref = reference_load_csv(path, last)
+            except ValueError as exc:
+                for tickers in (None, subset):
+                    with pytest.raises(ValueError) as got:
+                        load_csv(path, tickers, last)
+                    assert type(got.value) is type(exc)
                 return
-            full = load_csv(path)
+            full = load_csv(path, None, last)
             assert full.dates == ref.dates
             assert full.tickers == ref.tickers
             assert full.dropped == ref.dropped
@@ -268,9 +394,9 @@ class TestLoadCsvMatchesReference:
             kept = [tk for tk in subset if tk in ref.tickers]
             if not kept:
                 with pytest.raises(ValueError, match="no ticker"):
-                    load_csv(path, subset)
+                    load_csv(path, subset, last)
                 return
-            part = load_csv(path, subset)
+            part = load_csv(path, subset, last)
             assert part.dates == ref.dates
             assert part.tickers == tuple(kept)
             assert part.dropped == tuple(tk for tk in subset if tk in ref.dropped)
