@@ -27,7 +27,7 @@ target = equal_weights(window.tickers)
 
 # --- the QUBO ---------------------------------------------------------------
 qp = build_qubo(target, window, w_count=8)
-print(f"candidate dates (window offsets): {list(qp.candidates.indices)}")
+print(f"candidate dates (window offsets): {qp.candidates.tolist()}")
 print(f"per-candidate gains g_k: {np.round(qp.gains, 3)}")
 print("negative diagonal = rebalancing helps there; positive = drift is fine:")
 print(f"  diag(Q) = {np.round(np.diag(qp.q), 3)}  (normalised, max|entry| = 1)")

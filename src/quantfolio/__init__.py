@@ -58,7 +58,6 @@ from .qaoa import (
 )
 from .schedule_qubo import (
     BitSchedule,
-    CandidateDates,
     QuboParams,
     QuboProblem,
     brute_force,
@@ -70,9 +69,9 @@ from .schedule_qubo import (
 from .shrinkage import ShrunkCovariance, angular_distance, ledoit_wolf
 
 __all__ = [
-    "BacktestReport", "BitSchedule", "BuyAndHold", "CandidateDates",
-    "ClusterAssignment", "Explicit", "GaConfig", "IsingModel", "Periodic",
-    "PricePanel", "QaoaConfig", "QaoaOutcome", "QuboParams", "QuboProblem",
+    "BacktestReport", "BitSchedule", "BuyAndHold", "ClusterAssignment",
+    "Explicit", "GaConfig", "IsingModel", "Periodic", "PricePanel",
+    "QaoaConfig", "QaoaOutcome", "QuboParams", "QuboProblem",
     "ReturnPanel", "ScheduleResult", "SelectionResult", "ShrunkCovariance",
     "SplitSpec", "Strategy", "Threshold", "WeightVector",
     "ZeroVolatilityError", "angular_distance", "annualised_sharpe",

@@ -5,7 +5,8 @@
     quantfolio schedule --config run.cfg     walk-forward QAOA schedules
     quantfolio backtest --config run.cfg     metrics/curves CSV + manifest
 
-The config file is plain ``key = value`` text (``#`` comments); every run is
+The config file is plain ``key = value`` UTF-8 text (``#`` comments), and
+every file the CLI reads or writes is UTF-8 whatever the locale; every run is
 fully determined by the config and the master seed -- no hidden environment
 dependence. Exit codes: 0 success, 1 validation error, 2 runtime error.
 """
@@ -17,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -112,11 +114,19 @@ class RunConfig:
                 "test_end": self.test_end.isoformat(), "periodic": list(self.periodic)}
 
 
+def _finite_float(text: str) -> float:
+    """A float config value; ``nan`` and ``+-inf`` are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 # value parser per RunConfig annotation (a string under postponed annotations)
 _TYPE_PARSERS = {
     "str": str,
     "int": int,
-    "float": float,
+    "float": _finite_float,
     "date": date.fromisoformat,
     "tuple[int, ...]": lambda s: tuple(int(x) for x in s.split(",") if x.strip()),
 }
@@ -127,7 +137,7 @@ _REQUIRED = tuple(f.name for f in dataclasses.fields(RunConfig) if f.default is 
 def parse_config(path) -> RunConfig:
     """Parse a ``key = value`` config file into a validated RunConfig."""
     values: dict = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -162,7 +172,7 @@ def _config_sha256(cfg: RunConfig) -> str:
 
 
 def _write_json(path, obj) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj, indent=2, sort_keys=True))
         fh.write("\n")
 
@@ -201,7 +211,7 @@ def _read_artifact(cfg: RunConfig, name: str, stage: str, *keys: str, allowed=No
     path = os.path.join(cfg.out_dir, name)
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path} not found: run the '{stage}' command first")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
     missing = [key for key in keys if key not in blob]
     if missing:
@@ -243,7 +253,7 @@ def _qubo_record(qubo: QuboProblem) -> dict:
     return {
         "q": qubo.q.ravel().tolist(),  # row-major
         "raw_max_abs": float(qubo.raw_max_abs),
-        "candidates": qubo.candidates.indices.tolist(),
+        "candidates": qubo.candidates.tolist(),
         "gains": qubo.gains.tolist(),
         "params": {k: (float(v) if isinstance(v, float) else v) for k, v in qubo.params.items()},
     }
@@ -363,7 +373,7 @@ def _write_histogram_csv(path, result: ScheduleResult) -> None:
     """Full per-window measurement histogram, count desc (ties by bitstring
     value asc): a window's first N rows are its ``histogram_top(N)``, which
     the schedule JSON therefore does not repeat."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window", "bitstring", "count"])
         for k, win in enumerate(result.windows):
@@ -384,7 +394,7 @@ def cmd_backtest(cfg: RunConfig) -> dict:
     )
 
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
-    with open(metrics_path, "w", newline="") as fh:
+    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([
             "strategy", "return_pct", "sharpe", "sortino",
@@ -404,7 +414,7 @@ def cmd_backtest(cfg: RunConfig) -> dict:
             ])
 
     curves_path = os.path.join(cfg.out_dir, "curves.csv")
-    with open(curves_path, "w", newline="") as fh:
+    with open(curves_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "day", "date", "value"])
         dates = ["start"] + [d.isoformat() for d in test.dates]

@@ -418,7 +418,7 @@ class WindowDiagnostics:
 
     @property
     def candidates_global(self) -> np.ndarray:
-        return self.qubo.candidates.indices + self.start
+        return self.qubo.candidates + self.start
 
 
 @dataclass(frozen=True, eq=False)

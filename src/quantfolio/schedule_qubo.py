@@ -1,5 +1,6 @@
-"""Rebalancing-schedule QUBO: candidate date placement, weight drift, marginal
-Sharpe gains, the cost matrix itself, and an exhaustive classical solver.
+"""Rebalancing-schedule QUBO: the candidate dates (one read-only array of row
+offsets per window), weight drift, marginal Sharpe gains, the cost matrix
+itself, and an exhaustive classical solver.
 
 ``_table`` is the one builder of a 2^W energy table, for 0/1 variables
 (``enumerate_energies``, x' Q x) and for +-1 spins (the Ising phase table of
@@ -29,28 +30,6 @@ def _check_width(w: int, what: str = "W") -> None:
         raise ValueError(f"{what} = {w} exceeds the 2^W memory guard ({MAX_WIDTH})")
 
 
-@dataclass(frozen=True, eq=False)
-class CandidateDates:
-    """Strictly increasing interior row offsets into a return window."""
-
-    indices: np.ndarray
-    window_len: int
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=int)
-        if idx.ndim != 1 or idx.size < 1:
-            raise ValueError("need at least one candidate index")
-        if np.any(np.diff(idx) <= 0):
-            raise ValueError("candidate indices must be strictly increasing")
-        if idx[0] < 1 or idx[-1] > self.window_len - 2:
-            raise ValueError("candidate indices must be interior to the window")
-        object.__setattr__(self, "indices", _frozen_array(idx, int))
-
-    @property
-    def w(self) -> int:
-        return int(self.indices.size)
-
-
 @dataclass(frozen=True)
 class QuboParams:
     """Penalty weights of the schedule objective and the per-unit trade cost."""
@@ -75,21 +54,23 @@ class QuboProblem:
 
     q: np.ndarray
     raw_max_abs: float
-    candidates: CandidateDates
+    candidates: np.ndarray  # row offsets t_k of the candidate dates in the window
     gains: np.ndarray
     params: dict
 
     def __post_init__(self) -> None:
         q = _square(self.q, "q", sym_atol=1e-12)
         w = len(q)
-        if w != self.candidates.w:
-            raise ValueError(f"{w}x{w} matrix for {self.candidates.w} candidates")
+        candidates = _frozen_array(self.candidates, int)
+        if candidates.shape != (w,):
+            raise ValueError(f"{w}x{w} matrix for {candidates.size} candidates")
         if self.raw_max_abs <= 0.0:
             raise ValueError("raw_max_abs must be positive")
         gains = np.asarray(self.gains, dtype=float)
         if gains.shape != (w,):
             raise ValueError("gains must have one entry per candidate")
         object.__setattr__(self, "q", _frozen_array(q))
+        object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "gains", _frozen_array(gains))
         object.__setattr__(self, "params", dict(self.params))
 
@@ -127,13 +108,16 @@ def value_to_bits(value: int, w: int) -> np.ndarray:
     return np.array([(value >> (w - 1 - k)) & 1 for k in range(w)], dtype=np.uint8)
 
 
-def candidate_dates(window_len: int, w: int) -> CandidateDates:
-    """Place ``w`` equally spaced interior candidate dates in a window.
+def candidate_dates(window_len: int, w: int) -> np.ndarray:
+    """The ``w`` equally spaced interior candidate dates of a window, as a
+    read-only array of row offsets. With L = ``window_len`` and k = 1..W:
 
-    Raw positions are round((k+1) * window_len / (w+1)), ties-to-even. They
-    are then clipped into [1, window_len-2], forward-incremented to stay
-    strictly increasing, and capped from the back so none lands on day 0 or
-    the final day. Any window with window_len >= w + 2 can host w dates.
+        t_k = min(round(k * L / (W + 1)), L - 2 - (W - k))
+
+    ``round`` takes ties to even. The spacing L / (W + 1) exceeds 1, so the
+    rounded dates strictly increase from t_1 >= 1; the cap, which rises by
+    one per k, keeps them strictly increasing and leaves room for the W - k
+    later dates below the final day. Any window with L >= W + 2 hosts them.
     """
     if w < 1:
         raise ValueError("need at least one candidate date")
@@ -141,20 +125,9 @@ def candidate_dates(window_len: int, w: int) -> CandidateDates:
         raise ValueError(
             f"window too short: {window_len} days cannot host {w} distinct interior dates"
         )
-    hi = window_len - 2
-    out: list[int] = []
-    prev = 0
-    for k in range(w):
-        v = round((k + 1) * window_len / (w + 1))
-        v = min(max(v, 1), hi)
-        v = max(v, prev + 1)
-        out.append(v)
-        prev = v
-    for k in range(w - 1, -1, -1):  # pull back anything the increments pushed out
-        cap = hi - (w - 1 - k)
-        if out[k] > cap:
-            out[k] = cap
-    return CandidateDates(np.array(out, dtype=int), window_len)
+    k = np.arange(1, w + 1)
+    dates = np.minimum(np.round(k * window_len / (w + 1)), window_len - 2 - (w - k))
+    return _frozen_array(dates, int)
 
 
 def drift_weights(target, window: ReturnPanel, upto: int) -> np.ndarray:
@@ -178,22 +151,28 @@ def _sharpe_or_zero(gross_series: np.ndarray) -> float:
         return 0.0  # degenerate forward window: no Sharpe contribution
 
 
-def marginal_gain(
-    target, window: ReturnPanel, candidates: CandidateDates, k: int, cost_c: float
-) -> float:
+def marginal_gain(target, window: ReturnPanel, candidates, k: int, cost_c: float) -> float:
     """Net benefit of rebalancing at candidate ``k``.
 
     Sharpe of the target weights minus Sharpe of the drifted weights, both on
     the forward window [t_k, t_{k+1}) (the last candidate's window runs to the
     segment end), minus the annualised L1 trading cost of resetting the drift.
     Weights are held fixed within the forward window for both legs.
+    ``candidates`` are the row offsets t_k: strictly increasing and inside
+    ``[1, window.n_days - 2]``.
     """
-    if not 0 <= k < candidates.w:
+    idx = np.asarray(candidates, dtype=int)
+    if idx.ndim != 1 or idx.size < 1:
+        raise ValueError("need at least one candidate index")
+    if np.any(np.diff(idx) <= 0):
+        raise ValueError("candidate indices must be strictly increasing")
+    if idx[0] < 1 or idx[-1] > window.n_days - 2:
+        raise ValueError("candidate indices must be interior to the window")
+    if not 0 <= k < idx.size:
         raise ValueError(f"candidate index {k} out of range")
     w = _weight_array(target, window.n_assets)
-    idx = candidates.indices
     start = int(idx[k])
-    end = int(idx[k + 1]) if k + 1 < candidates.w else window.n_days
+    end = int(idx[k + 1]) if k + 1 < idx.size else window.n_days
     if end - start < 2:
         raise ValueError(f"forward window [{start}, {end}) shorter than 2 days")
     fwd = window.gross_returns[start:end]
@@ -211,21 +190,20 @@ def build_qubo(
 
     Diagonal: ``-lambda1 * g_k + lambda2 * cost_c * n_assets``. Off-diagonal:
     ``lambda3 * exp(-|t_k - t_l| / delta_t)`` with ``delta_t`` the mean spacing
-    of the candidate indices. The matrix is symmetrised and divided by its max
-    absolute entry (recorded in ``raw_max_abs``).
+    of the candidate indices. The matrix is symmetric by construction and is
+    divided by its max absolute entry (recorded in ``raw_max_abs``).
     """
     cand = candidate_dates(window.n_days, w_count)
     gains = np.array(
         [marginal_gain(target, window, cand, k, params.cost_c) for k in range(w_count)]
     )
     n = window.n_assets
-    idx = cand.indices.astype(float)
+    idx = cand.astype(float)
     delta_t = float(np.mean(np.diff(idx))) if w_count >= 2 else float(window.n_days)
 
     gaps = np.abs(idx[:, None] - idx[None, :])
     raw = params.lambda3 * np.exp(-gaps / delta_t)
     np.fill_diagonal(raw, -params.lambda1 * gains + params.lambda2 * params.cost_c * n)
-    raw = (raw + raw.T) / 2.0
 
     max_abs = float(np.max(np.abs(raw)))
     raw_max_abs = max_abs if max_abs > 0.0 else 1.0

@@ -24,7 +24,7 @@ from quantfolio.backtest import drawdown
 from quantfolio.cli import (
     RunConfig, _child_seed, _fmt, _load_panels, _write_matrix_csv, main, parse_config,
 )
-from quantfolio.schedule_qubo import enumerate_energies
+from quantfolio.schedule_qubo import candidate_dates, enumerate_energies
 from quantfolio.shrinkage import _shrunk
 
 from conftest import block_correlation, subprocess_env
@@ -168,6 +168,40 @@ class TestConfigParsing:
         assert run_cli("select", "--config", cfg, "--out", out) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key", [f.name for f in dataclasses.fields(RunConfig) if f.type == "float"]
+    )
+    def test_non_finite_float_exits_1_before_select(
+        self, workspace, tmp_path, capsys, key, value
+    ):
+        cfg = tmp_path / "bad.cfg"
+        text = workspace["config"].read_text() + f"{key} = {value}\n"
+        cfg.write_text(text)
+        out = tmp_path / "never"
+        assert run_cli("select", "--config", cfg, "--out", out) == 1
+        lineno = text.count("\n")
+        assert f"{cfg}:{lineno}: bad value for {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_utf8_config_and_tickers_under_an_ascii_locale(self, workspace, tmp_path):
+        panel = workspace["panel"]
+        prices = tmp_path / "prices.csv"
+        write_csv(dataclasses.replace(panel, tickers=("ÉLAN", *panel.tickers[1:])), prices)
+        cfg = tmp_path / "run.cfg"
+        text = workspace["config"].read_text(encoding="utf-8")
+        text = text.replace(f"prices_csv = {workspace['csv']}", f"prices_csv = {prices}")
+        text = text.replace(f"out_dir = {workspace['out']}", f"out_dir = {tmp_path / 'run'}")
+        cfg.write_text("# données de clôture, fichier UTF-8\n" + text, encoding="utf-8")
+        # an ASCII locale: text files opened with the locale's encoding fail
+        env = {**subprocess_env(), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantfolio.cli", "select", "--config", str(cfg)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "run" / "selection.json").exists()
 
 
 class TestSelectCommand:
@@ -508,7 +542,8 @@ class TestDroppedFieldsRederive:
                 local = blob["qubo"]["candidates"]
                 assert [blob["start"] + c for c in local] == win.candidates_global.tolist()
                 assert len(local) == win.qubo.w
-                assert blob["end"] - blob["start"] == win.qubo.candidates.window_len
+                window_len = blob["end"] - blob["start"]
+                assert local == candidate_dates(window_len, cfg.candidates_per_window).tolist()
 
     def test_drawdown_of_the_value_column(self, in_memory):
         cfg, _, reports = in_memory

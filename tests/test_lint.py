@@ -14,7 +14,8 @@ only ``clustering.annualised_sharpe`` calls ``.std(``, only
 ``MAX_WIDTH``, and only ``market_data._frozen_array`` chooses an array's
 memory layout (passes ``order=`` or calls ``compress``, ``asfortranarray``
 or ``ascontiguousarray``). The artifact format has one owner too: no module but ``cli``
-defines a ``to_json_dict``."""
+defines a ``to_json_dict``. Every ``open(`` is binary or passes ``encoding="utf-8"``,
+so no file depends on the locale."""
 import ast
 from pathlib import Path
 
@@ -115,6 +116,23 @@ def defines(name: str):
     def hit(node: ast.AST) -> bool:
         return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
     return hit
+
+
+def opens_locale_text(node: ast.AST) -> bool:
+    """Accepts a call ``open(...)`` or ``<x>.open(...)`` whose mode is not a
+    binary literal and that passes no ``encoding="utf-8"``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name != "open":
+        return False
+    keywords = {kw.arg: kw.value for kw in node.keywords}
+    mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+    binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+    encoding = keywords.get("encoding")
+    utf8 = isinstance(encoding, ast.Constant) and encoding.value == "utf-8"
+    return not (binary or utf8)
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -234,6 +252,15 @@ def test_only_cli_builds_json_records():
     assert not stray, f"to_json_dict defined outside cli.py: {', '.join(stray)}"
 
 
+def test_every_open_is_binary_or_utf8():
+    stray = [
+        f"{path.name}:{fn}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn, line in owned(parse(path), opens_locale_text)
+    ]
+    assert not stray, f"open() in the locale's encoding: {', '.join(stray)}"
+
+
 def test_checks_catch_dead_code():
     tree = ast.parse(
         "import os\nfrom json import dumps as d\n\ndef _dead(x):\n    assert x\n    return 1\n"
@@ -246,6 +273,9 @@ def test_checks_catch_dead_code():
         "\nclass Record:\n    def to_json_dict(self):\n        return {}\n"
         "\ndef layout(a, ok):\n    b = np.array(a, order='F').reshape(-1)\n"
         "    return a.compress(ok, axis=1), np.asfortranarray(b), ascontiguousarray(b), a[:, ok]\n"
+        "\ndef read(path):\n    a = open(path), open(path, 'rb'), open(path, mode='wb')\n"
+        "    b = open(path, 'w', encoding='utf-8'), p.open(encoding='latin-1')\n"
+        "    return a, b, open(path, 'r', newline='')\n"
         "\n__all__ = ['stats', 'fits', 'Box']\n"
     )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
@@ -259,5 +289,6 @@ def test_checks_catch_dead_code():
         "layout": [("layout", 29), ("layout", 30), ("layout", 30), ("layout", 30)],
     }
     assert owned(tree, defines("to_json_dict")) == [("<module>", 25)]
+    assert owned(tree, opens_locale_text) == [("read", 33), ("read", 34), ("read", 35)]
     assert public_names(tree) == ["stats", "fits", "Box"]
     assert uncalled(public_names(tree), [tree, ast.parse("stats(1, 2, 3)\nBox().freeze(a)\n")]) == ["fits"]

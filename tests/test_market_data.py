@@ -26,7 +26,7 @@ from quantfolio import (
 )
 from quantfolio.allocation import minvar
 from quantfolio.clustering import ward_cluster
-from quantfolio.schedule_qubo import CandidateDates, QuboProblem, _qubo_matrix
+from quantfolio.schedule_qubo import QuboProblem, _qubo_matrix
 from quantfolio.shrinkage import ShrunkCovariance
 
 from conftest import subprocess_env
@@ -607,7 +607,7 @@ def _bumped(matrix, by):
 
 @pytest.mark.parametrize("call,base,sym_atol,not_square,what", [
     pytest.param(_qubo_matrix, _CORR, None, "Q must be square", "Q", id="_qubo_matrix"),
-    pytest.param(lambda m: QuboProblem(m, 1.0, CandidateDates([1, 2, 3], 5), np.zeros(3), {}),
+    pytest.param(lambda m: QuboProblem(m, 1.0, np.array([1, 2, 3]), np.zeros(3), {}),
                  _CORR, 1e-12, "q must be square", "q", id="QuboProblem"),
     pytest.param(lambda m: ShrunkCovariance(("A", "B", "C"), m, 0.1, 1.0),
                  _CORR, 1e-10, "sigma must be square", "sigma", id="ShrunkCovariance"),

@@ -25,9 +25,7 @@ from quantfolio import qaoa
 from quantfolio.allocation import METHODS
 from quantfolio.cli import _schedule_record
 from quantfolio.qaoa import IsingModel, QaoaOutcome, ScheduleResult, WindowDiagnostics
-from quantfolio.schedule_qubo import (
-    BitSchedule, CandidateDates, QuboProblem, _table, enumerate_energies,
-)
+from quantfolio.schedule_qubo import BitSchedule, QuboProblem, _table, enumerate_energies
 
 
 def random_symmetric(rng, w, scale=1.0):
@@ -579,8 +577,7 @@ class TestWalkForward:
         # every window reports its exact optimum and gap, W = 17 included
         w = 17
         raw = np.random.default_rng(17).normal(size=(w, w))
-        cand = CandidateDates(np.arange(1, w + 1), w + 2)
-        qubo = QuboProblem((raw + raw.T) / 2.0, 1.0, cand, np.zeros(w), {})
+        qubo = QuboProblem((raw + raw.T) / 2.0, 1.0, np.arange(1, w + 1), np.zeros(w), {})
         histogram = np.zeros(2 ** w, dtype=int)
         histogram[0] = 8
         outcome = QaoaOutcome(BitSchedule(np.zeros(w), 0.0), histogram,

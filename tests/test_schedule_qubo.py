@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from quantfolio import (
     QuboParams,
+    QuboProblem,
     WeightVector,
     brute_force,
     build_qubo,
@@ -25,27 +26,41 @@ from quantfolio.schedule_qubo import bits_to_str, enumerate_energies, value_to_b
 from conftest import gross_panel
 
 
+def two_loop_dates(window_len, w):
+    """Reference placement in two loops: round, clip into [1, L-2] and push
+    forward to stay increasing, then pull back from the end so the last
+    dates fit below L-1."""
+    hi = window_len - 2
+    out, prev = [], 0
+    for k in range(w):
+        v = round((k + 1) * window_len / (w + 1))
+        v = min(max(v, 1), hi)
+        v = max(v, prev + 1)
+        out.append(v)
+        prev = v
+    for k in range(w - 1, -1, -1):
+        out[k] = min(out[k], hi - (w - 1 - k))
+    return out
+
+
 class TestCandidateDates:
     def test_equally_spaced_83_by_8(self):
-        cand = candidate_dates(83, 8)
-        np.testing.assert_array_equal(cand.indices, [9, 18, 28, 37, 46, 55, 65, 74])
+        np.testing.assert_array_equal(candidate_dates(83, 8), [9, 18, 28, 37, 46, 55, 65, 74])
 
     def test_single_midpoint(self):
-        np.testing.assert_array_equal(candidate_dates(10, 1).indices, [5])
+        np.testing.assert_array_equal(candidate_dates(10, 1), [5])
 
     def test_window_not_longer_than_w(self):
         with pytest.raises(ValueError, match="cannot host"):
             candidate_dates(9, 9)
 
     def test_tight_window_still_fits(self):
-        cand = candidate_dates(10, 8)
-        np.testing.assert_array_equal(cand.indices, [1, 2, 3, 4, 5, 6, 7, 8])
+        np.testing.assert_array_equal(candidate_dates(10, 8), [1, 2, 3, 4, 5, 6, 7, 8])
 
     def test_interior_and_increasing(self):
         for window_len in (12, 37, 83, 250):
             for w in (1, 3, 8, 10):
-                cand = candidate_dates(window_len, w)
-                idx = cand.indices
+                idx = candidate_dates(window_len, w)
                 assert idx[0] >= 1
                 assert idx[-1] <= window_len - 2
                 assert np.all(np.diff(idx) >= 1)
@@ -54,6 +69,32 @@ class TestCandidateDates:
     def test_window_too_short_for_interior(self):
         with pytest.raises(ValueError, match="too short"):
             candidate_dates(3, 2)
+
+    def test_no_candidates_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            candidate_dates(10, 0)
+
+    def test_closed_form_equals_the_two_loops(self):
+        for w in range(1, 25):
+            for window_len in range(w + 2, 601):
+                got = candidate_dates(window_len, w)
+                assert got.tolist() == two_loop_dates(window_len, w), (window_len, w)
+
+    def test_read_only_int_array(self):
+        idx = candidate_dates(83, 8)
+        assert idx.dtype.kind == "i"
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 3
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(w=st.integers(1, 24), extra=st.integers(0, 5000))
+    def test_dates_are_interior_increasing_and_number_w(self, w, extra):
+        window_len = w + 2 + extra
+        idx = candidate_dates(window_len, w)
+        assert idx.shape == (w,)
+        assert np.all(np.diff(idx) > 0)
+        assert 1 <= idx[0] and idx[-1] <= window_len - 2
 
 
 def target(weights, tickers=None):
@@ -139,7 +180,7 @@ class TestMarginalGain:
         panel = gross_panel(np.vstack([head, tail]))
         w = target([0.5, 0.5])
         cand = candidate_dates(20, 3)
-        drifted = drift_weights(w, panel, int(cand.indices[0]))
+        drifted = drift_weights(w, panel, int(cand[0]))
         l1 = np.abs(drifted - w.weights).sum()
         expected = -0.001 * l1 * ANNUALISATION
         got = marginal_gain(w, panel, cand, 0, 0.001)
@@ -152,17 +193,37 @@ class TestMarginalGain:
         cand = candidate_dates(panel.n_days, 4)
         for k in range(4):
             mine = marginal_gain(w, panel, cand, k, 0.001)
-            ref = gain_oracle(w.weights, panel.gross_returns, list(cand.indices), k, 0.001)
+            ref = gain_oracle(w.weights, panel.gross_returns, cand.tolist(), k, 0.001)
             assert mine == pytest.approx(ref, abs=1e-10)
 
     def test_short_forward_window_rejected(self):
         panel = gross_panel(np.full((6, 2), 1.01))
         w = target([0.5, 0.5])
-        from quantfolio import CandidateDates
-
-        cand = CandidateDates(np.array([1, 2]), 6)  # [1,2) is a single day
+        cand = np.array([1, 2])  # [1,2) is a single day
         with pytest.raises(ValueError, match="shorter than 2"):
             marginal_gain(w, panel, cand, 0, 0.001)
+
+    @pytest.mark.parametrize("cand,match", [
+        pytest.param([], "at least one candidate", id="empty"),
+        pytest.param([[1, 3], [5, 7]], "at least one candidate", id="2d"),
+        pytest.param([1, 5, 5], "strictly increasing", id="repeated"),
+        pytest.param([5, 3, 7], "strictly increasing", id="decreasing"),
+        pytest.param([0, 3, 6], "interior", id="day_0"),
+        pytest.param([1, 3, 9], "interior", id="past_L_minus_2"),
+    ])
+    def test_bad_candidate_indices_rejected(self, cand, match):
+        panel = gross_panel(np.full((10, 2), 1.01))  # L = 10: interior is [1, 8]
+        with pytest.raises(ValueError, match=match):
+            marginal_gain(target([0.5, 0.5]), panel, np.array(cand, dtype=int), 0, 0.001)
+
+    def test_candidate_k_checked_against_length(self):
+        panel = gross_panel(np.full((10, 2), 1.01))
+        w = target([0.5, 0.5])
+        cand = np.array([1, 4, 8])
+        assert marginal_gain(w, panel, cand, 2, 0.001) == pytest.approx(0.0, abs=1e-15)
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                marginal_gain(w, panel, cand, k, 0.001)
 
 
 class TestBuildQubo:
@@ -176,7 +237,7 @@ class TestBuildQubo:
         # adjacent candidates sit one mean-spacing apart: lambda3 * exp(-1)
         panel = to_returns(synth_panel(seed=9, T=84, M=3))
         qp = build_qubo(target(np.full(3, 1 / 3)), panel, 8)
-        idx = qp.candidates.indices.astype(float)
+        idx = qp.candidates.astype(float)
         delta_t = float(np.mean(np.diff(idx)))
         raw = qp.q * qp.raw_max_abs
         k, l = 1, 2
@@ -194,6 +255,27 @@ class TestBuildQubo:
         np.testing.assert_allclose(qp.gains, 0.0, atol=1e-15)
         np.testing.assert_allclose(np.diag(raw), 0.5 * 0.001 * 10, atol=1e-15)
         np.testing.assert_allclose(np.diag(raw), 0.005, atol=1e-15)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_days=st.integers(12, 120),
+           m=st.integers(1, 5), w=st.integers(1, 10))
+    def test_exactly_symmetric_on_random_windows(self, seed, n_days, m, w):
+        if n_days < 2 * (w + 1):  # forward windows of at least 2 days
+            w = n_days // 2 - 1
+        rng = np.random.default_rng(seed)
+        panel = gross_panel(np.exp(rng.normal(0.0, 0.02, size=(n_days, m))))
+        weights = rng.dirichlet(np.ones(m))
+        qp = build_qubo(target(weights), panel, w)
+        assert np.array_equal(qp.q, qp.q.T)
+        assert qp.candidates.tolist() == candidate_dates(n_days, w).tolist()
+
+    def test_candidates_one_per_row_of_q(self):
+        panel = to_returns(synth_panel(seed=11, T=60, M=2))
+        qp = build_qubo(target([0.5, 0.5]), panel, 5)
+        with pytest.raises(ValueError, match="5x5 matrix for 4 candidates"):
+            QuboProblem(qp.q, 1.0, qp.candidates[:4], qp.gains, {})
+        with pytest.raises(ValueError, match="5x5 matrix for 10 candidates"):
+            QuboProblem(qp.q, 1.0, np.vstack([qp.candidates] * 2), qp.gains, {})
 
     def test_normalised_to_unit_max(self):
         panel = to_returns(synth_panel(seed=10, T=90, M=4))
@@ -222,7 +304,7 @@ class TestBuildQubo:
         qp = build_qubo(target([0.5, 0.5]), panel, 3)
         blob = _qubo_record(qp)
         assert len(blob["q"]) == 9
-        assert blob["candidates"] == list(qp.candidates.indices)
+        assert blob["candidates"] == qp.candidates.tolist()
         assert blob["raw_max_abs"] == qp.raw_max_abs
 
 

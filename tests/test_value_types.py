@@ -17,7 +17,7 @@ from quantfolio.market_data import PricePanel, ReturnPanel
 from quantfolio.qaoa import (
     IsingModel, QaoaOutcome, ScheduleResult, SpsaResult, WindowDiagnostics,
 )
-from quantfolio.schedule_qubo import BitSchedule, CandidateDates, QuboProblem
+from quantfolio.schedule_qubo import BitSchedule, QuboProblem
 from quantfolio.shrinkage import ShrunkCovariance
 
 DATES = tuple(date(2020, 1, 1) + timedelta(days=i) for i in range(3))
@@ -50,16 +50,12 @@ def cluster_assignment(order="C"):
     return ClusterAssignment(labels, 2), {"labels": labels}
 
 
-def candidate_dates(order="C"):
-    indices = np.array([1, 3])
-    return CandidateDates(indices, 6), {"indices": indices}
-
-
 def qubo_problem(order="C"):
     q = np.array([[-1.0, 0.5], [0.5, 0.25]], order=order)
+    candidates = np.array([1, 3])
     gains = np.array([0.3, -0.1])
-    cand = CandidateDates(np.array([1, 3]), 6)
-    return QuboProblem(q, 2.0, cand, gains, {}), {"q": q, "gains": gains}
+    qubo = QuboProblem(q, 2.0, candidates, gains, {})
+    return qubo, {"q": q, "candidates": candidates, "gains": gains}
 
 
 def bit_schedule(order="C"):
@@ -110,8 +106,8 @@ def backtest_report(order="C"):
 
 VALUE_TYPES = [
     price_panel, return_panel, shrunk_covariance, weight_vector, cluster_assignment,
-    candidate_dates, qubo_problem, bit_schedule, ising_model, spsa_result, qaoa_outcome,
-    schedule_result, explicit, backtest_report,
+    qubo_problem, bit_schedule, ising_model, spsa_result, qaoa_outcome, schedule_result,
+    explicit, backtest_report,
 ]
 
 
