@@ -156,6 +156,11 @@ def parse_config(path) -> RunConfig:
     if missing:
         raise ValueError(f"{path}: missing required key(s): {', '.join(missing)}")
     cfg = RunConfig(**values)
+    try:
+        os.fsencode(cfg.prices_csv)  # os.path.exists reads "cannot encode" as "missing"
+    except UnicodeEncodeError:
+        raise ValueError(f"prices CSV path {cfg.prices_csv!r} cannot be encoded in the "
+                         f"file-system encoding {sys.getfilesystemencoding()!r}") from None
     if not os.path.exists(cfg.prices_csv):
         raise FileNotFoundError(f"prices CSV not found: {cfg.prices_csv}")
     return cfg

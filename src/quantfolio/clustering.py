@@ -2,12 +2,14 @@
 representative selection.
 
 Ward linkage is run directly on the precomputed distance matrix via the
-Lance-Williams recurrence. Each merge costs one argmin over an M x M working
-matrix plus O(M) updates of the merged and the dead slot's row and column, so
-O(M^2) numpy work per merge and no per-merge allocation of M x M arrays. All
-tie-breaking is deterministic: merges go to the lexicographically smallest
-slot pair, cluster ids are ordered by smallest member index, and
-representative ties go to the lexicographically first ticker.
+Lance-Williams recurrence, on one M x M matrix of squared distances (exactly
+symmetric, as ``market_data._square`` admits it) updated in place: merging
+slots i < j writes row and column i and sets row and column j to inf, as the
+diagonal is, so a dead slot never wins the argmin. That is O(M^2) numpy work
+per merge and no per-merge allocation of M x M arrays. All tie-breaking is
+deterministic: merges go to the lexicographically smallest slot pair, a
+cluster's slot is its smallest member, cluster ids are ordered by smallest
+member index, and representative ties go to the lexicographically first ticker.
 """
 from __future__ import annotations
 
@@ -92,40 +94,25 @@ def ward_cluster(dist, n: int) -> ClusterAssignment:
     if not 1 <= n <= m:
         raise ValueError(f"n must be in 1..{m}, got {n}")
 
-    d2 = d.astype(float) ** 2
+    # d2 is symmetric, so argmin's first hit is the smallest minimal pair, i < j
+    d2 = d ** 2
     np.fill_diagonal(d2, np.inf)
-    # work[a, b] == d2[a, b] for live a < b and inf everywhere else, so its
-    # argmin's first hit is the lexicographically smallest minimal live pair
-    work = d2.copy()
-    work[np.tril_indices(m)] = np.inf
     size = np.ones(m)
-    alive = np.ones(m, dtype=bool)
-    members: list[list[int]] = [[i] for i in range(m)]
+    slot = np.arange(m)  # each asset's cluster: the slot of its smallest member
 
     for _ in range(m - n):
-        i, j = divmod(int(np.argmin(work)), m)
+        i, j = divmod(int(np.argmin(d2)), m)
 
         si, sj, sk = size[i], size[j], size
-        dij = d2[i, j]
-        merged = ((si + sk) * d2[i] + (sj + sk) * d2[j] - sk * dij) / (si + sj + sk)
-        d2[i, :] = merged
+        merged = ((si + sk) * d2[i] + (sj + sk) * d2[j] - sk * d2[i, j]) / (si + sj + sk)
+        d2[i, :] = merged  # inf at i, j and every dead slot
         d2[:, i] = merged
-        d2[i, i] = np.inf
+        d2[j, :] = np.inf
+        d2[:, j] = np.inf
         size[i] = si + sj
-        alive[j] = False
-        members[i].extend(members[j])
-        members[j] = []
+        slot[slot == j] = i
 
-        live = np.where(alive, merged, np.inf)
-        work[j, :] = np.inf
-        work[:, j] = np.inf
-        work[i, i + 1:] = live[i + 1:]
-        work[:i, i] = live[:i]
-
-    clusters = sorted((members[s] for s in np.flatnonzero(alive)), key=min)
-    labels = np.empty(m, dtype=int)
-    for cid, idx in enumerate(clusters):
-        labels[idx] = cid
+    labels = np.unique(slot, return_inverse=True)[1]
     return ClusterAssignment(labels, n)
 
 

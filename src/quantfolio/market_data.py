@@ -13,7 +13,8 @@ result depends on the layout of the caller's array or on how a panel was cut
 (the last digits of a BLAS product do). A bit vector
 (``BitSchedule``, ``Explicit``) must be 1-D and hold only 0 and 1;
 ``_frozen_bits`` checks that before its ``uint8`` cast. ``_read_only`` is the
-one place that marks an array read-only.
+one place that marks an array read-only. ``_square`` admits every square
+matrix as its exact symmetric part, so no stage symmetrises one again.
 
 Price files are UTF-8 on both sides, whatever the locale. ``load_csv``
 streams the file as bytes, one line at a time. Every row gets a cell count
@@ -24,6 +25,7 @@ alone, so quoted cells parse as the header's do.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import logging
@@ -75,14 +77,16 @@ def _frozen_bits(values) -> np.ndarray:
 
 
 def _square(values, what: str, sym_atol: float | None = None) -> np.ndarray:
-    """``values`` as a float matrix, checked square (and symmetric within
-    ``sym_atol``, if given). The one such check of the package."""
+    """``values`` as a float matrix m, checked square (and symmetric within
+    ``sym_atol``, if given), returned as its symmetric part ``(m + m') / 2``:
+    no entry moves by more than ``sym_atol / 2`` and x' m x is unchanged. The
+    one such check, and the one average of a matrix with its transpose."""
     mat = np.atleast_2d(np.asarray(values, dtype=float))
     if mat.shape != (len(mat), len(mat)):
         raise ValueError(f"{what} must be square")
     if sym_atol is not None and not np.allclose(mat, mat.T, rtol=0.0, atol=sym_atol):
         raise ValueError(f"{what} must be symmetric")
-    return mat
+    return (mat + mat.T) / 2.0
 
 
 def _check_cost(cost_c) -> None:
@@ -223,9 +227,11 @@ _BLANK = b", \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 
 def _lines(fh, path):
     """``(line number, line)`` for each physical line of the binary file
-    ``fh``. A carriage return may only end a line: a file with bare ``\\r``
-    line ends is an error, not one long line."""
+    ``fh``, less a UTF-8 BOM at the start of line 1. A carriage return may
+    only end a line: bare ``\\r`` line ends are an error, not one long line."""
     for n, line in enumerate(fh, start=1):
+        if n == 1 and line.startswith(codecs.BOM_UTF8):
+            line = line[len(codecs.BOM_UTF8):]
         cr = line.find(b"\r")
         if cr >= 0 and line[cr:] not in (b"\r\n", b"\r"):
             raise ValueError(f"{path}: line {n} has a carriage return inside it; "

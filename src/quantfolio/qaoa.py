@@ -215,12 +215,11 @@ class QaoaOutcome:
 def to_ising(q) -> IsingModel:
     """Exact Ising form of a QUBO (offset included).
 
-    With z = 1 - 2x and symmetrised Q:
+    With z = 1 - 2x and Q's symmetric part (``_qubo_matrix``):
     ``h_i = -Q_ii/2 - sum_{j!=i} Q_ij / 2``, ``J_ij = Q_ij / 2`` for i < j,
     ``offset = sum_i Q_ii / 2 + sum_{i<j} Q_ij / 2``.
     """
-    mat = _qubo_matrix(q)
-    sym = (mat + mat.T) / 2.0
+    sym = _qubo_matrix(q)
     diag = np.diag(sym)
     off_row = sym.sum(axis=1) - diag
     h = -diag / 2.0 - off_row / 2.0

@@ -94,7 +94,8 @@ class BitSchedule:
 
 
 def _qubo_matrix(q) -> np.ndarray:
-    """The matrix of a ``QuboProblem``, or ``q`` as a square float matrix."""
+    """The symmetric matrix S of a ``QuboProblem``, or of a raw square ``q``
+    its symmetric part (``_square``): the S with x' q x = x' S x."""
     return q.q if isinstance(q, QuboProblem) else _square(q, "Q")
 
 
@@ -236,9 +237,8 @@ def _table(linear, upper, values) -> np.ndarray:
 
 def enumerate_energies(q) -> np.ndarray:
     """x' Q x for every bitstring, indexed by bitstring value: with S the
-    symmetrised Q and x_i^2 = x_i, ``sum_i S_ii x_i + sum_{i<j} 2 S_ij x_i x_j``."""
-    mat = _qubo_matrix(q)
-    sym = (mat + mat.T) / 2.0
+    symmetric part of Q and x_i^2 = x_i, ``sum_i S_ii x_i + sum_{i<j} 2 S_ij x_i x_j``."""
+    sym = _qubo_matrix(q)
     return _table(np.diag(sym), 2.0 * np.triu(sym, 1), (0, 1))
 
 

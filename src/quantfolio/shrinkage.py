@@ -23,10 +23,12 @@ from .market_data import ReturnPanel, _flat, _frozen_array, _positions, _read_on
 class ShrunkCovariance:
     """Shrunk covariance with its intensity and shrinkage target.
 
-    ``sigma`` is the one stored matrix. ``corr`` (its correlation: diagonal
-    1, entries clamped to [-1, 1]) and ``dist`` (the angular distance
+    ``sigma`` is the one stored matrix: the exact symmetric part (``_square``)
+    of the matrix given. ``corr`` (its correlation: diagonal 1, entries
+    clamped to [-1, 1]) and ``dist`` (the angular distance
     ``sqrt((1 - corr) / 2)``: diagonal 0, entries in [0, 1]) are computed
-    from it on first use and then kept; all three are read-only.
+    from it on first use and then kept; all three are read-only and exactly
+    symmetric.
     """
 
     tickers: tuple[str, ...]
@@ -56,7 +58,7 @@ class ShrunkCovariance:
         corr = self.sigma / np.outer(std, std)
         corr = np.clip(corr, -1.0, 1.0)  # absorb 1-ulp overshoot from the division
         np.fill_diagonal(corr, 1.0)
-        return _read_only((corr + corr.T) / 2.0)
+        return _read_only(corr)
 
     @cached_property
     def dist(self) -> np.ndarray:
@@ -111,17 +113,16 @@ def ledoit_wolf(returns: ReturnPanel) -> ShrunkCovariance:
 
 def _shrunk(returns: ReturnPanel, alpha: float, mu_target: float,
             sample=None) -> ShrunkCovariance:
-    """``(1 - alpha) * sample + alpha * mu_target * I``, symmetrised: the
-    shrinkage blend of the panel's sample covariance (T-1 denominator) with a
-    given intensity and target. ``sample`` is that covariance if the caller
-    already has it. A subset of a universe shrinks with the universe's
-    ``alpha`` and ``mu_target``, so its estimate is the universe estimate's
-    block without the universe's returns."""
+    """``(1 - alpha) * sample + alpha * mu_target * I``: the shrinkage blend
+    of the panel's sample covariance (T-1 denominator) with a given intensity
+    and target. ``sample`` is that covariance if the caller already has it.
+    A subset of a universe shrinks with the universe's ``alpha`` and
+    ``mu_target``, so its estimate is the universe estimate's block without
+    the universe's returns."""
     if sample is None:
         xc = returns.log_returns - returns.log_returns.mean(axis=0)
         sample = xc.T @ xc / (returns.n_days - 1)
     sigma = (1.0 - alpha) * sample + alpha * mu_target * np.eye(returns.n_assets)
-    sigma = (sigma + sigma.T) / 2.0
     return ShrunkCovariance(returns.tickers, sigma, alpha, mu_target)
 
 

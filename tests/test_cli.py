@@ -203,6 +203,35 @@ class TestConfigParsing:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "run" / "selection.json").exists()
 
+    def test_unencodable_prices_path_is_named_not_missing(self, workspace, tmp_path):
+        """Under an ASCII file-system encoding an existing ``données.csv``
+        cannot be opened by name; the error says so instead of "not found"."""
+        env = {**subprocess_env(), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        probe = subprocess.run([sys.executable, "-c", "import sys; print(sys.getfilesystemencoding())"],
+                               env=env, capture_output=True, text=True, timeout=60, check=True)
+        encoding = probe.stdout.strip()
+        try:
+            "données.csv".encode(encoding)
+            pytest.skip(f"the file-system encoding here is {encoding}, which encodes any name")
+        except UnicodeEncodeError:
+            pass
+        prices = tmp_path / "données.csv"
+        shutil.copyfile(workspace["csv"], prices)
+        cfg = tmp_path / "run.cfg"
+        text = workspace["config"].read_text(encoding="utf-8")
+        text = text.replace(f"prices_csv = {workspace['csv']}", f"prices_csv = {prices}")
+        cfg.write_text(text.replace(f"out_dir = {workspace['out']}", f"out_dir = {tmp_path / 'run'}"),
+                       encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "quantfolio.cli", "select", "--config", str(cfg)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "not found" not in proc.stderr
+        assert f"prices CSV path '{tmp_path}/donn" in proc.stderr
+        assert f"cannot be encoded in the file-system encoding '{encoding}'" in proc.stderr
+        assert not (tmp_path / "run").exists()
+
 
 class TestSelectCommand:
     def test_recovers_planted_groups(self, workspace):

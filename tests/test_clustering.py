@@ -156,6 +156,35 @@ class TestWardBitIdentity:
                 assert np.array_equal(ward_cluster(d, n).labels, ref), n
 
 
+class TestWardOneMatrix:
+    """``ward_cluster`` merges on the one symmetric matrix ``_square`` admits."""
+
+    @pytest.mark.parametrize("make", [random_distance, duplicated_columns_distance])
+    def test_every_n_matches_reference_at_200(self, make):
+        d = make(200, 200)
+        for n, ref in reference_ward_labels(d):
+            assert np.array_equal(ward_cluster(d, n).labels, ref), n
+
+    @pytest.mark.parametrize("make", [random_distance, duplicated_columns_distance])
+    def test_ten_clusters_match_reference_at_500(self, make):
+        d = make(500, 500)
+        ref = next(labels for n, labels in reference_ward_labels(d) if n == 10)
+        assert np.array_equal(ward_cluster(d, 10).labels, ref)
+
+    @pytest.mark.parametrize("m", [2, 7, 30])
+    def test_near_symmetric_input_clusters_as_its_symmetric_part(self, m):
+        """Bumps up to 4e-11 below the diagonal, inside the 1e-10 tolerance,
+        on random and all-tied distances: the all-tied ones make the lower
+        triangle decide the first merges."""
+        rng = np.random.default_rng(m)
+        for d in (random_distance(3000 + m, m), all_tied_distance(m)):
+            bumped = d + np.tril(rng.uniform(-4e-11, 4e-11, size=(m, m)), -1)
+            sym = (bumped + bumped.T) / 2
+            for n, ref in reference_ward_labels(sym):
+                assert np.array_equal(ward_cluster(bumped, n).labels, ref), n
+                assert np.array_equal(ward_cluster(sym, n).labels, ref), n
+
+
 class TestAnnualisedSharpe:
     def test_constant_series_is_error(self):
         with pytest.raises(ZeroVolatilityError):

@@ -8,7 +8,8 @@ has one owner: only ``market_data._read_only`` assigns
 ``<array>.flags.writeable`` (every value type freezes its arrays through it),
 only ``clustering.annualised_sharpe`` calls ``.std(``, only
 ``backtest.drawdown`` calls ``np.maximum.accumulate``, only
-``market_data._square`` checks ``np.allclose(m, m.T, ...)``, only
+``market_data._square`` checks ``np.allclose(m, m.T, ...)`` or averages
+``(m + m.T) / 2`` (every matrix it admits is exactly symmetric), only
 ``market_data._check_cost`` compares a ``cost_c`` and only
 ``schedule_qubo._check_width`` compares a width with the 2^W memory guard
 ``MAX_WIDTH``, and only ``market_data._frozen_array`` chooses an array's
@@ -80,12 +81,22 @@ def calls_method(name: str, of: str | None = None):
     return hit
 
 
+def transposes(mt: ast.AST, m: ast.AST) -> bool:
+    """Whether the expression ``mt`` is ``m.T``."""
+    return isinstance(mt, ast.Attribute) and mt.attr == "T" and ast.dump(mt.value) == ast.dump(m)
+
+
 def checks_symmetry(node: ast.AST) -> bool:
     """Accepts ``<x>.allclose(m, m.T, ...)`` for any expression ``m``."""
-    if not calls_method("allclose")(node) or len(node.args) < 2:
-        return False
-    m, mt = node.args[:2]
-    return isinstance(mt, ast.Attribute) and mt.attr == "T" and ast.dump(mt.value) == ast.dump(m)
+    return calls_method("allclose")(node) and len(node.args) >= 2 and transposes(node.args[1], node.args[0])
+
+
+def averages_with_transpose(node: ast.AST) -> bool:
+    """Accepts ``(m + m.T) / 2`` (or ``/ 2.0``) for any expression ``m``."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Add)
+            and transposes(node.left.right, node.left.left))
 
 
 def compares(name: str):
@@ -223,6 +234,7 @@ OWNERS = {
     "std": (calls_method("std"), ("clustering.py", "annualised_sharpe")),
     "running_peak": (calls_method("accumulate", of="maximum"), ("backtest.py", "drawdown")),
     "symmetry": (checks_symmetry, ("market_data.py", "_square")),
+    "symmetric_part": (averages_with_transpose, ("market_data.py", "_square")),
     "cost_sign": (compares("cost_c"), ("market_data.py", "_check_cost")),
     "width_guard": (compares("MAX_WIDTH"), ("schedule_qubo.py", "_check_width")),
     "layout": (sets_layout, ("market_data.py", "_frozen_array")),
@@ -267,7 +279,7 @@ def test_checks_catch_dead_code():
         "\nclass Box:\n    def freeze(self, a):\n        a.flags.writeable = False\n"
         "\ndef stats(r, c, m):\n    sd = r.std(ddof=1)\n    peak = np.maximum.accumulate(c)\n"
         "    ok = np.allclose(m, m.T, atol=0.0) and np.allclose(m.diagonal(), 0.0)\n"
-        "    return np.minimum.accumulate(c), np.allclose(m, c.T)\n"
+        "    return np.minimum.accumulate(c), np.allclose(m, c.T), (m + m.T) / 2.0, (m + c.T) / 2\n"
         "\ndef charge(p, cost_c):\n    return p.cost_c < 0 or 0.0 > cost_c or cost_c * 2.0\n"
         "\ndef fits(w, q):\n    return w > MAX_WIDTH or q.MAX_WIDTH == 3 or 2 ** MAX_WIDTH\n"
         "\nclass Record:\n    def to_json_dict(self):\n        return {}\n"
@@ -284,6 +296,7 @@ def test_checks_catch_dead_code():
     assert writeable_assignments(tree) == [("freeze", 10)]
     assert {rule: owned(tree, hit) for rule, (hit, _) in OWNERS.items()} == {
         "std": [("stats", 13)], "running_peak": [("stats", 14)], "symmetry": [("stats", 15)],
+        "symmetric_part": [("stats", 16)],
         "cost_sign": [("charge", 19), ("charge", 19)],
         "width_guard": [("fits", 22), ("fits", 22)],
         "layout": [("layout", 29), ("layout", 30), ("layout", 30), ("layout", 30)],

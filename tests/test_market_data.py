@@ -1,3 +1,4 @@
+import codecs
 import csv
 import gc
 import math
@@ -367,6 +368,29 @@ def price_csvs(draw):
     return end.join(lines) + end, [name.format(i) for i, (_, name) in enumerate(forms)], last
 
 
+GOLDEN_PRICES = Path(__file__).resolve().parent / "data" / "golden_prices.csv"
+
+
+@pytest.mark.parametrize("tickers", [None, ("A007", "A002", "BAD")], ids=["all", "subset"])
+@pytest.mark.parametrize("last", [None, date(2015, 6, 30)], ids=["to_end", "to_last"])
+def test_utf8_bom_is_ignored(tmp_path, tickers, last):
+    """A UTF-8 byte order mark before the header (Excel's "CSV UTF-8") reads
+    as the plain file does, bit for bit, dropped tickers included."""
+    lines = GOLDEN_PRICES.read_text(encoding="utf-8").splitlines()
+    cells = ["BAD"] + ["1.0"] * (len(lines) - 1)
+    cells[50] = ""  # a blank cell drops BAD
+    text = "".join(f"{line},{cell}\n" for line, cell in zip(lines, cells)).encode()
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text)
+    bom.write_bytes(codecs.BOM_UTF8 + text)
+    want, got = load_csv(plain, tickers, last), load_csv(bom, tickers, last)
+    assert want.dropped == ("BAD",)
+    assert got.dates == want.dates
+    assert got.tickers == want.tickers
+    assert got.dropped == want.dropped
+    assert np.array_equal(got.prices, want.prices)
+
+
 class TestLoadCsvMatchesReference:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(case=price_csvs(), data=st.data())
@@ -628,3 +652,28 @@ def test_square_matrix_callers_keep_their_tolerance(call, base, sym_atol, not_sq
             call(_bumped(base, 2.0 * sym_atol))
     with pytest.raises(ValueError, match=not_square):
         call(base[:2])
+
+
+def _angular(corr):
+    return np.sqrt((1.0 - corr) / 2.0)
+
+
+@pytest.mark.parametrize("admit,sym_atol,derive", [
+    pytest.param(_qubo_matrix, None, lambda s: s, id="_qubo_matrix"),
+    pytest.param(lambda m: QuboProblem(m, 1.0, np.array([1, 2, 3]), np.zeros(3), {}).q,
+                 1e-12, lambda s: s, id="QuboProblem.q"),
+    pytest.param(lambda m: ShrunkCovariance(("A", "B", "C"), m, 0.1, 1.0).sigma,
+                 1e-10, lambda s: s, id="ShrunkCovariance.sigma"),
+    pytest.param(lambda m: ShrunkCovariance(("A", "B", "C"), m, 0.1, 1.0).corr,
+                 1e-10, lambda s: s, id="ShrunkCovariance.corr"),
+    pytest.param(lambda m: ShrunkCovariance(("A", "B", "C"), m, 0.1, 1.0).dist,
+                 1e-10, _angular, id="ShrunkCovariance.dist"),
+])
+def test_admitted_matrix_is_its_exact_symmetric_part(admit, sym_atol, derive):
+    """A matrix bumped within its caller's tolerance (any bump where it checks
+    none) is admitted as its symmetric part ``(m + m.T) / 2``, exactly: one
+    owner symmetrises, so no stage sees or re-averages the asymmetry."""
+    bumped = _bumped(_CORR, 0.5 * sym_atol if sym_atol else 1.0)
+    got = admit(bumped)
+    assert np.array_equal(got, got.T)
+    assert np.array_equal(got, derive((bumped + bumped.T) / 2))

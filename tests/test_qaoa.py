@@ -63,6 +63,19 @@ class TestToIsing:
             x = np.array(bits, dtype=float)
             assert x @ sym @ x == pytest.approx(ising_energy(model, bits), abs=1e-14)
 
+    @pytest.mark.parametrize("w", [1, 2, 5, 9])
+    def test_upper_triangular_equals_its_symmetric_part(self, w):
+        """An upper-triangular Q holds the same quadratic form as its symmetric
+        part, and both paths read that one symmetric matrix, bit for bit."""
+        rng = np.random.default_rng(40 + w)
+        upper = np.triu(rng.uniform(-1, 1, size=(w, w)))
+        sym = (upper + upper.T) / 2
+        got, ref = to_ising(upper), to_ising(sym)
+        assert np.array_equal(got.h, ref.h)
+        assert np.array_equal(got.j, ref.j)
+        assert got.offset == ref.offset
+        assert np.array_equal(enumerate_energies(upper), enumerate_energies(sym))
+
 
 def kron_oracle_state(model, gammas, betas):
     """Dense-matrix circuit simulation via scipy expm: an independent path.
