@@ -1,12 +1,14 @@
 """Bundled end-to-end regression fixture.
 
 Generates a seeded synthetic price panel, runs the four CLI stages on it, and
-freezes the resulting metrics table. Byte-identity is promised within one
-environment only: the pipeline runs on numpy alone (the QAOA angle search
-included), and the last digits of its floats, and so the path of the angle
-search, depend on the numpy version and its BLAS. ``golden_env.json`` names
-the environment the golden bytes were made in: the Python and numpy versions
-and the BLAS name and version.
+freezes the resulting metrics table and the sha256 of every artifact the run
+writes (``golden_artifacts.json``). The config names its paths relative to the
+run's directory, so no artifact, the manifest included, embeds where the run
+happened. Byte-identity is promised within one environment only: the pipeline
+runs on numpy alone (the QAOA angle search included), and the last digits of
+its floats, and so the path of the angle search, depend on the numpy version
+and its BLAS. ``golden_env.json`` names the environment the golden bytes were
+made in: the Python and numpy versions and the BLAS name and version.
 
 When acceptance test 11 fails, its message names the file that differs, each
 metrics row and column that differs with its golden and current value, and
@@ -14,19 +16,21 @@ whether ``golden_env.json`` matches the running environment. A mismatch there
 explains drift, it does not excuse it: the comparison stays byte-exact. If the
 environments match, the program's output changed; if they differ, first check
 that the drift is the library's. After a controlled dependency upgrade, or a
-change that is meant to alter the output, regenerate all three files with
+change that is meant to alter the output, regenerate all four files with
 
     python tests/golden_pipeline.py
 
 and review the diff before committing it: the prices must not change, the
 non-QAOA rows should move in the last digits only, each QAOA row's rebalance
 count must equal the schedule bits of its ``schedule_<method>.json``, every
-window's gap must be >= 0, and a second run must give the same bytes.
+window's gap must be >= 0, a second run must give the same bytes, and the
+change says which files of ``golden_artifacts.json`` moved, and why.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -42,6 +46,8 @@ DATA_DIR = pathlib.Path(__file__).parent / "data"
 GOLDEN_PRICES = DATA_DIR / "golden_prices.csv"
 GOLDEN_METRICS = DATA_DIR / "golden_metrics.csv"
 GOLDEN_ENV = DATA_DIR / "golden_env.json"
+GOLDEN_ARTIFACTS = DATA_DIR / "golden_artifacts.json"
+STAGES = ("select", "weights", "schedule", "backtest")
 
 GOLDEN_SEED = 2718
 _SIZES = (4, 4, 4)
@@ -86,22 +92,45 @@ def golden_config_text(csv_path, out_dir) -> str:
     )
 
 
-def run_pipeline(workdir) -> pathlib.Path:
-    """Write the golden panel + config under ``workdir``, run all four stages,
+def in_process(argv: list[str]) -> int:
+    """Run one stage through ``main`` in this process, its stdout discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+def run_pipeline(workdir, run_stage=in_process) -> pathlib.Path:
+    """Write the golden panel + config under ``workdir``, run all four stages
+    there, each as ``run_stage(argv)`` (default: ``main`` in this process),
     and return the metrics.csv path."""
-    workdir = pathlib.Path(workdir)
+    workdir = pathlib.Path(workdir).resolve()
     os.makedirs(workdir, exist_ok=True)
-    csv_path = workdir / "prices.csv"
-    write_csv(golden_panel(), csv_path)
-    out_dir = workdir / "artifacts"
-    config = workdir / "golden.cfg"
-    config.write_text(golden_config_text(csv_path, out_dir))
-    for command in ("select", "weights", "schedule", "backtest"):
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, "--config", str(config)])
-        if code != 0:
-            raise RuntimeError(f"golden pipeline stage {command!r} exited with {code}")
-    return out_dir / "metrics.csv"
+    write_csv(golden_panel(), workdir / "prices.csv")
+    (workdir / "golden.cfg").write_text(golden_config_text("prices.csv", "artifacts"))
+    with contextlib.chdir(workdir):
+        for command in STAGES:
+            code = run_stage([command, "--config", "golden.cfg"])
+            if code != 0:
+                raise RuntimeError(f"golden pipeline stage {command!r} exited with {code}")
+    return workdir / "artifacts" / "metrics.csv"
+
+
+def artifact_digests(out_dir) -> dict[str, str]:
+    """The sha256 of each file in ``out_dir``, by file name."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(pathlib.Path(out_dir).iterdir())}
+
+
+def artifacts_diff(out_dir) -> list[str]:
+    """One line per file of ``out_dir`` or of the pins whose digest differs
+    from ``golden_artifacts.json``, named; empty when every file matches."""
+    pinned = json.loads(GOLDEN_ARTIFACTS.read_text())
+    current = artifact_digests(out_dir)
+    return [
+        f"{name}: " + ("not written" if name not in current
+                       else "not pinned" if name not in pinned else "differs")
+        for name in sorted(pinned.keys() | current.keys())
+        if pinned.get(name) != current.get(name)
+    ]
 
 
 def environment() -> dict:
@@ -175,8 +204,10 @@ def regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         metrics = run_pipeline(tmp)
         GOLDEN_METRICS.write_bytes(metrics.read_bytes())
+        digests = artifact_digests(metrics.parent)
+    GOLDEN_ARTIFACTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     GOLDEN_ENV.write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
-    for path in (GOLDEN_PRICES, GOLDEN_METRICS, GOLDEN_ENV):
+    for path in (GOLDEN_PRICES, GOLDEN_METRICS, GOLDEN_ARTIFACTS, GOLDEN_ENV):
         print(f"wrote {path}")
 
 

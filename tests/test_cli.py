@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import csv
 import dataclasses
+import gc
 import json
 import re
 import shutil
@@ -30,7 +32,8 @@ from quantfolio.shrinkage import _shrunk
 from conftest import block_correlation, subprocess_env
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_float_cells_render_full_precision_and_blank_for_undefined():
@@ -157,7 +160,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key,value", [
         ("threshold", "1.5"), ("periodic", "0"), ("restarts", "0"), ("cost_c", "-0.01"),
         ("windows", "0"), ("candidates_per_window", "0"), ("candidates_per_window", "30"),
-        ("periodic", "5,10,5"),
+        ("periodic", "5,10,5"), ("n_clusters", "0"),
     ])
     def test_value_a_later_stage_rejects_exits_1_before_select(
         self, workspace, tmp_path, capsys, key, value
@@ -810,3 +813,38 @@ class TestImportBoundary:
         assert not _scipy_loaded_after(
             cfg, out, "--help", "select", "weights", "schedule", "backtest"
         )
+
+
+class TestEntry:
+    """Processes enter through ``cli.entry``, which freezes the import-time
+    heap; ``main`` called from Python leaves the collector as it is."""
+
+    @pytest.mark.parametrize("extra,code", [([], 0), (["--seed", "-1"], 1)])
+    def test_entry_freezes_the_heap_and_returns_mains_code(
+        self, workspace, tmp_path, monkeypatch, extra, code
+    ):
+        argv = ["select", "--config", str(workspace["config"]), "--out", str(tmp_path / "run")]
+        monkeypatch.setattr(sys, "argv", ["quantfolio", *argv, *extra])
+        before = gc.get_freeze_count()
+        try:
+            assert cli.entry() == code
+            assert gc.get_freeze_count() > before
+        finally:
+            gc.unfreeze()
+        assert (tmp_path / "run" / "selection.json").exists() == (code == 0)
+
+    def test_main_leaves_the_collector_alone(self, workspace, tmp_path):
+        before = gc.get_freeze_count()
+        assert run_cli("select", "--config", workspace["config"], "--out", tmp_path / "run") == 0
+        assert gc.get_freeze_count() == before
+
+    def test_script_and_main_block_name_the_entry(self):
+        # as text: tomllib needs Python 3.11, the package supports 3.10
+        scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1]
+        assert re.findall(r'^(\w+) = "(.+)"$', scripts.split("\n[", 1)[0], re.M) == [
+            ("quantfolio", "quantfolio.cli:entry")
+        ]
+        tree = ast.parse(Path(cli.__file__).read_text())
+        blocks = [node.body for node in tree.body
+                  if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert [[ast.unparse(stmt) for stmt in body] for body in blocks] == [["sys.exit(entry())"]]

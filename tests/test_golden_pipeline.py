@@ -1,9 +1,20 @@
 """The golden fixture's failure report: it must name what differs and say
-whether the recorded environment is the running one."""
+whether the recorded environment is the running one. And every artifact of
+the golden run, in this process and as four stage processes, matches its
+pinned digest."""
 import json
+import subprocess
+import sys
+
+import pytest
 
 import golden_pipeline
-from golden_pipeline import environment, environment_note, metrics_diff
+from golden_pipeline import (
+    artifact_digests, artifacts_diff, environment, environment_note, in_process, metrics_diff,
+    run_pipeline,
+)
+
+from conftest import subprocess_env
 
 GOLDEN = (
     b"strategy,sharpe,rebalances\n"
@@ -49,3 +60,32 @@ def test_environment_note_names_each_changed_version(tmp_path, monkeypatch):
     assert environment_note() == (
         f"recorded environment differs from this one: numpy 1.26.4 -> {env['numpy']}"
     )
+
+
+def test_artifacts_diff_names_each_file_that_differs(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("a.json", "b.csv", "c.csv"):
+        (out / name).write_text(name)
+    pins = tmp_path / "golden_artifacts.json"
+    monkeypatch.setattr(golden_pipeline, "GOLDEN_ARTIFACTS", pins)
+    pins.write_text(json.dumps(artifact_digests(out)))
+    assert artifacts_diff(out) == []
+
+    (out / "b.csv").write_text("b.csv, edited")
+    (out / "c.csv").unlink()
+    (out / "d.csv").write_text("d.csv")
+    assert artifacts_diff(out) == ["b.csv: differs", "c.csv: not written", "d.csv: not pinned"]
+
+
+def stage_process(argv: list[str]) -> int:
+    """Run one stage as ``python -m quantfolio.cli``, the process entry point."""
+    return subprocess.run([sys.executable, "-m", "quantfolio.cli", *argv], env=subprocess_env(),
+                          stdout=subprocess.DEVNULL, timeout=300).returncode
+
+
+@pytest.mark.parametrize("run_stage", [in_process, stage_process], ids=["main", "processes"])
+def test_every_golden_artifact_matches_its_pin(tmp_path, run_stage):
+    differ = artifacts_diff(run_pipeline(tmp_path, run_stage).parent)
+    assert not differ, "\n".join(["golden artifacts differ from their pins:", *differ,
+                                   environment_note()])

@@ -14,9 +14,12 @@ only ``clustering.annualised_sharpe`` calls ``.std(``, only
 ``schedule_qubo._check_width`` compares a width with the 2^W memory guard
 ``MAX_WIDTH``, and only ``market_data._frozen_array`` chooses an array's
 memory layout (passes ``order=`` or calls ``compress``, ``asfortranarray``
-or ``ascontiguousarray``). The artifact format has one owner too: no module but ``cli``
-defines a ``to_json_dict``. Every ``open(`` is binary or passes ``encoding="utf-8"``,
-so no file depends on the locale."""
+or ``ascontiguousarray``). Only ``cli.entry``, the process entry point, changes
+the garbage collector (calls ``gc.freeze``, ``gc.disable`` or
+``gc.set_threshold``): a library module must never change an importer's
+collector. The artifact format has one owner too: no module but ``cli``
+defines a ``to_json_dict``. Every ``open(`` is binary or passes
+``encoding="utf-8"``, so no file depends on the locale."""
 import ast
 from pathlib import Path
 
@@ -120,6 +123,16 @@ def sets_layout(node: ast.AST) -> bool:
     func = node.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
     return name in LAYOUT_CALLS or any(kw.arg == "order" for kw in node.keywords)
+
+
+COLLECTOR_CALLS = {"freeze", "disable", "set_threshold"}
+
+
+def changes_collector(node: ast.AST) -> bool:
+    """Accepts a call ``gc.<name>(...)`` of one of ``COLLECTOR_CALLS``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in COLLECTOR_CALLS
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "gc")
 
 
 def defines(name: str):
@@ -238,6 +251,7 @@ OWNERS = {
     "cost_sign": (compares("cost_c"), ("market_data.py", "_check_cost")),
     "width_guard": (compares("MAX_WIDTH"), ("schedule_qubo.py", "_check_width")),
     "layout": (sets_layout, ("market_data.py", "_frozen_array")),
+    "collector": (changes_collector, ("cli.py", "entry")),
 }
 
 
@@ -288,6 +302,7 @@ def test_checks_catch_dead_code():
         "\ndef read(path):\n    a = open(path), open(path, 'rb'), open(path, mode='wb')\n"
         "    b = open(path, 'w', encoding='utf-8'), p.open(encoding='latin-1')\n"
         "    return a, b, open(path, 'r', newline='')\n"
+        "\ndef warm(cache):\n    gc.freeze()\n    gc.enable()\n    return gc.collect(), cache.freeze()\n"
         "\n__all__ = ['stats', 'fits', 'Box']\n"
     )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
@@ -300,6 +315,7 @@ def test_checks_catch_dead_code():
         "cost_sign": [("charge", 19), ("charge", 19)],
         "width_guard": [("fits", 22), ("fits", 22)],
         "layout": [("layout", 29), ("layout", 30), ("layout", 30), ("layout", 30)],
+        "collector": [("warm", 38)],
     }
     assert owned(tree, defines("to_json_dict")) == [("<module>", 25)]
     assert owned(tree, opens_locale_text) == [("read", 33), ("read", 34), ("read", 35)]
