@@ -15,7 +15,7 @@ from quantfolio import (
     minvar,
     synth_panel,
     to_returns,
-    with_train_sharpe,
+    train_sharpe,
 )
 
 # train panel: six assets with distinct drifts so the optimum is not flat
@@ -32,9 +32,9 @@ print(f"  best fitness:  gen 0 = {history[0]:.4f}  ->  final = {history[-1]:.4f}
 print(f"  equal-weight fitness = {fitness(equal_weights(train.tickers), train):.4f}"
       "  (never beats the GA: the equal individual seeds the population)")
 
-mv = with_train_sharpe(minvar(ledoit_wolf(train)), train)
-eq = with_train_sharpe(equal_weights(train.tickers), train)
-ens = with_train_sharpe(ensemble(ga, mv, eq), train)
+mv = minvar(ledoit_wolf(train))
+eq = equal_weights(train.tickers)
+ens = ensemble(ga, mv, eq)
 
 print(f"\n{'asset':<8}{'GA':>8}{'MinVar':>8}{'Equal':>8}{'Ensemble':>10}")
 for i, ticker in enumerate(train.tickers):
@@ -44,8 +44,8 @@ for i, ticker in enumerate(train.tickers):
           f"{100 * eq.weights[i]:>7.1f}%"
           f"{100 * ens.weights[i]:>9.1f}%")
 print(f"{'Sharpe':<8}"
-      f"{ga.train_sharpe:>8.3f}{mv.train_sharpe:>8.3f}"
-      f"{eq.train_sharpe:>8.3f}{ens.train_sharpe:>10.3f}")
+      f"{train_sharpe(ga, train):>8.3f}{train_sharpe(mv, train):>8.3f}"
+      f"{train_sharpe(eq, train):>8.3f}{train_sharpe(ens, train):>10.3f}")
 
 print("\nnotes: GA tilts toward the high-drift assets but the entropy bonus "
       "keeps every asset funded;\nMinVar tilts toward the low-vol assets "

@@ -24,8 +24,8 @@ from quantfolio import (
     synth_panel,
     to_returns,
     walk_forward,
+    train_sharpe,
     ward_cluster,
-    with_train_sharpe,
 )
 
 # --- data: 12 assets, 3 planted sectors, chronological split -----------------
@@ -50,12 +50,11 @@ test_sel = test.restrict(selection.tickers)
 
 # --- stage 2: the four weight methods -----------------------------------------
 ga = ga_optimise(train_sel, GaConfig(population=60, generations=40, seed=1))
-mv = with_train_sharpe(minvar(cov.restrict(selection.tickers)), train)
-eq = with_train_sharpe(equal_weights(selection.tickers), train)
-ens = with_train_sharpe(ensemble(ga, mv, eq), train)
-weights = {w.method: w for w in (ga, mv, eq, ens)}
+mv = minvar(cov.restrict(selection.tickers))
+eq = equal_weights(selection.tickers)
+weights = {w.method: w for w in (ga, mv, eq, ensemble(ga, mv, eq))}
 print("train Sharpe by method: "
-      + ", ".join(f"{m}={w.train_sharpe:.3f}" for m, w in weights.items()))
+      + ", ".join(f"{m}={train_sharpe(w, train):.3f}" for m, w in weights.items()))
 
 # --- stage 3: walk-forward QAOA schedules per weight method -------------------
 qcfg = QaoaConfig(depth=2, restarts=3, opt_shots=1024, eval_shots=2048, max_iters=80)

@@ -13,7 +13,7 @@ from .allocation import (
     ga_optimise,
     minvar,
     normalised_entropy,
-    with_train_sharpe,
+    train_sharpe,
 )
 from .backtest import (
     BacktestReport,
@@ -80,6 +80,6 @@ __all__ = [
     "ising_energy", "ledoit_wolf", "load_csv", "marginal_gain", "metrics",
     "minvar", "normalised_entropy", "optimise_angles", "run", "run_grid",
     "sample", "select_representatives", "simulate_ansatz", "split",
-    "synth_panel", "to_ising", "to_returns", "walk_forward", "ward_cluster",
-    "with_train_sharpe", "write_csv",
+    "synth_panel", "to_ising", "to_returns", "train_sharpe", "walk_forward",
+    "ward_cluster", "write_csv",
 ]

@@ -3,12 +3,14 @@ closed-form minimum variance, equal weights, and their three-way blend.
 
 All four methods are deterministic given identical seeds and inputs. GA
 fitness is evaluated for a whole generation at once with vectorised numpy, so
-results cannot depend on evaluation order.
+results cannot depend on evaluation order. ``portfolio_log_returns`` is the one
+place where fixed weights meet gross returns: ``fitness`` (one vector or a
+generation), ``train_sharpe`` and the schedule QUBO's gains all go through it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +30,6 @@ class WeightVector:
     tickers: tuple[str, ...]
     weights: np.ndarray
     method: str
-    train_sharpe: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tickers", tuple(str(t) for t in self.tickers))
@@ -42,10 +43,6 @@ class WeightVector:
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "weights", _frozen_array(w))
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.tickers)
 
 
 @dataclass(frozen=True)
@@ -86,40 +83,36 @@ def _weight_array(weights, n_assets: int) -> np.ndarray:
     return w
 
 
-def portfolio_log_returns(weights, panel: ReturnPanel) -> np.ndarray:
-    """ln(w . R_t) per day for fixed weights on the panel's gross returns."""
-    port = panel.gross_returns @ _weight_array(weights, panel.n_assets)
-    # long-only weights on strictly positive gross returns cannot go <= 0
-    if not np.all(port > 0.0):
+def portfolio_log_returns(weights, gross: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """ln(w . R_t) per day for fixed weights on the ``(days, assets)`` gross
+    returns: one series for a weight vector, one row per portfolio for a
+    ``(P, assets)`` batch, written into ``out``, a ``(P, days)`` buffer, if
+    given."""
+    w = np.asarray(weights, dtype=float)
+    port = gross @ w if w.ndim == 1 else np.matmul(w, gross.T, out=out)
+    # long-only weights on strictly positive gross returns cannot go <= 0; a
+    # min (nan if any is) allocates no (P, days) mask per GA generation
+    if not port.min(initial=np.inf) > 0.0:
         raise ValueError("non-positive portfolio gross return")
-    return np.log(port)
+    return np.log(port, out=port)
 
 
-def fitness(weights, train: ReturnPanel, lambda_ent: float = GaConfig.lambda_ent) -> float:
-    """Annualised portfolio Sharpe plus ``lambda_ent`` times normalised entropy."""
+def fitness(weights, train: ReturnPanel, lambda_ent: float = GaConfig.lambda_ent,
+            out: np.ndarray | None = None):
+    """Annualised portfolio Sharpe plus ``lambda_ent`` times normalised
+    entropy: a float for one weight vector, one value per row of a ``(P,
+    assets)`` batch, whose daily log returns go into ``out`` if given."""
     if isinstance(weights, WeightVector) and weights.tickers != train.tickers:
         raise ValueError("weight tickers do not match panel tickers")
-    w = _weight_array(weights, train.n_assets)
-    return annualised_sharpe(portfolio_log_returns(w, train)) + lambda_ent * normalised_entropy(w)
+    w = weights if np.ndim(weights) == 2 else _weight_array(weights, train.n_assets)
+    sharpe = annualised_sharpe(portfolio_log_returns(w, train.gross_returns, out))
+    return sharpe + lambda_ent * normalised_entropy(w)
 
 
-def with_train_sharpe(wv: WeightVector, train: ReturnPanel) -> WeightVector:
-    """Copy of ``wv`` with its annualised train Sharpe filled in."""
-    s = annualised_sharpe(portfolio_log_returns(wv, train.restrict(wv.tickers)))
-    return replace(wv, train_sharpe=s)
-
-
-def _population_fitness(genes: np.ndarray, gross: np.ndarray, lambda_ent: float,
-                        out: np.ndarray | None = None) -> np.ndarray:
-    """``fitness`` of every row of ``genes`` (normalised to weights) at once.
-
-    The portfolios' daily log returns are written into ``out``, a
-    ``(population, days)`` buffer, if given: ``ga_optimise`` passes one
-    buffer to every generation rather than allocating two such matrices each
-    time."""
-    wts = genes / genes.sum(axis=1, keepdims=True)
-    port = np.matmul(wts, gross.T, out=out)
-    return annualised_sharpe(np.log(port, out=port)) + lambda_ent * normalised_entropy(wts)
+def train_sharpe(wv: WeightVector, train: ReturnPanel) -> float:
+    """Annualised Sharpe of ``wv``'s daily log returns on the train panel."""
+    gross = train.restrict(wv.tickers).gross_returns
+    return annualised_sharpe(portfolio_log_returns(wv.weights, gross))
 
 
 def ga_optimise(
@@ -142,13 +135,13 @@ def ga_optimise(
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.gene_low, cfg.gene_high
     pop = cfg.population
-    gross = train.gross_returns
 
     genes = rng.uniform(lo, hi, size=(pop, n))
     genes[0] = 0.5 * (lo + hi)  # constant genes normalise to equal weights
 
-    port = np.empty((pop, len(gross)))
-    fit = _population_fitness(genes, gross, cfg.lambda_ent, port)
+    # one (population, days) buffer takes every generation's daily log returns
+    port = np.empty((pop, train.n_days))
+    fit = fitness(genes / genes.sum(axis=1, keepdims=True), train, cfg.lambda_ent, port)
     best = int(np.argmax(fit))
     best_fit = float(fit[best])
     best_genes = genes[best].copy()
@@ -169,15 +162,14 @@ def ga_optimise(
         children = np.where(mutate, rng.uniform(lo, hi, size=(k, n)), children)
 
         genes = np.vstack([elite[None, :], children])
-        fit = _population_fitness(genes, gross, cfg.lambda_ent, port)
+        fit = fitness(genes / genes.sum(axis=1, keepdims=True), train, cfg.lambda_ent, port)
         best = int(np.argmax(fit))
         if fit[best] > best_fit:
             best_fit = float(fit[best])
             best_genes = genes[best].copy()
         history.append(best_fit)
 
-    w = best_genes / best_genes.sum()
-    result = with_train_sharpe(WeightVector(train.tickers, w, "GA"), train)
+    result = WeightVector(train.tickers, best_genes / best_genes.sum(), "GA")
     if return_history:
         return result, np.asarray(history)
     return result

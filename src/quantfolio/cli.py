@@ -39,11 +39,11 @@ from .allocation import (
     equal_weights,
     ga_optimise,
     minvar,
-    with_train_sharpe,
+    train_sharpe,
 )
 from .backtest import GRID_PERIODIC, GRID_THRESHOLD, Threshold, _periodic_schedulers, run_grid
 from .clustering import select_representatives, ward_cluster
-from .market_data import SplitSpec, _write_labelled_csv, load_csv, split, to_returns
+from .market_data import ReturnPanel, SplitSpec, _write_labelled_csv, load_csv, split, to_returns
 from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, WindowDiagnostics, walk_forward
 from .schedule_qubo import QuboParams, QuboProblem, _check_width, bits_to_str
 from .shrinkage import _shrunk, ledoit_wolf
@@ -186,13 +186,6 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _write_matrix_csv(path, tickers, matrix) -> None:
-    """A square matrix labelled by ``tickers`` on both sides, as ``csv.writer``
-    writes the rows ``[ticker, *map(repr, row)]`` under ``["ticker",
-    *tickers]``."""
-    _write_labelled_csv(path, "ticker", tickers, tickers, matrix)
-
-
 def _fmt(value) -> str:
     return "" if value is None else repr(float(value))
 
@@ -221,7 +214,12 @@ def _read_artifact(cfg: RunConfig, name: str, stage: str, *keys: str, allowed=No
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path} not found: run the '{stage}' command first")
     with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
+        try:
+            blob = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed artifact: {exc}") from None
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: malformed artifact: not a JSON object")
     missing = [key for key in keys if key not in blob]
     if missing:
         raise ValueError(f"{path}: malformed artifact, missing key(s): {', '.join(missing)}")
@@ -235,9 +233,9 @@ def _read_selection(cfg: RunConfig) -> list[str]:
     return list(_read_artifact(cfg, "selection.json", "select", "tickers")["tickers"])
 
 
-def _weights_record(wv: WeightVector) -> dict:
+def _weights_record(wv: WeightVector, train: ReturnPanel) -> dict:
     return {"method": wv.method, "tickers": list(wv.tickers), "weights": wv.weights.tolist(),
-            "train_sharpe": wv.train_sharpe}
+            "train_sharpe": train_sharpe(wv, train)}
 
 
 def _window_record(win: WindowDiagnostics) -> dict:
@@ -279,12 +277,13 @@ def _schedule_record(method: str, result: ScheduleResult) -> dict:
 
 
 def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
-    return {
-        method: WeightVector(**_read_artifact(
-            cfg, f"weights_{method.lower()}.json", "weights", "tickers", "weights", "method",
-            allowed=[f.name for f in dataclasses.fields(WeightVector)]))
-        for method in METHODS
-    }
+    """Each method's weights; the ``train_sharpe`` written beside them is
+    allowed, and not read."""
+    keys = ("tickers", "weights", "method")
+    blobs = {method: _read_artifact(cfg, f"weights_{method.lower()}.json", "weights", *keys,
+                                    allowed=(*keys, "train_sharpe"))
+             for method in METHODS}
+    return {method: WeightVector(*(blob[key] for key in keys)) for method, blob in blobs.items()}
 
 
 def _read_schedules(cfg: RunConfig) -> dict[str, list]:
@@ -323,7 +322,7 @@ def cmd_select(cfg: RunConfig) -> dict:
         "dropped_tickers": list(panel.dropped),
     })
     corr_path = os.path.join(cfg.out_dir, "correlation.csv")
-    _write_matrix_csv(corr_path, train.tickers, cov.corr)
+    _write_labelled_csv(corr_path, "ticker", train.tickers, train.tickers, cov.corr)
     log.info("selected %s", ", ".join(selection.tickers))
     return {"selection": sel_path, "correlation": corr_path}
 
@@ -343,14 +342,13 @@ def cmd_weights(cfg: RunConfig) -> dict:
 
     ga = ga_optimise(train, cfg.ga_config())
     cov = _shrunk(train, float(sel["shrinkage_alpha"]), float(sel["shrinkage_mu_target"]))
-    mv = with_train_sharpe(minvar(cov), train)
-    eq = with_train_sharpe(equal_weights(selected), train)
-    ens = with_train_sharpe(ensemble(ga, mv, eq), train)
+    mv = minvar(cov)
+    eq = equal_weights(selected)
 
     paths = {}
-    for wv in (ga, mv, eq, ens):
+    for wv in (ga, mv, eq, ensemble(ga, mv, eq)):
         path = os.path.join(cfg.out_dir, f"weights_{wv.method.lower()}.json")
-        _write_json(path, _weights_record(wv))
+        _write_json(path, _weights_record(wv, train))
         paths[wv.method] = path
     return paths
 

@@ -395,9 +395,8 @@ def split(panel: ReturnPanel, spec: SplitSpec) -> tuple[ReturnPanel, ReturnPanel
     return panel.slice_rows(0, n_train), panel.slice_rows(n_train, n_test_end)
 
 
-def _business_days(start: date, count: int) -> tuple[date, ...]:
-    """The first ``count`` weekdays from ``start`` on (``start`` included)."""
-    return tuple(np.busday_offset(start, np.arange(count), roll="forward").tolist())
+_SYNTH_START = date(2015, 1, 1)  # a synthetic panel's first day, a weekday
+_SYNTH_START_PRICE = 100.0  # every synthetic asset's price on that day
 
 
 def synth_panel(
@@ -408,12 +407,11 @@ def synth_panel(
     ann_vol=0.20,
     ann_drift=0.05,
     *,
-    start: date = date(2015, 1, 1),
-    start_price: float = 100.0,
     tickers=None,
 ) -> PricePanel:
     """Seeded geometric-Brownian-style price panel with a target return
-    correlation.
+    correlation, over ``T`` weekdays from 2015-01-01, every price starting at
+    100.
 
     Daily log returns are correlated Gaussians (Cholesky factor of
     ``target_corr``) scaled to the requested annualised vol and drift under a
@@ -447,8 +445,9 @@ def synth_panel(
     shocks = rng.standard_normal((T - 1, M))
     log_r = drift + (shocks @ chol.T) * vol
     log_price = np.vstack([np.zeros(M), np.cumsum(log_r, axis=0)])
-    prices = start_price * np.exp(log_price)
+    prices = _SYNTH_START_PRICE * np.exp(log_price)
 
     if tickers is None:
         tickers = tuple(f"A{i:03d}" for i in range(M))
-    return PricePanel(_business_days(start, T), tuple(tickers), prices)
+    dates = np.busday_offset(_SYNTH_START, np.arange(T), roll="forward").tolist()
+    return PricePanel(tuple(dates), tuple(tickers), prices)

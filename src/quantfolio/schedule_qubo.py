@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .allocation import _weight_array
+from .allocation import _weight_array, portfolio_log_returns
 from .clustering import ZeroVolatilityError, annualised_sharpe
 from .market_data import ANNUALISATION, ReturnPanel, _check_cost, _frozen_array, _frozen_bits, _square
 
@@ -145,9 +145,9 @@ def drift_weights(target, window: ReturnPanel, upto: int) -> np.ndarray:
     return v / v.sum()
 
 
-def _sharpe_or_zero(gross_series: np.ndarray) -> float:
+def _sharpe_or_zero(log_returns: np.ndarray) -> float:
     try:
-        return annualised_sharpe(np.log(gross_series))
+        return annualised_sharpe(log_returns)
     except ZeroVolatilityError:
         return 0.0  # degenerate forward window: no Sharpe contribution
 
@@ -158,7 +158,8 @@ def marginal_gain(target, window: ReturnPanel, candidates, k: int, cost_c: float
     Sharpe of the target weights minus Sharpe of the drifted weights, both on
     the forward window [t_k, t_{k+1}) (the last candidate's window runs to the
     segment end), minus the annualised L1 trading cost of resetting the drift.
-    Weights are held fixed within the forward window for both legs.
+    Weights are held fixed within the forward window for both legs; a
+    non-positive portfolio gross return (short weights only) raises.
     ``candidates`` are the row offsets t_k: strictly increasing and inside
     ``[1, window.n_days - 2]``.
     """
@@ -178,8 +179,8 @@ def marginal_gain(target, window: ReturnPanel, candidates, k: int, cost_c: float
         raise ValueError(f"forward window [{start}, {end}) shorter than 2 days")
     fwd = window.gross_returns[start:end]
     w_drift = drift_weights(w, window, start)
-    sr_target = _sharpe_or_zero(fwd @ w)
-    sr_drift = _sharpe_or_zero(fwd @ w_drift)
+    sr_target = _sharpe_or_zero(portfolio_log_returns(w, fwd))
+    sr_drift = _sharpe_or_zero(portfolio_log_returns(w_drift, fwd))
     l1 = float(np.abs(w_drift - w).sum())
     return sr_target - sr_drift - cost_c * l1 * ANNUALISATION
 

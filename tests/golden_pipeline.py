@@ -2,13 +2,17 @@
 
 Generates a seeded synthetic price panel, runs the four CLI stages on it, and
 freezes the resulting metrics table and the sha256 of every artifact the run
-writes (``golden_artifacts.json``). The config names its paths relative to the
-run's directory, so no artifact, the manifest included, embeds where the run
-happened. Byte-identity is promised within one environment only: the pipeline
-runs on numpy alone (the QAOA angle search included), and the last digits of
-its floats, and so the path of the angle search, depend on the numpy version
-and its BLAS. ``golden_env.json`` names the environment the golden bytes were
-made in: the Python and numpy versions and the BLAS name and version.
+writes (``golden_artifacts.json``), and the sha256 of every artifact of the
+same run at ``DEEP_WINDOW``'s settings (``deep_window_artifacts.json``: 14
+candidate dates per window, one restart of at most 60 iterations, the
+``deep_window`` workload of ``perfbench``). The config names its paths
+relative to the run's directory, so no artifact, the manifest included, embeds
+where the run happened. Byte-identity is promised within one environment only:
+the pipeline runs on numpy alone (the QAOA angle search included), and the
+last digits of its floats, and so the path of the angle search, depend on the
+numpy version and its BLAS. ``golden_env.json`` names the environment the
+golden bytes were made in: the Python and numpy versions and the BLAS name and
+version.
 
 When acceptance test 11 fails, its message names the file that differs, each
 metrics row and column that differs with its golden and current value, and
@@ -16,7 +20,7 @@ whether ``golden_env.json`` matches the running environment. A mismatch there
 explains drift, it does not excuse it: the comparison stays byte-exact. If the
 environments match, the program's output changed; if they differ, first check
 that the drift is the library's. After a controlled dependency upgrade, or a
-change that is meant to alter the output, regenerate all four files with
+change that is meant to alter the output, regenerate all five files with
 
     python tests/golden_pipeline.py
 
@@ -24,7 +28,7 @@ and review the diff before committing it: the prices must not change, the
 non-QAOA rows should move in the last digits only, each QAOA row's rebalance
 count must equal the schedule bits of its ``schedule_<method>.json``, every
 window's gap must be >= 0, a second run must give the same bytes, and the
-change says which files of ``golden_artifacts.json`` moved, and why.
+change says which files of the two pin files moved, and why.
 """
 from __future__ import annotations
 
@@ -47,10 +51,13 @@ GOLDEN_PRICES = DATA_DIR / "golden_prices.csv"
 GOLDEN_METRICS = DATA_DIR / "golden_metrics.csv"
 GOLDEN_ENV = DATA_DIR / "golden_env.json"
 GOLDEN_ARTIFACTS = DATA_DIR / "golden_artifacts.json"
+DEEP_WINDOW_ARTIFACTS = DATA_DIR / "deep_window_artifacts.json"
 STAGES = ("select", "weights", "schedule", "backtest")
 
 GOLDEN_SEED = 2718
 _SIZES = (4, 4, 4)
+# the golden run at 14 candidate dates per window: a 2^14-state QAOA search
+DEEP_WINDOW = {"candidates_per_window": 14, "restarts": 1, "max_iters": 60}
 
 
 def golden_panel():
@@ -71,25 +78,28 @@ def golden_panel():
     )
 
 
-def golden_config_text(csv_path, out_dir) -> str:
-    panel = golden_panel()
-    return_dates = panel.dates[1:]
-    return (
-        f"prices_csv = {csv_path}\n"
-        f"out_dir = {out_dir}\n"
-        f"train_end = {return_dates[249].isoformat()}\n"
-        f"test_end = {return_dates[-1].isoformat()}\n"
-        "n_clusters = 4\n"
-        "ga_population = 60\n"
-        "ga_generations = 40\n"
-        "candidates_per_window = 8\n"
-        "windows = 3\n"
-        "restarts = 3\n"
-        "opt_shots = 1024\n"
-        "eval_shots = 2048\n"
-        "max_iters = 80\n"
-        f"seed = {GOLDEN_SEED}\n"
-    )
+def golden_config_text(csv_path, out_dir, **settings) -> str:
+    """The golden run's config; ``settings`` override or add ``key = value``
+    lines (``DEEP_WINDOW``)."""
+    return_dates = golden_panel().dates[1:]
+    config = {
+        "prices_csv": csv_path,
+        "out_dir": out_dir,
+        "train_end": return_dates[249].isoformat(),
+        "test_end": return_dates[-1].isoformat(),
+        "n_clusters": 4,
+        "ga_population": 60,
+        "ga_generations": 40,
+        "candidates_per_window": 8,
+        "windows": 3,
+        "restarts": 3,
+        "opt_shots": 1024,
+        "eval_shots": 2048,
+        "max_iters": 80,
+        "seed": GOLDEN_SEED,
+        **settings,
+    }
+    return "".join(f"{key} = {value}\n" for key, value in config.items())
 
 
 def in_process(argv: list[str]) -> int:
@@ -98,14 +108,16 @@ def in_process(argv: list[str]) -> int:
         return main(argv)
 
 
-def run_pipeline(workdir, run_stage=in_process) -> pathlib.Path:
-    """Write the golden panel + config under ``workdir``, run all four stages
-    there, each as ``run_stage(argv)`` (default: ``main`` in this process),
-    and return the metrics.csv path."""
+def run_pipeline(workdir, run_stage=in_process, *, prices=None, settings=None) -> pathlib.Path:
+    """Write the golden panel (or the ``prices`` panel) and the golden config
+    (with ``settings``) under ``workdir``, run all four stages there, each as
+    ``run_stage(argv)`` (default: ``main`` in this process), and return the
+    metrics.csv path."""
     workdir = pathlib.Path(workdir).resolve()
     os.makedirs(workdir, exist_ok=True)
-    write_csv(golden_panel(), workdir / "prices.csv")
-    (workdir / "golden.cfg").write_text(golden_config_text("prices.csv", "artifacts"))
+    write_csv(golden_panel() if prices is None else prices, workdir / "prices.csv")
+    (workdir / "golden.cfg").write_text(
+        golden_config_text("prices.csv", "artifacts", **(settings or {})))
     with contextlib.chdir(workdir):
         for command in STAGES:
             code = run_stage([command, "--config", "golden.cfg"])
@@ -120,10 +132,11 @@ def artifact_digests(out_dir) -> dict[str, str]:
             for path in sorted(pathlib.Path(out_dir).iterdir())}
 
 
-def artifacts_diff(out_dir) -> list[str]:
+def artifacts_diff(out_dir, pins=None) -> list[str]:
     """One line per file of ``out_dir`` or of the pins whose digest differs
-    from ``golden_artifacts.json``, named; empty when every file matches."""
-    pinned = json.loads(GOLDEN_ARTIFACTS.read_text())
+    from the pin file ``pins`` (default ``golden_artifacts.json``), named;
+    empty when every file matches."""
+    pinned = json.loads((GOLDEN_ARTIFACTS if pins is None else pins).read_text())
     current = artifact_digests(out_dir)
     return [
         f"{name}: " + ("not written" if name not in current
@@ -196,18 +209,24 @@ def mismatch_report(prices: bytes, metrics: bytes) -> str:
     return "\n".join(lines)
 
 
+def _write_pins(path, out_dir) -> None:
+    path.write_text(json.dumps(artifact_digests(out_dir), indent=2, sort_keys=True) + "\n")
+
+
 def regenerate() -> None:
     DATA_DIR.mkdir(exist_ok=True)
     write_csv(golden_panel(), GOLDEN_PRICES)
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        metrics = run_pipeline(tmp)
+        metrics = run_pipeline(pathlib.Path(tmp) / "golden")
         GOLDEN_METRICS.write_bytes(metrics.read_bytes())
-        digests = artifact_digests(metrics.parent)
-    GOLDEN_ARTIFACTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+        _write_pins(GOLDEN_ARTIFACTS, metrics.parent)
+        deep = run_pipeline(pathlib.Path(tmp) / "deep_window", settings=DEEP_WINDOW)
+        _write_pins(DEEP_WINDOW_ARTIFACTS, deep.parent)
     GOLDEN_ENV.write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
-    for path in (GOLDEN_PRICES, GOLDEN_METRICS, GOLDEN_ARTIFACTS, GOLDEN_ENV):
+    for path in (GOLDEN_PRICES, GOLDEN_METRICS, GOLDEN_ARTIFACTS, DEEP_WINDOW_ARTIFACTS,
+                 GOLDEN_ENV):
         print(f"wrote {path}")
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,10 @@ from quantfolio import (
     normalised_entropy,
     synth_panel,
     to_returns,
+    train_sharpe,
 )
 
-from quantfolio.allocation import _population_fitness, portfolio_log_returns
+from quantfolio.allocation import portfolio_log_returns
 from quantfolio.cli import _weights_record
 
 from conftest import gross_panel
@@ -45,13 +48,17 @@ class TestWeightVector:
 
     def test_json_surface(self):
         v = wv([0.25, 0.75], tickers=("X", "Y"), method="GA")
-        blob = _weights_record(v)
+        train = gross_panel([[1.01, 0.99], [0.98, 1.03], [1.02, 1.0]], tickers=("X", "Y"))
+        blob = _weights_record(v, train)
         assert blob == {
             "method": "GA",
             "tickers": ["X", "Y"],
             "weights": [0.25, 0.75],
-            "train_sharpe": None,
+            "train_sharpe": train_sharpe(v, train),
         }
+
+    def test_stores_only_tickers_weights_and_method(self):
+        assert [f.name for f in dataclasses.fields(WeightVector)] == ["tickers", "weights", "method"]
 
 
 class TestEntropyAndFitness:
@@ -85,19 +92,22 @@ class TestEntropyAndFitness:
     def test_population_fitness_rows_equal_fitness(self):
         panel = to_returns(synth_panel(seed=6, T=150, M=7))
         genes = np.random.default_rng(6).uniform(0.01, 1.0, size=(20, 7))
-        batch = _population_fitness(genes, panel.gross_returns, 0.05)
-        single = [fitness(g / g.sum(), panel, lambda_ent=0.05) for g in genes]
+        wts = genes / genes.sum(axis=1, keepdims=True)
+        batch = fitness(wts, panel, lambda_ent=0.05)
+        assert batch.shape == (20,)
+        single = [fitness(w, panel, lambda_ent=0.05) for w in wts]
         np.testing.assert_allclose(batch, single, rtol=0.0, atol=1e-12)
 
     def test_population_fitness_into_a_reused_buffer_is_bit_identical(self):
-        gross = to_returns(synth_panel(seed=8, T=150, M=7)).gross_returns
+        panel = to_returns(synth_panel(seed=8, T=150, M=7))
+        gross = panel.gross_returns
         rng = np.random.default_rng(8)
         buffer = np.empty((20, len(gross)))
         for _ in range(3):
             genes = rng.uniform(0.01, 1.0, size=(20, 7))
             wts = genes / genes.sum(axis=1, keepdims=True)
             fresh = annualised_sharpe(np.log(wts @ gross.T)) + 0.05 * normalised_entropy(wts)
-            assert np.array_equal(_population_fitness(genes, gross, 0.05, buffer), fresh)
+            assert np.array_equal(fitness(wts, panel, 0.05, buffer), fresh)
 
     def test_single_asset_fitness_is_plain_sharpe(self):
         panel = to_returns(synth_panel(seed=2, T=90, M=1))
@@ -109,7 +119,7 @@ class TestEntropyAndFitness:
         # a short position can take the portfolio's gross return below zero
         panel = gross_panel([[1.0, 1.0], [1.0, 1.1]])
         with pytest.raises(ValueError, match="non-positive"):
-            portfolio_log_returns(np.array([1.0, -1.0]), panel)
+            portfolio_log_returns(np.array([1.0, -1.0]), panel.gross_returns)
 
     def test_zero_volatility_panel_rejected(self):
         panel = gross_panel([[1.001, 1.001], [1.001, 1.001], [1.001, 1.001]])
@@ -153,18 +163,17 @@ class TestGaOptimise:
         a = ga_optimise(panel, small_cfg(seed=9))
         b = ga_optimise(panel, small_cfg(seed=9))
         np.testing.assert_array_equal(a.weights, b.weights)
-        assert a.train_sharpe == b.train_sharpe
 
     def test_needs_two_assets(self):
         panel = to_returns(synth_panel(seed=6, T=50, M=1))
         with pytest.raises(ValueError, match="at least 2"):
             ga_optimise(panel, small_cfg())
 
-    def test_train_sharpe_recorded(self):
+    def test_train_sharpe_is_the_sharpe_of_the_train_log_returns(self):
         panel = to_returns(synth_panel(seed=7, T=120, M=3))
         result = ga_optimise(panel, small_cfg())
         expected = annualised_sharpe(np.log(panel.gross_returns @ result.weights))
-        assert result.train_sharpe == pytest.approx(expected, abs=1e-12)
+        assert train_sharpe(result, panel) == expected
 
 
 class TestMinVar:

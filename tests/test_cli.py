@@ -24,8 +24,9 @@ from quantfolio import (
 from quantfolio.allocation import METHODS
 from quantfolio.backtest import drawdown
 from quantfolio.cli import (
-    RunConfig, _child_seed, _fmt, _load_panels, _write_matrix_csv, main, parse_config,
+    RunConfig, _child_seed, _fmt, _load_panels, main, parse_config,
 )
+from quantfolio.market_data import _write_labelled_csv
 from quantfolio.schedule_qubo import candidate_dates, enumerate_energies
 from quantfolio.shrinkage import _shrunk
 
@@ -52,7 +53,7 @@ def test_matrix_csv_bytes_equal_csv_writer_reference(tmp_path):
         [np.finfo(float).max, -1e-7, 0.0, 2.0 ** 0.5],
     ])
     path = tmp_path / "matrix.csv"
-    _write_matrix_csv(path, tickers, matrix)
+    _write_labelled_csv(path, "ticker", tickers, tickers, matrix)
     ref = tmp_path / "reference.csv"
     with open(ref, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -518,6 +519,19 @@ class TestBacktestCommand:
         path.write_text(json.dumps(blob))
         assert run_cli("backtest", "--config", backtested["config"], "--out", out) == 1
         assert f"{path}: malformed artifact, unknown key(s): note" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,reason", [
+        pytest.param('{"method": "GA", ', "Expecting property name", id="truncated"),
+        pytest.param("null", "not a JSON object", id="null"),
+    ])
+    def test_unreadable_weights_exit_1_naming_the_file(self, backtested, tmp_path, capsys, text,
+                                                       reason):
+        out = tmp_path / "unreadable"
+        shutil.copytree(backtested["out"], out)
+        path = out / "weights_ga.json"
+        path.write_text(text)
+        assert run_cli("schedule", "--config", backtested["config"], "--out", out) == 1
+        assert f"error [schedule]: {path}: malformed artifact: {reason}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

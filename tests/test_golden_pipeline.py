@@ -1,7 +1,14 @@
 """The golden fixture's failure report: it must name what differs and say
 whether the recorded environment is the running one. And every artifact of
 the golden run, in this process and as four stage processes, matches its
-pinned digest."""
+pinned digest, as does every artifact of the golden run at 14 candidate
+dates per window.
+
+Prices multiplied by a power of two leave every gross return, and so every
+golden artifact, byte-identical: the manifest too, because it records the
+config and its relative paths but nothing of the prices themselves. Once the
+manifest records the digest of the prices it read, it differs under the
+scaling and leaves that check."""
 import json
 import subprocess
 import sys
@@ -10,9 +17,10 @@ import pytest
 
 import golden_pipeline
 from golden_pipeline import (
-    artifact_digests, artifacts_diff, environment, environment_note, in_process, metrics_diff,
-    run_pipeline,
+    DEEP_WINDOW, DEEP_WINDOW_ARTIFACTS, artifact_digests, artifacts_diff, environment,
+    environment_note, golden_panel, in_process, metrics_diff, run_pipeline,
 )
+from quantfolio import PricePanel
 
 from conftest import subprocess_env
 
@@ -89,3 +97,18 @@ def test_every_golden_artifact_matches_its_pin(tmp_path, run_stage):
     differ = artifacts_diff(run_pipeline(tmp_path, run_stage).parent)
     assert not differ, "\n".join(["golden artifacts differ from their pins:", *differ,
                                    environment_note()])
+
+
+def test_every_deep_window_artifact_matches_its_pin(tmp_path):
+    out = run_pipeline(tmp_path, settings=DEEP_WINDOW).parent
+    differ = artifacts_diff(out, DEEP_WINDOW_ARTIFACTS)
+    assert not differ, "\n".join(["deep_window artifacts differ from their pins:", *differ,
+                                   environment_note()])
+
+
+@pytest.mark.parametrize("k", [-3, 1, 5])
+def test_prices_times_a_power_of_two_leave_every_artifact_as_it_is(tmp_path, k):
+    panel = golden_panel()
+    scaled = PricePanel(panel.dates, panel.tickers, panel.prices * 2.0**k)
+    differ = artifacts_diff(run_pipeline(tmp_path, prices=scaled).parent)
+    assert not differ, "\n".join([f"prices x 2^{k} moved golden artifacts:", *differ])

@@ -608,16 +608,13 @@ class TestSynthPanel:
             synth_panel(seed=0, T=10, M=2, target_corr=corr)
 
     def test_weekday_dates(self):
-        # the default start is a Thursday; a Saturday start rolls to Monday
-        for start, first in ((date(2015, 1, 1), date(2015, 1, 1)),
-                             (date(2024, 1, 6), date(2024, 1, 8))):
-            dates = synth_panel(seed=0, T=30, M=1, start=start).dates
-            assert dates[0] == first
-            assert all(d.weekday() < 5 for d in dates)
-            # consecutive business days: none skipped
-            assert all((b - a).days == (3 if a.weekday() == 4 else 1)
-                       for a, b in zip(dates, dates[1:]))
-        assert synth_panel(seed=0, T=30, M=1).dates[0] == date(2015, 1, 1)
+        # every panel starts on Thursday 2015-01-01
+        dates = synth_panel(seed=0, T=30, M=1).dates
+        assert dates[0] == date(2015, 1, 1)
+        assert all(d.weekday() < 5 for d in dates)
+        # consecutive business days: none skipped
+        assert all((b - a).days == (3 if a.weekday() == 4 else 1)
+                   for a, b in zip(dates, dates[1:]))
 
 
 _CORR = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])

@@ -216,6 +216,12 @@ class TestMarginalGain:
         with pytest.raises(ValueError, match=match):
             marginal_gain(target([0.5, 0.5]), panel, np.array(cand, dtype=int), 0, 0.001)
 
+    def test_short_leg_with_a_non_positive_portfolio_return_raises(self):
+        # the drifted portfolio of a short target goes below zero in [6, 9)
+        panel = gross_panel(np.column_stack([np.full(12, 1.01), np.linspace(1.0, 1.2, 12)]))
+        with pytest.raises(ValueError, match="non-positive portfolio gross return"):
+            marginal_gain(np.array([4.0, -3.0]), panel, np.array([3, 6, 9]), 1, 0.001)
+
     def test_candidate_k_checked_against_length(self):
         panel = gross_panel(np.full((10, 2), 1.01))
         w = target([0.5, 0.5])
