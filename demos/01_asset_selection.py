@@ -10,6 +10,7 @@ import numpy as np
 
 from quantfolio import (
     angular_distance,
+    annualised_sharpe,
     ledoit_wolf,
     select_representatives,
     synth_panel,
@@ -51,7 +52,8 @@ for cid in range(assign.n_clusters):
     print(f"  cluster {cid}: {', '.join(members)}")
 
 # --- Sharpe-maximising representatives -------------------------------------
-selection = select_representatives(assign, returns)
+picks = select_representatives(assign, returns)
 print("\nselected representatives (annualised train Sharpe):")
-for ticker, sharpe in zip(selection.tickers, selection.per_cluster_sharpe):
+for ticker in picks:
+    sharpe = annualised_sharpe(returns.log_returns[:, returns.tickers.index(ticker)])
     print(f"  {ticker}: {sharpe:+.3f}")

@@ -43,15 +43,15 @@ print(f"train {train.n_days} days / test {test.n_days} days")
 
 # --- stage 1: select 4 uncorrelated representatives ---------------------------
 cov = ledoit_wolf(train)
-selection = select_representatives(ward_cluster(cov.dist, 4), train)
-print(f"selected: {', '.join(selection.tickers)}")
-train_sel = train.restrict(selection.tickers)
-test_sel = test.restrict(selection.tickers)
+picks = select_representatives(ward_cluster(cov.dist, 4), train)
+print(f"selected: {', '.join(picks)}")
+train_sel = train.restrict(picks)
+test_sel = test.restrict(picks)
 
 # --- stage 2: the four weight methods -----------------------------------------
 ga = ga_optimise(train_sel, GaConfig(population=60, generations=40, seed=1))
-mv = minvar(cov.restrict(selection.tickers))
-eq = equal_weights(selection.tickers)
+mv = minvar(cov.restrict(picks))
+eq = equal_weights(picks)
 weights = {w.method: w for w in (ga, mv, eq, ensemble(ga, mv, eq))}
 print("train Sharpe by method: "
       + ", ".join(f"{m}={train_sharpe(w, train):.3f}" for m, w in weights.items()))

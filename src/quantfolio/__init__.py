@@ -28,7 +28,6 @@ from .backtest import (
 )
 from .clustering import (
     ClusterAssignment,
-    SelectionResult,
     ZeroVolatilityError,
     annualised_sharpe,
     select_representatives,
@@ -72,8 +71,8 @@ __all__ = [
     "BacktestReport", "BitSchedule", "BuyAndHold", "ClusterAssignment",
     "Explicit", "GaConfig", "IsingModel", "Periodic", "PricePanel",
     "QaoaConfig", "QaoaOutcome", "QuboParams", "QuboProblem",
-    "ReturnPanel", "ScheduleResult", "SelectionResult", "ShrunkCovariance",
-    "SplitSpec", "Strategy", "Threshold", "WeightVector",
+    "ReturnPanel", "ScheduleResult", "ShrunkCovariance", "SplitSpec",
+    "Strategy", "Threshold", "WeightVector",
     "ZeroVolatilityError", "angular_distance", "annualised_sharpe",
     "brute_force", "build_qubo", "candidate_dates", "drift_weights",
     "ensemble", "equal_weights", "fitness", "ga_optimise",

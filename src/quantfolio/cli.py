@@ -42,8 +42,10 @@ from .allocation import (
     train_sharpe,
 )
 from .backtest import GRID_PERIODIC, GRID_THRESHOLD, Threshold, _periodic_schedulers, run_grid
-from .clustering import select_representatives, ward_cluster
-from .market_data import ReturnPanel, SplitSpec, _write_labelled_csv, load_csv, split, to_returns
+from .clustering import annualised_sharpe, select_representatives, ward_cluster
+from .market_data import (
+    ReturnPanel, SplitSpec, _positions, _write_labelled_csv, load_csv, split, to_returns,
+)
 from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, WindowDiagnostics, walk_forward
 from .schedule_qubo import QuboParams, QuboProblem, _check_width, bits_to_str
 from .shrinkage import _shrunk, ledoit_wolf
@@ -139,8 +141,10 @@ _REQUIRED = tuple(f.name for f in dataclasses.fields(RunConfig) if f.default is 
 
 
 def parse_config(path) -> RunConfig:
-    """Parse a ``key = value`` config file into a validated RunConfig."""
+    """Parse a ``key = value`` config file into a validated RunConfig; a key
+    may be given once."""
     values: dict = {}
+    first_line: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -152,6 +156,10 @@ def parse_config(path) -> RunConfig:
             key, val = key.strip(), val.strip()
             if key not in _PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: {key} is given again "
+                                 f"(first on line {first_line[key]})")
+            first_line[key] = lineno
             try:
                 values[key] = _PARSERS[key](val)
             except ValueError as exc:
@@ -277,13 +285,18 @@ def _schedule_record(method: str, result: ScheduleResult) -> dict:
 
 
 def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
-    """Each method's weights; the ``train_sharpe`` written beside them is
-    allowed, and not read."""
+    """Each method's weights, from the file named after that method; the
+    ``train_sharpe`` written beside them is allowed, and not read."""
     keys = ("tickers", "weights", "method")
-    blobs = {method: _read_artifact(cfg, f"weights_{method.lower()}.json", "weights", *keys,
-                                    allowed=(*keys, "train_sharpe"))
-             for method in METHODS}
-    return {method: WeightVector(*(blob[key] for key in keys)) for method, blob in blobs.items()}
+    weights = {}
+    for method in METHODS:
+        name = f"weights_{method.lower()}.json"
+        blob = _read_artifact(cfg, name, "weights", *keys, allowed=(*keys, "train_sharpe"))
+        if blob["method"] != method:
+            raise ValueError(f"{os.path.join(cfg.out_dir, name)}: malformed artifact, "
+                             f"method {blob['method']!r} in the {method} weights file")
+        weights[method] = WeightVector(*(blob[key] for key in keys))
+    return weights
 
 
 def _read_schedules(cfg: RunConfig) -> dict[str, list]:
@@ -309,13 +322,14 @@ def cmd_select(cfg: RunConfig) -> dict:
     panel, train = _load_panels(cfg, cfg.train_end)
     cov = ledoit_wolf(train)
     assign = ward_cluster(cov.dist, cfg.n_clusters)
-    selection = select_representatives(assign, train)
+    selected = select_representatives(assign, train)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     sel_path = os.path.join(cfg.out_dir, "selection.json")
     _write_json(sel_path, {
-        "tickers": list(selection.tickers),
-        "per_cluster_sharpe": [float(s) for s in selection.per_cluster_sharpe],
+        "tickers": list(selected),
+        "per_cluster_sharpe": [annualised_sharpe(train.log_returns[:, i])
+                               for i in _positions(train.tickers, selected)],
         "labels": {t: int(lbl) for t, lbl in zip(train.tickers, assign.labels)},
         "shrinkage_alpha": cov.alpha,
         "shrinkage_mu_target": cov.mu_target,
@@ -323,7 +337,7 @@ def cmd_select(cfg: RunConfig) -> dict:
     })
     corr_path = os.path.join(cfg.out_dir, "correlation.csv")
     _write_labelled_csv(corr_path, "ticker", train.tickers, train.tickers, cov.corr)
-    log.info("selected %s", ", ".join(selection.tickers))
+    log.info("selected %s", ", ".join(selected))
     return {"selection": sel_path, "correlation": corr_path}
 
 

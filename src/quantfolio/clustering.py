@@ -30,36 +30,22 @@ class ClusterAssignment:
     """Per-asset cluster labels in 0..n_clusters-1, every id non-empty."""
 
     labels: np.ndarray
-    n_clusters: int
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels, dtype=int)
-        if labels.ndim != 1:
-            raise ValueError("labels must be a vector")
+        if labels.ndim != 1 or labels.size == 0:
+            raise ValueError("labels must be a non-empty vector")
         present = set(labels.tolist())
-        if present != set(range(self.n_clusters)):
-            raise ValueError(
-                f"labels must cover exactly 0..{self.n_clusters - 1}, got {sorted(present)}"
-            )
+        if present != set(range(len(present))):
+            raise ValueError(f"labels must cover every id from 0 up, got {sorted(present)}")
         object.__setattr__(self, "labels", _frozen_array(labels, int))
+
+    @property
+    def n_clusters(self) -> int:
+        return int(self.labels.max()) + 1
 
     def members(self, cluster: int) -> np.ndarray:
         return np.flatnonzero(self.labels == cluster)
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """One representative ticker per cluster with its annualised train Sharpe,
-    ordered by cluster id."""
-
-    tickers: tuple[str, ...]
-    per_cluster_sharpe: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.tickers) != len(self.per_cluster_sharpe):
-            raise ValueError("tickers and per_cluster_sharpe lengths differ")
-        if len(set(self.tickers)) != len(self.tickers):
-            raise ValueError("representatives must be distinct")
 
 
 def annualised_sharpe(series):
@@ -113,13 +99,12 @@ def ward_cluster(dist, n: int) -> ClusterAssignment:
         slot[slot == j] = i
 
     labels = np.unique(slot, return_inverse=True)[1]
-    return ClusterAssignment(labels, n)
+    return ClusterAssignment(labels)
 
 
-def select_representatives(
-    assign: ClusterAssignment, train: ReturnPanel
-) -> SelectionResult:
-    """Pick each cluster's highest-Sharpe member on the training panel.
+def select_representatives(assign: ClusterAssignment, train: ReturnPanel) -> tuple[str, ...]:
+    """Each cluster's highest-Sharpe member on the training panel, in cluster-id
+    order.
 
     Ties break lexicographically by ticker. Members with zero volatility are
     skipped; a cluster whose every member is flat is an error.
@@ -129,21 +114,16 @@ def select_representatives(
             f"{assign.labels.size} labels for {train.n_assets} train tickers"
         )
     reps: list[str] = []
-    sharpes: list[float] = []
     for cid in range(assign.n_clusters):
         scored: list[tuple[float, str]] = []
         for i in assign.members(cid):
             try:
-                s = annualised_sharpe(train.log_returns[:, i])
+                scored.append((-annualised_sharpe(train.log_returns[:, i]), train.tickers[i]))
             except ZeroVolatilityError:
                 continue
-            scored.append((s, train.tickers[i]))
         if not scored:
             raise ZeroVolatilityError(
                 f"cluster {cid}: every member has zero volatility"
             )
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        best_sharpe, best_ticker = scored[0]
-        reps.append(best_ticker)
-        sharpes.append(best_sharpe)
-    return SelectionResult(tuple(reps), tuple(sharpes))
+        reps.append(min(scored)[1])
+    return tuple(reps)

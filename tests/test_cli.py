@@ -167,10 +167,27 @@ class TestConfigParsing:
         self, workspace, tmp_path, capsys, key, value
     ):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(workspace["config"].read_text() + f"{key} = {value}\n")
+        # replace the workspace's own line for the key, so the value is what fails
+        kept = [line for line in workspace["config"].read_text().splitlines(keepends=True)
+                if not line.startswith(f"{key} =")]
+        cfg.write_text("".join(kept) + f"{key} = {value}\n")
         out = tmp_path / "never"
         assert run_cli("select", "--config", cfg, "--out", out) == 1
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key in err
+        assert "given again" not in err
+        assert not out.exists()
+
+    def test_a_key_given_twice_exits_1_naming_both_lines(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        text = workspace["config"].read_text()
+        first = text.splitlines().index("seed = 5") + 1
+        cfg.write_text(text + "seed = 7\n")
+        out = tmp_path / "never"
+        assert run_cli("select", "--config", cfg, "--out", out) == 1
+        again = text.count("\n") + 1
+        assert (f"{cfg}:{again}: seed is given again (first on line {first})"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -519,6 +536,19 @@ class TestBacktestCommand:
         path.write_text(json.dumps(blob))
         assert run_cli("backtest", "--config", backtested["config"], "--out", out) == 1
         assert f"{path}: malformed artifact, unknown key(s): note" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["schedule", "backtest"])
+    def test_weights_whose_method_is_not_its_files_exits_1(self, backtested, tmp_path, capsys,
+                                                           command):
+        out = tmp_path / "relabelled"
+        shutil.copytree(backtested["out"], out)
+        path = out / "weights_ga.json"
+        blob = json.loads(path.read_text())
+        blob["method"] = "MinVar"
+        path.write_text(json.dumps(blob))
+        assert run_cli(command, "--config", backtested["config"], "--out", out) == 1
+        assert (f"error [{command}]: {path}: malformed artifact, method 'MinVar' in the GA "
+                f"weights file" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("text,reason", [
         pytest.param('{"method": "GA", ', "Expecting property name", id="truncated"),

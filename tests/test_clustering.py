@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
 from quantfolio import (
+    ClusterAssignment,
     ZeroVolatilityError,
     annualised_sharpe,
     ledoit_wolf,
@@ -220,6 +223,18 @@ class TestAnnualisedSharpe:
             annualised_sharpe(r)
 
 
+class TestClusterAssignment:
+    def test_cluster_count_is_one_past_the_largest_label(self):
+        assign = ClusterAssignment(np.array([2, 0, 1, 0]))
+        assert assign.n_clusters == 3
+        assert [f.name for f in dataclasses.fields(assign)] == ["labels"]
+
+    @pytest.mark.parametrize("labels", [[], [0, 2], [1, 1], [-1, 0], [[0, 1]]])
+    def test_labels_must_be_a_vector_covering_every_id_from_0(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            ClusterAssignment(np.array(labels, dtype=int))
+
+
 class TestSelectRepresentatives:
     def test_argmax_within_cluster(self):
         # asset 0: strong positive drift, asset 1: weak; same cluster
@@ -227,23 +242,14 @@ class TestSelectRepresentatives:
             [[1.02, 1.005, 1.0], [1.03, 1.01, 1.001], [1.01, 1.002, 0.999], [1.02, 1.004, 1.0005]],
             tickers=("WIN", "MEH", "OTH"),
         )
-        from quantfolio import ClusterAssignment
-
-        assign = ClusterAssignment(np.array([0, 0, 1]), 2)
-        sel = select_representatives(assign, panel)
-        assert sel.tickers[0] == "WIN"
-        assert sel.per_cluster_sharpe[0] == pytest.approx(
-            annualised_sharpe(panel.log_returns[:, 0])
-        )
+        assign = ClusterAssignment(np.array([0, 0, 1]))
+        assert select_representatives(assign, panel) == ("WIN", "OTH")
 
     def test_tie_breaks_lexicographically(self):
         gross = [[1.01, 1.01], [0.99, 0.99], [1.02, 1.02]]
         panel = gross_panel(gross, tickers=("ZED", "ALF"))
-        from quantfolio import ClusterAssignment
-
-        assign = ClusterAssignment(np.array([0, 0]), 1)
-        sel = select_representatives(assign, panel)
-        assert sel.tickers == ("ALF",)
+        assign = ClusterAssignment(np.array([0, 0]))
+        assert select_representatives(assign, panel) == ("ALF",)
 
     @pytest.mark.parametrize("sizes", [(4, 4, 4), (3,) * 10])
     def test_brute_force_scan_oracle(self, sizes):
@@ -251,14 +257,14 @@ class TestSelectRepresentatives:
         cov = ledoit_wolf(panel)
         assign = ward_cluster(cov.dist, len(sizes))
         sel = select_representatives(assign, panel)
-        assert len(sel.tickers) == len(sizes)
+        assert isinstance(sel, tuple) and len(sel) == len(sizes)
         for cid in range(len(sizes)):
             members = assign.members(cid)
             scores = {}
             for i in members:
                 scores[panel.tickers[i]] = annualised_sharpe(panel.log_returns[:, i])
             best = max(sorted(scores), key=lambda t: scores[t])
-            assert sel.tickers[cid] == best
+            assert sel[cid] == best
 
     def test_scaling_one_asset_keeps_selection(self):
         panel = planted_panel(seed=6, sizes=(3, 3), T=300)
@@ -272,20 +278,16 @@ class TestSelectRepresentatives:
 
         scaled = ReturnPanel(panel.dates, panel.tickers, np.exp(scaled_log))
         again = select_representatives(assign, scaled)
-        assert again.tickers == base.tickers
+        assert again == base
 
     def test_all_flat_cluster_is_error(self):
         panel = gross_panel([[1.0, 1.01], [1.0, 0.99], [1.0, 1.02]], tickers=("F1", "GO"))
-        from quantfolio import ClusterAssignment
-
-        assign = ClusterAssignment(np.array([0, 1]), 2)
+        assign = ClusterAssignment(np.array([0, 1]))
         with pytest.raises(ZeroVolatilityError, match="cluster 0"):
             select_representatives(assign, panel)
 
     def test_label_length_mismatch(self):
         panel = gross_panel([[1.0, 1.01], [1.01, 0.99]])
-        from quantfolio import ClusterAssignment
-
-        assign = ClusterAssignment(np.array([0]), 1)
+        assign = ClusterAssignment(np.array([0]))
         with pytest.raises(ValueError, match="labels"):
             select_representatives(assign, panel)

@@ -21,3 +21,15 @@ def test_demo_exits_zero(demo, tmp_path):
         env=subprocess_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_exits_zero(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+        env=subprocess_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(" rebalances\n")

@@ -47,7 +47,7 @@ def weight_vector(order="C"):
 
 def cluster_assignment(order="C"):
     labels = np.array([0, 1, 0])
-    return ClusterAssignment(labels, 2), {"labels": labels}
+    return ClusterAssignment(labels), {"labels": labels}
 
 
 def qubo_problem(order="C"):
