@@ -75,11 +75,14 @@ def normalised_entropy(weights):
     return float(h) if w.ndim == 1 else h
 
 
-def _weight_array(weights, n_assets: int) -> np.ndarray:
-    """The weights of a ``WeightVector`` or a plain vector, one per asset."""
+def _weight_array(weights, tickers: tuple[str, ...]) -> np.ndarray:
+    """The weights of a ``WeightVector`` on exactly ``tickers``, in order, or of
+    a plain vector of ``len(tickers)``: the one check that weights fit a panel."""
+    if isinstance(weights, WeightVector) and weights.tickers != tickers:
+        raise ValueError(f"weights for tickers {weights.tickers} on tickers {tickers}")
     w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights, float)
-    if w.shape != (n_assets,):
-        raise ValueError(f"{w.size} weights for {n_assets} assets")
+    if w.shape != (len(tickers),):
+        raise ValueError(f"{w.size} weights for {len(tickers)} tickers {tickers}")
     return w
 
 
@@ -102,9 +105,7 @@ def fitness(weights, train: ReturnPanel, lambda_ent: float = GaConfig.lambda_ent
     """Annualised portfolio Sharpe plus ``lambda_ent`` times normalised
     entropy: a float for one weight vector, one value per row of a ``(P,
     assets)`` batch, whose daily log returns go into ``out`` if given."""
-    if isinstance(weights, WeightVector) and weights.tickers != train.tickers:
-        raise ValueError("weight tickers do not match panel tickers")
-    w = weights if np.ndim(weights) == 2 else _weight_array(weights, train.n_assets)
+    w = weights if np.ndim(weights) == 2 else _weight_array(weights, train.tickers)
     sharpe = annualised_sharpe(portfolio_log_returns(w, train.gross_returns, out))
     return sharpe + lambda_ent * normalised_entropy(w)
 
@@ -210,8 +211,6 @@ def equal_weights(tickers) -> WeightVector:
 
 
 def ensemble(ga: WeightVector, mv: WeightVector, eq: WeightVector) -> WeightVector:
-    """Arithmetic mean of the three weight vectors."""
-    if not (ga.tickers == mv.tickers == eq.tickers):
-        raise ValueError("ensemble inputs must share the same tickers in the same order")
-    w = (ga.weights + mv.weights + eq.weights) / 3.0
+    """Arithmetic mean of the three weight vectors, on the GA vector's tickers."""
+    w = (ga.weights + _weight_array(mv, ga.tickers) + _weight_array(eq, ga.tickers)) / 3.0
     return WeightVector(ga.tickers, w, "Ensemble")

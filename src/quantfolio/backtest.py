@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .allocation import METHODS, WeightVector
+from .allocation import METHODS, WeightVector, _weight_array
 from .clustering import annualised_sharpe
 from .market_data import ANNUALISATION, ReturnPanel, _check_cost, _frozen_array, _frozen_bits
 
@@ -179,26 +179,21 @@ def run(test: ReturnPanel, strat: Strategy, cost_c: float) -> BacktestReport:
     rebalancing cost is deducted and weights reset to target.
     """
     _check_cost(cost_c)
-    if strat.weights.tickers != test.tickers:
-        raise ValueError("strategy weights do not match test panel tickers")
+    target = _weight_array(strat.weights, test.tickers)
     if isinstance(strat.scheduler, Explicit) and strat.scheduler.bits.size != test.n_days:
         raise ValueError(
             f"explicit schedule of {strat.scheduler.bits.size} bits for "
             f"{test.n_days} test days"
         )
-    gross = test.gross_returns
-    target = strat.weights.weights
-    t_total = test.n_days
 
     value = 1.0
     w = target.copy()
-    curve = np.empty(t_total + 1)
+    curve = np.empty(test.n_days + 1)
     curve[0] = 1.0
     total_cost = 0.0
     rebalance_days: list[int] = []
 
-    for t in range(t_total):
-        day = gross[t]
+    for t, day in enumerate(test.gross_returns):
         port = float(w @ day)
         value *= port
         drifted = w * day / port
@@ -232,12 +227,10 @@ def run_grid(
     ``weight_sets`` and ``qaoa_schedules`` are keyed by method name
     (``allocation.METHODS``). Reports come back labelled, in grid order.
     """
-    missing = [m for m in METHODS if m not in weight_sets]
-    if missing:
-        raise ValueError(f"weight_sets missing methods: {', '.join(missing)}")
-    missing = [m for m in METHODS if m not in qaoa_schedules]
-    if missing:
-        raise ValueError(f"qaoa_schedules missing methods: {', '.join(missing)}")
+    for name, given in (("weight_sets", weight_sets), ("qaoa_schedules", qaoa_schedules)):
+        missing = [m for m in METHODS if m not in given]
+        if missing:
+            raise ValueError(f"{name} missing methods: {', '.join(missing)}")
 
     strategies: list[Strategy] = []
     for method in METHODS:

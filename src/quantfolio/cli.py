@@ -35,6 +35,7 @@ from .allocation import (
     METHODS,
     GaConfig,
     WeightVector,
+    _weight_array,
     ensemble,
     equal_weights,
     ga_optimise,
@@ -237,10 +238,6 @@ def _read_artifact(cfg: RunConfig, name: str, stage: str, *keys: str, allowed=No
     return blob
 
 
-def _read_selection(cfg: RunConfig) -> list[str]:
-    return list(_read_artifact(cfg, "selection.json", "select", "tickers")["tickers"])
-
-
 def _weights_record(wv: WeightVector, train: ReturnPanel) -> dict:
     return {"method": wv.method, "tickers": list(wv.tickers), "weights": wv.weights.tolist(),
             "train_sharpe": train_sharpe(wv, train)}
@@ -285,8 +282,8 @@ def _schedule_record(method: str, result: ScheduleResult) -> dict:
 
 
 def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
-    """Each method's weights, from the file named after that method; the
-    ``train_sharpe`` written beside them is allowed, and not read."""
+    """Each method's weights, from the file named after that method and on
+    the GA file's tickers; the ``train_sharpe`` beside them is not read."""
     keys = ("tickers", "weights", "method")
     weights = {}
     for method in METHODS:
@@ -295,7 +292,11 @@ def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
         if blob["method"] != method:
             raise ValueError(f"{os.path.join(cfg.out_dir, name)}: malformed artifact, "
                              f"method {blob['method']!r} in the {method} weights file")
-        weights[method] = WeightVector(*(blob[key] for key in keys))
+        try:
+            weights[method] = WeightVector(*(blob[key] for key in keys))
+            _weight_array(weights[method], weights["GA"].tickers)  # GA is read first
+        except ValueError as exc:
+            raise ValueError(f"{os.path.join(cfg.out_dir, name)}: {exc}") from None
     return weights
 
 
@@ -370,14 +371,14 @@ def cmd_weights(cfg: RunConfig) -> dict:
 def cmd_schedule(cfg: RunConfig) -> dict:
     """Run the walk-forward QAOA scheduler for every weight method.
 
-    Every window of every method is solved in one ``walk_forward`` call, so
-    the angle search runs over all of them in lockstep.
+    Every window of every method is solved in one ``walk_forward`` call on
+    the weights files' tickers, so the angle search runs over all of them
+    in lockstep.
     """
-    selected = _read_selection(cfg)
     weights = _read_weights(cfg)
     results = walk_forward(
-        _test_returns(cfg, selected), [weights[method] for method in METHODS], cfg.windows,
-        cfg.candidates_per_window, cfg.qaoa_configs(), cfg.qubo_params(),
+        _test_returns(cfg, weights["GA"].tickers), [weights[method] for method in METHODS],
+        cfg.windows, cfg.candidates_per_window, cfg.qaoa_configs(), cfg.qubo_params(),
     )
     paths = {}
     for method, result in zip(METHODS, results):
@@ -403,11 +404,12 @@ def _write_histogram_csv(path, result: ScheduleResult) -> None:
 
 
 def cmd_backtest(cfg: RunConfig) -> dict:
-    """Run the full strategy grid and write the report artifacts."""
-    selected = _read_selection(cfg)
+    """Run the full strategy grid and write the report artifacts.
+
+    The grid trades the weights files' tickers."""
     weights = _read_weights(cfg)
     schedules = _read_schedules(cfg)
-    test = _test_returns(cfg, selected)
+    test = _test_returns(cfg, weights["GA"].tickers)
 
     reports = run_grid(
         test, weights, schedules, cfg.cost_c,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import ANNUALISATION, ReturnPanel, _flat, _frozen_array, _square
+from .market_data import ANNUALISATION, ReturnPanel, _flat, _frozen_integers, _square
 
 
 class ZeroVolatilityError(ValueError):
@@ -32,13 +32,13 @@ class ClusterAssignment:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=int)
+        labels = _frozen_integers(self.labels, "labels")
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a non-empty vector")
         present = set(labels.tolist())
         if present != set(range(len(present))):
             raise ValueError(f"labels must cover every id from 0 up, got {sorted(present)}")
-        object.__setattr__(self, "labels", _frozen_array(labels, int))
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_clusters(self) -> int:

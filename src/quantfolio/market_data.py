@@ -10,11 +10,11 @@ pure function of its arguments.
 The helpers below own that rule for every value type of the package. Each
 stored array is a read-only, row-major copy made by ``_frozen_array``, so no
 result depends on the layout of the caller's array or on how a panel was cut
-(the last digits of a BLAS product do). A bit vector
-(``BitSchedule``, ``Explicit``) must be 1-D and hold only 0 and 1;
-``_frozen_bits`` checks that before its ``uint8`` cast. ``_read_only`` is the
-one place that marks an array read-only. ``_square`` admits every square
-matrix as its exact symmetric part, so no stage symmetrises one again.
+(the last digits of a BLAS product do). ``_frozen_integers`` checks that an
+integer array holds whole numbers, and a bit vector (``BitSchedule``,
+``Explicit``) only 0 and 1 in 1-D, before its cast. ``_read_only`` is the one
+place that marks an array read-only. ``_square`` admits every square matrix
+as its exact symmetric part, so no stage symmetrises one again.
 
 Price files are UTF-8 on both sides, whatever the locale. ``load_csv``
 streams the file as bytes, one line at a time. Every row gets a cell count
@@ -67,13 +67,19 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return _read_only(np.array(values, dtype=dtype, order="C"))
 
 
+def _frozen_integers(values, what: str, bits: bool = False) -> np.ndarray:
+    """A read-only ``int`` copy of ``values``, or ``uint8`` of a 1-D 0/1 vector
+    for ``bits``, checked before the cast truncates; ``what`` names the field."""
+    ints = np.asarray(values)
+    if bits and (ints.ndim != 1 or not np.all((ints == 0) | (ints == 1))):
+        raise ValueError(f"{what} must be a 0/1 vector")
+    if ints.dtype.kind not in "biu" and not np.all(np.isfinite(ints) & (ints == np.round(ints))):
+        raise ValueError(f"{what} must be whole numbers")
+    return _frozen_array(ints, np.uint8 if bits else int)
+
+
 def _frozen_bits(values) -> np.ndarray:
-    """A read-only ``uint8`` copy of a bit vector, checked before the cast
-    (which would turn 0.5 or 256 into 0)."""
-    bits = np.asarray(values)
-    if bits.ndim != 1 or not np.all((bits == 0) | (bits == 1)):
-        raise ValueError("bits must be a 0/1 vector")
-    return _frozen_array(bits, np.uint8)
+    return _frozen_integers(values, "bits", bits=True)
 
 
 def _square(values, what: str, sym_atol: float | None = None) -> np.ndarray:

@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .allocation import WeightVector
-from .market_data import ReturnPanel, _frozen_array, _read_only
+from .market_data import ReturnPanel, _frozen_array, _frozen_integers, _read_only
 from .schedule_qubo import (
     BitSchedule,
     QuboParams,
@@ -182,7 +182,7 @@ class QaoaOutcome:
     restart_angles: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "histogram", _frozen_array(self.histogram, int))
+        object.__setattr__(self, "histogram", _frozen_integers(self.histogram, "histogram"))
         object.__setattr__(self, "restart_energies", _frozen_array(self.restart_energies))
         object.__setattr__(self, "restart_angles", _frozen_array(self.restart_angles))
 
@@ -470,8 +470,6 @@ def walk_forward(
         raise ValueError("need one QaoaConfig per target")
     if len({replace(cfg, seed=0) for cfg in cfgs}) > 1:
         raise ValueError("the configs of one walk_forward call may differ only in seed")
-    if any(target.tickers != test.tickers for target in targets):
-        raise ValueError("target weight tickers do not match test panel tickers")
     t_total = test.n_days
     if k_windows < 1:
         raise ValueError("need at least one window")

@@ -19,7 +19,8 @@ import numpy as np
 
 from .allocation import _weight_array, portfolio_log_returns
 from .clustering import ZeroVolatilityError, annualised_sharpe
-from .market_data import ANNUALISATION, ReturnPanel, _check_cost, _frozen_array, _frozen_bits, _square
+from .market_data import (ANNUALISATION, ReturnPanel, _check_cost, _frozen_array, _frozen_bits,
+                          _frozen_integers, _square)
 
 MAX_WIDTH = 24  # largest W of any 2^W energy table or statevector: memory guard
 
@@ -61,7 +62,7 @@ class QuboProblem:
     def __post_init__(self) -> None:
         q = _square(self.q, "q", sym_atol=1e-12)
         w = len(q)
-        candidates = _frozen_array(self.candidates, int)
+        candidates = _frozen_integers(self.candidates, "candidates")
         if candidates.shape != (w,):
             raise ValueError(f"{w}x{w} matrix for {candidates.size} candidates")
         if self.raw_max_abs <= 0.0:
@@ -128,7 +129,7 @@ def candidate_dates(window_len: int, w: int) -> np.ndarray:
         )
     k = np.arange(1, w + 1)
     dates = np.minimum(np.round(k * window_len / (w + 1)), window_len - 2 - (w - k))
-    return _frozen_array(dates, int)
+    return _frozen_integers(dates, "candidate dates")
 
 
 def drift_weights(target, window: ReturnPanel, upto: int) -> np.ndarray:
@@ -137,7 +138,7 @@ def drift_weights(target, window: ReturnPanel, upto: int) -> np.ndarray:
     ``w_drift = (w * pi) / sum(w * pi)`` with ``pi`` the cumulative gross
     return of each asset over rows ``[0, upto)``; no intermediate rebalances.
     """
-    w = _weight_array(target, window.n_assets)
+    w = _weight_array(target, window.tickers)
     if not 0 <= upto <= window.n_days:
         raise ValueError(f"upto must be in [0, {window.n_days}]")
     pi = np.prod(window.gross_returns[:upto], axis=0)  # empty product -> ones
@@ -163,7 +164,7 @@ def marginal_gain(target, window: ReturnPanel, candidates, k: int, cost_c: float
     ``candidates`` are the row offsets t_k: strictly increasing and inside
     ``[1, window.n_days - 2]``.
     """
-    idx = np.asarray(candidates, dtype=int)
+    idx = _frozen_integers(candidates, "candidates")
     if idx.ndim != 1 or idx.size < 1:
         raise ValueError("need at least one candidate index")
     if np.any(np.diff(idx) <= 0):
@@ -172,7 +173,7 @@ def marginal_gain(target, window: ReturnPanel, candidates, k: int, cost_c: float
         raise ValueError("candidate indices must be interior to the window")
     if not 0 <= k < idx.size:
         raise ValueError(f"candidate index {k} out of range")
-    w = _weight_array(target, window.n_assets)
+    w = _weight_array(target, window.tickers)
     start = int(idx[k])
     end = int(idx[k + 1]) if k + 1 < idx.size else window.n_days
     if end - start < 2:

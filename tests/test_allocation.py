@@ -5,20 +5,29 @@ import pytest
 from scipy.optimize import minimize
 
 from quantfolio import (
+    BuyAndHold,
     GaConfig,
+    QaoaConfig,
     ShrunkCovariance,
+    Strategy,
     WeightVector,
     ZeroVolatilityError,
     annualised_sharpe,
+    build_qubo,
+    candidate_dates,
+    drift_weights,
     ensemble,
     equal_weights,
     fitness,
     ga_optimise,
+    marginal_gain,
     minvar,
     normalised_entropy,
+    run,
     synth_panel,
     to_returns,
     train_sharpe,
+    walk_forward,
 )
 
 from quantfolio.allocation import portfolio_log_returns
@@ -283,3 +292,27 @@ class TestEnsemble:
             out = ensemble(*parts)
             assert abs(out.weights.sum() - 1.0) <= 1e-12
             assert np.all(out.weights >= 0.0)
+
+
+# every public call that applies weights to a panel's columns, given the
+# panel and a WeightVector for the panel's tickers in another order
+WEIGHTS_ON_A_PANEL = {
+    "fitness": lambda panel, wv: fitness(wv, panel),
+    "drift_weights": lambda panel, wv: drift_weights(wv, panel, 10),
+    "marginal_gain": lambda panel, wv: marginal_gain(
+        wv, panel, candidate_dates(panel.n_days, 4), 0, 0.001),
+    "build_qubo": lambda panel, wv: build_qubo(wv, panel, 4),
+    "walk_forward": lambda panel, wv: walk_forward(
+        panel, wv, 2, 4, QaoaConfig(depth=1, restarts=2, max_iters=30, seed=3)),
+    "backtest.run": lambda panel, wv: run(panel, Strategy(wv, BuyAndHold()), 0.001),
+    "ensemble": lambda panel, wv: ensemble(
+        WeightVector(panel.tickers, wv.weights, "GA"), wv, equal_weights(panel.tickers)),
+}
+
+
+@pytest.mark.parametrize("call", WEIGHTS_ON_A_PANEL.values(), ids=WEIGHTS_ON_A_PANEL.keys())
+def test_weights_on_reordered_tickers_raise(call):
+    panel = to_returns(synth_panel(seed=8, T=61, M=3))
+    reordered = WeightVector(panel.tickers[::-1], np.array([0.2, 0.3, 0.5]), "MinVar")
+    with pytest.raises(ValueError, match="tickers"):
+        call(panel, reordered)

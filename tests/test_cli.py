@@ -432,14 +432,14 @@ class TestScheduleCommand:
         monkeypatch.setattr(cli, "walk_forward", recording)
         out = tmp_path / "run"
         out.mkdir()
-        for name in ("selection.json", *(f"weights_{m.lower()}.json" for m in METHODS)):
+        for name in (f"weights_{m.lower()}.json" for m in METHODS):
             (out / name).write_bytes((scheduled["out"] / name).read_bytes())
         assert run_cli("schedule", "--config", scheduled["config"], "--out", out) == 0
         assert calls == [list(METHODS)]
 
         cfg = parse_config(scheduled["config"])
-        test = cli._test_returns(cfg, cli._read_selection(cfg))
         weights = cli._read_weights(cfg)
+        test = cli._test_returns(cfg, weights["GA"].tickers)
         for i, method in enumerate(METHODS):
             qcfg = QaoaConfig(depth=cfg.depth, restarts=cfg.restarts, opt_shots=cfg.opt_shots,
                               eval_shots=cfg.eval_shots, max_iters=cfg.max_iters,
@@ -510,7 +510,7 @@ class TestBacktestCommand:
 
 
     @pytest.mark.parametrize("artifact,key,command", [
-        pytest.param("selection.json", "tickers", "backtest", id="selection.json-tickers"),
+        pytest.param("selection.json", "tickers", "weights", id="selection.json-tickers"),
         pytest.param("selection.json", "shrinkage_mu_target", "weights",
                      id="selection.json-shrinkage_mu_target"),
         pytest.param("weights_ga.json", "weights", "backtest", id="weights_ga.json-weights"),
@@ -550,6 +550,37 @@ class TestBacktestCommand:
         assert (f"error [{command}]: {path}: malformed artifact, method 'MinVar' in the GA "
                 f"weights file" in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["schedule", "backtest"])
+    def test_weights_on_other_tickers_than_the_ga_files_exit_1(self, backtested, tmp_path,
+                                                               capsys, command):
+        out = tmp_path / "reordered"
+        shutil.copytree(backtested["out"], out)
+        path = out / "weights_minvar.json"
+        blob = json.loads(path.read_text())
+        blob["tickers"], blob["weights"] = blob["tickers"][::-1], blob["weights"][::-1]
+        path.write_text(json.dumps(blob))
+        assert run_cli(command, "--config", backtested["config"], "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error [{command}]: {path}: weights for tickers" in err
+        assert "weights_ga.json" not in err
+
+    def test_schedule_and_backtest_take_the_tickers_from_the_weights(self, backtested,
+                                                                      tmp_path):
+        out = tmp_path / "unselected"
+        shutil.copytree(backtested["out"], out)
+        written = [*(f"{kind}_{m.lower()}.{ext}" for m in METHODS
+                     for kind, ext in (("schedule", "json"), ("histogram", "csv"))),
+                   "metrics.csv", "curves.csv", "manifest.json"]
+
+        def schedule_and_backtest():
+            for command in ("schedule", "backtest"):
+                assert run_cli(command, "--config", backtested["config"], "--out", out) == 0
+            return {name: (out / name).read_bytes() for name in written}
+
+        with_selection = schedule_and_backtest()
+        (out / "selection.json").unlink()
+        assert schedule_and_backtest() == with_selection
+
     @pytest.mark.parametrize("text,reason", [
         pytest.param('{"method": "GA", ', "Expecting property name", id="truncated"),
         pytest.param("null", "not a JSON object", id="null"),
@@ -569,9 +600,8 @@ def in_memory(backtested):
     """The config, each method's ``ScheduleResult`` and the backtest reports,
     computed in memory from the ``select`` and ``weights`` handoffs."""
     cfg = parse_config(backtested["config"])
-    selected = cli._read_selection(cfg)
     weights = cli._read_weights(cfg)
-    test = cli._test_returns(cfg, selected)
+    test = cli._test_returns(cfg, weights["GA"].tickers)
     results = dict(zip(METHODS, walk_forward(
         test, [weights[m] for m in METHODS], cfg.windows, cfg.candidates_per_window,
         cfg.qaoa_configs(), cfg.qubo_params())))

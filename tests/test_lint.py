@@ -17,7 +17,11 @@ memory layout (passes ``order=`` or calls ``compress``, ``asfortranarray``
 or ``ascontiguousarray``). Only ``cli.entry``, the process entry point, changes
 the garbage collector (calls ``gc.freeze``, ``gc.disable`` or
 ``gc.set_threshold``): a library module must never change an importer's
-collector. The artifact format has one owner too: no module but ``cli``
+collector. Only ``allocation._weight_array`` compares a ``.tickers`` (every
+weights-on-panel call checks alignment through it), and only
+``market_data._frozen_integers`` passes ``int`` or ``np.uint8`` as
+``_frozen_array``'s dtype (every integer cast is checked before it
+truncates). The artifact format has one owner too: no module but ``cli``
 defines a ``to_json_dict``. Every ``open(`` is binary or passes
 ``encoding="utf-8"``, so no file depends on the locale."""
 import ast
@@ -102,15 +106,30 @@ def averages_with_transpose(node: ast.AST) -> bool:
             and transposes(node.left.right, node.left.left))
 
 
-def compares(name: str):
-    """Accepts a comparison with ``name`` or ``<x>.name`` on either side."""
+def compares(name: str, bare: bool = True):
+    """Accepts a comparison with ``<x>.name``, or with ``name`` itself unless
+    ``bare`` is False, on either side."""
     def hit(node: ast.AST) -> bool:
         return isinstance(node, ast.Compare) and any(
-            isinstance(side, ast.Name) and side.id == name
+            bare and isinstance(side, ast.Name) and side.id == name
             or isinstance(side, ast.Attribute) and side.attr == name
             for side in (node.left, *node.comparators)
         )
     return hit
+
+
+def casts_to_integers(node: ast.AST) -> bool:
+    """Accepts a call ``_frozen_array(values, dtype)`` (or ``dtype=``) whose
+    dtype expression names ``int`` or ``<x>.uint8``."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_frozen_array"):
+        return False
+    dtypes = node.args[1:] + [kw.value for kw in node.keywords if kw.arg == "dtype"]
+    return any(
+        isinstance(sub, ast.Name) and sub.id == "int"
+        or isinstance(sub, ast.Attribute) and sub.attr == "uint8"
+        for dtype in dtypes
+        for sub in ast.walk(dtype)
+    )
 
 
 LAYOUT_CALLS = {"compress", "asfortranarray", "ascontiguousarray"}
@@ -252,6 +271,8 @@ OWNERS = {
     "width_guard": (compares("MAX_WIDTH"), ("schedule_qubo.py", "_check_width")),
     "layout": (sets_layout, ("market_data.py", "_frozen_array")),
     "collector": (changes_collector, ("cli.py", "entry")),
+    "ticker_alignment": (compares("tickers", bare=False), ("allocation.py", "_weight_array")),
+    "integer_cast": (casts_to_integers, ("market_data.py", "_frozen_integers")),
 }
 
 
@@ -303,6 +324,9 @@ def test_checks_catch_dead_code():
         "    b = open(path, 'w', encoding='utf-8'), p.open(encoding='latin-1')\n"
         "    return a, b, open(path, 'r', newline='')\n"
         "\ndef warm(cache):\n    gc.freeze()\n    gc.enable()\n    return gc.collect(), cache.freeze()\n"
+        "\ndef align(w, p, tickers):\n    return w.tickers != p.tickers or tickers is None\n"
+        "\ndef counts(h, b):\n"
+        "    return _frozen_array(h, int), _frozen_array(b, dtype=np.uint8), _frozen_array(h, float)\n"
         "\n__all__ = ['stats', 'fits', 'Box']\n"
     )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
@@ -316,6 +340,8 @@ def test_checks_catch_dead_code():
         "width_guard": [("fits", 22), ("fits", 22)],
         "layout": [("layout", 29), ("layout", 30), ("layout", 30), ("layout", 30)],
         "collector": [("warm", 38)],
+        "ticker_alignment": [("align", 43)],
+        "integer_cast": [("counts", 46), ("counts", 46)],
     }
     assert owned(tree, defines("to_json_dict")) == [("<module>", 25)]
     assert owned(tree, opens_locale_text) == [("read", 33), ("read", 34), ("read", 35)]

@@ -216,6 +216,11 @@ class TestMarginalGain:
         with pytest.raises(ValueError, match=match):
             marginal_gain(target([0.5, 0.5]), panel, np.array(cand, dtype=int), 0, 0.001)
 
+    def test_fractional_candidate_indices_rejected(self):
+        panel = gross_panel(np.full((10, 2), 1.01))  # an int cast would read [1, 3]
+        with pytest.raises(ValueError, match="candidates must be whole numbers"):
+            marginal_gain(target([0.5, 0.5]), panel, [1.5, 3.9], 0, 0.001)
+
     def test_short_leg_with_a_non_positive_portfolio_return_raises(self):
         # the drifted portfolio of a short target goes below zero in [6, 9)
         panel = gross_panel(np.column_stack([np.full(12, 1.01), np.linspace(1.0, 1.2, 12)]))

@@ -188,3 +188,23 @@ def test_bit_vectors_store_uint8(make):
         stored = make(bits).bits
         assert stored.dtype == np.uint8
         assert stored.tolist() == [1, 0, 1]
+
+
+# an integer array of each type, given as fractions that an int cast truncates
+FRACTIONAL_INTEGERS = {
+    "labels": lambda: ClusterAssignment([0.5, 1.7]),
+    "candidates": lambda: QuboProblem(np.eye(2), 1.0, [1.5, 3.9], [0.0, 0.0], {}),
+    "histogram": lambda: QaoaOutcome(BitSchedule([0, 1], 0.0), [0.5, 1.5, 2.7, 0.2],
+                                     [-0.5], [[0.1, 0.2]]),
+}
+
+
+@pytest.mark.parametrize("field", FRACTIONAL_INTEGERS)
+def test_integer_arrays_reject_fractions(field):
+    with pytest.raises(ValueError, match=f"{field} must be whole numbers"):
+        FRACTIONAL_INTEGERS[field]()
+
+
+def test_integer_arrays_accept_whole_floats():
+    assert ClusterAssignment([0.0, 1.0, 0.0]).labels.tolist() == [0, 1, 0]
+    assert QuboProblem(np.eye(2), 1.0, [1.0, 3.0], [0.0, 0.0], {}).candidates.dtype.kind == "i"
