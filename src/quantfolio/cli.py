@@ -45,7 +45,8 @@ from .allocation import (
 from .backtest import GRID_PERIODIC, GRID_THRESHOLD, Threshold, _periodic_schedulers, run_grid
 from .clustering import annualised_sharpe, select_representatives, ward_cluster
 from .market_data import (
-    ReturnPanel, SplitSpec, _positions, _write_labelled_csv, load_csv, split, to_returns,
+    ReturnPanel, SplitSpec, _frozen_bits, _positions, _write_labelled_csv, load_csv, split,
+    to_returns,
 )
 from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, WindowDiagnostics, walk_forward
 from .schedule_qubo import QuboParams, QuboProblem, _check_width, bits_to_str
@@ -200,14 +201,15 @@ def _fmt(value) -> str:
 
 
 def _load_panels(cfg: RunConfig, last: date, tickers=None):
-    """The price panel through ``last`` and its returns; ``tickers`` limits
-    the parse to those columns (see :func:`load_csv`), and each of them must
-    have a complete price history through ``last``."""
+    """The tickers the loader dropped and the returns through ``last``;
+    ``tickers`` limits the parse to those columns (see :func:`load_csv`), and
+    each of them must have a complete price history through ``last``. The
+    price panel is not returned, so no stage holds it beside its returns."""
     panel = load_csv(cfg.prices_csv, tickers, last)
     if tickers is not None and panel.dropped:
         raise ValueError(f"selected ticker(s) with a missing or non-positive price on or "
                          f"before {last}: {', '.join(panel.dropped)}")
-    return panel, to_returns(panel)
+    return panel.dropped, to_returns(panel)
 
 
 def _test_returns(cfg: RunConfig, tickers):
@@ -216,9 +218,20 @@ def _test_returns(cfg: RunConfig, tickers):
     return split(returns, SplitSpec(cfg.train_end, cfg.test_end))[1]
 
 
+def _ticker_list(value) -> None:
+    if not isinstance(value, list) or not all(isinstance(tk, str) for tk in value):
+        raise ValueError("must be a list of strings")
+
+
+# the check of each key whose value a reader would otherwise pass on unchecked;
+# each raises ValueError, which ``_read_artifact`` prefixes with the file and key
+_KEY_CHECKS = {"tickers": _ticker_list, "schedule": _frozen_bits}
+
+
 def _read_artifact(cfg: RunConfig, name: str, stage: str, *keys: str, allowed=None) -> dict:
     """The JSON artifact ``name`` that the ``stage`` command wrote, which must
-    hold every one of ``keys`` and, given ``allowed``, no other key."""
+    hold every one of ``keys``, each passing its ``_KEY_CHECKS`` entry, and,
+    given ``allowed``, no other key."""
     path = os.path.join(cfg.out_dir, name)
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path} not found: run the '{stage}' command first")
@@ -235,6 +248,12 @@ def _read_artifact(cfg: RunConfig, name: str, stage: str, *keys: str, allowed=No
     unknown = [] if allowed is None else [key for key in blob if key not in allowed]
     if unknown:
         raise ValueError(f"{path}: malformed artifact, unknown key(s): {', '.join(unknown)}")
+    for key, check in _KEY_CHECKS.items():
+        if key in keys:
+            try:
+                check(blob[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed artifact, {key}: {exc}") from None
     return blob
 
 
@@ -301,8 +320,8 @@ def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
 
 
 def _read_schedules(cfg: RunConfig) -> dict[str, list]:
-    """Each method's schedule bits as written, so ``Explicit`` checks them
-    uncast."""
+    """Each method's schedule bits as written, checked as bits by
+    ``_read_artifact``."""
     return {
         method: _read_artifact(cfg, f"schedule_{method.lower()}.json", "schedule",
                                "schedule")["schedule"]
@@ -320,7 +339,7 @@ def cmd_select(cfg: RunConfig) -> dict:
     ``train_end`` are read, so the universe (the tickers with a complete
     price history) is decided on training rows alone.
     """
-    panel, train = _load_panels(cfg, cfg.train_end)
+    dropped, train = _load_panels(cfg, cfg.train_end)
     cov = ledoit_wolf(train)
     assign = ward_cluster(cov.dist, cfg.n_clusters)
     selected = select_representatives(assign, train)
@@ -334,7 +353,7 @@ def cmd_select(cfg: RunConfig) -> dict:
         "labels": {t: int(lbl) for t, lbl in zip(train.tickers, assign.labels)},
         "shrinkage_alpha": cov.alpha,
         "shrinkage_mu_target": cov.mu_target,
-        "dropped_tickers": list(panel.dropped),
+        "dropped_tickers": list(dropped),
     })
     corr_path = os.path.join(cfg.out_dir, "correlation.csv")
     _write_labelled_csv(corr_path, "ticker", train.tickers, train.tickers, cov.corr)

@@ -17,11 +17,18 @@ place that marks an array read-only. ``_square`` admits every square matrix
 as its exact symmetric part, so no stage symmetrises one again.
 
 Price files are UTF-8 on both sides, whatever the locale. ``load_csv``
-streams the file as bytes, one line at a time. Every row gets a cell count
-and a date check, but only a kept row is split, and only up to the last
-column wanted; a row after ``last`` is never split. A row holding a quote
-character (or a non-ASCII byte) is read by ``csv.reader``, for that row
-alone, so quoted cells parse as the header's do.
+streams the file as bytes, one line at a time, through a read buffer that
+holds several 500-ticker rows. Every row gets a cell count and a date check,
+but only a kept row is cut into cells: all of them by one split, or, when
+some columns are wanted, only those, at the commas that one scan of the row
+found while counting its cells. A row after ``last`` is never cut. A row
+holding a quote character (or a non-ASCII byte) is read by ``csv.reader``,
+for that row alone, so quoted cells parse as the header's do.
+
+Labelled matrices (the price CSV, ``select``'s ``correlation.csv``) have one
+writer, ``_write_labelled_csv``, which converts each number to text once: of
+a bitwise symmetric matrix it formats only the upper triangle, and each cell
+left of the diagonal is the text the row above it made.
 """
 from __future__ import annotations
 
@@ -226,6 +233,11 @@ def _cell_float(cell: bytes | str) -> float:
         return math.nan  # blank or unparseable cell == gap: the ticker is dropped
 
 
+# the read buffer of ``load_csv``: it holds several 500-ticker rows (about
+# 9 KB each), where the default 8 KB buffer put every such row together from
+# two reads; larger buffers read no faster
+_READ_BUFFER = 1 << 16
+
 # what ``str.strip`` removes from an ASCII line, plus the delimiter: a line of
 # only these bytes holds no non-blank cell
 _BLANK = b", \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
@@ -269,16 +281,19 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
     ``last``, if given, is the last date kept. Later rows decide nothing: not
     the prices, and not which tickers are complete.
 
-    The file is streamed as bytes in one pass, one line at a time. Every row's
-    cells are counted (its commas) and its date (the bytes before the first
-    comma) is checked, then a row after ``last`` is passed over. A kept row is
-    split once, up to the last column wanted (all of them when ``tickers`` is
-    None), and ``float`` reads the cells as bytes. The header, and any row
-    holding a ``"`` or a non-ASCII byte, is decoded and read by
-    ``csv.reader`` for that row alone, so quoted cells parse as in any CSV.
-    Errors name the physical line.
+    The file is streamed as bytes in one pass, one line at a time, through a
+    buffer that holds several 500-ticker rows. Every row's cells are counted
+    (its commas) and its date (the bytes before the first comma) is checked,
+    then a row after ``last`` is passed over. When ``tickers`` is None, a
+    kept row is split once at every comma. Otherwise one numpy scan of each
+    row, with a comma appended, finds where each cell ends: that gives the
+    row's cell count and the byte bounds of each wanted cell, and a kept row
+    is cut at those bounds alone. ``float`` reads the cells as bytes. The
+    header, and any row holding a ``"`` or a non-ASCII byte, is decoded and
+    read by ``csv.reader`` for that row alone, so quoted cells parse as in
+    any CSV. Errors name the physical line.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=_READ_BUFFER) as fh:
         lines = _lines(fh, path)
         for _, line in lines:
             header = [c.strip() for c in _csv_row(line, lines)[0]]
@@ -304,7 +319,8 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
             if unknown:
                 raise ValueError(f"{path}: unknown tickers: {', '.join(unknown)}")
             pick = [columns[tk] for tk in tickers]
-        maxsplit = -1 if pick is None else max(pick) + 1
+            wanted = np.array(pick, dtype=np.intp)
+            before = wanted - 1
 
         dates: list[date] = []
         values = array("d")
@@ -315,11 +331,15 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
                 if not any(c.strip() for c in row):
                     continue
                 n_cells = len(row)
-            elif line.strip(_BLANK):
+            elif not line.strip(_BLANK):
+                continue
+            elif pick is None:
                 row = None  # split only if the row is kept
                 n_cells = line.count(b",") + 1
             else:
-                continue
+                row = None  # one scan finds where every cell ends; cut only if kept
+                ends = (np.frombuffer(line + b",", np.uint8) == ord(",")).nonzero()[0]
+                n_cells = ends.size
             if n_cells != len(header):
                 raise ValueError(
                     f"{path}: line {lineno} has {n_cells} cells, expected {len(header)}"
@@ -332,9 +352,13 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
             if last is not None and day > last:
                 continue
             dates.append(day)
-            if row is None:
-                row = line.split(b",", maxsplit)
-            cells = row[1:] if pick is None else [row[c] for c in pick]
+            if row is not None:
+                cells = row[1:] if pick is None else [row[c] for c in pick]
+            elif pick is None:
+                cells = line.split(b",")[1:]
+            else:  # cell c is line[ends[c - 1] + 1:ends[c]]
+                cells = [line[a + 1:b] for a, b in zip(ends[before].tolist(),
+                                                        ends[wanted].tolist())]
             try:
                 # the list is built first, so a row that raises appends nothing
                 values.extend(list(map(float, cells)))
@@ -365,16 +389,52 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
+def _cells(values) -> str:
+    """The float array ``values`` as comma-separated ``repr(float)`` cells,
+    formatted by one ``repr`` of its list. No number ever needs quoting."""
+    return repr(values.tolist())[1:-1].replace(", ", ",")
+
+
+# columns per block of ``_mirrored_rows``, which holds this many split cells
+# of every row above the block: on a 500-ticker matrix 32 wrote as fast as 64
+# or 128, with half the cells held
+_MIRROR_BLOCK = 32
+
+
+def _mirrored_rows(matrix):
+    """``_cells(row)`` for each row of the bitwise symmetric ``matrix``, with
+    each number formatted once: row i formats its cells from the diagonal on,
+    one ``repr`` per block of columns, and takes each cell left of the
+    diagonal from the row above that formatted it. Per block of columns, each
+    row's text in the block is split once and ``zip`` turns the cells above
+    the block's rows into those rows' left parts."""
+    m = len(matrix)
+    blocks = [(lo, min(lo + _MIRROR_BLOCK, m)) for lo in range(0, m, _MIRROR_BLOCK)]
+    texts = []  # texts[i][b]: row i's cells in block b from column max(lo, i) on, or None
+    for b, (lo, hi) in enumerate(blocks):
+        for i in range(lo, hi):
+            texts.append([_cells(matrix[i, max(start, i):stop]) if stop > i else None
+                          for start, stop in blocks])
+        cells = [texts[j][b].split(",") for j in range(hi)]
+        above = zip(*cells[:lo]) if lo else [()] * (hi - lo)
+        for i, left in zip(range(lo, hi), above):
+            inside = [cells[j][i - j] for j in range(lo, i)]
+            yield ",".join(chain(left, inside, texts[i][b:]))
+
+
 def _write_labelled_csv(path, corner: str, columns, labels, matrix) -> None:
     """Write, in UTF-8, the bytes ``csv.writer`` gives for the row
     ``[corner, *columns]`` and then one row ``[label, *map(repr, row)]`` per
-    label and matrix row. Each row's numbers are formatted by one ``repr`` of
-    the row's list: the same ``repr(float)`` per cell, and no number ever
-    needs quoting."""
+    label and row of the float ``matrix``. The one writer of labelled
+    matrices: a bitwise symmetric matrix (``correlation.csv``) formats only
+    its upper triangle (:func:`_mirrored_rows`); any other formats each row
+    with ``_cells``. Bitwise, because -0.0 equals 0.0 but prints otherwise."""
+    bits = matrix.view(np.uint64)
+    rows = _mirrored_rows(matrix) if np.array_equal(bits, bits.T) else map(_cells, matrix)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow([corner, *columns])
-        for label, row in zip(labels, matrix):
-            fh.write(f"{_csv_cell(label)},{repr(row.tolist())[1:-1].replace(', ', ',')}\r\n")
+        for label, cells in zip(labels, rows):
+            fh.write(f"{_csv_cell(label)},{cells}\r\n")
 
 
 def write_csv(panel: PricePanel, path) -> None:

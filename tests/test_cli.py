@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from quantfolio import (
     GaConfig, QaoaConfig, QuboParams, angular_distance, cli, ledoit_wolf,
-    load_csv, minvar, run_grid, synth_panel, to_returns, walk_forward, write_csv,
+    load_csv, market_data, minvar, run_grid, synth_panel, to_returns, walk_forward, write_csv,
 )
 from quantfolio.allocation import METHODS
 from quantfolio.backtest import drawdown
@@ -44,6 +44,24 @@ def test_float_cells_render_full_precision_and_blank_for_undefined():
     assert _fmt(np.float64(2.5)) == "2.5"
 
 
+def write_matrix_and_reference(tmp_path, tickers, matrix):
+    """The bytes ``_write_labelled_csv`` writes for ``matrix``, the bytes of
+    the per-cell ``csv.writer`` reference, and the count of numbers formatted."""
+    formatted = []
+    cells = market_data._cells
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market_data, "_cells", lambda values: formatted.append(values.size)
+                      or cells(values))
+        _write_labelled_csv(tmp_path / "matrix.csv", "ticker", tickers, tickers, matrix)
+    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ticker", *tickers])
+        for t, row in zip(tickers, matrix):
+            writer.writerow([t, *[repr(float(v)) for v in row]])
+    return ((tmp_path / "matrix.csv").read_bytes(), (tmp_path / "reference.csv").read_bytes(),
+            sum(formatted))
+
+
 def test_matrix_csv_bytes_equal_csv_writer_reference(tmp_path):
     tickers = ["A,B", 'say "hi"', "ÉLAN", "  padded "]
     matrix = np.array([
@@ -52,15 +70,42 @@ def test_matrix_csv_bytes_equal_csv_writer_reference(tmp_path):
         [0.1, -2.5, 1e16, 123456789.0],
         [np.finfo(float).max, -1e-7, 0.0, 2.0 ** 0.5],
     ])
-    path = tmp_path / "matrix.csv"
-    _write_labelled_csv(path, "ticker", tickers, tickers, matrix)
-    ref = tmp_path / "reference.csv"
-    with open(ref, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ticker", *tickers])
-        for t, row in zip(tickers, matrix):
-            writer.writerow([t, *[repr(float(v)) for v in row]])
-    assert path.read_bytes() == ref.read_bytes()
+    written, reference, formatted = write_matrix_and_reference(tmp_path, tickers, matrix)
+    assert written == reference
+    assert formatted == matrix.size
+
+
+_ODD_VALUES = [np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, -0.0, 0.0, 1.0, 0.1, 1 / 3, -2.5]
+
+
+@pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 70])
+def test_symmetric_matrix_csv_formats_its_upper_triangle_to_the_same_bytes(tmp_path, m):
+    rng = np.random.default_rng(m)
+    raw = rng.choice(np.concatenate([_ODD_VALUES, rng.standard_normal(12)]), size=(m, m))
+    upper = np.triu(np.ones((m, m), dtype=bool))
+    matrix = np.where(upper, raw, raw.T)  # bitwise symmetric: -0.0 mirrors as -0.0
+    tickers = [("A,B", 'say "hi"', "ÉLAN", " pad ", "T")[i % 5] + str(i) for i in range(m)]
+    written, reference, formatted = write_matrix_and_reference(tmp_path, tickers, matrix)
+    assert written == reference
+    assert formatted == m * (m + 1) // 2
+
+
+def test_matrix_symmetric_but_for_a_signed_zero_prints_both_zeros(tmp_path):
+    # -0.0 == 0.0, so the pair passes a value comparison; it must not be mirrored
+    matrix = np.array([[1.0, 0.5, -0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 1.0]])
+    tickers = ["A", "B", "C"]
+    written, reference, formatted = write_matrix_and_reference(tmp_path, tickers, matrix)
+    assert written == reference
+    assert formatted == matrix.size
+    assert written.decode().splitlines()[1:4:2] == ["A,1.0,0.5,-0.0", "C,0.0,0.25,1.0"]
+
+
+def test_shrinkage_correlation_csv_is_mirrored_to_the_same_bytes(tmp_path):
+    panel = synth_panel(seed=60, T=120, M=60)
+    matrix = ledoit_wolf(to_returns(panel)).corr
+    written, reference, formatted = write_matrix_and_reference(tmp_path, panel.tickers, matrix)
+    assert written == reference
+    assert formatted == 60 * 61 // 2
 
 
 def test_child_seed_streams_are_stable_and_distinct():
@@ -526,6 +571,30 @@ class TestBacktestCommand:
         path.write_text(json.dumps(blob))
         assert run_cli(command, "--config", backtested["config"], "--out", out) == 1
         assert f"{path}: malformed artifact, missing key(s): {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact,key,value,command,what", [
+        pytest.param("selection.json", "tickers", 5, "weights", "must be a list of strings",
+                     id="selection.json-tickers-int"),
+        pytest.param("weights_ga.json", "tickers", 5, "backtest", "must be a list of strings",
+                     id="weights_ga.json-tickers-int"),
+        pytest.param("weights_minvar.json", "tickers", [1, 2], "schedule",
+                     "must be a list of strings", id="weights_minvar.json-tickers-ints"),
+        pytest.param("schedule_ga.json", "schedule", [2], "backtest",
+                     "bits must be a 0/1 vector", id="schedule_ga.json-schedule-2"),
+        pytest.param("schedule_ga.json", "schedule", "0101", "backtest",
+                     "bits must be a 0/1 vector", id="schedule_ga.json-schedule-str"),
+    ])
+    def test_artifact_value_of_the_wrong_kind_exits_1_naming_file_and_key(
+            self, backtested, tmp_path, capsys, artifact, key, value, command, what):
+        out = tmp_path / "mistyped"
+        shutil.copytree(backtested["out"], out)
+        path = out / artifact
+        blob = json.loads(path.read_text())
+        blob[key] = value
+        path.write_text(json.dumps(blob))
+        assert run_cli(command, "--config", backtested["config"], "--out", out) == 1
+        assert (f"error [{command}]: {path}: malformed artifact, {key}: {what}"
+                in capsys.readouterr().err)
 
     def test_weights_with_an_extra_key_exits_1(self, backtested, tmp_path, capsys):
         out = tmp_path / "extra"

@@ -27,6 +27,7 @@ from quantfolio import (
 )
 from quantfolio.allocation import minvar
 from quantfolio.clustering import ward_cluster
+from quantfolio.market_data import _READ_BUFFER
 from quantfolio.schedule_qubo import QuboProblem, _qubo_matrix
 from quantfolio.shrinkage import ShrunkCovariance
 
@@ -389,6 +390,65 @@ def test_utf8_bom_is_ignored(tmp_path, tickers, last):
     assert got.tickers == want.tickers
     assert got.dropped == want.dropped
     assert np.array_equal(got.prices, want.prices)
+
+
+class TestRowsWiderThanTheReadBuffer:
+    """Rows longer than ``load_csv``'s read buffer, so that every line is put
+    together from more than one read."""
+
+    N_COLS = _READ_BUFFER // 16  # about 19 bytes a cell
+
+    def lines(self):
+        rng = np.random.default_rng(600)
+        prices = rng.uniform(1.0, 1000.0, (9, self.N_COLS))
+        prices[4, 7] = np.nan  # a blank cell drops T0007
+        header = ",".join(["date", *(f"T{c:04d}" for c in range(self.N_COLS))])
+        rows = [",".join([f"2024-01-{t + 2:02d}",
+                          *("" if math.isnan(p) else repr(p) for p in row)])
+                for t, row in enumerate(prices.tolist())]
+        return [header, "", *rows]  # a blank line: physical lines run ahead of rows
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_full_and_subset_reads_match_reference(self, tmp_path, end):
+        lines = self.lines()
+        assert self.N_COLS >= 600 and min(len(line) for line in lines[2:]) > _READ_BUFFER
+        path = tmp_path / "prices.csv"
+        path.write_bytes(end.join(lines).encode() + end.encode())
+        names = [f"T{c:04d}" for c in range(self.N_COLS)]
+        picks = [names[::-1], [names[-1], names[0]], [names[0]], names[-3:] + names[:3],
+                 names[5:10][::-1]]
+        for last in (None, date(2024, 1, 7)):
+            ref = reference_load_csv(path, last)
+            assert ref.dropped == ("T0007",) and len(ref.dates) == (9 if last is None else 6)
+            full = load_csv(path, None, last)
+            assert (full.dates, full.tickers, full.dropped) == (ref.dates, ref.tickers,
+                                                               ref.dropped)
+            assert np.array_equal(full.prices.view(np.uint64), ref.prices.view(np.uint64))
+            column = {tk: i for i, tk in enumerate(ref.tickers)}
+            for pick in picks:
+                part = load_csv(path, pick, last)
+                kept = [tk for tk in pick if tk in column]
+                cols = [column[tk] for tk in kept]
+                assert part.dates == ref.dates
+                assert part.tickers == tuple(kept)
+                assert part.dropped == tuple(tk for tk in pick if tk in ref.dropped)
+                assert np.array_equal(part.prices.view(np.uint64),
+                                      ref.prices[:, cols].view(np.uint64))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("bad,what", [
+        (lambda row: row[:row.rindex(",")], "has {} cells, expected {}"),
+        (lambda row: "2024-02-30" + row[len("2024-01-05"):], "has a bad date: day is out"),
+    ], ids=["cell_count", "date"])
+    def test_errors_name_the_physical_line(self, tmp_path, end, bad, what):
+        lines = self.lines()
+        lines[6] = bad(lines[6])  # the fifth row, on line 7
+        path = tmp_path / "prices.csv"
+        path.write_bytes(end.join(lines).encode() + end.encode())
+        message = "line 7 " + what.format(self.N_COLS, self.N_COLS + 1)
+        for tickers in (None, ["T0000", f"T{self.N_COLS - 1:04d}"]):
+            with pytest.raises(ValueError, match=rf"prices\.csv: {message}"):
+                load_csv(path, tickers)
 
 
 class TestLoadCsvMatchesReference:
