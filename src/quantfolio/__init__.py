@@ -5,65 +5,27 @@ and a net-of-cost strategy backtest."""
 __version__ = "0.1.0"
 
 from .allocation import (
-    GaConfig,
-    WeightVector,
-    ensemble,
-    equal_weights,
-    fitness,
-    ga_optimise,
-    minvar,
-    normalised_entropy,
-    train_sharpe,
+    GaConfig, WeightVector, ensemble, equal_weights, fitness, ga_optimise, minvar,
+    normalised_entropy, train_sharpe,
 )
 from .backtest import (
-    BacktestReport,
-    BuyAndHold,
-    Explicit,
-    Periodic,
-    Strategy,
-    Threshold,
-    metrics,
-    run,
+    BacktestReport, BuyAndHold, Explicit, Periodic, Strategy, Threshold, metrics, run,
     run_grid,
 )
 from .clustering import (
-    ClusterAssignment,
-    ZeroVolatilityError,
-    annualised_sharpe,
-    select_representatives,
+    ClusterAssignment, ZeroVolatilityError, annualised_sharpe, select_representatives,
     ward_cluster,
 )
 from .market_data import (
-    PricePanel,
-    ReturnPanel,
-    SplitSpec,
-    load_csv,
-    split,
-    synth_panel,
-    to_returns,
-    write_csv,
+    PricePanel, ReturnPanel, SplitSpec, load_csv, split, synth_panel, to_returns, write_csv,
 )
 from .qaoa import (
-    IsingModel,
-    QaoaConfig,
-    QaoaOutcome,
-    ScheduleResult,
-    ising_energy,
-    optimise_angles,
-    sample,
-    simulate_ansatz,
-    to_ising,
-    walk_forward,
+    IsingModel, QaoaConfig, QaoaOutcome, ScheduleResult, ising_energy, optimise_angles,
+    sample, simulate_ansatz, to_ising, walk_forward,
 )
 from .schedule_qubo import (
-    BitSchedule,
-    QuboParams,
-    QuboProblem,
-    brute_force,
-    build_qubo,
-    candidate_dates,
-    drift_weights,
-    marginal_gain,
+    BitSchedule, QuboParams, QuboProblem, brute_force, build_qubo, candidate_dates,
+    drift_weights, marginal_gain,
 )
 from .shrinkage import ShrunkCovariance, angular_distance, ledoit_wolf
 

@@ -38,8 +38,8 @@ class WeightVector:
             raise ValueError("weights length must match tickers")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be non-negative")
+        if not np.all(w >= 0.0):  # NaN fails it too
+            raise ValueError("weights must be non-negative numbers")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "weights", _frozen_array(w))

@@ -24,6 +24,7 @@ import json
 import logging
 import math
 import os
+import reprlib
 import sys
 from dataclasses import dataclass
 from datetime import date
@@ -32,14 +33,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import (
-    METHODS,
-    GaConfig,
-    WeightVector,
-    _weight_array,
-    ensemble,
-    equal_weights,
-    ga_optimise,
-    minvar,
+    METHODS, GaConfig, WeightVector, _weight_array, ensemble, equal_weights, ga_optimise, minvar,
     train_sharpe,
 )
 from .backtest import GRID_PERIODIC, GRID_THRESHOLD, Threshold, _periodic_schedulers, run_grid
@@ -218,20 +212,51 @@ def _test_returns(cfg: RunConfig, tickers):
     return split(returns, SplitSpec(cfg.train_end, cfg.test_end))[1]
 
 
-def _ticker_list(value) -> None:
-    if not isinstance(value, list) or not all(isinstance(tk, str) for tk in value):
-        raise ValueError("must be a list of strings")
+def _kind(admits, what: str):
+    """An artifact key's kind: the value if ``admits`` it, else ValueError naming it."""
+    def kind(value):
+        if not admits(value):
+            raise ValueError(f"{reprlib.repr(value)} is not {what}")
+        return value
+    return kind
 
 
-# the check of each key whose value a reader would otherwise pass on unchecked;
-# each raises ValueError, which ``_read_artifact`` prefixes with the file and key
-_KEY_CHECKS = {"tickers": _ticker_list, "schedule": _frozen_bits}
+def _list_of(item):
+    return lambda value: [item(x) for x in _list(value)]
 
 
-def _read_artifact(cfg: RunConfig, name: str, stage: str, *keys: str, allowed=None) -> dict:
-    """The JSON artifact ``name`` that the ``stage`` command wrote, which must
-    hold every one of ``keys``, each passing its ``_KEY_CHECKS`` entry, and,
-    given ``allowed``, no other key."""
+_string = _kind(lambda v: isinstance(v, str), "a string")
+_int = _kind(lambda v: type(v) is int, "an integer")
+_float = _kind(lambda v: isinstance(v, float) and math.isfinite(v), "a finite float")
+# ``_list`` and ``_object`` alone are shallow checks, for records no stage reads back
+_list = _kind(lambda v: isinstance(v, list), "a JSON list")
+_object = _kind(lambda v: isinstance(v, dict), "a JSON object")
+_strings, _floats = _list_of(_string), _list_of(_float)
+
+
+def _method(method: str):
+    return _kind(lambda v: v == method, repr(method))
+
+
+# each JSON file a stage reads: the stage that writes it, and every key's kind
+_ARTIFACTS = {
+    "selection.json": ("select", {
+        "tickers": _strings, "per_cluster_sharpe": _floats, "labels": _object,
+        "shrinkage_alpha": _float, "shrinkage_mu_target": _float, "dropped_tickers": _strings}),
+    **{f"weights_{m.lower()}.json": ("weights", {
+        "method": _method(m), "tickers": _strings, "weights": _floats, "train_sharpe": _float})
+       for m in METHODS},
+    **{f"schedule_{m.lower()}.json": ("schedule", {
+        "method": _method(m), "schedule": _frozen_bits, "total_rebalances": _int,
+        "optimiser": _string, "windows": _list}) for m in METHODS},
+}
+
+
+def _read_artifact(cfg: RunConfig, name: str) -> dict:
+    """The values of the JSON artifact ``name``, each admitted by its kind in
+    ``_ARTIFACTS``; a missing key, an unknown key or a value of the wrong
+    kind raises ValueError naming the file and the key."""
+    stage, kinds = _ARTIFACTS[name]
     path = os.path.join(cfg.out_dir, name)
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path} not found: run the '{stage}' command first")
@@ -242,19 +267,15 @@ def _read_artifact(cfg: RunConfig, name: str, stage: str, *keys: str, allowed=No
             raise ValueError(f"{path}: malformed artifact: {exc}") from None
     if not isinstance(blob, dict):
         raise ValueError(f"{path}: malformed artifact: not a JSON object")
-    missing = [key for key in keys if key not in blob]
-    if missing:
-        raise ValueError(f"{path}: malformed artifact, missing key(s): {', '.join(missing)}")
-    unknown = [] if allowed is None else [key for key in blob if key not in allowed]
-    if unknown:
-        raise ValueError(f"{path}: malformed artifact, unknown key(s): {', '.join(unknown)}")
-    for key, check in _KEY_CHECKS.items():
-        if key in keys:
-            try:
-                check(blob[key])
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed artifact, {key}: {exc}") from None
-    return blob
+    values = {}
+    for key in sorted(kinds.keys() | blob.keys()):
+        try:
+            if key not in blob or key not in kinds:
+                raise ValueError("missing key" if key in kinds else "unknown key")
+            values[key] = kinds[key](blob[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed artifact, {key}: {exc}") from None
+    return values
 
 
 def _weights_record(wv: WeightVector, train: ReturnPanel) -> dict:
@@ -267,77 +288,60 @@ def _window_record(win: WindowDiagnostics) -> dict:
     (global candidate days, ``end - start``, least restart energy, histogram top)."""
     out = win.outcome
     gamma, beta = np.split(out.angles, 2)
-    return {
-        "start": win.start,
-        "end": win.end,
-        "best_bits": bits_to_str(out.best_bits.bits),
-        "best_energy": out.best_energy,
-        "brute_force_energy": win.brute_energy,
-        "gap": win.gap,
-        "angles": {"gamma": gamma.tolist(), "beta": beta.tolist()},
-        "restart_energies": out.restart_energies.tolist(),
-        "qubo": _qubo_record(win.qubo),
-    }
+    return {"start": win.start, "end": win.end, "best_bits": bits_to_str(out.best_bits.bits),
+            "best_energy": out.best_energy, "brute_force_energy": win.brute_energy,
+            "gap": win.gap, "angles": {"gamma": gamma.tolist(), "beta": beta.tolist()},
+            "restart_energies": out.restart_energies.tolist(), "qubo": _qubo_record(win.qubo)}
 
 
 def _qubo_record(qubo: QuboProblem) -> dict:
-    return {
-        "q": qubo.q.ravel().tolist(),  # row-major
-        "raw_max_abs": float(qubo.raw_max_abs),
-        "candidates": qubo.candidates.tolist(),
-        "gains": qubo.gains.tolist(),
-        "params": {k: (float(v) if isinstance(v, float) else v) for k, v in qubo.params.items()},
-    }
+    return {"q": qubo.q.ravel().tolist(),  # row-major
+            "raw_max_abs": float(qubo.raw_max_abs), "candidates": qubo.candidates.tolist(),
+            "gains": qubo.gains.tolist(),
+            "params": {k: (float(v) if isinstance(v, float) else v) for k, v in qubo.params.items()}}
 
 
 def _schedule_record(method: str, result: ScheduleResult) -> dict:
-    return {
-        "method": method,
-        "schedule": result.bits.tolist(),
-        "total_rebalances": result.total_rebalances,
-        "optimiser": OPTIMISER,
-        "windows": [_window_record(win) for win in result.windows],
-    }
+    return {"method": method, "schedule": result.bits.tolist(),
+            "total_rebalances": result.total_rebalances, "optimiser": OPTIMISER,
+            "windows": [_window_record(win) for win in result.windows]}
 
 
 def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
     """Each method's weights, from the file named after that method and on
-    the GA file's tickers; the ``train_sharpe`` beside them is not read."""
-    keys = ("tickers", "weights", "method")
+    the GA file's tickers; the ``train_sharpe`` beside them is not used."""
     weights = {}
     for method in METHODS:
         name = f"weights_{method.lower()}.json"
-        blob = _read_artifact(cfg, name, "weights", *keys, allowed=(*keys, "train_sharpe"))
-        if blob["method"] != method:
-            raise ValueError(f"{os.path.join(cfg.out_dir, name)}: malformed artifact, "
-                             f"method {blob['method']!r} in the {method} weights file")
+        blob = _read_artifact(cfg, name)
         try:
-            weights[method] = WeightVector(*(blob[key] for key in keys))
+            weights[method] = WeightVector(blob["tickers"], blob["weights"], method)
             _weight_array(weights[method], weights["GA"].tickers)  # GA is read first
         except ValueError as exc:
             raise ValueError(f"{os.path.join(cfg.out_dir, name)}: {exc}") from None
     return weights
 
 
-def _read_schedules(cfg: RunConfig) -> dict[str, list]:
-    """Each method's schedule bits as written, checked as bits by
-    ``_read_artifact``."""
-    return {
-        method: _read_artifact(cfg, f"schedule_{method.lower()}.json", "schedule",
-                               "schedule")["schedule"]
-        for method in METHODS
-    }
+def _read_schedules(cfg: RunConfig, days: int) -> dict[str, np.ndarray]:
+    """Each method's schedule bits, which must be one per test day (``days``)."""
+    schedules = {}
+    for method in METHODS:
+        name = f"schedule_{method.lower()}.json"
+        bits = schedules[method] = _read_artifact(cfg, name)["schedule"]
+        if bits.size != days:
+            raise ValueError(f"{os.path.join(cfg.out_dir, name)}: malformed artifact, "
+                             f"schedule: {bits.size} bits for {days} test days")
+    return schedules
 
 
 def cmd_select(cfg: RunConfig) -> dict:
     """Cluster the training universe and pick one representative per cluster.
 
     Writes selection.json, which holds the universe's shrinkage intensity and
-    target for ``weights``, and the full shrinkage correlation matrix as CSV.
-    The angular distances that Ward clusters on are not written: they are
-    ``angular_distance`` of correlation.csv, bit for bit. Only rows through
-    ``train_end`` are read, so the universe (the tickers with a complete
-    price history) is decided on training rows alone.
+    target for ``weights``, and the full shrinkage correlation matrix as CSV,
+    whose ``angular_distance`` is what Ward clusters on, bit for bit. Only rows
+    through ``train_end`` are read, so the universe (the tickers with a
+    complete price history) is decided on training rows alone.
     """
     dropped, train = _load_panels(cfg, cfg.train_end)
     cov = ledoit_wolf(train)
@@ -369,13 +373,12 @@ def cmd_weights(cfg: RunConfig) -> dict:
     target from selection.json, which is the selected block of the universe
     estimate ``select`` made.
     """
-    sel = _read_artifact(cfg, "selection.json", "select",
-                         "tickers", "shrinkage_alpha", "shrinkage_mu_target")
-    selected = list(sel["tickers"])
+    sel = _read_artifact(cfg, "selection.json")
+    selected = sel["tickers"]
     _, train = _load_panels(cfg, cfg.train_end, selected)
 
     ga = ga_optimise(train, cfg.ga_config())
-    cov = _shrunk(train, float(sel["shrinkage_alpha"]), float(sel["shrinkage_mu_target"]))
+    cov = _shrunk(train, sel["shrinkage_alpha"], sel["shrinkage_mu_target"])
     mv = minvar(cov)
     eq = equal_weights(selected)
 
@@ -427,8 +430,8 @@ def cmd_backtest(cfg: RunConfig) -> dict:
 
     The grid trades the weights files' tickers."""
     weights = _read_weights(cfg)
-    schedules = _read_schedules(cfg)
     test = _test_returns(cfg, weights["GA"].tickers)
+    schedules = _read_schedules(cfg, test.n_days)
 
     reports = run_grid(
         test, weights, schedules, cfg.cost_c,
@@ -438,22 +441,13 @@ def cmd_backtest(cfg: RunConfig) -> dict:
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
     with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([
-            "strategy", "return_pct", "sharpe", "sortino",
-            "mdd_pct", "calmar", "rebalances", "cost_bp",
-        ])
+        writer.writerow(["strategy", "return_pct", "sharpe", "sortino", "mdd_pct", "calmar",
+                         "rebalances", "cost_bp"])
         for rep in reports:
             m = rep.metrics
-            writer.writerow([
-                rep.label,
-                _fmt(100.0 * m.total_return),
-                _fmt(m.sharpe),
-                _fmt(m.sortino),
-                _fmt(100.0 * m.mdd),
-                _fmt(m.calmar),
-                rep.rebalance_count,
-                _fmt(rep.total_cost_bp),
-            ])
+            writer.writerow([rep.label, _fmt(100.0 * m.total_return), _fmt(m.sharpe),
+                             _fmt(m.sortino), _fmt(100.0 * m.mdd), _fmt(m.calmar),
+                             rep.rebalance_count, _fmt(rep.total_cost_bp)])
 
     curves_path = os.path.join(cfg.out_dir, "curves.csv")
     with open(curves_path, "w", newline="", encoding="utf-8") as fh:

@@ -16,19 +16,9 @@ integer array holds whole numbers, and a bit vector (``BitSchedule``,
 place that marks an array read-only. ``_square`` admits every square matrix
 as its exact symmetric part, so no stage symmetrises one again.
 
-Price files are UTF-8 on both sides, whatever the locale. ``load_csv``
-streams the file as bytes, one line at a time, through a read buffer that
-holds several 500-ticker rows. Every row gets a cell count and a date check,
-but only a kept row is cut into cells: all of them by one split, or, when
-some columns are wanted, only those, at the commas that one scan of the row
-found while counting its cells. A row after ``last`` is never cut. A row
-holding a quote character (or a non-ASCII byte) is read by ``csv.reader``,
-for that row alone, so quoted cells parse as the header's do.
-
-Labelled matrices (the price CSV, ``select``'s ``correlation.csv``) have one
-writer, ``_write_labelled_csv``, which converts each number to text once: of
-a bitwise symmetric matrix it formats only the upper triangle, and each cell
-left of the diagonal is the text the row above it made.
+Price files are UTF-8 on both sides, whatever the locale: ``load_csv`` reads
+them, and labelled matrices (the price CSV, ``select``'s ``correlation.csv``)
+have one writer, ``_write_labelled_csv``.
 """
 from __future__ import annotations
 

@@ -11,28 +11,14 @@ from the same builder, ``schedule_qubo._table``, with z = +-1 in place of
 x = 0/1. The mixer is a product of single-qubit Rx(2*beta) rotations, each
 applied as ``psi <- cos(beta) psi - i sin(beta) X_k psi``, where ``X_k psi``
 is the view of ``psi`` with qubit k's two halves swapped: no transpose, no
-matmul, and one preallocated buffer. ``simulate_ansatz`` takes one angle
-vector or a batch of them, with one energy table for all rows or one per row,
-so a batch can mix rows of different QUBOs.
+matmul, and one preallocated buffer.
 
-The angle search is numpy only (no scipy): a p = 1 grid scored by the shot
-loss, its best point repeated over the p layers (INTERP; Zhou et al., PRX 10,
-021067, 2020), then SPSA (Spall, IEEE TAC 37, 1992) on all restarts at once,
-all within ``restarts * max_iters`` loss evaluations per window. All
-randomness flows from one master seed through per-window, per-restart and
-grid streams, so results never depend on evaluation order, and restart r's
-result does not depend on how many restarts follow it.
-
-``walk_forward`` builds every window's QUBO of every target first (a window's
-QUBO depends only on its own returns and the target), then runs one search
-over all of them in lockstep, with one config that differs between windows
-only in its seed: one scoring pass over every grid point, one SPSA loop
-(``minimize``) over every (window, restart) row, one pass for the evaluation
-histograms. Each row keeps its own energy table and generator, and every
-shot is drawn by ``sample``, so every window's outcome is bit-identical to
-solving it alone. The result types store only what they cannot derive:
-the winner's energy and angles, a window's exact optimum and the spliced
-global schedule are computed from their fields, the costly ones on first use.
+The angle search (``optimise_angles``) is numpy only (no scipy): a p = 1 grid
+scored by the shot loss, its best point repeated over the p layers (INTERP;
+Zhou et al., PRX 10, 021067, 2020), then SPSA (Spall, IEEE TAC 37, 1992) on
+all restarts at once. ``walk_forward`` runs it over every window of every
+target in lockstep (``_search``), each window bit-identical to solving it
+alone. The result types store only what they cannot derive.
 
 Each ``simulate_ansatz`` call holds at most ``_BATCH_AMPLITUDES`` = 2^14
 amplitudes, because the batch would otherwise set the stage's peak memory
@@ -52,17 +38,8 @@ import numpy as np
 from .allocation import WeightVector
 from .market_data import ReturnPanel, _frozen_array, _frozen_integers, _read_only
 from .schedule_qubo import (
-    BitSchedule,
-    QuboParams,
-    QuboProblem,
-    _check_width,
-    _qubo_matrix,
-    _table,
-    bits_to_str,
-    brute_force,
-    build_qubo,
-    enumerate_energies,
-    value_to_bits,
+    BitSchedule, QuboParams, QuboProblem, _check_width, _qubo_matrix, _table, bits_to_str,
+    brute_force, build_qubo, enumerate_energies, value_to_bits,
 )
 
 OPTIMISER = "grid-INTERP-SPSA"
@@ -202,14 +179,10 @@ class QaoaOutcome:
     def histogram_top(self, top: int) -> list[tuple[str, int]]:
         """Most frequent bitstrings, count desc, ties by bitstring value asc."""
         counts = self.histogram
-        order = np.lexsort((np.arange(counts.size), -counts))
+        order = np.lexsort((np.arange(counts.size), -counts))[:top]
         w = int(np.log2(counts.size).round())
-        out = []
-        for v in order[:top]:
-            if counts[v] == 0:
-                break
-            out.append((bits_to_str(value_to_bits(int(v), w)), int(counts[v])))
-        return out
+        return [(bits_to_str(value_to_bits(int(v), w)), int(counts[v]))
+                for v in order[counts[order] > 0]]
 
 
 def to_ising(q) -> IsingModel:

@@ -48,6 +48,10 @@ class TestWeightVector:
         with pytest.raises(ValueError, match="non-negative"):
             wv([1.2, -0.2])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-negative numbers"):
+            wv([0.5, np.nan, 0.5])
+
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):
             wv([0.5, 0.6])

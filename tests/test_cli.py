@@ -35,6 +35,7 @@ from conftest import block_correlation, subprocess_env
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+MANIFEST_KEYS = {"version", "config", "config_sha256", "optimiser", "curve_returns"}
 
 
 def test_float_cells_render_full_precision_and_blank_for_undefined():
@@ -515,7 +516,7 @@ class TestBacktestCommand:
     def test_manifest_contents(self, backtested):
         workspace = backtested
         blob = json.loads((workspace["out"] / "manifest.json").read_text())
-        assert set(blob) == {"version", "config", "config_sha256", "optimiser", "curve_returns"}
+        assert set(blob) == MANIFEST_KEYS
         assert blob["config"]["seed"] == 5
         assert blob["curve_returns"] == "log"
         assert blob["optimiser"] == "grid-INTERP-SPSA"
@@ -542,18 +543,6 @@ class TestBacktestCommand:
         assert blob["config"]["seed"] == 123
         assert blob["config_sha256"] != base["config_sha256"]
 
-    @pytest.mark.parametrize("bit", [0.5, 256])
-    def test_edited_schedule_with_a_non_bit_exits_1(self, backtested, tmp_path, capsys, bit):
-        out = tmp_path / "edited"
-        shutil.copytree(backtested["out"], out)
-        path = out / "schedule_ga.json"
-        blob = json.loads(path.read_text())
-        blob["schedule"][0] = bit
-        path.write_text(json.dumps(blob))
-        assert run_cli("backtest", "--config", backtested["config"], "--out", out) == 1
-        assert "bits must be a 0/1 vector" in capsys.readouterr().err
-
-
     @pytest.mark.parametrize("artifact,key,command", [
         pytest.param("selection.json", "tickers", "weights", id="selection.json-tickers"),
         pytest.param("selection.json", "shrinkage_mu_target", "weights",
@@ -570,19 +559,62 @@ class TestBacktestCommand:
         del blob[key]
         path.write_text(json.dumps(blob))
         assert run_cli(command, "--config", backtested["config"], "--out", out) == 1
-        assert f"{path}: malformed artifact, missing key(s): {key}" in capsys.readouterr().err
+        assert f"{path}: malformed artifact, {key}: missing key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("artifact,key,value,command,what", [
-        pytest.param("selection.json", "tickers", 5, "weights", "must be a list of strings",
+        # one case per kind and per reader; ``value`` may edit the written value
+        pytest.param("selection.json", "tickers", 5, "weights", "5 is not a JSON list",
                      id="selection.json-tickers-int"),
-        pytest.param("weights_ga.json", "tickers", 5, "backtest", "must be a list of strings",
+        pytest.param("selection.json", "dropped_tickers", [1], "weights", "1 is not a string",
+                     id="selection.json-dropped_tickers-ints"),
+        pytest.param("selection.json", "per_cluster_sharpe", ["x"], "weights",
+                     "'x' is not a finite float", id="selection.json-per_cluster_sharpe-strs"),
+        pytest.param("selection.json", "labels", [], "weights", "[] is not a JSON object",
+                     id="selection.json-labels-list"),
+        pytest.param("selection.json", "shrinkage_alpha", [0.1], "weights",
+                     "[0.1] is not a finite float", id="selection.json-shrinkage_alpha-list"),
+        pytest.param("selection.json", "shrinkage_alpha", None, "weights",
+                     "None is not a finite float", id="selection.json-shrinkage_alpha-null"),
+        pytest.param("selection.json", "shrinkage_alpha", "abc", "weights",
+                     "'abc' is not a finite float", id="selection.json-shrinkage_alpha-str"),
+        pytest.param("selection.json", "shrinkage_alpha", float("inf"), "weights",
+                     "inf is not a finite float", id="selection.json-shrinkage_alpha-inf"),
+        pytest.param("selection.json", "shrinkage_mu_target", {}, "weights",
+                     "{} is not a finite float", id="selection.json-shrinkage_mu_target-object"),
+        pytest.param("selection.json", "note", "hand-edited", "weights", "unknown key",
+                     id="selection.json-unknown"),
+        pytest.param("weights_ga.json", "tickers", 5, "backtest", "5 is not a JSON list",
                      id="weights_ga.json-tickers-int"),
-        pytest.param("weights_minvar.json", "tickers", [1, 2], "schedule",
-                     "must be a list of strings", id="weights_minvar.json-tickers-ints"),
+        pytest.param("weights_minvar.json", "tickers", [1, 2], "schedule", "1 is not a string",
+                     id="weights_minvar.json-tickers-ints"),
+        pytest.param("weights_ga.json", "weights", lambda w: [[x] for x in w], "backtest",
+                     "] is not a finite float", id="weights_ga.json-weights-nested"),
+        pytest.param("weights_ga.json", "weights", lambda w: [w[0], None, *w[2:]], "schedule",
+                     "None is not a finite float", id="weights_ga.json-weights-null"),
+        pytest.param("weights_ga.json", "train_sharpe", "x", "backtest",
+                     "'x' is not a finite float", id="weights_ga.json-train_sharpe-str"),
         pytest.param("schedule_ga.json", "schedule", [2], "backtest",
                      "bits must be a 0/1 vector", id="schedule_ga.json-schedule-2"),
         pytest.param("schedule_ga.json", "schedule", "0101", "backtest",
                      "bits must be a 0/1 vector", id="schedule_ga.json-schedule-str"),
+        pytest.param("schedule_ga.json", "schedule", lambda b: [0.5, *b[1:]], "backtest",
+                     "bits must be a 0/1 vector", id="schedule_ga.json-schedule-0.5"),
+        pytest.param("schedule_ga.json", "schedule", lambda b: [256, *b[1:]], "backtest",
+                     "bits must be a 0/1 vector", id="schedule_ga.json-schedule-256"),
+        pytest.param("schedule_ga.json", "schedule", [0, 1], "backtest",
+                     "2 bits for 99 test days", id="schedule_ga.json-schedule-short"),
+        pytest.param("schedule_ga.json", "schedule", [], "backtest",
+                     "0 bits for 99 test days", id="schedule_ga.json-schedule-empty"),
+        pytest.param("schedule_minvar.json", "method", "GA", "backtest", "'GA' is not 'MinVar'",
+                     id="schedule_minvar.json-method"),
+        pytest.param("schedule_ga.json", "total_rebalances", True, "backtest",
+                     "True is not an integer", id="schedule_ga.json-total_rebalances-bool"),
+        pytest.param("schedule_ga.json", "optimiser", 5, "backtest", "5 is not a string",
+                     id="schedule_ga.json-optimiser-int"),
+        pytest.param("schedule_ga.json", "windows", 5, "backtest", "5 is not a JSON list",
+                     id="schedule_ga.json-windows-int"),
+        pytest.param("schedule_ga.json", "note", "hand-edited", "backtest", "unknown key",
+                     id="schedule_ga.json-unknown"),
     ])
     def test_artifact_value_of_the_wrong_kind_exits_1_naming_file_and_key(
             self, backtested, tmp_path, capsys, artifact, key, value, command, what):
@@ -590,11 +622,12 @@ class TestBacktestCommand:
         shutil.copytree(backtested["out"], out)
         path = out / artifact
         blob = json.loads(path.read_text())
-        blob[key] = value
+        blob[key] = value(blob[key]) if callable(value) else value
         path.write_text(json.dumps(blob))
         assert run_cli(command, "--config", backtested["config"], "--out", out) == 1
-        assert (f"error [{command}]: {path}: malformed artifact, {key}: {what}"
-                in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{command}]: {path}: malformed artifact, {key}: ")
+        assert what in err
 
     def test_weights_with_an_extra_key_exits_1(self, backtested, tmp_path, capsys):
         out = tmp_path / "extra"
@@ -604,7 +637,7 @@ class TestBacktestCommand:
         blob["note"] = "hand-edited"
         path.write_text(json.dumps(blob))
         assert run_cli("backtest", "--config", backtested["config"], "--out", out) == 1
-        assert f"{path}: malformed artifact, unknown key(s): note" in capsys.readouterr().err
+        assert f"{path}: malformed artifact, note: unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["schedule", "backtest"])
     def test_weights_whose_method_is_not_its_files_exits_1(self, backtested, tmp_path, capsys,
@@ -616,8 +649,8 @@ class TestBacktestCommand:
         blob["method"] = "MinVar"
         path.write_text(json.dumps(blob))
         assert run_cli(command, "--config", backtested["config"], "--out", out) == 1
-        assert (f"error [{command}]: {path}: malformed artifact, method 'MinVar' in the GA "
-                f"weights file" in capsys.readouterr().err)
+        assert (f"error [{command}]: {path}: malformed artifact, method: 'MinVar' is not 'GA'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["schedule", "backtest"])
     def test_weights_on_other_tickers_than_the_ga_files_exit_1(self, backtested, tmp_path,
@@ -750,15 +783,21 @@ def _expand(name: str) -> list[str]:
     ]
 
 
+def readme_section(title: str) -> str:
+    return README.read_text().split(f"### {title}\n", 1)[1].split("\n#", 1)[0]
+
+
+def _file_names(name: str) -> list[str]:
+    """A README file name with ``<method>`` and each ``{a,b}`` group expanded."""
+    return _expand(name.replace("<method>", "{" + ",".join(m.lower() for m in METHODS) + "}"))
+
+
 def readme_artifacts() -> set[str]:
-    """Every file name in the README's "Artifacts" section, with ``{a,b}``
-    and ``<method>`` expanded."""
-    section = README.read_text().split("### Artifacts\n", 1)[1].split("\n#", 1)[0]
-    methods = "{" + ",".join(m.lower() for m in METHODS) + "}"
+    """Every file name in the README's "Artifacts" section, expanded."""
     return {
         expanded
-        for name in re.findall(r"`([^`\s]+\.(?:json|csv))`", section)
-        for expanded in _expand(name.replace("<method>", methods))
+        for name in re.findall(r"`([^`\s]+\.(?:json|csv))`", readme_section("Artifacts"))
+        for expanded in _file_names(name)
     }
 
 
@@ -770,10 +809,32 @@ def test_readme_artifacts_are_the_files_a_run_writes(workspace, tmp_path):
     assert readme_artifacts() == {path.name for path in out.iterdir()}
 
 
+def readme_json_keys() -> dict[str, list[str]]:
+    """The ``{key, key, …}`` list written after each JSON file name in the
+    README's "Artifacts" section, by expanded file name."""
+    listed = re.findall(r"`([^`\s]+\.json)`\s*\(`\{([^`{}]*)\}`", readme_section("Artifacts"))
+    return {expanded: keys.split(", ") for name, keys in listed for expanded in _file_names(name)}
+
+
+def test_readme_json_keys_are_the_schema_keys():
+    schema = {name: sorted(kinds) for name, (_, kinds) in cli._ARTIFACTS.items()}
+    readme = {name: sorted(keys) for name, keys in readme_json_keys().items()}
+    assert readme == {**schema, "manifest.json": sorted(MANIFEST_KEYS)}
+
+
+def test_every_json_file_of_a_run_passes_its_schema(backtested):
+    cfg = parse_config(backtested["config"])
+    written = {path.name for path in backtested["out"].glob("*.json")}
+    assert written == {*cli._ARTIFACTS, "manifest.json"}
+    for name, (_, kinds) in cli._ARTIFACTS.items():
+        blob = json.loads((backtested["out"] / name).read_text())
+        assert set(cli._read_artifact(cfg, name)) == set(blob) == set(kinds), name
+
+
 def readme_config_defaults() -> dict:
     """Each key of the README's config table with its default parsed by the
     key's config parser; a key without one (``—``) maps to ``MISSING``."""
-    section = README.read_text().split("### Config file\n", 1)[1].split("\n#", 1)[0]
+    section = readme_section("Config file")
     out = {}
     for line in section.splitlines():
         cells = [c.strip() for c in line.strip("|").split("|")]

@@ -22,7 +22,9 @@ weights-on-panel call checks alignment through it), and only
 ``market_data._frozen_integers`` passes ``int`` or ``np.uint8`` as
 ``_frozen_array``'s dtype (every integer cast is checked before it
 truncates). The artifact format has one owner too: no module but ``cli``
-defines a ``to_json_dict``. Every ``open(`` is binary or passes
+defines a ``to_json_dict``, and only ``cli._read_artifact`` calls
+``json.load`` or ``json.loads`` (every artifact read is checked against its
+schema there). Every ``open(`` is binary or passes
 ``encoding="utf-8"``, so no file depends on the locale."""
 import ast
 from pathlib import Path
@@ -144,14 +146,13 @@ def sets_layout(node: ast.AST) -> bool:
     return name in LAYOUT_CALLS or any(kw.arg == "order" for kw in node.keywords)
 
 
-COLLECTOR_CALLS = {"freeze", "disable", "set_threshold"}
-
-
-def changes_collector(node: ast.AST) -> bool:
-    """Accepts a call ``gc.<name>(...)`` of one of ``COLLECTOR_CALLS``."""
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr in COLLECTOR_CALLS
-            and isinstance(node.func.value, ast.Name) and node.func.value.id == "gc")
+def calls_of(module: str, *names: str):
+    """Accepts a call ``<module>.<name>(...)`` of one of ``names``."""
+    def hit(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in names
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == module)
+    return hit
 
 
 def defines(name: str):
@@ -270,9 +271,10 @@ OWNERS = {
     "cost_sign": (compares("cost_c"), ("market_data.py", "_check_cost")),
     "width_guard": (compares("MAX_WIDTH"), ("schedule_qubo.py", "_check_width")),
     "layout": (sets_layout, ("market_data.py", "_frozen_array")),
-    "collector": (changes_collector, ("cli.py", "entry")),
+    "collector": (calls_of("gc", "freeze", "disable", "set_threshold"), ("cli.py", "entry")),
     "ticker_alignment": (compares("tickers", bare=False), ("allocation.py", "_weight_array")),
     "integer_cast": (casts_to_integers, ("market_data.py", "_frozen_integers")),
+    "artifact_read": (calls_of("json", "load", "loads"), ("cli.py", "_read_artifact")),
 }
 
 
@@ -327,6 +329,7 @@ def test_checks_catch_dead_code():
         "\ndef align(w, p, tickers):\n    return w.tickers != p.tickers or tickers is None\n"
         "\ndef counts(h, b):\n"
         "    return _frozen_array(h, int), _frozen_array(b, dtype=np.uint8), _frozen_array(h, float)\n"
+        "\ndef parse(fh, text):\n    return json.load(fh), json.loads(text), fh.load(), np.load(fh)\n"
         "\n__all__ = ['stats', 'fits', 'Box']\n"
     )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
@@ -342,6 +345,7 @@ def test_checks_catch_dead_code():
         "collector": [("warm", 38)],
         "ticker_alignment": [("align", 43)],
         "integer_cast": [("counts", 46), ("counts", 46)],
+        "artifact_read": [("parse", 49), ("parse", 49)],
     }
     assert owned(tree, defines("to_json_dict")) == [("<module>", 25)]
     assert owned(tree, opens_locale_text) == [("read", 33), ("read", 34), ("read", 35)]
