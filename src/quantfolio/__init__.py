@@ -25,7 +25,6 @@ from .qaoa import (
 )
 from .schedule_qubo import (
     BitSchedule, QuboParams, QuboProblem, brute_force, build_qubo, candidate_dates,
-    drift_weights, marginal_gain,
 )
 from .shrinkage import ShrunkCovariance, angular_distance, ledoit_wolf
 
@@ -36,9 +35,9 @@ __all__ = [
     "ReturnPanel", "ScheduleResult", "ShrunkCovariance", "SplitSpec",
     "Strategy", "Threshold", "WeightVector",
     "ZeroVolatilityError", "angular_distance", "annualised_sharpe",
-    "brute_force", "build_qubo", "candidate_dates", "drift_weights",
+    "brute_force", "build_qubo", "candidate_dates",
     "ensemble", "equal_weights", "fitness", "ga_optimise",
-    "ising_energy", "ledoit_wolf", "load_csv", "marginal_gain", "metrics",
+    "ising_energy", "ledoit_wolf", "load_csv", "metrics",
     "minvar", "normalised_entropy", "optimise_angles", "run", "run_grid",
     "sample", "select_representatives", "simulate_ansatz", "split",
     "synth_panel", "to_ising", "to_returns", "train_sharpe", "walk_forward",

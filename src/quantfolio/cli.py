@@ -247,24 +247,34 @@ _ARTIFACTS = {
         "method": _method(m), "tickers": _strings, "weights": _floats, "train_sharpe": _float})
        for m in METHODS},
     **{f"schedule_{m.lower()}.json": ("schedule", {
-        "method": _method(m), "schedule": _frozen_bits, "total_rebalances": _int,
-        "optimiser": _string, "windows": _list}) for m in METHODS},
+        "method": _method(m), "schedule": lambda v: _frozen_bits(_list_of(_int)(v)),
+        "total_rebalances": _int, "optimiser": _string, "windows": _list}) for m in METHODS},
 }
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a key repeated in it raises ValueError."""
+    obj, keys = dict(pairs), [key for key, _ in pairs]
+    if len(obj) < len(keys):
+        raise ValueError(f"{next(k for k in keys if keys.count(k) > 1)}: repeated key")
+    return obj
 
 
 def _read_artifact(cfg: RunConfig, name: str) -> dict:
     """The values of the JSON artifact ``name``, each admitted by its kind in
-    ``_ARTIFACTS``; a missing key, an unknown key or a value of the wrong
-    kind raises ValueError naming the file and the key."""
+    ``_ARTIFACTS``; a key repeated at any depth, a missing key, an unknown key
+    or a value of the wrong kind raises ValueError naming the file and the key."""
     stage, kinds = _ARTIFACTS[name]
     path = os.path.join(cfg.out_dir, name)
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path} not found: run the '{stage}' command first")
     with open(path, encoding="utf-8") as fh:
         try:
-            blob = json.load(fh)
-        except json.JSONDecodeError as exc:
+            blob = json.load(fh, object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: malformed artifact: {exc}") from None
+        except ValueError as exc:  # a repeated key, from _unique_keys
+            raise ValueError(f"{path}: malformed artifact, {exc}") from None
     if not isinstance(blob, dict):
         raise ValueError(f"{path}: malformed artifact: not a JSON object")
     values = {}

@@ -38,8 +38,8 @@ import numpy as np
 from .allocation import WeightVector
 from .market_data import ReturnPanel, _frozen_array, _frozen_integers, _read_only
 from .schedule_qubo import (
-    BitSchedule, QuboParams, QuboProblem, _check_width, _qubo_matrix, _table, bits_to_str,
-    brute_force, build_qubo, enumerate_energies, value_to_bits,
+    BitSchedule, QuboParams, QuboProblem, _check_width, _min_window, _qubo_matrix, _table,
+    bits_to_str, brute_force, build_qubo, enumerate_energies, value_to_bits,
 )
 
 OPTIMISER = "grid-INTERP-SPSA"
@@ -422,9 +422,9 @@ def walk_forward(
     qubo_params: QuboParams = QuboParams(),
 ):
     """Chunk the test panel into ``k_windows`` equal windows (the last absorbs
-    the remainder), build each window's QUBO from that window's returns only,
-    solve it with multi-restart QAOA, and splice the winning local bits into a
-    global schedule.
+    the remainder; each needs 2W + 2 days), build each window's QUBO from that
+    window's returns only, solve it with multi-restart QAOA, and splice the
+    winning local bits into a global schedule.
 
     ``targets`` is a sequence of weight vectors and ``cfgs`` one config per
     target; the configs may differ only in seed. A tuple of one
@@ -446,12 +446,10 @@ def walk_forward(
     t_total = test.n_days
     if k_windows < 1:
         raise ValueError("need at least one window")
-    if t_total < k_windows * (w_count + 2):
-        raise ValueError(
-            f"test panel of {t_total} days is too short for {k_windows} windows "
-            f"of {w_count} candidates"
-        )
-    chunk = t_total // k_windows
+    chunk = t_total // k_windows  # the shortest window
+    if chunk < _min_window(w_count):
+        raise ValueError(f"test panel of {t_total} days is too short for {k_windows} windows: "
+                         f"need at least {k_windows * _min_window(w_count)} test days")
     spans = [(k * chunk, (k + 1) * chunk if k < k_windows - 1 else t_total)
              for k in range(k_windows)]
     segments = [test.slice_rows(start, end) for start, end in spans]

@@ -1,6 +1,7 @@
 """Rebalancing-schedule QUBO: the candidate dates (one read-only array of row
-offsets per window), weight drift, marginal Sharpe gains, the cost matrix
-itself, and an exhaustive classical solver.
+offsets per window) and the one window-length rule, L >= 2W + 2, that they
+need; the cost matrix, whose builder alone computes the marginal Sharpe gains
+net of cost; and an exhaustive classical solver.
 
 ``_table`` is the one builder of a 2^W energy table, for 0/1 variables
 (``enumerate_energies``, x' Q x) and for +-1 spins (the Ising phase table of
@@ -13,6 +14,7 @@ matches enumeration by rendered string.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -110,80 +112,23 @@ def value_to_bits(value: int, w: int) -> np.ndarray:
     return np.array([(value >> (w - 1 - k)) & 1 for k in range(w)], dtype=np.uint8)
 
 
+def _min_window(w: int) -> int:
+    return 2 * w + 2  # the fewest days a window of w candidate dates holds: see candidate_dates
+
+
 def candidate_dates(window_len: int, w: int) -> np.ndarray:
-    """The ``w`` equally spaced interior candidate dates of a window, as a
-    read-only array of row offsets. With L = ``window_len`` and k = 1..W:
-
-        t_k = min(round(k * L / (W + 1)), L - 2 - (W - k))
-
-    ``round`` takes ties to even. The spacing L / (W + 1) exceeds 1, so the
-    rounded dates strictly increase from t_1 >= 1; the cap, which rises by
-    one per k, keeps them strictly increasing and leaves room for the W - k
-    later dates below the final day. Any window with L >= W + 2 hosts them.
+    """The ``w`` equally spaced interior candidate dates of a window of L =
+    ``window_len`` days, as a read-only array of row offsets:
+    t_k = round(k * L / (W + 1)) for k = 1..W, ties to even. The window must
+    hold L >= 2W + 2 days: then the spacing L / (W + 1) is at least 2 and
+    rounding moves each date by at most 1/2, so t_1 >= 1 and every forward
+    span [t_k, t_{k+1}), the last one ending at L, holds at least 2 days.
     """
     if w < 1:
         raise ValueError("need at least one candidate date")
-    if window_len < w + 2:
-        raise ValueError(
-            f"window too short: {window_len} days cannot host {w} distinct interior dates"
-        )
-    k = np.arange(1, w + 1)
-    dates = np.minimum(np.round(k * window_len / (w + 1)), window_len - 2 - (w - k))
-    return _frozen_integers(dates, "candidate dates")
-
-
-def drift_weights(target, window: ReturnPanel, upto: int) -> np.ndarray:
-    """Weights after ``upto`` days of pure drift from the window start.
-
-    ``w_drift = (w * pi) / sum(w * pi)`` with ``pi`` the cumulative gross
-    return of each asset over rows ``[0, upto)``; no intermediate rebalances.
-    """
-    w = _weight_array(target, window.tickers)
-    if not 0 <= upto <= window.n_days:
-        raise ValueError(f"upto must be in [0, {window.n_days}]")
-    pi = np.prod(window.gross_returns[:upto], axis=0)  # empty product -> ones
-    v = w * pi
-    return v / v.sum()
-
-
-def _sharpe_or_zero(log_returns: np.ndarray) -> float:
-    try:
-        return annualised_sharpe(log_returns)
-    except ZeroVolatilityError:
-        return 0.0  # degenerate forward window: no Sharpe contribution
-
-
-def marginal_gain(target, window: ReturnPanel, candidates, k: int, cost_c: float) -> float:
-    """Net benefit of rebalancing at candidate ``k``.
-
-    Sharpe of the target weights minus Sharpe of the drifted weights, both on
-    the forward window [t_k, t_{k+1}) (the last candidate's window runs to the
-    segment end), minus the annualised L1 trading cost of resetting the drift.
-    Weights are held fixed within the forward window for both legs; a
-    non-positive portfolio gross return (short weights only) raises.
-    ``candidates`` are the row offsets t_k: strictly increasing and inside
-    ``[1, window.n_days - 2]``.
-    """
-    idx = _frozen_integers(candidates, "candidates")
-    if idx.ndim != 1 or idx.size < 1:
-        raise ValueError("need at least one candidate index")
-    if np.any(np.diff(idx) <= 0):
-        raise ValueError("candidate indices must be strictly increasing")
-    if idx[0] < 1 or idx[-1] > window.n_days - 2:
-        raise ValueError("candidate indices must be interior to the window")
-    if not 0 <= k < idx.size:
-        raise ValueError(f"candidate index {k} out of range")
-    w = _weight_array(target, window.tickers)
-    start = int(idx[k])
-    end = int(idx[k + 1]) if k + 1 < idx.size else window.n_days
-    if end - start < 2:
-        raise ValueError(f"forward window [{start}, {end}) shorter than 2 days")
-    fwd = window.gross_returns[start:end]
-    w_drift = drift_weights(w, window, start)
-    sr_target = _sharpe_or_zero(portfolio_log_returns(w, fwd))
-    sr_drift = _sharpe_or_zero(portfolio_log_returns(w_drift, fwd))
-    l1 = float(np.abs(w_drift - w).sum())
-    return sr_target - sr_drift - cost_c * l1 * ANNUALISATION
+    if window_len < _min_window(w):
+        raise ValueError(f"window too short: {window_len} days for {w} dates (need {_min_window(w)})")
+    return _frozen_integers(np.round(np.arange(1, w + 1) * window_len / (w + 1)), "candidate dates")
 
 
 def build_qubo(
@@ -191,22 +136,35 @@ def build_qubo(
 ) -> QuboProblem:
     """Assemble and normalise the schedule QUBO for one return window.
 
+    Gain g_k: on the forward span [t_k, t_{k+1}) (the last span runs to the
+    window end), the Sharpe of the target weights minus the Sharpe of the
+    weights drifted from the window start to t_k, both held fixed (a flat leg
+    scores 0), minus the annualised L1 cost of resetting the drift. A
+    non-positive portfolio gross return (short weights only) raises.
+
     Diagonal: ``-lambda1 * g_k + lambda2 * cost_c * n_assets``. Off-diagonal:
     ``lambda3 * exp(-|t_k - t_l| / delta_t)`` with ``delta_t`` the mean spacing
     of the candidate indices. The matrix is symmetric by construction and is
     divided by its max absolute entry (recorded in ``raw_max_abs``).
     """
+    w = _weight_array(target, window.tickers)
     cand = candidate_dates(window.n_days, w_count)
-    gains = np.array(
-        [marginal_gain(target, window, cand, k, params.cost_c) for k in range(w_count)]
-    )
-    n = window.n_assets
+    gross = window.gross_returns
+    gains = np.empty(w_count)
+    for k, (start, end) in enumerate(zip(cand, [*cand[1:], window.n_days])):
+        drift = w * np.prod(gross[:start], axis=0)
+        drift /= drift.sum()
+        sharpe = [0.0, 0.0]  # a flat leg scores 0
+        for i, leg in enumerate((w, drift)):
+            with suppress(ZeroVolatilityError):
+                sharpe[i] = annualised_sharpe(portfolio_log_returns(leg, gross[start:end]))
+        gains[k] = sharpe[0] - sharpe[1] - params.cost_c * np.abs(drift - w).sum() * ANNUALISATION
     idx = cand.astype(float)
     delta_t = float(np.mean(np.diff(idx))) if w_count >= 2 else float(window.n_days)
 
     gaps = np.abs(idx[:, None] - idx[None, :])
     raw = params.lambda3 * np.exp(-gaps / delta_t)
-    np.fill_diagonal(raw, -params.lambda1 * gains + params.lambda2 * params.cost_c * n)
+    np.fill_diagonal(raw, -params.lambda1 * gains + params.lambda2 * params.cost_c * window.n_assets)
 
     max_abs = float(np.max(np.abs(raw)))
     raw_max_abs = max_abs if max_abs > 0.0 else 1.0
@@ -215,7 +173,7 @@ def build_qubo(
         raw_max_abs=raw_max_abs,
         candidates=cand,
         gains=gains,
-        params={**asdict(params), "n_assets": n, "delta_t": delta_t},
+        params={**asdict(params), "n_assets": window.n_assets, "delta_t": delta_t},
     )
 
 

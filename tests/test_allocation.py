@@ -14,13 +14,10 @@ from quantfolio import (
     ZeroVolatilityError,
     annualised_sharpe,
     build_qubo,
-    candidate_dates,
-    drift_weights,
     ensemble,
     equal_weights,
     fitness,
     ga_optimise,
-    marginal_gain,
     minvar,
     normalised_entropy,
     run,
@@ -302,9 +299,6 @@ class TestEnsemble:
 # panel and a WeightVector for the panel's tickers in another order
 WEIGHTS_ON_A_PANEL = {
     "fitness": lambda panel, wv: fitness(wv, panel),
-    "drift_weights": lambda panel, wv: drift_weights(wv, panel, 10),
-    "marginal_gain": lambda panel, wv: marginal_gain(
-        wv, panel, candidate_dates(panel.n_days, 4), 0, 0.001),
     "build_qubo": lambda panel, wv: build_qubo(wv, panel, 4),
     "walk_forward": lambda panel, wv: walk_forward(
         panel, wv, 2, 4, QaoaConfig(depth=1, restarts=2, max_iters=30, seed=3)),

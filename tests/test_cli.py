@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from quantfolio import (
     GaConfig, QaoaConfig, QuboParams, angular_distance, cli, ledoit_wolf,
-    load_csv, market_data, minvar, run_grid, synth_panel, to_returns, walk_forward, write_csv,
+    load_csv, market_data, minvar, qaoa, run_grid, synth_panel, to_returns, walk_forward,
+    write_csv,
 )
 from quantfolio.allocation import METHODS
 from quantfolio.backtest import drawdown
@@ -31,6 +32,7 @@ from quantfolio.schedule_qubo import candidate_dates, enumerate_energies
 from quantfolio.shrinkage import _shrunk
 
 from conftest import block_correlation, subprocess_env
+from golden_pipeline import golden_config_text, golden_panel
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -157,6 +159,13 @@ seed = 5
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+@dataclasses.dataclass(frozen=True)
+class Twice:
+    """A key written twice in a JSON object: first ``first``, then the real value."""
+
+    first: object
 
 
 class TestConfigParsing:
@@ -496,6 +505,30 @@ class TestScheduleCommand:
             assert blob == json.loads(json.dumps(cli._schedule_record(method, alone)))
 
 
+    def test_test_period_under_windows_times_2w_plus_2_exits_1_before_any_search(
+            self, tmp_path, capsys, monkeypatch):
+        # golden prices, windows = 3, candidates_per_window = 8: 3 * (2 * 8 + 2) = 54 days
+        searches, search = [], qaoa._search
+        monkeypatch.setattr(qaoa, "_search", lambda *args: searches.append(args) or search(*args))
+        panel = golden_panel()
+        write_csv(panel, tmp_path / "prices.csv")
+        return_dates = panel.dates[1:]  # the golden train period is return rows 0..249
+        for days in (30, 53, 54):
+            config = tmp_path / f"{days}.cfg"
+            config.write_text(golden_config_text(tmp_path / "prices.csv", tmp_path / "out",
+                                                 test_end=return_dates[249 + days].isoformat()))
+            if days == 30:
+                for command in ("select", "weights"):
+                    assert run_cli(command, "--config", config) == 0
+            code = run_cli("schedule", "--config", config)
+            if days < 54:
+                assert (code, searches) == (1, [])
+                assert (f"error [schedule]: test panel of {days} days is too short for 3 "
+                        f"windows: need at least 54 test days") in capsys.readouterr().err
+            else:
+                assert code == 0 and searches
+
+
 class TestBacktestCommand:
     def test_metrics_rows(self, backtested):
         workspace = backtested
@@ -596,9 +629,15 @@ class TestBacktestCommand:
         pytest.param("schedule_ga.json", "schedule", [2], "backtest",
                      "bits must be a 0/1 vector", id="schedule_ga.json-schedule-2"),
         pytest.param("schedule_ga.json", "schedule", "0101", "backtest",
-                     "bits must be a 0/1 vector", id="schedule_ga.json-schedule-str"),
+                     "'0101' is not a JSON list", id="schedule_ga.json-schedule-str"),
         pytest.param("schedule_ga.json", "schedule", lambda b: [0.5, *b[1:]], "backtest",
-                     "bits must be a 0/1 vector", id="schedule_ga.json-schedule-0.5"),
+                     "0.5 is not an integer", id="schedule_ga.json-schedule-0.5"),
+        pytest.param("schedule_ga.json", "schedule", lambda b: [True, *map(bool, b[1:])],
+                     "backtest", "True is not an integer", id="schedule_ga.json-schedule-bools"),
+        pytest.param("schedule_ga.json", "schedule", lambda b: [1.0, *map(float, b[1:])],
+                     "backtest", "1.0 is not an integer", id="schedule_ga.json-schedule-floats"),
+        pytest.param("schedule_ga.json", "schedule", lambda b: [*b[:-1], bool(b[-1])],
+                     "backtest", "is not an integer", id="schedule_ga.json-schedule-last-bool"),
         pytest.param("schedule_ga.json", "schedule", lambda b: [256, *b[1:]], "backtest",
                      "bits must be a 0/1 vector", id="schedule_ga.json-schedule-256"),
         pytest.param("schedule_ga.json", "schedule", [0, 1], "backtest",
@@ -615,6 +654,12 @@ class TestBacktestCommand:
                      id="schedule_ga.json-windows-int"),
         pytest.param("schedule_ga.json", "note", "hand-edited", "backtest", "unknown key",
                      id="schedule_ga.json-unknown"),
+        pytest.param("selection.json", "tickers", Twice(["X"]), "weights", "repeated key",
+                     id="selection.json-tickers-twice"),
+        pytest.param("weights_minvar.json", "method", Twice("GA"), "backtest", "repeated key",
+                     id="weights_minvar.json-method-twice"),
+        pytest.param("schedule_ga.json", "schedule", Twice([]), "backtest", "repeated key",
+                     id="schedule_ga.json-schedule-twice"),
     ])
     def test_artifact_value_of_the_wrong_kind_exits_1_naming_file_and_key(
             self, backtested, tmp_path, capsys, artifact, key, value, command, what):
@@ -622,12 +667,32 @@ class TestBacktestCommand:
         shutil.copytree(backtested["out"], out)
         path = out / artifact
         blob = json.loads(path.read_text())
-        blob[key] = value(blob[key]) if callable(value) else value
-        path.write_text(json.dumps(blob))
+        if isinstance(value, Twice):  # "key": first, ahead of the key as written
+            text = "{" + f"{json.dumps(key)}: {json.dumps(value.first)}, " + json.dumps(blob)[1:]
+        else:
+            blob[key] = value(blob[key]) if callable(value) else value
+            text = json.dumps(blob)
+        path.write_text(text)
         assert run_cli(command, "--config", backtested["config"], "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error [{command}]: {path}: malformed artifact, {key}: ")
         assert what in err
+
+    @pytest.mark.parametrize("artifact,old,new,key,command", [
+        pytest.param("selection.json", '"labels": {', '"labels": {"A": 0, "A": 1, ', "A",
+                     "weights", id="selection.json-labels"),
+        pytest.param("schedule_ga.json", '"start": ', '"start": 0, "start": ', "start",
+                     "backtest", id="schedule_ga.json-windows"),
+    ])
+    def test_a_key_repeated_inside_a_value_exits_1(self, backtested, tmp_path, capsys,
+                                                   artifact, old, new, key, command):
+        out = tmp_path / "repeated"
+        shutil.copytree(backtested["out"], out)
+        path = out / artifact
+        path.write_text(path.read_text().replace(old, new, 1))
+        assert run_cli(command, "--config", backtested["config"], "--out", out) == 1
+        assert (f"error [{command}]: {path}: malformed artifact, {key}: repeated key"
+                in capsys.readouterr().err)
 
     def test_weights_with_an_extra_key_exits_1(self, backtested, tmp_path, capsys):
         out = tmp_path / "extra"
@@ -686,13 +751,14 @@ class TestBacktestCommand:
     @pytest.mark.parametrize("text,reason", [
         pytest.param('{"method": "GA", ', "Expecting property name", id="truncated"),
         pytest.param("null", "not a JSON object", id="null"),
+        pytest.param(b'{"method": "G\xff"}', "'utf-8' codec can't decode", id="not-utf8"),
     ])
     def test_unreadable_weights_exit_1_naming_the_file(self, backtested, tmp_path, capsys, text,
                                                        reason):
         out = tmp_path / "unreadable"
         shutil.copytree(backtested["out"], out)
         path = out / "weights_ga.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert run_cli("schedule", "--config", backtested["config"], "--out", out) == 1
         assert f"error [schedule]: {path}: malformed artifact: {reason}" in capsys.readouterr().err
 

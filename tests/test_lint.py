@@ -21,11 +21,12 @@ collector. Only ``allocation._weight_array`` compares a ``.tickers`` (every
 weights-on-panel call checks alignment through it), and only
 ``market_data._frozen_integers`` passes ``int`` or ``np.uint8`` as
 ``_frozen_array``'s dtype (every integer cast is checked before it
-truncates). The artifact format has one owner too: no module but ``cli``
-defines a ``to_json_dict``, and only ``cli._read_artifact`` calls
-``json.load`` or ``json.loads`` (every artifact read is checked against its
-schema there). Every ``open(`` is binary or passes
-``encoding="utf-8"``, so no file depends on the locale."""
+truncates). The artifact format has one owner too: only ``cli._write_json``
+calls ``json.dump`` or ``json.dumps`` (every JSON artifact is written
+there), and only ``cli._read_artifact`` calls ``json.load`` or
+``json.loads`` (every artifact read is checked against its schema there).
+Every ``open(`` is binary or passes ``encoding="utf-8"``, so no file
+depends on the locale."""
 import ast
 from pathlib import Path
 
@@ -155,13 +156,6 @@ def calls_of(module: str, *names: str):
     return hit
 
 
-def defines(name: str):
-    """Accepts a function or method definition called ``name``."""
-    def hit(node: ast.AST) -> bool:
-        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
-    return hit
-
-
 def opens_locale_text(node: ast.AST) -> bool:
     """Accepts a call ``open(...)`` or ``<x>.open(...)`` whose mode is not a
     binary literal and that passes no ``encoding="utf-8"``."""
@@ -275,6 +269,7 @@ OWNERS = {
     "ticker_alignment": (compares("tickers", bare=False), ("allocation.py", "_weight_array")),
     "integer_cast": (casts_to_integers, ("market_data.py", "_frozen_integers")),
     "artifact_read": (calls_of("json", "load", "loads"), ("cli.py", "_read_artifact")),
+    "artifact_write": (calls_of("json", "dump", "dumps"), ("cli.py", "_write_json")),
 }
 
 
@@ -289,16 +284,6 @@ def test_each_rule_has_one_owner(rule):
     assert owner in {where for where, _ in found}, f"{owner} no longer owns {rule}"
     stray = [f"{name}:{fn}:{line}" for (name, fn), line in found if (name, fn) != owner]
     assert not stray, f"{rule} written outside {':'.join(owner)}: {', '.join(stray)}"
-
-
-def test_only_cli_builds_json_records():
-    stray = [
-        f"{path.name}:{line}"
-        for path in MODULES
-        if path.name != "cli.py"
-        for _, line in owned(parse(path), defines("to_json_dict"))
-    ]
-    assert not stray, f"to_json_dict defined outside cli.py: {', '.join(stray)}"
 
 
 def test_every_open_is_binary_or_utf8():
@@ -319,7 +304,7 @@ def test_checks_catch_dead_code():
         "    return np.minimum.accumulate(c), np.allclose(m, c.T), (m + m.T) / 2.0, (m + c.T) / 2\n"
         "\ndef charge(p, cost_c):\n    return p.cost_c < 0 or 0.0 > cost_c or cost_c * 2.0\n"
         "\ndef fits(w, q):\n    return w > MAX_WIDTH or q.MAX_WIDTH == 3 or 2 ** MAX_WIDTH\n"
-        "\nclass Record:\n    def to_json_dict(self):\n        return {}\n"
+        "\ndef write(fh, blob):\n    json.dump(blob, fh)\n    return json.dumps(blob), fh.dumps(blob)\n"
         "\ndef layout(a, ok):\n    b = np.array(a, order='F').reshape(-1)\n"
         "    return a.compress(ok, axis=1), np.asfortranarray(b), ascontiguousarray(b), a[:, ok]\n"
         "\ndef read(path):\n    a = open(path), open(path, 'rb'), open(path, mode='wb')\n"
@@ -346,8 +331,8 @@ def test_checks_catch_dead_code():
         "ticker_alignment": [("align", 43)],
         "integer_cast": [("counts", 46), ("counts", 46)],
         "artifact_read": [("parse", 49), ("parse", 49)],
+        "artifact_write": [("write", 25), ("write", 26)],
     }
-    assert owned(tree, defines("to_json_dict")) == [("<module>", 25)]
     assert owned(tree, opens_locale_text) == [("read", 33), ("read", 34), ("read", 35)]
     assert public_names(tree) == ["stats", "fits", "Box"]
     assert uncalled(public_names(tree), [tree, ast.parse("stats(1, 2, 3)\nBox().freeze(a)\n")]) == ["fits"]

@@ -604,16 +604,46 @@ class TestWalkForward:
         assert blob["gap"] == win.gap
 
     def test_too_short_panel_rejected(self):
-        panel = to_returns(synth_panel(seed=36, T=18, M=2))  # 17 rows < 3*(4+2)
+        panel = to_returns(synth_panel(seed=36, T=18, M=2))  # 17 rows < 3 * (2 * 4 + 2)
         with pytest.raises(ValueError, match="too short"):
             walk_forward(panel, wf_target(panel), 3, 4, wf_config())
 
     def test_packed_candidates_error_propagates(self):
-        # 19 rows passes the length precondition but chunks of 6 pack the 4
-        # candidates into adjacent days, leaving 1-day forward windows
+        # chunks of 6 days would pack the 4 candidates into 1-day forward spans;
+        # the window rule names the test days, the windows and the minimum
         panel = to_returns(synth_panel(seed=36, T=20, M=2))
-        with pytest.raises(ValueError, match="shorter than 2"):
+        with pytest.raises(ValueError, match="test panel of 19 days is too short for 3 windows: "
+                                             "need at least 30 test days"):
             walk_forward(panel, wf_target(panel), 3, 4, wf_config())
+
+    def test_raises_before_any_qubo_iff_the_shortest_window_is_under_2w_plus_2(
+            self, monkeypatch):
+        panel = to_returns(synth_panel(seed=39, T=60, M=2))
+        built, searched, build = [], [], qaoa.build_qubo
+
+        class Searched(Exception):
+            pass
+
+        def search(tables, cfg, seeds):
+            searched.append(len(seeds))
+            raise Searched
+
+        monkeypatch.setattr(qaoa, "build_qubo", lambda *args: built.append(args) or build(*args))
+        monkeypatch.setattr(qaoa, "_search", search)
+        for k in (1, 2, 3):
+            for w in (1, 2, 4, 6):
+                minimum = k * (2 * w + 2)
+                for days in range(minimum - k - 1, min(minimum + k + 1, panel.n_days + 1)):
+                    built.clear(), searched.clear()
+                    test = panel.slice_rows(0, days)
+                    if days // k < 2 * w + 2:
+                        with pytest.raises(ValueError, match=f"need at least {minimum} test"):
+                            walk_forward(test, wf_target(test), k, w, wf_config())
+                        assert built == searched == []
+                    else:
+                        with pytest.raises(Searched):
+                            walk_forward(test, wf_target(test), k, w, wf_config())
+                        assert (len(built), searched) == (k, [k])
 
     def test_ticker_mismatch_rejected(self):
         panel = to_returns(synth_panel(seed=37, T=60, M=2))

@@ -7,20 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from quantfolio import schedule_qubo
 from quantfolio import (
     QuboParams,
     QuboProblem,
     WeightVector,
+    ZeroVolatilityError,
+    annualised_sharpe,
     brute_force,
     build_qubo,
     candidate_dates,
-    drift_weights,
-    marginal_gain,
     synth_panel,
     to_returns,
 )
+from quantfolio.allocation import _weight_array, portfolio_log_returns
 from quantfolio.cli import _qubo_record
-from quantfolio.market_data import ANNUALISATION
+from quantfolio.market_data import ANNUALISATION, ReturnPanel, _frozen_integers
 from quantfolio.schedule_qubo import bits_to_str, enumerate_energies, value_to_bits
 
 from conftest import gross_panel
@@ -51,20 +53,32 @@ class TestCandidateDates:
         np.testing.assert_array_equal(candidate_dates(10, 1), [5])
 
     def test_window_not_longer_than_w(self):
-        with pytest.raises(ValueError, match="cannot host"):
+        with pytest.raises(ValueError, match="9 days for 9 dates \\(need 20\\)"):
             candidate_dates(9, 9)
 
-    def test_tight_window_still_fits(self):
-        np.testing.assert_array_equal(candidate_dates(10, 8), [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_tightest_window_spaces_the_dates_two_days_apart(self):
+        # L = 2W + 2: the spacing L / (W + 1) is exactly 2
+        np.testing.assert_array_equal(candidate_dates(18, 8), [2, 4, 6, 8, 10, 12, 14, 16])
+        with pytest.raises(ValueError, match="too short"):
+            candidate_dates(17, 8)
 
     def test_interior_and_increasing(self):
-        for window_len in (12, 37, 83, 250):
-            for w in (1, 3, 8, 10):
+        for w in (1, 3, 8, 10):
+            for window_len in (2 * w + 2, 37, 83, 250):
                 idx = candidate_dates(window_len, w)
                 assert idx[0] >= 1
                 assert idx[-1] <= window_len - 2
-                assert np.all(np.diff(idx) >= 1)
+                assert np.all(np.diff(idx) >= 2)
                 assert idx.size == w
+
+    def test_raises_if_and_only_if_shorter_than_2w_plus_2(self):
+        for w in range(1, 25):
+            for window_len in range(1, 3 * w + 6):
+                if window_len < 2 * w + 2:
+                    with pytest.raises(ValueError, match="too short"):
+                        candidate_dates(window_len, w)
+                else:
+                    assert candidate_dates(window_len, w).shape == (w,)
 
     def test_window_too_short_for_interior(self):
         with pytest.raises(ValueError, match="too short"):
@@ -75,8 +89,9 @@ class TestCandidateDates:
             candidate_dates(10, 0)
 
     def test_closed_form_equals_the_two_loops(self):
+        # the uncapped closed form on every window the rule admits
         for w in range(1, 25):
-            for window_len in range(w + 2, 601):
+            for window_len in range(2 * w + 2, 601):
                 got = candidate_dates(window_len, w)
                 assert got.tolist() == two_loop_dates(window_len, w), (window_len, w)
 
@@ -89,12 +104,12 @@ class TestCandidateDates:
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(w=st.integers(1, 24), extra=st.integers(0, 5000))
-    def test_dates_are_interior_increasing_and_number_w(self, w, extra):
-        window_len = w + 2 + extra
+    def test_every_forward_span_holds_two_days(self, w, extra):
+        window_len = 2 * w + 2 + extra
         idx = candidate_dates(window_len, w)
         assert idx.shape == (w,)
-        assert np.all(np.diff(idx) > 0)
-        assert 1 <= idx[0] and idx[-1] <= window_len - 2
+        assert idx[0] >= 1
+        assert np.all(np.diff([*idx, window_len]) >= 2)
 
 
 def target(weights, tickers=None):
@@ -104,41 +119,60 @@ def target(weights, tickers=None):
     return WeightVector(tickers, weights, "Equal")
 
 
-class TestDriftWeights:
-    def test_identical_returns_no_drift(self):
-        panel = gross_panel(np.full((6, 3), 1.01))
-        w = target([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(drift_weights(w, panel, 6), w.weights, atol=1e-15)
+# the gain model as two functions, verbatim from before ``build_qubo`` computed
+# the gains itself: the reference its gains must equal bit for bit
+def drift_weights(target, window: ReturnPanel, upto: int) -> np.ndarray:
+    """Weights after ``upto`` days of pure drift from the window start.
 
-    def test_upto_zero_is_target(self):
-        panel = gross_panel([[1.2, 0.9], [1.1, 1.0]])
-        w = target([0.7, 0.3])
-        np.testing.assert_array_equal(drift_weights(w, panel, 0), w.weights)
+    ``w_drift = (w * pi) / sum(w * pi)`` with ``pi`` the cumulative gross
+    return of each asset over rows ``[0, upto)``; no intermediate rebalances.
+    """
+    w = _weight_array(target, window.tickers)
+    if not 0 <= upto <= window.n_days:
+        raise ValueError(f"upto must be in [0, {window.n_days}]")
+    pi = np.prod(window.gross_returns[:upto], axis=0)  # empty product -> ones
+    v = w * pi
+    return v / v.sum()
 
-    def test_doubling_asset(self):
-        panel = gross_panel([[2.0, 1.0]])
-        w = target([0.5, 0.5])
-        np.testing.assert_allclose(drift_weights(w, panel, 1), [2 / 3, 1 / 3], atol=1e-15)
 
-    def test_simplex_for_every_prefix(self):
-        panel = to_returns(synth_panel(seed=21, T=40, M=4))
-        w = target(np.array([0.1, 0.2, 0.3, 0.4]))
-        for upto in range(panel.n_days + 1):
-            drifted = drift_weights(w, panel, upto)
-            assert abs(drifted.sum() - 1.0) <= 1e-12
-            assert np.all(drifted >= 0.0)
+def _sharpe_or_zero(log_returns: np.ndarray) -> float:
+    try:
+        return annualised_sharpe(log_returns)
+    except ZeroVolatilityError:
+        return 0.0  # degenerate forward window: no Sharpe contribution
 
-    def test_matches_day_by_day_recursion(self):
-        # independent route: evolve w <- (w * g) / (w . g) one day at a time
-        panel = to_returns(synth_panel(seed=22, T=25, M=5))
-        w0 = np.array([0.05, 0.15, 0.2, 0.25, 0.35])
-        w = w0.copy()
-        for upto in range(1, panel.n_days + 1):
-            g = panel.gross_returns[upto - 1]
-            w = w * g / (w @ g)
-            np.testing.assert_allclose(
-                drift_weights(target(w0), panel, upto), w, atol=1e-13
-            )
+
+def marginal_gain(target, window: ReturnPanel, candidates, k: int, cost_c: float) -> float:
+    """Net benefit of rebalancing at candidate ``k``.
+
+    Sharpe of the target weights minus Sharpe of the drifted weights, both on
+    the forward window [t_k, t_{k+1}) (the last candidate's window runs to the
+    segment end), minus the annualised L1 trading cost of resetting the drift.
+    Weights are held fixed within the forward window for both legs; a
+    non-positive portfolio gross return (short weights only) raises.
+    ``candidates`` are the row offsets t_k: strictly increasing and inside
+    ``[1, window.n_days - 2]``.
+    """
+    idx = _frozen_integers(candidates, "candidates")
+    if idx.ndim != 1 or idx.size < 1:
+        raise ValueError("need at least one candidate index")
+    if np.any(np.diff(idx) <= 0):
+        raise ValueError("candidate indices must be strictly increasing")
+    if idx[0] < 1 or idx[-1] > window.n_days - 2:
+        raise ValueError("candidate indices must be interior to the window")
+    if not 0 <= k < idx.size:
+        raise ValueError(f"candidate index {k} out of range")
+    w = _weight_array(target, window.tickers)
+    start = int(idx[k])
+    end = int(idx[k + 1]) if k + 1 < idx.size else window.n_days
+    if end - start < 2:
+        raise ValueError(f"forward window [{start}, {end}) shorter than 2 days")
+    fwd = window.gross_returns[start:end]
+    w_drift = drift_weights(w, window, start)
+    sr_target = _sharpe_or_zero(portfolio_log_returns(w, fwd))
+    sr_drift = _sharpe_or_zero(portfolio_log_returns(w_drift, fwd))
+    l1 = float(np.abs(w_drift - w).sum())
+    return sr_target - sr_drift - cost_c * l1 * ANNUALISATION
 
 
 def gain_oracle(w, gross, idx, k, c):
@@ -164,13 +198,47 @@ def gain_oracle(w, gross, idx, k, c):
     return sharpe(w) - sharpe(drifted) - c * l1 * math.sqrt(252)
 
 
-class TestMarginalGain:
+@st.composite
+def gain_cases(draw):
+    """A target (``WeightVector`` or plain vector), a window of L >= 2W + 2
+    days, W = 1..10 and M = 1..5, some of whose forward spans are flat, and
+    the QUBO params (``cost_c`` 0 included)."""
+    w = draw(st.integers(1, 10))
+    m = draw(st.integers(1, 5))
+    n_days = 2 * w + 2 + draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gross = np.exp(rng.normal(0.0, 0.02, size=(n_days, m)))
+    ends = [*candidate_dates(n_days, w)[1:], n_days]
+    for start, end in zip(candidate_dates(n_days, w), ends):
+        if draw(st.booleans()):  # every asset and so both legs flat on the span
+            gross[start:end] = draw(st.sampled_from([1.0, 1.001, 0.998]))
+    weights = rng.dirichlet(np.ones(m))
+    wrapped = draw(st.booleans())
+    cost_c = draw(st.sampled_from([0.0, 0.001, 0.01]))
+    return (target(weights) if wrapped else weights), gross_panel(gross), w, cost_c
+
+
+class TestGains:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=gain_cases())
+    def test_gains_equal_the_reference_bit_for_bit(self, case):
+        weights, panel, w, cost_c = case
+        qp = build_qubo(weights, panel, w, QuboParams(cost_c=cost_c))
+        cand = candidate_dates(panel.n_days, w)
+        reference = [marginal_gain(weights, panel, cand, k, cost_c) for k in range(w)]
+        assert np.array_equal(qp.gains, reference)
+
+    def test_target_checked_once_per_window(self, monkeypatch):
+        calls, check = [], schedule_qubo._weight_array
+        monkeypatch.setattr(schedule_qubo, "_weight_array",
+                            lambda *args: calls.append(args) or check(*args))
+        build_qubo(target(np.full(3, 1 / 3)), to_returns(synth_panel(seed=9, T=84, M=3)), 8)
+        assert len(calls) == 1
+
     def test_no_drift_gain_zero(self):
         panel = gross_panel(np.full((20, 2), 1.004))
-        w = target([0.5, 0.5])
-        cand = candidate_dates(20, 3)
-        for k in range(3):
-            assert marginal_gain(w, panel, cand, k, 0.001) == pytest.approx(0.0, abs=1e-15)
+        gains = build_qubo(target([0.5, 0.5]), panel, 3).gains
+        np.testing.assert_allclose(gains, 0.0, atol=1e-15)
 
     def test_pure_cost_when_forward_identical(self):
         # drift happens before t_0, forward returns identical across assets
@@ -179,62 +247,28 @@ class TestMarginalGain:
         tail = np.full((15, 2), 1.002)
         panel = gross_panel(np.vstack([head, tail]))
         w = target([0.5, 0.5])
-        cand = candidate_dates(20, 3)
-        drifted = drift_weights(w, panel, int(cand[0]))
-        l1 = np.abs(drifted - w.weights).sum()
-        expected = -0.001 * l1 * ANNUALISATION
-        got = marginal_gain(w, panel, cand, 0, 0.001)
-        assert got == pytest.approx(expected, abs=1e-12)
-        assert got < 0.0
+        qp = build_qubo(w, panel, 3)
+        assert qp.candidates[0] == 5
+        drifted = w.weights  # independent route: w <- (w * g) / (w . g), one day at a time
+        for g in panel.gross_returns[:5]:
+            drifted = drifted * g / (drifted @ g)
+        expected = -0.001 * np.abs(drifted - w.weights).sum() * ANNUALISATION
+        assert qp.gains[0] == pytest.approx(expected, abs=1e-12)
+        assert qp.gains[0] < 0.0
 
     def test_matches_scalar_oracle(self):
         panel = to_returns(synth_panel(seed=8, T=60, M=2, ann_drift=[0.2, -0.1]))
         w = target([0.6, 0.4])
-        cand = candidate_dates(panel.n_days, 4)
+        qp = build_qubo(w, panel, 4)
         for k in range(4):
-            mine = marginal_gain(w, panel, cand, k, 0.001)
-            ref = gain_oracle(w.weights, panel.gross_returns, cand.tolist(), k, 0.001)
-            assert mine == pytest.approx(ref, abs=1e-10)
-
-    def test_short_forward_window_rejected(self):
-        panel = gross_panel(np.full((6, 2), 1.01))
-        w = target([0.5, 0.5])
-        cand = np.array([1, 2])  # [1,2) is a single day
-        with pytest.raises(ValueError, match="shorter than 2"):
-            marginal_gain(w, panel, cand, 0, 0.001)
-
-    @pytest.mark.parametrize("cand,match", [
-        pytest.param([], "at least one candidate", id="empty"),
-        pytest.param([[1, 3], [5, 7]], "at least one candidate", id="2d"),
-        pytest.param([1, 5, 5], "strictly increasing", id="repeated"),
-        pytest.param([5, 3, 7], "strictly increasing", id="decreasing"),
-        pytest.param([0, 3, 6], "interior", id="day_0"),
-        pytest.param([1, 3, 9], "interior", id="past_L_minus_2"),
-    ])
-    def test_bad_candidate_indices_rejected(self, cand, match):
-        panel = gross_panel(np.full((10, 2), 1.01))  # L = 10: interior is [1, 8]
-        with pytest.raises(ValueError, match=match):
-            marginal_gain(target([0.5, 0.5]), panel, np.array(cand, dtype=int), 0, 0.001)
-
-    def test_fractional_candidate_indices_rejected(self):
-        panel = gross_panel(np.full((10, 2), 1.01))  # an int cast would read [1, 3]
-        with pytest.raises(ValueError, match="candidates must be whole numbers"):
-            marginal_gain(target([0.5, 0.5]), panel, [1.5, 3.9], 0, 0.001)
+            ref = gain_oracle(w.weights, panel.gross_returns, qp.candidates.tolist(), k, 0.001)
+            assert qp.gains[k] == pytest.approx(ref, abs=1e-10)
 
     def test_short_leg_with_a_non_positive_portfolio_return_raises(self):
-        # the drifted portfolio of a short target goes below zero in [6, 9)
+        # candidates [3, 6, 9]: the drifted portfolio of a short target goes below zero in [6, 9)
         panel = gross_panel(np.column_stack([np.full(12, 1.01), np.linspace(1.0, 1.2, 12)]))
         with pytest.raises(ValueError, match="non-positive portfolio gross return"):
-            marginal_gain(np.array([4.0, -3.0]), panel, np.array([3, 6, 9]), 1, 0.001)
-
-    def test_candidate_k_checked_against_length(self):
-        panel = gross_panel(np.full((10, 2), 1.01))
-        w = target([0.5, 0.5])
-        cand = np.array([1, 4, 8])
-        assert marginal_gain(w, panel, cand, 2, 0.001) == pytest.approx(0.0, abs=1e-15)
-        for k in (-1, 3):
-            with pytest.raises(ValueError, match="out of range"):
-                marginal_gain(w, panel, cand, k, 0.001)
+            build_qubo(np.array([4.0, -3.0]), panel, 3)
 
 
 class TestBuildQubo:
@@ -268,11 +302,10 @@ class TestBuildQubo:
         np.testing.assert_allclose(np.diag(raw), 0.005, atol=1e-15)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_days=st.integers(12, 120),
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 100),
            m=st.integers(1, 5), w=st.integers(1, 10))
-    def test_exactly_symmetric_on_random_windows(self, seed, n_days, m, w):
-        if n_days < 2 * (w + 1):  # forward windows of at least 2 days
-            w = n_days // 2 - 1
+    def test_exactly_symmetric_on_random_windows(self, seed, extra, m, w):
+        n_days = 2 * w + 2 + extra
         rng = np.random.default_rng(seed)
         panel = gross_panel(np.exp(rng.normal(0.0, 0.02, size=(n_days, m))))
         weights = rng.dirichlet(np.ones(m))
