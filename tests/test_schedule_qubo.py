@@ -256,6 +256,21 @@ class TestGains:
         assert qp.gains[0] == pytest.approx(expected, abs=1e-12)
         assert qp.gains[0] < 0.0
 
+    def test_doubling_asset_costs_its_drift(self):
+        # one candidate at t_1 = 2; the first asset doubles on day 0, so the
+        # drift is [2/3, 1/3]; the flat forward span leaves only the cost
+        panel = gross_panel([[2.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        qp = build_qubo(target([0.5, 0.5]), panel, 1)
+        assert qp.candidates.tolist() == [2]
+        assert qp.gains[0] == pytest.approx(-0.001 * (1 / 3) * ANNUALISATION, abs=1e-15)
+
+    def test_short_forward_window_rejected(self, monkeypatch):
+        # 2W + 1 days cannot give every forward span 2 days: raises before any gain
+        monkeypatch.setattr(schedule_qubo, "annualised_sharpe", lambda *_: pytest.fail("gain computed"))
+        panel = gross_panel(np.full((7, 2), 1.01))
+        with pytest.raises(ValueError, match="7 days for 3 dates \\(need 8\\)"):
+            build_qubo(target([0.5, 0.5]), panel, 3)
+
     def test_matches_scalar_oracle(self):
         panel = to_returns(synth_panel(seed=8, T=60, M=2, ann_drift=[0.2, -0.1]))
         w = target([0.6, 0.4])
