@@ -3,9 +3,10 @@
 Daily sequencing on a rebalance day follows the accounting identity
 ``V_t = V_{t-1} * (w_t . R_t)`` with drifted weights, then the cost deduction
 ``V_t *= 1 - c * ||w_drift - w_target||_1``, then the reset to target. Day 0's
-initial allocation is free and uncounted; periodic(N) therefore fires on day
-indices t >= 1 with t % N == 0. Each scheduler owns its firing rule
-(``fires``) and its part of the strategy's label (``describe``).
+initial allocation is free and uncounted; periodic(N) therefore rebalances on
+day indices t >= 1 with t % N == 0. Each scheduler owns its rule as data:
+``due(days)``, the days it rebalances on whatever the drift, and ``band``, the
+largest drift from target it lets stand; and its label part (``describe``).
 
 A ``BacktestReport`` stores what the run produced: the equity curve, the
 cost paid and the rebalance days. Its performance summary (``metrics``) is
@@ -33,8 +34,10 @@ GRID_THRESHOLD = 0.05
 
 @dataclass(frozen=True)
 class BuyAndHold:
-    def fires(self, t: int, drifted: np.ndarray, target: np.ndarray) -> bool:
-        return False
+    band = np.inf
+
+    def due(self, days: int) -> np.ndarray:
+        return np.zeros(days, dtype=bool)
 
     def describe(self) -> str:
         return "Buy&Hold"
@@ -43,13 +46,16 @@ class BuyAndHold:
 @dataclass(frozen=True)
 class Periodic:
     every: int
+    band = np.inf
 
     def __post_init__(self) -> None:
-        if self.every < 1:
-            raise ValueError("periodic interval must be >= 1 day")
+        every = self.every  # a whole number (numpy integers too, bools not)
+        if type(every) in (bool, np.bool_) or not hasattr(every, "__index__") or every < 1:
+            raise ValueError(f"periodic interval must be a whole number >= 1 day, not {every!r}")
 
-    def fires(self, t: int, drifted: np.ndarray, target: np.ndarray) -> bool:
-        return t >= 1 and t % self.every == 0
+    def due(self, days: int) -> np.ndarray:
+        t = np.arange(days)
+        return (t >= 1) & (t % self.every == 0)
 
     def describe(self) -> str:
         return f"Rebal/{self.every}d"
@@ -58,13 +64,12 @@ class Periodic:
 @dataclass(frozen=True)
 class Threshold:
     fraction: float
+    band = property(lambda self: self.fraction)
+    due = BuyAndHold.due  # no day: only the drift band rebalances
 
     def __post_init__(self) -> None:
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("threshold fraction must be in (0, 1)")
-
-    def fires(self, t: int, drifted: np.ndarray, target: np.ndarray) -> bool:
-        return float(np.max(np.abs(drifted - target))) > self.fraction
 
     def describe(self) -> str:
         # 15 significant digits give back any fraction written with as many,
@@ -84,15 +89,18 @@ def _periodic_schedulers(intervals) -> list[Periodic]:
 
 @dataclass(frozen=True, eq=False)
 class Explicit:
-    """Fires exactly on the days whose global schedule bit is 1."""
+    """Rebalances exactly on the days whose global schedule bit is 1."""
 
     bits: np.ndarray
+    band = np.inf
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bits", _frozen_bits(self.bits))
 
-    def fires(self, t: int, drifted: np.ndarray, target: np.ndarray) -> bool:
-        return bool(self.bits[t])
+    def due(self, days: int) -> np.ndarray:
+        if self.bits.size != days:
+            raise ValueError(f"explicit schedule of {self.bits.size} bits for {days} test days")
+        return self.bits.astype(bool)
 
     def describe(self) -> str:
         return "+ QAOA"
@@ -171,45 +179,40 @@ def drawdown(equity_curve) -> np.ndarray:
     return curve / np.maximum.accumulate(curve) - 1.0
 
 
-def run(test: ReturnPanel, strat: Strategy, cost_c: float) -> BacktestReport:
-    """Simulate one strategy on the test panel, net of proportional costs.
-
-    Holdings drift with returns between rebalances. On a scheduled day the
-    day's return is applied with the drifted weights first, then the L1
-    rebalancing cost is deducted and weights reset to target.
-    """
+def _simulate(test: ReturnPanel, strategies: list[Strategy], cost_c: float) -> list[BacktestReport]:
+    """The reports of ``strategies``, whose holdings step through the test days together."""
     _check_cost(cost_c)
-    target = _weight_array(strat.weights, test.tickers)
-    if isinstance(strat.scheduler, Explicit) and strat.scheduler.bits.size != test.n_days:
-        raise ValueError(
-            f"explicit schedule of {strat.scheduler.bits.size} bits for "
-            f"{test.n_days} test days"
-        )
+    hold = targets = np.array([_weight_array(strat.weights, test.tickers) for strat in strategies])
+    due = np.array([strat.scheduler.due(test.n_days) for strat in strategies]).T
+    band = np.array([strat.scheduler.band for strat in strategies])
 
-    value = 1.0
-    w = target.copy()
-    curve = np.empty(test.n_days + 1)
-    curve[0] = 1.0
-    total_cost = 0.0
-    rebalance_days: list[int] = []
+    curves = np.ones((test.n_days + 1, len(strategies)))
+    total_cost = np.zeros(len(strategies))
+    fired = np.zeros_like(due)
 
     for t, day in enumerate(test.gross_returns):
-        port = float(w @ day)
-        value *= port
-        drifted = w * day / port
-        if strat.scheduler.fires(t, drifted, target):
-            cost = cost_c * float(np.abs(drifted - target).sum())
-            if not cost < 1.0:
-                raise ValueError("rebalancing cost cannot wipe out the portfolio")
-            value *= 1.0 - cost
-            total_cost += cost
-            rebalance_days.append(t)
-            w = target.copy()
-        else:
-            w = drifted
-        curve[t + 1] = value
+        # a dot product per row: bit for bit ``w @ day``, which the gemv ``hold @ day`` is not
+        port = np.matmul(hold[:, None, :], day)[:, 0]
+        curves[t + 1] = curves[t] * port
+        drifted = hold * day / port[:, None]
+        gap = np.abs(drifted - targets)
+        fire = fired[t] = due[t] | (gap.max(axis=1) > band)
+        cost = cost_c * gap[fire].sum(axis=1)
+        if not np.all(cost < 1.0):
+            raise ValueError("rebalancing cost cannot wipe out the portfolio")
+        curves[t + 1, fire] *= 1.0 - cost
+        total_cost[fire] += cost
+        hold = np.where(fire[:, None], targets, drifted)
 
-    return BacktestReport(strat.describe(), curve, 1e4 * total_cost, tuple(rebalance_days))
+    return [BacktestReport(strat.describe(), curves[:, i], 1e4 * float(total_cost[i]),
+                           tuple(np.flatnonzero(fired[:, i]).tolist()))
+            for i, strat in enumerate(strategies)]
+
+
+def run(test: ReturnPanel, strat: Strategy, cost_c: float) -> BacktestReport:
+    """Simulate one strategy on the test panel, net of proportional costs;
+    holdings drift between rebalances, sequenced as the module docstring says."""
+    return _simulate(test, [strat], cost_c)[0]
 
 
 def run_grid(
@@ -232,13 +235,9 @@ def run_grid(
         if missing:
             raise ValueError(f"{name} missing methods: {', '.join(missing)}")
 
-    strategies: list[Strategy] = []
-    for method in METHODS:
-        strategies.append(Strategy(weight_sets[method], BuyAndHold()))
-    for scheduler in _periodic_schedulers(periodic):
-        strategies.append(Strategy(weight_sets["GA"], scheduler))
-    strategies.append(Strategy(weight_sets["GA"], Threshold(threshold)))
-    for method in METHODS:
-        strategies.append(Strategy(weight_sets[method], Explicit(qaoa_schedules[method])))
-
-    return [run(test, strat, cost_c) for strat in strategies]
+    ga_schedulers = [*_periodic_schedulers(periodic), Threshold(threshold)]
+    return _simulate(test, [
+        *(Strategy(weight_sets[method], BuyAndHold()) for method in METHODS),
+        *(Strategy(weight_sets["GA"], scheduler) for scheduler in ga_schedulers),
+        *(Strategy(weight_sets[method], Explicit(qaoa_schedules[method])) for method in METHODS),
+    ], cost_c)

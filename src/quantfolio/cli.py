@@ -36,7 +36,9 @@ from .allocation import (
     METHODS, GaConfig, WeightVector, _weight_array, ensemble, equal_weights, ga_optimise, minvar,
     train_sharpe,
 )
-from .backtest import GRID_PERIODIC, GRID_THRESHOLD, Threshold, _periodic_schedulers, run_grid
+from .backtest import (
+    GRID_PERIODIC, GRID_THRESHOLD, Explicit, Threshold, _periodic_schedulers, run_grid,
+)
 from .clustering import annualised_sharpe, select_representatives, ward_cluster
 from .market_data import (
     ReturnPanel, SplitSpec, _frozen_bits, _positions, _write_labelled_csv, load_csv, split,
@@ -171,6 +173,8 @@ def parse_config(path) -> RunConfig:
                          f"file-system encoding {sys.getfilesystemencoding()!r}") from None
     if not os.path.exists(cfg.prices_csv):
         raise FileNotFoundError(f"prices CSV not found: {cfg.prices_csv}")
+    if not os.path.isfile(cfg.prices_csv):
+        raise ValueError(f"prices CSV is not a regular file: {cfg.prices_csv}")
     return cfg
 
 
@@ -182,6 +186,15 @@ def _child_seed(master: int, tag: int) -> int:
 def _config_sha256(cfg: RunConfig) -> str:
     canon = "\n".join(f"{k} = {v}" for k, v in sorted(cfg.as_dict().items()))
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _file_sha256(path) -> str:
+    """The sha256 of a file's bytes, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_json(path, obj) -> None:
@@ -333,14 +346,17 @@ def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
 
 
 def _read_schedules(cfg: RunConfig, days: int) -> dict[str, np.ndarray]:
-    """Each method's schedule bits, which must be one per test day (``days``)."""
+    """Each method's schedule bits, which must be one per test day (``days``),
+    as ``Explicit.due`` checks."""
     schedules = {}
     for method in METHODS:
         name = f"schedule_{method.lower()}.json"
         bits = schedules[method] = _read_artifact(cfg, name)["schedule"]
-        if bits.size != days:
+        try:
+            Explicit(bits).due(days)
+        except ValueError as exc:
             raise ValueError(f"{os.path.join(cfg.out_dir, name)}: malformed artifact, "
-                             f"schedule: {bits.size} bits for {days} test days")
+                             f"schedule: {exc}") from None
     return schedules
 
 
@@ -473,6 +489,7 @@ def cmd_backtest(cfg: RunConfig) -> dict:
         "version": __version__,
         "config": cfg.as_dict(),
         "config_sha256": _config_sha256(cfg),
+        "inputs": {"prices_sha256": _file_sha256(cfg.prices_csv)},
         "optimiser": OPTIMISER,
         "curve_returns": "log",
     })

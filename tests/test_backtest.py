@@ -19,7 +19,9 @@ from quantfolio import (
     to_returns,
 )
 
-from quantfolio.backtest import drawdown
+from quantfolio.allocation import METHODS, _weight_array
+from quantfolio.backtest import BacktestReport, drawdown
+from quantfolio.market_data import _check_cost
 
 from conftest import gross_panel
 
@@ -163,6 +165,33 @@ class TestSchedulers:
         with pytest.raises(ValueError, match="tickers"):
             run(panel, Strategy(bad, BuyAndHold()), COST)
 
+    @pytest.mark.parametrize("every", [0, -1, 1.5, 2.0, True, np.True_, "5"])
+    def test_periodic_admits_only_a_whole_number_of_days(self, every):
+        # 1.5 would rebalance on days 3, 6, 9, ... as "Rebal/1.5d", and True daily
+        with pytest.raises(ValueError, match="whole number >= 1 day, not"):
+            Periodic(every)
+
+    @pytest.mark.parametrize("every", [np.int64(5), np.uint8(5)])
+    def test_periodic_admits_numpy_integers(self, every):
+        assert Periodic(every).describe() == "Rebal/5d"
+        assert np.flatnonzero(Periodic(every).due(16)).tolist() == [5, 10, 15]
+
+    def test_each_rule_as_data(self):
+        bits = np.array([0, 1, 1, 0], dtype=np.uint8)
+        assert [Periodic(1).due(4).tolist(), Explicit(bits).due(4).tolist()] == [
+            [False, True, True, True], [False, True, True, False]]
+        assert not BuyAndHold().due(4).any() and not Threshold(0.05).due(4).any()
+        assert [s.band for s in (BuyAndHold(), Periodic(2), Threshold(0.05), Explicit(bits))] \
+            == [np.inf, np.inf, 0.05, np.inf]
+        with pytest.raises(ValueError, match="explicit schedule of 4 bits for 5 test days"):
+            Explicit(bits).due(5)
+
+    def test_a_drift_of_exactly_the_band_is_let_stand(self):
+        # [0.5, 0.5] drifts to [0.75, 0.25] on day 0: a drift of exactly 0.25
+        panel = gross_panel([[1.5, 0.5], [1.0, 1.0]])
+        assert run(panel, strat(panel, Threshold(0.25)), COST).rebalance_days == ()
+        assert run(panel, strat(panel, Threshold(0.2499)), COST).rebalance_days == (0,)
+
     def test_single_rebalance_cost_is_post_return_drift_distance(self):
         # cost charged at day t covers drift through day t's return (t+1 days)
         panel = to_returns(synth_panel(seed=43, T=40, M=3,
@@ -246,6 +275,112 @@ class TestRunProperties:
             costs.append(rep.total_cost_bp)
         assert all(a <= b for a, b in zip(costs, costs[1:]))
         np.testing.assert_allclose(costs, costs[1] * np.arange(7), rtol=1e-9, atol=0)
+
+
+# ``backtest.run`` verbatim from before the one-pass kernel, each scheduler's
+# ``fires`` method included: the reference ``run`` must equal bit for bit
+def reference_fires(scheduler, t: int, drifted: np.ndarray, target: np.ndarray) -> bool:
+    if isinstance(scheduler, BuyAndHold):
+        return False
+    if isinstance(scheduler, Periodic):
+        return t >= 1 and t % scheduler.every == 0
+    if isinstance(scheduler, Threshold):
+        return float(np.max(np.abs(drifted - target))) > scheduler.fraction
+    return bool(scheduler.bits[t])
+
+
+def reference_run(test, strat: Strategy, cost_c: float) -> BacktestReport:
+    _check_cost(cost_c)
+    target = _weight_array(strat.weights, test.tickers)
+    if isinstance(strat.scheduler, Explicit) and strat.scheduler.bits.size != test.n_days:
+        raise ValueError(
+            f"explicit schedule of {strat.scheduler.bits.size} bits for "
+            f"{test.n_days} test days"
+        )
+
+    value = 1.0
+    w = target.copy()
+    curve = np.empty(test.n_days + 1)
+    curve[0] = 1.0
+    total_cost = 0.0
+    rebalance_days: list[int] = []
+
+    for t, day in enumerate(test.gross_returns):
+        port = float(w @ day)
+        value *= port
+        drifted = w * day / port
+        if reference_fires(strat.scheduler, t, drifted, target):
+            cost = cost_c * float(np.abs(drifted - target).sum())
+            if not cost < 1.0:
+                raise ValueError("rebalancing cost cannot wipe out the portfolio")
+            value *= 1.0 - cost
+            total_cost += cost
+            rebalance_days.append(t)
+            w = target.copy()
+        else:
+            w = drifted
+        curve[t + 1] = value
+
+    return BacktestReport(strat.describe(), curve, 1e4 * total_cost, tuple(rebalance_days))
+
+
+def assert_same_bits(report: BacktestReport, reference: BacktestReport) -> None:
+    assert report.label == reference.label
+    assert np.array_equal(report.equity_curve.view(np.uint64),
+                          reference.equity_curve.view(np.uint64))
+    assert np.float64(report.total_cost_bp).view(np.uint64) == \
+        np.float64(reference.total_cost_bp).view(np.uint64)
+    assert report.rebalance_days == reference.rebalance_days
+
+
+@st.composite
+def backtest_cases(draw):
+    """A panel of 1-40 days and 1-12 assets (some days flat), a seeded
+    generator for weights and bits, and ``cost_c`` of 0, 0.001 or 0.01."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t, m = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    gross = np.exp(rng.normal(0.0, draw(st.sampled_from([0.005, 0.02, 0.05])), size=(t, m)))
+    gross[rng.random(t) < 0.1] = 1.001  # every asset alike: no drift that day
+    return gross_panel(gross), rng, draw(st.sampled_from([0.0, 0.001, 0.01]))
+
+
+def any_scheduler(draw, rng, days):
+    return draw(st.sampled_from([
+        BuyAndHold(), Periodic(draw(st.integers(1, 8))),
+        Threshold(draw(st.sampled_from([1e-9, 0.001, 0.01, 0.05, 0.3]))),
+        Explicit((rng.random(days) < draw(st.sampled_from([0.0, 0.2, 1.0]))).astype(np.uint8)),
+    ]))
+
+
+class TestOnePass:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(case=backtest_cases(), data=st.data())
+    def test_run_equals_the_reference_bit_for_bit(self, case, data):
+        panel, rng, cost_c = case
+        weights = WeightVector(panel.tickers, rng.dirichlet(np.ones(panel.n_assets)), "GA")
+        strat = Strategy(weights, any_scheduler(data.draw, rng, panel.n_days))
+        assert_same_bits(run(panel, strat, cost_c), reference_run(panel, strat, cost_c))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(case=backtest_cases(), data=st.data())
+    def test_every_grid_row_equals_run_alone_and_the_reference(self, case, data):
+        panel, rng, cost_c = case
+        weights = {m: WeightVector(panel.tickers, rng.dirichlet(np.ones(panel.n_assets)), m)
+                   for m in METHODS}
+        schedules = {m: (rng.random(panel.n_days) < 0.3).astype(np.uint8) for m in METHODS}
+        periodic = tuple(data.draw(st.lists(st.integers(1, 10), max_size=4, unique=True)))
+        threshold = data.draw(st.sampled_from([0.001, 0.01, 0.05]))
+        strategies = [
+            *(Strategy(weights[m], BuyAndHold()) for m in METHODS),
+            *(Strategy(weights["GA"], Periodic(every)) for every in periodic),
+            Strategy(weights["GA"], Threshold(threshold)),
+            *(Strategy(weights[m], Explicit(schedules[m])) for m in METHODS),
+        ]
+        rows = run_grid(panel, weights, schedules, cost_c, periodic=periodic, threshold=threshold)
+        assert len(rows) == len(strategies)
+        for row, strat in zip(rows, strategies):
+            assert_same_bits(row, run(panel, strat, cost_c))
+            assert_same_bits(row, reference_run(panel, strat, cost_c))
 
 
 class TestMetrics:

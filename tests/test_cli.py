@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import gc
+import hashlib
 import json
 import re
 import shutil
@@ -37,7 +38,7 @@ from golden_pipeline import golden_config_text, golden_panel
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
-MANIFEST_KEYS = {"version", "config", "config_sha256", "optimiser", "curve_returns"}
+MANIFEST_KEYS = {"version", "config", "config_sha256", "inputs", "optimiser", "curve_returns"}
 
 
 def test_float_cells_render_full_precision_and_blank_for_undefined():
@@ -206,6 +207,18 @@ class TestConfigParsing:
         )
         assert run_cli("select", "--config", cfg) == 1
         assert "/nonexistent/prices.csv" in capsys.readouterr().err
+
+    def test_prices_path_that_is_a_directory_exits_1_before_select(self, workspace, tmp_path,
+                                                                   capsys):
+        prices = tmp_path / "adir"
+        prices.mkdir()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(workspace["config"].read_text().replace(
+            f"prices_csv = {workspace['csv']}", f"prices_csv = {prices}"))
+        out = tmp_path / "never"
+        assert run_cli("select", "--config", cfg, "--out", out) == 1
+        assert f"error: prices CSV is not a regular file: {prices}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_override_exit_code(self, workspace, tmp_path, capsys):
         out = tmp_path / "never"
@@ -554,6 +567,8 @@ class TestBacktestCommand:
         assert blob["curve_returns"] == "log"
         assert blob["optimiser"] == "grid-INTERP-SPSA"
         assert len(blob["config_sha256"]) == 64
+        prices = Path(workspace["csv"]).read_bytes()
+        assert blob["inputs"] == {"prices_sha256": hashlib.sha256(prices).hexdigest()}
 
     def test_curves_csv_shape(self, backtested):
         workspace = backtested
@@ -1018,11 +1033,21 @@ class TestNoLookahead:
                                    st.lists(_CELLS, min_size=6, max_size=6)),  # 6 tickers
                          min_size=1, max_size=3))
     def test_rows_after_test_end_change_no_artifact(self, workspace, unedited, late):
+        """Every byte stays but the manifest's digest of the prices file, which
+        covers the whole file, late rows too."""
         prices, options, artifacts = unedited
         rows = "".join(f"{workspace['test_end'] + timedelta(days=days)},{','.join(cells)}\n"
                        for days, cells in late)
         with tempfile.TemporaryDirectory() as tmp:
-            assert _run_stages(tmp, prices + rows, options, *_STAGES) == artifacts
+            written = _run_stages(tmp, prices + rows, options, *_STAGES)
+            digest = hashlib.sha256((Path(tmp) / "prices.csv").read_bytes()).hexdigest()
+        manifest = json.loads(written.pop("manifest.json"))
+        unedited_manifest = json.loads(artifacts["manifest.json"])
+        assert manifest.pop("inputs") == {"prices_sha256": digest}
+        del unedited_manifest["inputs"]
+        assert manifest == unedited_manifest
+        assert written == {name: blob for name, blob in artifacts.items()
+                           if name != "manifest.json"}
 
     def test_test_period_gap_in_a_selected_ticker_exits_1_naming_it(self, unedited, tmp_path,
                                                                     capsys):
