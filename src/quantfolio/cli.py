@@ -16,7 +16,6 @@ A process enters through :func:`entry`, which freezes the import-time heap;
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import gc
 import hashlib
@@ -41,8 +40,8 @@ from .backtest import (
 )
 from .clustering import annualised_sharpe, select_representatives, ward_cluster
 from .market_data import (
-    ReturnPanel, SplitSpec, _frozen_bits, _positions, _write_labelled_csv, load_csv, split,
-    to_returns,
+    ReturnPanel, SplitSpec, _frozen_bits, _positions, _write_labelled_csv, _write_rows, load_csv,
+    split, to_returns,
 )
 from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, WindowDiagnostics, walk_forward
 from .schedule_qubo import QuboParams, QuboProblem, _check_width, bits_to_str
@@ -139,12 +138,16 @@ _REQUIRED = tuple(f.name for f in dataclasses.fields(RunConfig) if f.default is 
 
 
 def parse_config(path) -> RunConfig:
-    """Parse a ``key = value`` config file into a validated RunConfig; a key
-    may be given once."""
+    """Parse a ``key = value`` UTF-8 config file into a validated RunConfig;
+    a key may be given once."""
     values: dict = {}
     first_line: dict = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -189,22 +192,15 @@ def _config_sha256(cfg: RunConfig) -> str:
 
 
 def _file_sha256(path) -> str:
-    """The sha256 of a file's bytes, read 1 MiB at a time."""
-    digest = hashlib.sha256()
+    """The sha256 of a file's bytes."""
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj, indent=2, sort_keys=True))
         fh.write("\n")
-
-
-def _fmt(value) -> str:
-    return "" if value is None else repr(float(value))
 
 
 def _load_panels(cfg: RunConfig, last: date, tickers=None):
@@ -245,6 +241,12 @@ _float = _kind(lambda v: isinstance(v, float) and math.isfinite(v), "a finite fl
 _list = _kind(lambda v: isinstance(v, list), "a JSON list")
 _object = _kind(lambda v: isinstance(v, dict), "a JSON object")
 _strings, _floats = _list_of(_string), _list_of(_float)
+_distinct = _kind(lambda v: len(v) > 0 and len(set(v)) == len(v),
+                  "a non-empty list of distinct strings")
+
+
+def _tickers(value):
+    return _distinct(_strings(value))
 
 
 def _method(method: str):
@@ -254,10 +256,10 @@ def _method(method: str):
 # each JSON file a stage reads: the stage that writes it, and every key's kind
 _ARTIFACTS = {
     "selection.json": ("select", {
-        "tickers": _strings, "per_cluster_sharpe": _floats, "labels": _object,
+        "tickers": _tickers, "per_cluster_sharpe": _floats, "labels": _object,
         "shrinkage_alpha": _float, "shrinkage_mu_target": _float, "dropped_tickers": _strings}),
     **{f"weights_{m.lower()}.json": ("weights", {
-        "method": _method(m), "tickers": _strings, "weights": _floats, "train_sharpe": _float})
+        "method": _method(m), "tickers": _tickers, "weights": _floats, "train_sharpe": _float})
        for m in METHODS},
     **{f"schedule_{m.lower()}.json": ("schedule", {
         "method": _method(m), "schedule": lambda v: _frozen_bits(_list_of(_int)(v)),
@@ -432,23 +434,16 @@ def cmd_schedule(cfg: RunConfig) -> dict:
     for method, result in zip(METHODS, results):
         sched_path = os.path.join(cfg.out_dir, f"schedule_{method.lower()}.json")
         _write_json(sched_path, _schedule_record(method, result))
-        hist_path = os.path.join(cfg.out_dir, f"histogram_{method.lower()}.csv")
-        _write_histogram_csv(hist_path, result)
+        # the full per-window measurement histogram, count desc (ties by bitstring
+        # value asc): a window's first N rows are its ``histogram_top(N)``, which
+        # the schedule JSON therefore does not repeat
+        _write_rows(os.path.join(cfg.out_dir, f"histogram_{method.lower()}.csv"),
+                    ["window", "bitstring", "count"],
+                    ([k, *row] for k, win in enumerate(result.windows)
+                     for row in win.outcome.histogram_top(win.outcome.histogram.size)))
         paths[method] = sched_path
         log.info("%s: %d rebalances scheduled", method, result.total_rebalances)
     return paths
-
-
-def _write_histogram_csv(path, result: ScheduleResult) -> None:
-    """Full per-window measurement histogram, count desc (ties by bitstring
-    value asc): a window's first N rows are its ``histogram_top(N)``, which
-    the schedule JSON therefore does not repeat."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window", "bitstring", "count"])
-        for k, win in enumerate(result.windows):
-            for bitstring, count in win.outcome.histogram_top(win.outcome.histogram.size):
-                writer.writerow([k, bitstring, count])
 
 
 def cmd_backtest(cfg: RunConfig) -> dict:
@@ -465,24 +460,17 @@ def cmd_backtest(cfg: RunConfig) -> dict:
     )
 
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
-    with open(metrics_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "return_pct", "sharpe", "sortino", "mdd_pct", "calmar",
-                         "rebalances", "cost_bp"])
-        for rep in reports:
-            m = rep.metrics
-            writer.writerow([rep.label, _fmt(100.0 * m.total_return), _fmt(m.sharpe),
-                             _fmt(m.sortino), _fmt(100.0 * m.mdd), _fmt(m.calmar),
-                             rep.rebalance_count, _fmt(rep.total_cost_bp)])
+    _write_rows(metrics_path, ["strategy", "return_pct", "sharpe", "sortino", "mdd_pct", "calmar",
+                               "rebalances", "cost_bp"],
+                ([rep.label, 100.0 * rep.metrics.total_return, rep.metrics.sharpe,
+                  rep.metrics.sortino, 100.0 * rep.metrics.mdd, rep.metrics.calmar,
+                  rep.rebalance_count, rep.total_cost_bp] for rep in reports))
 
     curves_path = os.path.join(cfg.out_dir, "curves.csv")
-    with open(curves_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "day", "date", "value"])
-        dates = ["start"] + [d.isoformat() for d in test.dates]
-        for rep in reports:
-            for day, (d, v) in enumerate(zip(dates, rep.equity_curve)):
-                writer.writerow([rep.label, day, d, repr(float(v))])
+    dates = ["start"] + [d.isoformat() for d in test.dates]
+    _write_rows(curves_path, ["strategy", "day", "date", "value"],
+                ([rep.label, day, d, v] for rep in reports
+                 for day, (d, v) in enumerate(zip(dates, rep.equity_curve.tolist()))))
 
     manifest_path = os.path.join(cfg.out_dir, "manifest.json")
     _write_json(manifest_path, {
@@ -524,6 +512,8 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
+        if os.path.lexists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
+            raise ValueError(f"out_dir is not a directory: {cfg.out_dir}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

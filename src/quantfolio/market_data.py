@@ -16,9 +16,12 @@ integer array holds whole numbers, and a bit vector (``BitSchedule``,
 place that marks an array read-only. ``_square`` admits every square matrix
 as its exact symmetric part, so no stage symmetrises one again.
 
-Price files are UTF-8 on both sides, whatever the locale: ``load_csv`` reads
-them, and labelled matrices (the price CSV, ``select``'s ``correlation.csv``)
-have one writer, ``_write_labelled_csv``.
+This module owns the CSV format, and every CSV file is UTF-8 whatever the
+locale: ``load_csv`` reads price files, labelled matrices (the price CSV,
+``select``'s ``correlation.csv``) have one writer, ``_write_labelled_csv``,
+and every other table (``metrics.csv``, ``curves.csv``, the measurement
+histograms) has one writer, ``_write_rows``. No other module imports
+``csv``.
 """
 from __future__ import annotations
 
@@ -256,10 +259,11 @@ def _csv_row(line: bytes, lines) -> tuple[list[str], int]:
 
 
 def load_csv(path, tickers=None, last=None) -> PricePanel:
-    """Read a wide price CSV: first column ``date`` (ISO-8601), one column per
-    ticker, numeric cells or blank. The file is UTF-8 and its lines end in
-    ``\\n`` or ``\\r\\n``; a carriage return anywhere else is an error that
-    names the file and line. Lines whose cells are all blank are skipped.
+    """Read a wide price CSV: first column ``date`` (ISO-8601, strictly
+    increasing down the file), one column per ticker, numeric cells or
+    blank. The file is UTF-8 and its lines end in ``\\n`` or ``\\r\\n``; a
+    carriage return anywhere else is an error that names the file and line.
+    Lines whose cells are all blank are skipped.
 
     Tickers with any blank, unparseable, or non-positive cell are dropped and
     reported (warning log plus the panel's ``dropped`` field).
@@ -269,16 +273,18 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
     twice.
 
     ``last``, if given, is the last date kept. Later rows decide nothing: not
-    the prices, and not which tickers are complete.
+    the prices, and not which tickers are complete. They are still checked,
+    so a file that one stage reads is a file that every stage reads.
 
     The file is streamed as bytes in one pass, one line at a time, through a
     buffer that holds several 500-ticker rows. Every row's cells are counted
     (its commas) and its date (the bytes before the first comma) is checked,
-    then a row after ``last`` is passed over. When ``tickers`` is None, a
-    kept row is split once at every comma. Otherwise one numpy scan of each
-    row, with a comma appended, finds where each cell ends: that gives the
-    row's cell count and the byte bounds of each wanted cell, and a kept row
-    is cut at those bounds alone. ``float`` reads the cells as bytes. The
+    and must follow the previous row's, then a row after ``last`` is passed
+    over. When ``tickers`` is None, a kept row is split once at every comma.
+    Otherwise one numpy scan of each row, with a comma appended, finds where
+    each cell ends: that gives the row's cell count and the byte bounds of
+    each wanted cell, and a kept row is cut at those bounds alone. ``float``
+    reads the cells as bytes. The
     header, and any row holding a ``"`` or a non-ASCII byte, is decoded and
     read by ``csv.reader`` for that row alone, so quoted cells parse as in
     any CSV. Errors name the physical line.
@@ -314,6 +320,7 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
 
         dates: list[date] = []
         values = array("d")
+        prev = None  # the previous data row's date, kept or not
         for lineno, line in lines:
             if b'"' in line or not line.isascii():
                 row, spanned = _csv_row(line, lines)
@@ -339,6 +346,10 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
                 day = date.fromisoformat(head.strip())
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno} has a bad date: {exc}") from None
+            if prev is not None and day <= prev:
+                raise ValueError(f"{path}: line {lineno} has date {day}, not after the previous "
+                                 f"row's {prev}: dates must be strictly increasing")
+            prev = day
             if last is not None and day > last:
                 continue
             dates.append(day)
@@ -425,6 +436,16 @@ def _write_labelled_csv(path, corner: str, columns, labels, matrix) -> None:
         csv.writer(fh).writerow([corner, *columns])
         for label, cells in zip(labels, rows):
             fh.write(f"{_csv_cell(label)},{cells}\r\n")
+
+
+def _write_rows(path, header, rows) -> None:
+    """Write, in UTF-8, ``header`` and then each of ``rows`` through
+    ``csv.writer``: the one writer of every table but a labelled matrix. A
+    ``None`` cell is written empty and a float as its ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_csv(panel: PricePanel, path) -> None:

@@ -26,9 +26,9 @@ from quantfolio import (
 from quantfolio.allocation import METHODS
 from quantfolio.backtest import drawdown
 from quantfolio.cli import (
-    RunConfig, _child_seed, _fmt, _load_panels, main, parse_config,
+    RunConfig, _child_seed, _load_panels, main, parse_config,
 )
-from quantfolio.market_data import _write_labelled_csv
+from quantfolio.market_data import _write_labelled_csv, _write_rows
 from quantfolio.schedule_qubo import candidate_dates, enumerate_energies
 from quantfolio.shrinkage import _shrunk
 
@@ -41,11 +41,9 @@ README = ROOT / "README.md"
 MANIFEST_KEYS = {"version", "config", "config_sha256", "inputs", "optimiser", "curve_returns"}
 
 
-def test_float_cells_render_full_precision_and_blank_for_undefined():
-    assert _fmt(None) == ""
-    assert _fmt(0.1) == "0.1"
-    assert _fmt(1 / 3) == repr(1 / 3)
-    assert _fmt(np.float64(2.5)) == "2.5"
+def test_float_cells_render_full_precision_and_blank_for_undefined(tmp_path):
+    _write_rows(tmp_path / "rows.csv", ["a", "b", "c", "d"], [[None, 0.1, 1 / 3, np.float64(2.5)]])
+    assert (tmp_path / "rows.csv").read_bytes() == f"a,b,c,d\r\n,0.1,{1 / 3!r},2.5\r\n".encode()
 
 
 def write_matrix_and_reference(tmp_path, tickers, matrix):
@@ -219,6 +217,28 @@ class TestConfigParsing:
         assert run_cli("select", "--config", cfg, "--out", out) == 1
         assert f"error: prices CSV is not a regular file: {prices}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_that_is_not_utf8_exits_1_naming_it(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# données\n".encode("latin-1") + workspace["config"].read_bytes())
+        out = tmp_path / "never"
+        assert run_cli("select", "--config", cfg, "--out", out) == 1
+        assert (f"error: {cfg}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["select", "weights", "schedule", "backtest"])
+    def test_out_dir_that_is_a_file_exits_1_before_the_stage(self, workspace, tmp_path, capsys,
+                                                             command):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(workspace["config"].read_text().replace(
+            f"out_dir = {workspace['out']}", f"out_dir = {taken}"))
+        for argv in (["--config", cfg], ["--config", workspace["config"], "--out", taken]):
+            assert run_cli(command, *argv) == 1
+            assert f"error: out_dir is not a directory: {taken}\n" == capsys.readouterr().err
+        assert taken.read_text() == "a file\n"
 
     def test_negative_seed_override_exit_code(self, workspace, tmp_path, capsys):
         out = tmp_path / "never"
@@ -631,8 +651,17 @@ class TestBacktestCommand:
                      "{} is not a finite float", id="selection.json-shrinkage_mu_target-object"),
         pytest.param("selection.json", "note", "hand-edited", "weights", "unknown key",
                      id="selection.json-unknown"),
+        pytest.param("selection.json", "tickers", lambda t: [t[0], *t], "weights",
+                     "is not a non-empty list of distinct strings",
+                     id="selection.json-tickers-repeated"),
+        pytest.param("selection.json", "tickers", [], "weights",
+                     "[] is not a non-empty list of distinct strings",
+                     id="selection.json-tickers-empty"),
         pytest.param("weights_ga.json", "tickers", 5, "backtest", "5 is not a JSON list",
                      id="weights_ga.json-tickers-int"),
+        pytest.param("weights_ga.json", "tickers", lambda t: [t[0], t[0], *t[2:]], "backtest",
+                     "is not a non-empty list of distinct strings",
+                     id="weights_ga.json-tickers-repeated"),
         pytest.param("weights_minvar.json", "tickers", [1, 2], "schedule", "1 is not a string",
                      id="weights_minvar.json-tickers-ints"),
         pytest.param("weights_ga.json", "weights", lambda w: [[x] for x in w], "backtest",
@@ -1029,15 +1058,15 @@ class TestNoLookahead:
         assert after == before
 
     @settings(derandomize=True, max_examples=8, deadline=None)
-    @given(late=st.lists(st.tuples(st.integers(1, 60),  # days after test_end, any order
+    @given(late=st.lists(st.tuples(st.integers(1, 60),  # distinct days after test_end
                                    st.lists(_CELLS, min_size=6, max_size=6)),  # 6 tickers
-                         min_size=1, max_size=3))
+                         min_size=1, max_size=3, unique_by=lambda row: row[0]))
     def test_rows_after_test_end_change_no_artifact(self, workspace, unedited, late):
         """Every byte stays but the manifest's digest of the prices file, which
         covers the whole file, late rows too."""
         prices, options, artifacts = unedited
         rows = "".join(f"{workspace['test_end'] + timedelta(days=days)},{','.join(cells)}\n"
-                       for days, cells in late)
+                       for days, cells in sorted(late))  # dates must increase
         with tempfile.TemporaryDirectory() as tmp:
             written = _run_stages(tmp, prices + rows, options, *_STAGES)
             digest = hashlib.sha256((Path(tmp) / "prices.csv").read_bytes()).hexdigest()

@@ -8,6 +8,7 @@ Prices multiplied by a power of two leave every gross return, and so every
 golden artifact but the manifest, byte-identical. The manifest records the
 digest of the prices file it read, so it differs under the scaling and is left
 out of that check."""
+import contextlib
 import json
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 
 import golden_pipeline
 from golden_pipeline import (
-    DEEP_WINDOW, DEEP_WINDOW_ARTIFACTS, artifact_digests, artifacts_diff, environment,
+    DEEP_WINDOW, DEEP_WINDOW_ARTIFACTS, STAGES, artifact_digests, artifacts_diff, environment,
     environment_note, golden_panel, in_process, metrics_diff, run_pipeline,
 )
 from quantfolio import PricePanel
@@ -103,6 +104,24 @@ def test_every_deep_window_artifact_matches_its_pin(tmp_path):
     differ = artifacts_diff(out, DEEP_WINDOW_ARTIFACTS)
     assert not differ, "\n".join(["deep_window artifacts differ from their pins:", *differ,
                                    environment_note()])
+
+
+def test_prices_out_of_order_stop_every_stage_naming_the_line(tmp_path, capsys):
+    """Lines 252 and 253 of the golden prices swapped: the row of ``train_end``
+    (2015-12-17) now follows the day after it, which ``select`` and
+    ``weights`` do not keep. Every stage exits 1 naming line 253."""
+    run_pipeline(tmp_path)
+    prices = tmp_path / "prices.csv"
+    lines = prices.read_bytes().splitlines(keepends=True)
+    lines[251], lines[252] = lines[252], lines[251]
+    prices.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    for command in STAGES:
+        with contextlib.chdir(tmp_path):
+            assert in_process([command, "--config", "golden.cfg"]) == 1
+        assert capsys.readouterr().err == (
+            f"error [{command}]: prices.csv: line 253 has date 2015-12-17, not after the "
+            "previous row's 2015-12-18: dates must be strictly increasing\n")
 
 
 @pytest.mark.parametrize("k", [-3, 1, 5])

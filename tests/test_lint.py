@@ -25,6 +25,8 @@ truncates). The artifact format has one owner too: only ``cli._write_json``
 calls ``json.dump`` or ``json.dumps`` (every JSON artifact is written
 there), and only ``cli._read_artifact`` calls ``json.load`` or
 ``json.loads`` (every artifact read is checked against its schema there).
+The CSV format has one owner too: only ``market_data`` imports ``csv``, at
+module level (every CSV file is read or written there).
 Every ``open(`` is binary or passes ``encoding="utf-8"``, so no file
 depends on the locale."""
 import ast
@@ -156,6 +158,17 @@ def calls_of(module: str, *names: str):
     return hit
 
 
+def imports(module: str):
+    """Accepts ``import module`` (alone, among others or renamed) and
+    ``from module import ...``."""
+    def hit(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Import) and any(a.name.split(".")[0] == module
+                                                     for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == module)
+    return hit
+
+
 def opens_locale_text(node: ast.AST) -> bool:
     """Accepts a call ``open(...)`` or ``<x>.open(...)`` whose mode is not a
     binary literal and that passes no ``encoding="utf-8"``."""
@@ -270,6 +283,7 @@ OWNERS = {
     "integer_cast": (casts_to_integers, ("market_data.py", "_frozen_integers")),
     "artifact_read": (calls_of("json", "load", "loads"), ("cli.py", "_read_artifact")),
     "artifact_write": (calls_of("json", "dump", "dumps"), ("cli.py", "_write_json")),
+    "csv_format": (imports("csv"), ("market_data.py", "<module>")),
 }
 
 
@@ -332,7 +346,11 @@ def test_checks_catch_dead_code():
         "integer_cast": [("counts", 46), ("counts", 46)],
         "artifact_read": [("parse", 49), ("parse", 49)],
         "artifact_write": [("write", 25), ("write", 26)],
+        "csv_format": [],
     }
+    assert owned(ast.parse("import csv as c\nfrom csv import writer\nimport io, csv\n"
+                           "from . import csv\n\ndef f():\n    import csv.x\n"),
+                 imports("csv")) == [("<module>", 1), ("<module>", 2), ("<module>", 3), ("f", 7)]
     assert owned(tree, opens_locale_text) == [("read", 33), ("read", 34), ("read", 35)]
     assert public_names(tree) == ["stats", "fits", "Box"]
     assert uncalled(public_names(tree), [tree, ast.parse("stats(1, 2, 3)\nBox().freeze(a)\n")]) == ["fits"]

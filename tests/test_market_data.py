@@ -176,6 +176,23 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="need at least 2 data rows on or before 2024-01-02"):
             load_csv(_write(tmp_path, text), None, date(2024, 1, 2))
 
+    @pytest.mark.parametrize("late", ["2024-01-03", "2024-01-04"], ids=["earlier", "repeated"])
+    def test_dates_must_increase_on_every_row(self, tmp_path, late):
+        path = _write(tmp_path, (
+            "date,AAA,BBB\n"
+            "2024-01-02,100.0,50.0\n"
+            "\n"
+            "2024-01-04,101.0,49.5\n"
+            f"{late},102.0,49.0\n"
+        ))
+        message = (rf"prices\.csv: line 5 has date {late}, not after the previous row's "
+                   r"2024-01-04: dates must be strictly increasing")
+        # with ``last``, the row out of order follows one that is not kept
+        for tickers in (None, ["BBB"]):
+            for last in (None, date(2024, 1, 3)):
+                with pytest.raises(ValueError, match=message):
+                    load_csv(path, tickers, last)
+
     def test_subset_still_checks_every_date(self, tmp_path):
         path = _write(tmp_path, (
             "date,AAA,BBB\n"
@@ -290,7 +307,8 @@ def test_write_csv_bytes_equal_csv_writer_reference(tmp_path):
 def reference_load_csv(path, last=None):
     """The cell-by-cell parser that read every row into memory first: the
     reference for ``load_csv``'s dates, tickers, drops and price bits. Rows
-    after ``last`` have their length and date checked, and nothing more."""
+    after ``last`` have their length, date and date order checked, and
+    nothing more."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if any(c.strip() for c in r)]
     if not rows:
@@ -310,6 +328,9 @@ def reference_load_csv(path, last=None):
                 f"{path}: row {t + 2} has {len(row)} cells, expected {len(header)}"
             )
         day = date.fromisoformat(row[0].strip())
+        if t and day <= previous:
+            raise ValueError(f"{path}: row {t + 2} has a date out of order")
+        previous = day
         if last is None or day <= last:
             dates.append(day)
             kept.append(row[1:])
