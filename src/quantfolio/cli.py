@@ -283,6 +283,8 @@ def _read_artifact(cfg: RunConfig, name: str) -> dict:
     path = os.path.join(cfg.out_dir, name)
     if not os.path.exists(path):
         raise FileNotFoundError(f"{path} not found: run the '{stage}' command first")
+    if not os.path.isfile(path):
+        raise ValueError(f"{path}: malformed artifact: not a regular file")
     with open(path, encoding="utf-8") as fh:
         try:
             blob = json.load(fh, object_pairs_hook=_unique_keys)

@@ -18,7 +18,9 @@ scored by the shot loss, its best point repeated over the p layers (INTERP;
 Zhou et al., PRX 10, 021067, 2020), then SPSA (Spall, IEEE TAC 37, 1992) on
 all restarts at once. ``walk_forward`` runs it over every window of every
 target in lockstep (``_search``), each window bit-identical to solving it
-alone. The result types store only what they cannot derive.
+alone. The result types store only what they cannot derive: ``minimize``
+returns its final iterates alone, and a search's loss point count follows from
+its step counts, ``len(grid) + 2 * sum(steps)`` per problem.
 
 Each ``simulate_ansatz`` call holds at most ``_BATCH_AMPLITUDES`` = 2^14
 amplitudes, because the batch would otherwise set the stage's peak memory
@@ -52,18 +54,7 @@ _JITTER = 0.3  # standard deviation of each restart's offset from the grid start
 _SPSA_GAINS = (0.3, 0.2, 0.602, 0.101)  # a, c, alpha, gamma of ``minimize``
 
 
-@dataclass(frozen=True, eq=False)
-class SpsaResult:
-    """What ``minimize`` returns: the final iterates and the evaluation count."""
-
-    x: np.ndarray  # (R, n) final iterates
-    nfev: int  # loss evaluations (points), all restarts together
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _frozen_array(self.x))
-
-
-def minimize(fun, x0, rngs, steps) -> SpsaResult:
+def minimize(fun, x0, rngs, steps) -> np.ndarray:
     """SPSA (Spall 1992) from each row of ``x0`` at once.
 
     Row r takes ``steps[r]`` steps with gains ``a_k = a / (k + 1 + A_r)^alpha``,
@@ -74,13 +65,14 @@ def minimize(fun, x0, rngs, steps) -> SpsaResult:
     i. So when ``fun`` draws each point's shots from its row's generator,
     every generator sees the same draws, in the same order, whatever the
     other rows do. ``a``, ``c``, ``alpha``, ``gamma`` are ``_SPSA_GAINS``.
+    Returns the final iterates, one read-only row per row of ``x0``. ``fun``
+    receives ``2 * sum(steps)`` points in all.
     """
     a, c, alpha, gamma = _SPSA_GAINS
     x = np.array(x0, dtype=float)
     steps = np.asarray(steps)
     if x.ndim != 2 or steps.shape != (x.shape[0],) or len(rngs) != x.shape[0]:
         raise ValueError("need one step count and one generator per row of x0")
-    nfev = 0
     for k in range(int(steps.max(initial=0))):
         rows = np.flatnonzero(steps > k)
         delta = np.array([2.0 * rngs[r].integers(0, 2, size=x.shape[1]) - 1.0 for r in rows])
@@ -90,8 +82,7 @@ def minimize(fun, x0, rngs, steps) -> SpsaResult:
         slope = (losses[: rows.size] - losses[rows.size :]) / (2.0 * ck)
         ak = a / (k + 1 + 0.1 * steps[rows]) ** alpha
         x[rows] -= (ak * slope)[:, None] * delta
-        nfev += 2 * rows.size
-    return SpsaResult(x, nfev)
+    return _read_only(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,7 +286,8 @@ def optimise_angles(model: IsingModel, q, cfg: QaoaConfig = QaoaConfig()) -> Qao
        and runs SPSA (``minimize``) on the shot loss, all restarts batched.
        The grid's cost is charged to the first restarts' evaluations:
        restart r gets ``clip((r + 1) * max_iters - grid, 0, max_iters)``, two
-       per step, so no restart's result depends on how many follow it.
+       per step, so no restart's result depends on how many follow it. The
+       search scores ``len(grid) + 2 * sum(steps)`` loss points in all.
     4. The winner is the restart with the lowest expected energy over its
        ``eval_shots`` evaluation histogram (tie -> earlier restart).
 
@@ -351,11 +343,11 @@ def _search(tables: np.ndarray, cfg: QaoaConfig, seeds) -> list[QaoaOutcome]:
     rngs = [np.random.default_rng(s) for stream in streams for s in stream[1:]]
     x0 = np.array([starts[i] + rng.normal(0.0, _JITTER, size=2 * p) for i, rng in zip(owner, rngs)])
     steps = np.clip(np.arange(1, cfg.restarts + 1) * cfg.max_iters - len(grid), 0, cfg.max_iters) // 2
-    res = minimize(lambda points, rows: loss(points, owner[rows], [rngs[r] for r in rows]),
-                   x0, rngs, np.tile(steps, n))
+    x = minimize(lambda points, rows: loss(points, owner[rows], [rngs[r] for r in rows]),
+                 x0, rngs, np.tile(steps, n))
 
     histograms = [sample(state, cfg.eval_shots, rng)
-                  for state, rng in zip(_states(tables, owner, res.x), rngs)]
+                  for state, rng in zip(_states(tables, owner, x), rngs)]
     w = tables.shape[1].bit_length() - 1
     outcomes = []
     for i, energies in enumerate(tables):
@@ -365,7 +357,7 @@ def _search(tables: np.ndarray, cfg: QaoaConfig, seeds) -> list[QaoaOutcome]:
         counts = histograms[rows[winner]]
         best_value = int(np.argmax(counts))  # tie -> lower bitstring value
         best_bits = BitSchedule(value_to_bits(best_value, w), float(energies[best_value]))
-        outcomes.append(QaoaOutcome(best_bits, counts, restart_energies, res.x[rows]))
+        outcomes.append(QaoaOutcome(best_bits, counts, restart_energies, x[rows]))
     return outcomes
 
 

@@ -77,8 +77,9 @@ def ledoit_wolf(returns: ReturnPanel) -> ShrunkCovariance:
 
     The sample covariance uses the T-1 denominator; the intensity is computed
     from the biased (1/T) moments of the centred data, as in the original
-    recipe. Constant assets (sample std at most rounding noise against the
-    mean, see ``market_data._flat``) are rejected by name.
+    recipe. Constant assets are rejected by name: the flat test
+    (``market_data._flat``) reads each asset's sample std from the sample
+    covariance's diagonal, so no second pass over the returns computes it.
     """
     x = returns.log_returns
     t, m = x.shape
@@ -86,14 +87,12 @@ def ledoit_wolf(returns: ReturnPanel) -> ShrunkCovariance:
         raise ValueError("need at least 2 return rows")
 
     mean = x.mean(axis=0)
-    sd = np.sqrt(x.var(axis=0, ddof=1))
-    flat = [returns.tickers[i] for i in np.flatnonzero(_flat(sd, mean))]
-    if flat:
-        raise ValueError(f"constant asset(s) with zero variance: {', '.join(flat)}")
-
     xc = x - mean
     gram = xc.T @ xc
     sample = gram / (t - 1)
+    flat = [returns.tickers[i] for i in np.flatnonzero(_flat(np.sqrt(np.diag(sample)), mean))]
+    if flat:
+        raise ValueError(f"constant asset(s) with zero variance: {', '.join(flat)}")
 
     # intensity from biased moments: alpha = min(b2, d2) / d2; dividing in
     # place keeps two M x M products alive, not three (peak RSS of ``select``)

@@ -11,8 +11,11 @@ where the run happened. Byte-identity is promised within one environment only:
 the pipeline runs on numpy alone (the QAOA angle search included), and the
 last digits of its floats, and so the path of the angle search, depend on the
 numpy version and its BLAS. ``golden_env.json`` names the environment the
-golden bytes were made in: the Python and numpy versions and the BLAS name and
-version.
+golden bytes were made in: the Python and numpy versions, the BLAS name and
+version, and the two code paths that choose the arithmetic on a given CPU:
+the kernel of numpy's bundled OpenBLAS (``openblas_core``; ``OPENBLAS_CORETYPE``
+forces another) and numpy's enabled SIMD features (``cpu_features``;
+``NPY_DISABLE_CPU_FEATURES`` turns some off).
 
 When acceptance test 11 fails, its message names the file that differs, each
 metrics row and column that differs with its golden and current value, and
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -42,6 +46,11 @@ import pathlib
 import platform
 
 import numpy as np
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
 
 from quantfolio import synth_panel, write_csv
 from quantfolio.cli import main
@@ -146,15 +155,39 @@ def artifacts_diff(out_dir, pins=None) -> list[str]:
     ]
 
 
+def _openblas_core() -> str | None:
+    """The kernel that numpy's bundled OpenBLAS runs on this CPU (``SkylakeX``,
+    or what ``OPENBLAS_CORETYPE`` forces); None without that library."""
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def environment() -> dict:
-    """The library versions that the golden bytes are tied to."""
+    """The library versions and code paths that the golden bytes are tied to."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
+        "openblas_core": _openblas_core(),
+        "cpu_features": sorted(name for name, on in __cpu_features__.items() if on),
     }
+
+
+def _change(key: str, recorded, current) -> str:
+    """``key old -> new``; for a list, ``key -gone +added``."""
+    if isinstance(recorded, list) and isinstance(current, list):
+        return f"{key} " + " ".join([f"-{v}" for v in recorded if v not in current]
+                                    + [f"+{v}" for v in current if v not in recorded])
+    return f"{key} {recorded} -> {current}"
 
 
 def environment_note() -> str:
@@ -163,7 +196,7 @@ def environment_note() -> str:
         return f"no recorded environment ({GOLDEN_ENV.name} is missing)"
     recorded = json.loads(GOLDEN_ENV.read_text())
     current = environment()
-    changed = [f"{key} {recorded.get(key)} -> {current.get(key)}"
+    changed = [_change(key, recorded.get(key), current.get(key))
                for key in sorted(recorded.keys() | current.keys())
                if recorded.get(key) != current.get(key)]
     if not changed:

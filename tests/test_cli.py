@@ -807,6 +807,23 @@ class TestBacktestCommand:
         assert f"error [schedule]: {path}: malformed artifact: {reason}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("artifact,command", [
+        ("selection.json", "weights"),
+        ("weights_ga.json", "schedule"),
+        ("schedule_ga.json", "backtest"),
+    ])
+    def test_artifact_that_is_a_directory_exits_1_naming_it(self, backtested, tmp_path, capsys,
+                                                            artifact, command):
+        out = tmp_path / "directory"
+        shutil.copytree(backtested["out"], out)
+        path = out / artifact
+        path.unlink()
+        path.mkdir()
+        assert run_cli(command, "--config", backtested["config"], "--out", out) == 1
+        assert (f"error [{command}]: {path}: malformed artifact: not a regular file"
+                in capsys.readouterr().err)
+
+
 @pytest.fixture(scope="module")
 def in_memory(backtested):
     """The config, each method's ``ScheduleResult`` and the backtest reports,

@@ -60,13 +60,23 @@ def test_environment_note_names_each_changed_version(tmp_path, monkeypatch):
     assert "missing" in environment_note()
 
     env = environment()
-    assert set(env) == {"python", "numpy", "blas", "blas_version"}
+    assert set(env) == {"python", "numpy", "blas", "blas_version", "openblas_core",
+                        "cpu_features"}
     env_file.write_text(json.dumps(env))
     assert environment_note().startswith("recorded environment matches")
 
     env_file.write_text(json.dumps({**env, "numpy": "1.26.4"}))
     assert environment_note() == (
         f"recorded environment differs from this one: numpy 1.26.4 -> {env['numpy']}"
+    )
+
+    # a code path that differs: another OpenBLAS kernel, one CPU feature more
+    recorded = {**env, "openblas_core": "Prescott",
+                "cpu_features": [*env["cpu_features"], "SSE9"]}
+    env_file.write_text(json.dumps(recorded))
+    assert environment_note() == (
+        "recorded environment differs from this one: cpu_features -SSE9, "
+        f"openblas_core Prescott -> {env['openblas_core']}"
     )
 
 

@@ -6,7 +6,8 @@ uses ``assert`` (runtime invariants raise, since ``python -O`` strips
 asserts), and each shared rule
 has one owner: only ``market_data._read_only`` assigns
 ``<array>.flags.writeable`` (every value type freezes its arrays through it),
-only ``clustering.annualised_sharpe`` calls ``.std(``, only
+only ``clustering.annualised_sharpe`` calls ``.std(`` or ``.var(`` (so
+``np.std(`` and ``np.var(`` too: one sample deviation), only
 ``backtest.drawdown`` calls ``np.maximum.accumulate``, only
 ``market_data._square`` checks ``np.allclose(m, m.T, ...)`` or averages
 ``(m + m.T) / 2`` (every matrix it admits is exactly symmetric), only
@@ -81,13 +82,14 @@ def writeable_assignments(tree: ast.AST) -> list[tuple[str, int]]:
     return owned(tree, assigns_writeable)
 
 
-def calls_method(name: str, of: str | None = None):
-    """Accepts a call ``<x>.name(...)``, or ``<x>.of.name(...)`` given ``of``."""
+def calls_method(*names: str, of: str | None = None):
+    """Accepts a call ``<x>.name(...)`` of one of ``names``, or
+    ``<x>.of.name(...)`` given ``of``."""
     def hit(node: ast.AST) -> bool:
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             return False
         func = node.func
-        return func.attr == name and (
+        return func.attr in names and (
             of is None or isinstance(func.value, ast.Attribute) and func.value.attr == of
         )
     return hit
@@ -271,7 +273,7 @@ def test_only_read_only_marks_arrays_read_only():
 
 # each formula or check that several modules need, and the one function that owns it
 OWNERS = {
-    "std": (calls_method("std"), ("clustering.py", "annualised_sharpe")),
+    "std": (calls_method("std", "var"), ("clustering.py", "annualised_sharpe")),
     "running_peak": (calls_method("accumulate", of="maximum"), ("backtest.py", "drawdown")),
     "symmetry": (checks_symmetry, ("market_data.py", "_square")),
     "symmetric_part": (averages_with_transpose, ("market_data.py", "_square")),
@@ -329,6 +331,7 @@ def test_checks_catch_dead_code():
         "\ndef counts(h, b):\n"
         "    return _frozen_array(h, int), _frozen_array(b, dtype=np.uint8), _frozen_array(h, float)\n"
         "\ndef parse(fh, text):\n    return json.load(fh), json.loads(text), fh.load(), np.load(fh)\n"
+        "\ndef spread(r):\n    return r.var(ddof=1), np.std(r), np.var(r), r.variance()\n"
         "\n__all__ = ['stats', 'fits', 'Box']\n"
     )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
@@ -336,7 +339,8 @@ def test_checks_catch_dead_code():
     assert assert_lines(tree) == [5]
     assert writeable_assignments(tree) == [("freeze", 10)]
     assert {rule: owned(tree, hit) for rule, (hit, _) in OWNERS.items()} == {
-        "std": [("stats", 13)], "running_peak": [("stats", 14)], "symmetry": [("stats", 15)],
+        "std": [("stats", 13), ("spread", 52), ("spread", 52), ("spread", 52)],
+        "running_peak": [("stats", 14)], "symmetry": [("stats", 15)],
         "symmetric_part": [("stats", 16)],
         "cost_sign": [("charge", 19), ("charge", 19)],
         "width_guard": [("fits", 22), ("fits", 22)],

@@ -436,9 +436,42 @@ class TestAngleSearch:
     def test_spsa_steps_down_a_quadratic(self):
         rngs = [np.random.default_rng(s) for s in (1, 2)]
         x0 = np.array([[1.0, -1.0, 0.5], [2.0, 0.0, -2.0]])
-        res = qaoa.minimize(lambda pts, _: (pts**2).sum(axis=1), x0, rngs, np.array([200, 100]))
-        assert res.nfev == 2 * (200 + 100)
-        assert np.all(np.abs(res.x) < 0.05)
+        points = []
+
+        def fun(pts, _):
+            points.append(len(pts))
+            return (pts**2).sum(axis=1)
+
+        x = qaoa.minimize(fun, x0, rngs, np.array([200, 100]))
+        assert sum(points) == 2 * (200 + 100)
+        assert np.all(np.abs(x) < 0.05)
+        assert not x.flags.writeable
+
+    # (max_iters, grid points, steps of the 3 restarts): a budget of 180 >= 144
+    # takes the 12 x 6 grid; 75 < 144 the 8 x 4 one, and odd shares round down
+    @pytest.mark.parametrize("max_iters, grid, steps", [
+        (60, 72, [0, 24, 30]),
+        (25, 32, [0, 9, 12]),
+    ], ids=["fine-grid", "coarse-grid"])
+    def test_search_samples_grid_plus_two_points_per_step(self, monkeypatch, max_iters, grid,
+                                                          steps):
+        shots = []
+
+        def counting(state, n, seed):
+            shots.append(n)
+            return sample(state, n, seed)
+
+        monkeypatch.setattr(qaoa, "sample", counting)
+        rng = np.random.default_rng(12)
+        tables = np.array([enumerate_energies(random_symmetric(rng, 4)) for _ in range(2)])
+        cfg = QaoaConfig(depth=2, restarts=3, opt_shots=64, eval_shots=128,
+                         max_iters=max_iters, seed=3)
+        qaoa._search(tables, cfg, [1, 2])
+        assert len(qaoa._grid(cfg)) == grid
+        # per problem: every grid point, two points per SPSA step, and one
+        # evaluation histogram per restart
+        assert shots.count(cfg.opt_shots) == 2 * (grid + 2 * sum(steps))
+        assert shots.count(cfg.eval_shots) == 2 * cfg.restarts
 
 
 class TestBatchedSearch:

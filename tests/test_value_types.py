@@ -15,7 +15,7 @@ from quantfolio.backtest import BacktestReport, Explicit
 from quantfolio.clustering import ClusterAssignment
 from quantfolio.market_data import PricePanel, ReturnPanel
 from quantfolio.qaoa import (
-    IsingModel, QaoaOutcome, ScheduleResult, SpsaResult, WindowDiagnostics,
+    IsingModel, QaoaOutcome, ScheduleResult, WindowDiagnostics,
 )
 from quantfolio.schedule_qubo import BitSchedule, QuboProblem
 from quantfolio.shrinkage import ShrunkCovariance
@@ -69,11 +69,6 @@ def ising_model(order="C"):
     return IsingModel(h, j, 0.75), {"h": h, "j": j}
 
 
-def spsa_result(order="C"):
-    x = np.array([[0.1, 0.2], [0.3, 0.4]], order=order)
-    return SpsaResult(x, 8), {"x": x}
-
-
 def qaoa_outcome(order="C"):
     histogram = np.array([0, 3, 1, 0])
     restart_energies = np.array([-0.5, -0.25])
@@ -106,7 +101,7 @@ def backtest_report(order="C"):
 
 VALUE_TYPES = [
     price_panel, return_panel, shrunk_covariance, weight_vector, cluster_assignment,
-    qubo_problem, bit_schedule, ising_model, spsa_result, qaoa_outcome, schedule_result,
+    qubo_problem, bit_schedule, ising_model, qaoa_outcome, schedule_result,
     explicit, backtest_report,
 ]
 
