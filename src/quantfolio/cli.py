@@ -52,7 +52,8 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class RunConfig:
-    """Resolved run parameters; a stage's parameter defaults to the stage's own default."""
+    """Resolved run parameters; a stage's parameter defaults to the stage's own default.
+    Every construction (``dataclasses.replace`` too) checks every value and path rule."""
 
     prices_csv: str
     train_end: date
@@ -94,6 +95,19 @@ class RunConfig:
         self.qubo_params()
         Threshold(self.threshold)
         _periodic_schedulers(self.periodic)
+        try:
+            os.fsencode(self.prices_csv)  # os.path.exists reads "cannot encode" as "missing"
+        except UnicodeEncodeError:
+            raise ValueError(f"prices CSV path {self.prices_csv!r} cannot be encoded in the "
+                             f"file-system encoding {sys.getfilesystemencoding()!r}") from None
+        if not os.path.exists(self.prices_csv):
+            raise FileNotFoundError(f"prices CSV not found: {self.prices_csv}")
+        if not os.path.isfile(self.prices_csv):
+            raise ValueError(f"prices CSV is not a regular file: {self.prices_csv}")
+        if not self.out_dir:
+            raise ValueError("out_dir must not be empty")
+        if os.path.lexists(self.out_dir) and not os.path.isdir(self.out_dir):
+            raise ValueError(f"out_dir is not a directory: {self.out_dir}")
 
     def ga_config(self) -> GaConfig:
         return GaConfig(population=self.ga_population, generations=self.ga_generations,
@@ -137,9 +151,9 @@ _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in dataclasses.fields(RunConfig)
 _REQUIRED = tuple(f.name for f in dataclasses.fields(RunConfig) if f.default is dataclasses.MISSING)
 
 
-def parse_config(path) -> RunConfig:
+def parse_config(path, **overrides) -> RunConfig:
     """Parse a ``key = value`` UTF-8 config file into a validated RunConfig;
-    a key may be given once."""
+    a key may be given once, and ``overrides`` replace the file's values."""
     values: dict = {}
     first_line: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -168,17 +182,7 @@ def parse_config(path) -> RunConfig:
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ValueError(f"{path}: missing required key(s): {', '.join(missing)}")
-    cfg = RunConfig(**values)
-    try:
-        os.fsencode(cfg.prices_csv)  # os.path.exists reads "cannot encode" as "missing"
-    except UnicodeEncodeError:
-        raise ValueError(f"prices CSV path {cfg.prices_csv!r} cannot be encoded in the "
-                         f"file-system encoding {sys.getfilesystemencoding()!r}") from None
-    if not os.path.exists(cfg.prices_csv):
-        raise FileNotFoundError(f"prices CSV not found: {cfg.prices_csv}")
-    if not os.path.isfile(cfg.prices_csv):
-        raise ValueError(f"prices CSV is not a regular file: {cfg.prices_csv}")
-    return cfg
+    return RunConfig(**values | overrides)
 
 
 def _child_seed(master: int, tag: int) -> int:
@@ -325,7 +329,7 @@ def _qubo_record(qubo: QuboProblem) -> dict:
     return {"q": qubo.q.ravel().tolist(),  # row-major
             "raw_max_abs": float(qubo.raw_max_abs), "candidates": qubo.candidates.tolist(),
             "gains": qubo.gains.tolist(),
-            "params": {k: (float(v) if isinstance(v, float) else v) for k, v in qubo.params.items()}}
+            "params": qubo.params}
 
 
 def _schedule_record(method: str, result: ScheduleResult) -> dict:
@@ -351,16 +355,20 @@ def _read_weights(cfg: RunConfig) -> dict[str, WeightVector]:
 
 def _read_schedules(cfg: RunConfig, days: int) -> dict[str, np.ndarray]:
     """Each method's schedule bits, which must be one per test day (``days``),
-    as ``Explicit.due`` checks."""
+    as ``Explicit.due`` checks, and sum to the file's ``total_rebalances``."""
     schedules = {}
     for method in METHODS:
         name = f"schedule_{method.lower()}.json"
-        bits = schedules[method] = _read_artifact(cfg, name)["schedule"]
+        path, blob = os.path.join(cfg.out_dir, name), _read_artifact(cfg, name)
+        bits = schedules[method] = blob["schedule"]
         try:
             Explicit(bits).due(days)
         except ValueError as exc:
-            raise ValueError(f"{os.path.join(cfg.out_dir, name)}: malformed artifact, "
-                             f"schedule: {exc}") from None
+            raise ValueError(f"{path}: malformed artifact, schedule: {exc}") from None
+        if blob["total_rebalances"] != bits.sum():
+            raise ValueError(f"{path}: malformed artifact, total_rebalances: "
+                             f"{blob['total_rebalances']} is not the sum of the schedule's "
+                             f"bits, {bits.sum()}")
     return schedules
 
 
@@ -509,13 +517,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, out_dir=args.out)
-        if os.path.lexists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
-            raise ValueError(f"out_dir is not a directory: {cfg.out_dir}")
+        given = {"seed": args.seed, "out_dir": args.out}
+        cfg = parse_config(args.config, **{k: v for k, v in given.items() if v is not None})
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,7 +41,7 @@ from .allocation import WeightVector
 from .market_data import ReturnPanel, _frozen_array, _frozen_integers, _read_only
 from .schedule_qubo import (
     BitSchedule, QuboParams, QuboProblem, _check_width, _min_window, _qubo_matrix, _table,
-    bits_to_str, brute_force, build_qubo, enumerate_energies, value_to_bits,
+    brute_force, build_qubo, enumerate_energies, value_to_bits,
 )
 
 OPTIMISER = "grid-INTERP-SPSA"
@@ -170,10 +170,9 @@ class QaoaOutcome:
     def histogram_top(self, top: int) -> list[tuple[str, int]]:
         """Most frequent bitstrings, count desc, ties by bitstring value asc."""
         counts = self.histogram
-        order = np.lexsort((np.arange(counts.size), -counts))[:top]
+        order = np.argsort(-counts, kind="stable")[:top]
         w = int(np.log2(counts.size).round())
-        return [(bits_to_str(value_to_bits(int(v), w)), int(counts[v]))
-                for v in order[counts[order] > 0]]
+        return [(np.binary_repr(v, w), int(counts[v])) for v in order[counts[order] > 0]]
 
 
 def to_ising(q) -> IsingModel:

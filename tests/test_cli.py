@@ -240,6 +240,27 @@ class TestConfigParsing:
             assert f"error: out_dir is not a directory: {taken}\n" == capsys.readouterr().err
         assert taken.read_text() == "a file\n"
 
+    def test_empty_out_dir_exits_1_before_any_stage(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(workspace["config"].read_text().replace(
+            f"out_dir = {workspace['out']}", "out_dir ="))
+        for argv in (["--config", cfg], ["--config", workspace["config"], "--out", ""]):
+            assert run_cli("select", *argv) == 1
+            assert capsys.readouterr().err == "error: out_dir must not be empty\n"
+
+    def test_replace_checks_the_path_rules_again(self, workspace, tmp_path):
+        cfg = parse_config(workspace["config"])
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        with pytest.raises(FileNotFoundError, match="prices CSV not found"):
+            dataclasses.replace(cfg, prices_csv=str(tmp_path / "missing.csv"))
+        with pytest.raises(ValueError, match="prices CSV is not a regular file"):
+            dataclasses.replace(cfg, prices_csv=str(tmp_path))
+        with pytest.raises(ValueError, match="out_dir is not a directory"):
+            dataclasses.replace(cfg, out_dir=str(taken))
+        with pytest.raises(ValueError, match="out_dir must not be empty"):
+            dataclasses.replace(cfg, out_dir="")
+
     def test_negative_seed_override_exit_code(self, workspace, tmp_path, capsys):
         out = tmp_path / "never"
         assert run_cli("select", "--config", workspace["config"], "--seed", -1, "--out", out) == 1
@@ -692,6 +713,9 @@ class TestBacktestCommand:
                      id="schedule_minvar.json-method"),
         pytest.param("schedule_ga.json", "total_rebalances", True, "backtest",
                      "True is not an integer", id="schedule_ga.json-total_rebalances-bool"),
+        pytest.param("schedule_ga.json", "total_rebalances", lambda n: n + 92, "backtest",
+                     "is not the sum of the schedule's bits",
+                     id="schedule_ga.json-total_rebalances-sum"),
         pytest.param("schedule_ga.json", "optimiser", 5, "backtest", "5 is not a string",
                      id="schedule_ga.json-optimiser-int"),
         pytest.param("schedule_ga.json", "windows", 5, "backtest", "5 is not a JSON list",

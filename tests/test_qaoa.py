@@ -25,7 +25,9 @@ from quantfolio import qaoa
 from quantfolio.allocation import METHODS
 from quantfolio.cli import _schedule_record
 from quantfolio.qaoa import IsingModel, QaoaOutcome, ScheduleResult, WindowDiagnostics
-from quantfolio.schedule_qubo import BitSchedule, QuboProblem, _table, enumerate_energies
+from quantfolio.schedule_qubo import (
+    BitSchedule, QuboProblem, _table, bits_to_str, enumerate_energies, value_to_bits,
+)
 
 
 def random_symmetric(rng, w, scale=1.0):
@@ -356,6 +358,28 @@ class TestOptimiseAngles:
         q = random_symmetric(rng, 4)
         out = optimise_angles(to_ising(q), q, FAST)
         assert out.histogram[int("".join(map(str, out.best_bits.bits)), 2)] == out.histogram.max()
+
+    def test_histogram_top_equals_the_lexsort_form(self):
+        """``histogram_top`` equals its ``np.lexsort``/``bits_to_str`` form on
+        histograms with ties and zeros, W = 1..14, ``top`` from 1 to 2^W."""
+
+        def lexsort_top(counts, top):
+            order = np.lexsort((np.arange(counts.size), -counts))[:top]
+            w = int(np.log2(counts.size).round())
+            return [(bits_to_str(value_to_bits(int(v), w)), int(counts[v]))
+                    for v in order[counts[order] > 0]]
+
+        rng = np.random.default_rng(170)
+        for w in range(1, 15):
+            size = 2 ** w
+            tops = range(1, size + 1) if w <= 6 else {1, 2, size // 2, size - 1, size,
+                                                       *rng.integers(1, size + 1, 4).tolist()}
+            for counts in (rng.integers(0, 4, size), np.bincount(rng.integers(0, size, 64),
+                                                                  minlength=size)):
+                outcome = QaoaOutcome(BitSchedule(np.zeros(w), 0.0), counts,
+                                      np.zeros(1), np.zeros((1, 2)))
+                for top in tops:
+                    assert outcome.histogram_top(top) == lexsort_top(outcome.histogram, top)
 
     def test_returned_energy_bounded_by_worst_sample(self):
         rng = np.random.default_rng(6)
