@@ -54,7 +54,7 @@ mv = minvar(cov.restrict(picks))
 eq = equal_weights(picks)
 weights = {w.method: w for w in (ga, mv, eq, ensemble(ga, mv, eq))}
 print("train Sharpe by method: "
-      + ", ".join(f"{m}={train_sharpe(w, train):.3f}" for m, w in weights.items()))
+      + ", ".join(f"{m}={train_sharpe(w, train_sel):.3f}" for m, w in weights.items()))
 
 # --- stage 3: walk-forward QAOA schedules per weight method -------------------
 qcfg = QaoaConfig(depth=2, restarts=3, opt_shots=1024, eval_shots=2048, max_iters=80)

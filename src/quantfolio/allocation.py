@@ -111,9 +111,10 @@ def fitness(weights, train: ReturnPanel, lambda_ent: float = GaConfig.lambda_ent
 
 
 def train_sharpe(wv: WeightVector, train: ReturnPanel) -> float:
-    """Annualised Sharpe of ``wv``'s daily log returns on the train panel."""
-    gross = train.restrict(wv.tickers).gross_returns
-    return annualised_sharpe(portfolio_log_returns(wv.weights, gross))
+    """Annualised Sharpe of ``wv``'s daily log returns on the train panel,
+    whose tickers ``wv`` must hold in the panel's order (``_weight_array``)."""
+    w = _weight_array(wv, train.tickers)
+    return annualised_sharpe(portfolio_log_returns(w, train.gross_returns))
 
 
 def ga_optimise(
@@ -122,10 +123,11 @@ def ga_optimise(
     """Evolve simplex weights maximising the entropy-regularised Sharpe.
 
     Genes live in [gene_low, gene_high] and are normalised by their sum before
-    evaluation. Tournament selection (size 3), uniform crossover, per-gene
-    mutation, elitism of 1. The equal-weight individual is seeded into the
-    initial population, so the result never scores below equal weights. The
-    best-ever individual is returned, normalised.
+    evaluation. Generation 0 is uniform with the equal-weight individual
+    seeded in, so the result never scores below equal weights; each later one
+    is bred from the last by tournament selection (size 3), uniform crossover,
+    per-gene mutation and elitism of 1. Each generation is scored once, and
+    the best-ever individual is returned, normalised.
 
     With ``return_history=True`` also returns the best-so-far fitness after
     each generation (length ``generations + 1``, non-decreasing).
@@ -142,30 +144,24 @@ def ga_optimise(
 
     # one (population, days) buffer takes every generation's daily log returns
     port = np.empty((pop, train.n_days))
-    fit = fitness(genes / genes.sum(axis=1, keepdims=True), train, cfg.lambda_ent, port)
-    best = int(np.argmax(fit))
-    best_fit = float(fit[best])
-    best_genes = genes[best].copy()
-    history = [best_fit]
-
-    for _ in range(cfg.generations):
-        elite = genes[best].copy()
-        k = pop - 1
-        contenders = rng.integers(0, pop, size=(k, 2, _TOURNAMENT))
-        winners = np.take_along_axis(
-            contenders, np.argmax(fit[contenders], axis=2)[..., None], axis=2
-        )[..., 0]
-        pa = genes[winners[:, 0]]
-        pb = genes[winners[:, 1]]
-        cross = rng.random((k, n)) < 0.5
-        children = np.where(cross, pa, pb)
-        mutate = rng.random((k, n)) < cfg.mutation_rate
-        children = np.where(mutate, rng.uniform(lo, hi, size=(k, n)), children)
-
-        genes = np.vstack([elite[None, :], children])
+    history = []
+    for gen in range(cfg.generations + 1):
+        if gen > 0:
+            k = pop - 1
+            contenders = rng.integers(0, pop, size=(k, 2, _TOURNAMENT))
+            winners = np.take_along_axis(
+                contenders, np.argmax(fit[contenders], axis=2)[..., None], axis=2
+            )[..., 0]
+            pa = genes[winners[:, 0]]
+            pb = genes[winners[:, 1]]
+            cross = rng.random((k, n)) < 0.5
+            children = np.where(cross, pa, pb)
+            mutate = rng.random((k, n)) < cfg.mutation_rate
+            children = np.where(mutate, rng.uniform(lo, hi, size=(k, n)), children)
+            genes = np.vstack([genes[best], children])  # elitism of 1
         fit = fitness(genes / genes.sum(axis=1, keepdims=True), train, cfg.lambda_ent, port)
         best = int(np.argmax(fit))
-        if fit[best] > best_fit:
+        if gen == 0 or fit[best] > best_fit:
             best_fit = float(fit[best])
             best_genes = genes[best].copy()
         history.append(best_fit)
@@ -176,19 +172,18 @@ def ga_optimise(
     return result
 
 
-def minvar(cov, tickers=None) -> WeightVector:
+def minvar(cov) -> WeightVector:
     """Closed-form minimum-variance weights with long-only projection.
 
     ``w = pinv(sigma) 1 / (1' pinv(sigma) 1)``; negative entries are projected
-    to zero and the rest renormalised to sum to 1.
+    to zero and the rest renormalised to sum to 1. A ``ShrunkCovariance``
+    gives the weights its own tickers; a raw matrix gives them the positional
+    names ``A000``, ``A001``, ...
     """
-    if isinstance(cov, ShrunkCovariance):
-        tickers = cov.tickers if tickers is None else tickers
-        cov = cov.sigma
-    sigma = _square(cov, "covariance", sym_atol=1e-10)
+    shrunk = isinstance(cov, ShrunkCovariance)
+    sigma = _square(cov.sigma if shrunk else cov, "covariance", sym_atol=1e-10)
     n = len(sigma)
-    if tickers is None:
-        tickers = tuple(f"A{i:03d}" for i in range(n))
+    tickers = cov.tickers if shrunk else tuple(f"A{i:03d}" for i in range(n))
 
     ones = np.ones(n)
     raw = np.linalg.pinv(sigma, hermitian=True) @ ones
@@ -201,7 +196,7 @@ def minvar(cov, tickers=None) -> WeightVector:
     if total <= 0.0:
         # unreachable for real input (w sums to 1 before clipping) but guarded
         raise ValueError("all minimum-variance weights clipped to zero")
-    return WeightVector(tuple(tickers), w / total, "MinVar")
+    return WeightVector(tickers, w / total, "MinVar")
 
 
 def equal_weights(tickers) -> WeightVector:

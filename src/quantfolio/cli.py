@@ -85,9 +85,10 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         SplitSpec(self.train_end, self.test_end)  # raises unless train_end < test_end
-        for name in ("n_clusters", "windows", "candidates_per_window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        # the GA weighs at least 2 assets, so at least 2 clusters
+        for name, least in (("n_clusters", 2), ("windows", 1), ("candidates_per_window", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         _check_width(self.candidates_per_window, "candidates_per_window")
         # build what the stages build, so a bad value fails before any stage runs
         self.ga_config()

@@ -293,11 +293,13 @@ def optimise_angles(model: IsingModel, q, cfg: QaoaConfig = QaoaConfig()) -> Qao
     Every loss and every evaluation histogram is a ``sample`` of the state
     (``opt_shots`` and ``eval_shots`` shots) from the stream named above.
     This is ``_search`` on one problem, with ``cfg.seed`` as its seed.
+    ``model`` must equal ``to_ising(q)`` (its ``h``, ``j`` and ``offset``).
     """
-    mat = _qubo_matrix(q)
-    if mat.shape[0] != model.w:
-        raise ValueError("model and QUBO sizes differ")
-    return _search(enumerate_energies(mat)[None, :], cfg, [cfg.seed])[0]
+    ref = to_ising(q)
+    if not (np.array_equal(model.h, ref.h) and np.array_equal(model.j, ref.j)
+            and model.offset == ref.offset):
+        raise ValueError("model is not to_ising(q) of this QUBO")
+    return _search(enumerate_energies(q)[None, :], cfg, [cfg.seed])[0]
 
 
 def _grid(cfg: QaoaConfig) -> np.ndarray:

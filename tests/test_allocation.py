@@ -27,7 +27,7 @@ from quantfolio import (
     walk_forward,
 )
 
-from quantfolio.allocation import portfolio_log_returns
+from quantfolio.allocation import _TOURNAMENT, portfolio_log_returns
 from quantfolio.cli import _weights_record
 
 from conftest import gross_panel
@@ -187,6 +187,89 @@ class TestGaOptimise:
         assert train_sharpe(result, panel) == expected
 
 
+def reference_ga_optimise(train, cfg, *, return_history=False):
+    """``ga_optimise`` as it was written before its generation loop was
+    folded into one: generation 0 scored before the loop, each bred one in it."""
+    n = train.n_assets
+    if n < 2:
+        raise ValueError("GA needs at least 2 assets")
+    rng = np.random.default_rng(cfg.seed)
+    lo, hi = cfg.gene_low, cfg.gene_high
+    pop = cfg.population
+
+    genes = rng.uniform(lo, hi, size=(pop, n))
+    genes[0] = 0.5 * (lo + hi)  # constant genes normalise to equal weights
+
+    # one (population, days) buffer takes every generation's daily log returns
+    port = np.empty((pop, train.n_days))
+    fit = fitness(genes / genes.sum(axis=1, keepdims=True), train, cfg.lambda_ent, port)
+    best = int(np.argmax(fit))
+    best_fit = float(fit[best])
+    best_genes = genes[best].copy()
+    history = [best_fit]
+
+    for _ in range(cfg.generations):
+        elite = genes[best].copy()
+        k = pop - 1
+        contenders = rng.integers(0, pop, size=(k, 2, _TOURNAMENT))
+        winners = np.take_along_axis(
+            contenders, np.argmax(fit[contenders], axis=2)[..., None], axis=2
+        )[..., 0]
+        pa = genes[winners[:, 0]]
+        pb = genes[winners[:, 1]]
+        cross = rng.random((k, n)) < 0.5
+        children = np.where(cross, pa, pb)
+        mutate = rng.random((k, n)) < cfg.mutation_rate
+        children = np.where(mutate, rng.uniform(lo, hi, size=(k, n)), children)
+
+        genes = np.vstack([elite[None, :], children])
+        fit = fitness(genes / genes.sum(axis=1, keepdims=True), train, cfg.lambda_ent, port)
+        best = int(np.argmax(fit))
+        if fit[best] > best_fit:
+            best_fit = float(fit[best])
+            best_genes = genes[best].copy()
+        history.append(best_fit)
+
+    result = WeightVector(train.tickers, best_genes / best_genes.sum(), "GA")
+    if return_history:
+        return result, np.asarray(history)
+    return result
+
+
+class TestGaMatchesReference:
+    """``ga_optimise`` is bit-identical to the two-block reference above:
+    weights, history and the RNG draws behind them."""
+
+    @pytest.mark.parametrize("panel_seed,m,cfg", [
+        (1, 2, GaConfig(population=2, generations=1, seed=0)),
+        (2, 3, GaConfig(population=2, generations=5, seed=4)),
+        (3, 5, GaConfig(population=40, generations=30, seed=1)),
+        (4, 8, GaConfig(population=25, generations=60, mutation_rate=0.5, seed=7)),
+        (5, 4, GaConfig(population=3, generations=1, mutation_rate=0.0, seed=2)),
+    ])
+    def test_same_weights_and_history(self, panel_seed, m, cfg):
+        panel = to_returns(synth_panel(seed=panel_seed, T=90, M=m))
+        ours, ours_hist = ga_optimise(panel, cfg, return_history=True)
+        ref, ref_hist = reference_ga_optimise(panel, cfg, return_history=True)
+        assert np.array_equal(ours.weights, ref.weights)
+        assert np.array_equal(ours_hist, ref_hist)
+        assert np.array_equal(ga_optimise(panel, cfg).weights, ref.weights)
+
+    def test_generation_0_best_never_beaten(self):
+        # four copies of one asset: every portfolio has that asset's Sharpe,
+        # so the entropy term alone ranks them and the equal-weight
+        # individual seeded into generation 0 stays the best
+        day = np.exp(np.random.default_rng(6).normal(0.0005, 0.01, size=(90, 1)))
+        panel = gross_panel(np.tile(day, (1, 4)))
+        cfg = GaConfig(population=20, generations=15, seed=3)
+        ours, ours_hist = ga_optimise(panel, cfg, return_history=True)
+        ref, ref_hist = reference_ga_optimise(panel, cfg, return_history=True)
+        assert np.all(ours_hist == ours_hist[0])
+        np.testing.assert_array_equal(ours.weights, np.full(4, 0.25))
+        assert np.array_equal(ours.weights, ref.weights)
+        assert np.array_equal(ours_hist, ref_hist)
+
+
 class TestGaQuality:
     """A regression guard, not an optimality claim: the default GA comes within
     2 % of the best multistart L-BFGS-B fitness over the same genes and bounds
@@ -211,7 +294,8 @@ class TestGaQuality:
 
 class TestMinVar:
     def test_inverse_variance_two_assets(self):
-        v = minvar(np.diag([1.0, 4.0]), tickers=("A", "B"))
+        v = minvar(np.diag([1.0, 4.0]))
+        assert v.tickers == ("A000", "A001")
         np.testing.assert_array_equal(v.weights, [0.8, 0.2])
 
     def test_identity_gives_equal(self):
@@ -221,7 +305,7 @@ class TestMinVar:
     def test_negative_raw_weight_clipped(self):
         # hand-solved: pinv(sigma) @ 1 prop to (6.3, -1.7) -> clip -> (1, 0)
         sigma = np.array([[1.0, 2.7], [2.7, 9.0]])
-        v = minvar(sigma, tickers=("KEEP", "DROP"))
+        v = minvar(sigma)
         np.testing.assert_allclose(v.weights, [1.0, 0.0], atol=1e-12)
 
     def test_random_search_lower_bound(self):
@@ -299,6 +383,7 @@ class TestEnsemble:
 # panel and a WeightVector for the panel's tickers in another order
 WEIGHTS_ON_A_PANEL = {
     "fitness": lambda panel, wv: fitness(wv, panel),
+    "train_sharpe": lambda panel, wv: train_sharpe(wv, panel),
     "build_qubo": lambda panel, wv: build_qubo(wv, panel, 4),
     "walk_forward": lambda panel, wv: walk_forward(
         panel, wv, 2, 4, QaoaConfig(depth=1, restarts=2, max_iters=30, seed=3)),

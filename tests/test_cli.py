@@ -270,7 +270,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key,value", [
         ("threshold", "1.5"), ("periodic", "0"), ("restarts", "0"), ("cost_c", "-0.01"),
         ("windows", "0"), ("candidates_per_window", "0"), ("candidates_per_window", "30"),
-        ("periodic", "5,10,5"), ("n_clusters", "0"),
+        ("periodic", "5,10,5"), ("n_clusters", "0"), ("n_clusters", "1"),
     ])
     def test_value_a_later_stage_rejects_exits_1_before_select(
         self, workspace, tmp_path, capsys, key, value

@@ -392,6 +392,14 @@ class TestOptimiseAngles:
             worst_sampled = energies[out.histogram > 0].max()
             assert out.best_energy <= worst_sampled + 1e-12
 
+    def test_rejects_a_model_of_another_qubo(self):
+        rng = np.random.default_rng(9)
+        a, b = random_symmetric(rng, 4), random_symmetric(rng, 4)
+        for model in (to_ising(a), to_ising(b[:3, :3]),
+                      IsingModel(to_ising(b).h, to_ising(b).j, to_ising(b).offset + 1.0)):
+            with pytest.raises(ValueError, match="model is not to_ising"):
+                optimise_angles(model, b, FAST)
+
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         q = random_symmetric(rng, 4)
