@@ -46,7 +46,7 @@ print(f"\nQAOA best bitstring:  {out.best_bits} at energy {out.best_energy:+.6f}
 print(f"exhaustive optimum:   {exact} at energy {exact.energy:+.6f}")
 print(f"gap: {out.best_energy - exact.energy:.6f} (>= 0 by construction)")
 
-top = out.histogram_top(5)
+top = out.histogram_rows()[:5]
 uniform = out.eval_shots / out.histogram.size
 print(f"\ntop-5 of {out.eval_shots} evaluation shots (uniform would be {uniform:.0f}):")
 for bits, count in top:

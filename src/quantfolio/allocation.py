@@ -56,6 +56,9 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("gene_high", "lambda_ent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 < self.gene_low < self.gene_high:
             raise ValueError("need 0 < gene_low < gene_high")
         if not 0.0 <= self.mutation_rate <= 1.0:

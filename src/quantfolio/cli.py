@@ -146,7 +146,7 @@ _TYPE_PARSERS = {
     "int": int,
     "float": _finite_float,
     "date": date.fromisoformat,
-    "tuple[int, ...]": lambda s: tuple(int(x) for x in s.split(",") if x.strip()),
+    "tuple[int, ...]": lambda s: tuple(int(x) for x in s.split(",")) if s else (),
 }
 _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in dataclasses.fields(RunConfig)}
 _REQUIRED = tuple(f.name for f in dataclasses.fields(RunConfig) if f.default is dataclasses.MISSING)
@@ -446,12 +446,11 @@ def cmd_schedule(cfg: RunConfig) -> dict:
         sched_path = os.path.join(cfg.out_dir, f"schedule_{method.lower()}.json")
         _write_json(sched_path, _schedule_record(method, result))
         # the full per-window measurement histogram, count desc (ties by bitstring
-        # value asc): a window's first N rows are its ``histogram_top(N)``, which
-        # the schedule JSON therefore does not repeat
+        # value asc), which the schedule JSON therefore does not repeat
         _write_rows(os.path.join(cfg.out_dir, f"histogram_{method.lower()}.csv"),
                     ["window", "bitstring", "count"],
                     ([k, *row] for k, win in enumerate(result.windows)
-                     for row in win.outcome.histogram_top(win.outcome.histogram.size)))
+                     for row in win.outcome.histogram_rows()))
         paths[method] = sched_path
         log.info("%s: %d rebalances scheduled", method, result.total_rebalances)
     return paths

@@ -96,10 +96,10 @@ def _square(values, what: str, sym_atol: float | None = None) -> np.ndarray:
 
 
 def _check_cost(cost_c) -> None:
-    """Raise unless the trade cost ``cost_c`` is >= 0 (a negative one credits
-    every trade). The one such check of the package."""
-    if not cost_c >= 0.0:
-        raise ValueError(f"cost_c must be >= 0, got {cost_c!r}")
+    """Raise unless the trade cost ``cost_c`` is finite and >= 0 (a negative
+    one credits every trade). The one such check of the package."""
+    if not 0.0 <= cost_c < math.inf:
+        raise ValueError(f"cost_c must be >= 0 and finite, got {cost_c!r}")
 
 
 def _positions(tickers, wanted) -> list[int]:
@@ -483,8 +483,6 @@ def synth_panel(
     target_corr=None,
     ann_vol=0.20,
     ann_drift=0.05,
-    *,
-    tickers=None,
 ) -> PricePanel:
     """Seeded geometric-Brownian-style price panel with a target return
     correlation, over ``T`` weekdays from 2015-01-01, every price starting at
@@ -496,7 +494,7 @@ def synth_panel(
     grows. Pure function of its arguments: the same call is bit-identical.
 
     ``target_corr`` defaults to the identity; ``ann_vol``/``ann_drift``
-    broadcast to per-asset vectors.
+    broadcast to per-asset vectors. The tickers are ``A000``, ``A001``, ...
     """
     if T < 2:
         raise ValueError("T must be at least 2")
@@ -524,7 +522,6 @@ def synth_panel(
     log_price = np.vstack([np.zeros(M), np.cumsum(log_r, axis=0)])
     prices = _SYNTH_START_PRICE * np.exp(log_price)
 
-    if tickers is None:
-        tickers = tuple(f"A{i:03d}" for i in range(M))
+    tickers = tuple(f"A{i:03d}" for i in range(M))
     dates = np.busday_offset(_SYNTH_START, np.arange(T), roll="forward").tolist()
-    return PricePanel(tuple(dates), tuple(tickers), prices)
+    return PricePanel(tuple(dates), tickers, prices)

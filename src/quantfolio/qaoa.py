@@ -108,10 +108,6 @@ class IsingModel:
         object.__setattr__(self, "h", _frozen_array(h))
         object.__setattr__(self, "j", _frozen_array(j))
 
-    @property
-    def w(self) -> int:
-        return int(self.h.size)
-
 
 @dataclass(frozen=True)
 class QaoaConfig:
@@ -167,10 +163,11 @@ class QaoaOutcome:
     def eval_shots(self) -> int:
         return int(self.histogram.sum())
 
-    def histogram_top(self, top: int) -> list[tuple[str, int]]:
-        """Most frequent bitstrings, count desc, ties by bitstring value asc."""
+    def histogram_rows(self) -> list[tuple[str, int]]:
+        """Every sampled bitstring with its count, count desc, ties by
+        bitstring value asc."""
         counts = self.histogram
-        order = np.argsort(-counts, kind="stable")[:top]
+        order = np.argsort(-counts, kind="stable")
         w = int(np.log2(counts.size).round())
         return [(np.binary_repr(v, w), int(counts[v])) for v in order[counts[order] > 0]]
 

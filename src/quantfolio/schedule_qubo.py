@@ -14,6 +14,7 @@ matches enumeration by rendered string.
 """
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import asdict, dataclass
 
@@ -43,6 +44,9 @@ class QuboParams:
     cost_c: float = 0.001
 
     def __post_init__(self) -> None:
+        for name in ("lambda1", "lambda2", "lambda3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         _check_cost(self.cost_c)
 
 
@@ -76,10 +80,6 @@ class QuboProblem:
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "gains", _frozen_array(gains))
         object.__setattr__(self, "params", dict(self.params))
-
-    @property
-    def w(self) -> int:
-        return int(self.q.shape[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -144,6 +144,14 @@ def small_cfg(seed=0, **kw):
     return GaConfig(**defaults)
 
 
+class TestGaConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["lambda_ent", "gene_high"])
+    def test_non_finite_value_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            GaConfig(**{field: value})
+
+
 class TestGaOptimise:
     def test_dominant_asset_gets_more_weight(self):
         rng = np.random.default_rng(3)

@@ -90,7 +90,7 @@ class TestRunIdentities:
         with pytest.raises(ValueError, match="wipe out"):
             run(panel, Strategy(target, Periodic(1)), 4.0)
 
-    @pytest.mark.parametrize("cost_c", [-0.01, float("nan")])
+    @pytest.mark.parametrize("cost_c", [-0.01, float("nan"), float("inf")])
     def test_negative_cost_rejected(self, cost_c):
         # a negative cost would credit the portfolio on every rebalance
         panel = gross_panel([[2.0, 1.0], [1.0, 1.0]])

@@ -261,6 +261,46 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="out_dir must not be empty"):
             dataclasses.replace(cfg, out_dir="")
 
+    @pytest.mark.parametrize("key,field", [
+        ("lambda_ent", "lambda_ent"), ("ga_gene_high", "gene_high"), ("lambda1", "lambda1"),
+        ("lambda2", "lambda2"), ("lambda3", "lambda3"), ("cost_c", "cost_c"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_replace_rejects_a_non_finite_stage_parameter_by_name(self, workspace, key, field,
+                                                                  value):
+        cfg = parse_config(workspace["config"])
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            dataclasses.replace(cfg, **{key: value})
+
+    def test_line_without_an_equals_sign_exits_1_naming_it(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        text = workspace["config"].read_text()
+        cfg.write_text(text + "n_clusters 3\n")
+        out = tmp_path / "never"
+        assert run_cli("select", "--config", cfg, "--out", out) == 1
+        lineno = text.count("\n") + 1
+        assert capsys.readouterr().err == f"error: {cfg}:{lineno}: expected 'key = value'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["5,,10", "5, 10,", ","])
+    def test_periodic_with_an_item_that_is_no_integer_exits_1(self, workspace, tmp_path, capsys,
+                                                              value):
+        cfg = tmp_path / "run.cfg"
+        text = workspace["config"].read_text() + f"periodic = {value}\n"
+        cfg.write_text(text)
+        out = tmp_path / "never"
+        assert run_cli("select", "--config", cfg, "--out", out) == 1
+        lineno = text.count("\n")
+        assert f"{cfg}:{lineno}: bad value for periodic" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value,periodic", [("", ()), ("5", (5,)), (" 5 , 10 ", (5, 10))])
+    def test_periodic_items_are_integers_and_empty_means_none(self, workspace, tmp_path, value,
+                                                              periodic):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(workspace["config"].read_text() + f"periodic = {value}\n")
+        assert parse_config(cfg).periodic == periodic
+
     def test_negative_seed_override_exit_code(self, workspace, tmp_path, capsys):
         out = tmp_path / "never"
         assert run_cli("select", "--config", workspace["config"], "--seed", -1, "--out", out) == 1
@@ -848,6 +888,17 @@ class TestBacktestCommand:
                 in capsys.readouterr().err)
 
 
+    def test_unwritable_output_exits_2_as_a_runtime_error(self, backtested, tmp_path, capsys):
+        out = tmp_path / "blocked"
+        shutil.copytree(backtested["out"], out)
+        (out / "metrics.csv").unlink()
+        (out / "metrics.csv").mkdir()
+        assert run_cli("backtest", "--config", backtested["config"], "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error [backtest]: [Errno 21] Is a directory")
+        assert "metrics.csv" in err
+
+
 @pytest.fixture(scope="module")
 def in_memory(backtested):
     """The config, each method's ``ScheduleResult`` and the backtest reports,
@@ -883,7 +934,7 @@ class TestDroppedFieldsRederive:
             for k, win in enumerate(results[method].windows):
                 top = [(row["bitstring"], int(row["count"])) for row in rows
                        if row["window"] == str(k)][:20]
-                assert top == win.outcome.histogram_top(20)
+                assert top == win.outcome.histogram_rows()[:20]
 
     def test_expected_energy_is_the_least_restart_energy(self, in_memory):
         cfg, results, _ = in_memory
@@ -900,7 +951,7 @@ class TestDroppedFieldsRederive:
             for blob, win in zip(_schedule_windows(cfg, method), results[method].windows):
                 local = blob["qubo"]["candidates"]
                 assert [blob["start"] + c for c in local] == win.candidates_global.tolist()
-                assert len(local) == win.qubo.w
+                assert len(local) == len(win.qubo.q)
                 window_len = blob["end"] - blob["start"]
                 assert local == candidate_dates(window_len, cfg.candidates_per_window).tolist()
 

@@ -1,7 +1,9 @@
 """Checks on the package source, with the standard library's ``ast``: no
 module imports a name it never uses, every private module-level function is
 referenced somewhere in the package, every public name (``__all__``) is
-referenced by a package module, a demo or the acceptance suite, no module
+referenced by a package module, a demo or the acceptance suite, every public
+method and property of a package class is read as ``.name`` by one of those
+or by ``perfbench/``, no module
 uses ``assert`` (runtime invariants raise, since ``python -O`` strips
 asserts), and each shared rule
 has one owner: only ``market_data._read_only`` assigns
@@ -41,6 +43,8 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # where a public name must have a caller: the package itself, the demos and
 # the acceptance suite, not the unit tests that only exercise it
 CALLERS = [*MODULES, *sorted((ROOT / "demos").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+# a class member may also be read by the benchmark harness, which drives the kernels
+MEMBER_CALLERS = [*CALLERS, *sorted((ROOT / "perfbench").glob("*.py"))]
 
 
 def parse(path: Path) -> ast.Module:
@@ -220,6 +224,23 @@ def public_names(tree: ast.Module) -> list[str]:
     ]
 
 
+def public_members(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(class, name)`` of every public method and property of every class."""
+    return [
+        (cls.name, node.name)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    ]
+
+
+def unread(members, trees) -> list[str]:
+    """``class.name`` of the ``members`` that none of ``trees`` reads as ``<x>.name``."""
+    read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [f"{cls}.{name}" for cls, name in members if name not in read]
+
+
 def uncalled(names, trees) -> list[str]:
     """The ``names`` that none of ``trees`` references."""
     everywhere = set().union(*(referenced_names(tree) for tree in trees))
@@ -253,6 +274,14 @@ def test_every_public_name_has_a_caller():
     assert public, f"no __all__ in {PACKAGE / '__init__.py'}"
     unused = uncalled(public, [parse(path) for path in CALLERS])
     assert not unused, f"public names no module, demo or acceptance test uses: {', '.join(unused)}"
+
+
+def test_every_public_member_has_a_caller():
+    members = [member for path in MODULES for member in public_members(parse(path))]
+    assert members, f"no classes under {PACKAGE}"
+    unused = unread(members, [parse(path) for path in MEMBER_CALLERS])
+    assert not unused, ("public methods and properties no module, demo, acceptance test or "
+                        f"perfbench script reads: {', '.join(unused)}")
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -358,3 +387,10 @@ def test_checks_catch_dead_code():
     assert owned(tree, opens_locale_text) == [("read", 33), ("read", 34), ("read", 35)]
     assert public_names(tree) == ["stats", "fits", "Box"]
     assert uncalled(public_names(tree), [tree, ast.parse("stats(1, 2, 3)\nBox().freeze(a)\n")]) == ["fits"]
+    members = ast.parse("class Box:\n    @property\n    def size(self):\n        return 1\n\n"
+                        "    def fill(self):\n        return self._seal()\n\n"
+                        "    def _seal(self):\n        return len(self)\n\n"
+                        "    def __len__(self):\n        return 0\n")
+    assert public_members(members) == [("Box", "size"), ("Box", "fill")]
+    # a bare name is not a read of the member
+    assert unread(public_members(members), [members, ast.parse("size = 3\nbox.fill()\n")]) == ["Box.size"]

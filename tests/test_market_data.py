@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -41,6 +41,18 @@ def _write(tmp_path, text, name="prices.csv"):
 
 
 class TestLoadCsv:
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty file"),
+        ("\n , \n", "empty file"),
+        ("day,AAA\n2024-01-02,100.0\n", "first column must be 'date'"),
+        ("date\n2024-01-02\n", "no ticker columns"),
+    ])
+    def test_header_errors_name_the_file(self, tmp_path, text, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(ValueError) as got:
+            load_csv(path)
+        assert str(got.value) == f"{path}: {message}"
+
     def test_full_panel_passthrough(self, tmp_path):
         path = _write(tmp_path, (
             "date,AAA,BBB\n"
@@ -268,11 +280,12 @@ class TestLoadCsv:
         assert not unraisable
 
     def test_non_ascii_ticker_round_trips_in_utf8_under_any_locale(self, tmp_path):
-        panel = synth_panel(seed=4, T=5, M=2, tickers=("ÉLAN", "BBB"))
+        panel = replace(synth_panel(seed=4, T=5, M=2), tickers=("ÉLAN", "BBB"))
         path = tmp_path / "prices.csv"
         # an ASCII locale: text files opened with the locale's encoding fail
-        script = ("import sys; from quantfolio import load_csv, synth_panel, write_csv; "
-                  "p = synth_panel(seed=4, T=5, M=2, tickers=('\\xc9LAN', 'BBB')); "
+        script = ("import sys; from dataclasses import replace; "
+                  "from quantfolio import load_csv, synth_panel, write_csv; "
+                  "p = replace(synth_panel(seed=4, T=5, M=2), tickers=('\\xc9LAN', 'BBB')); "
                   "write_csv(p, sys.argv[1]); print(ascii(load_csv(sys.argv[1]).tickers))")
         env = {**subprocess_env(), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
         proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
@@ -295,8 +308,8 @@ def reference_write_csv(panel, path):
 
 
 def test_write_csv_bytes_equal_csv_writer_reference(tmp_path):
-    panel = synth_panel(seed=8, T=60, M=6, tickers=("A,B", 'say "hi"', "plain", " pad ",
-                                                     "ÉLAN", "F"))
+    panel = replace(synth_panel(seed=8, T=60, M=6),
+                    tickers=("A,B", 'say "hi"', "plain", " pad ", "ÉLAN", "F"))
     path, ref = tmp_path / "prices.csv", tmp_path / "reference.csv"
     write_csv(panel, path)
     reference_write_csv(panel, ref)

@@ -85,7 +85,7 @@ def kron_oracle_state(model, gammas, betas):
     Qubit 0 is the leading kron factor, matching the package's MSB-first
     basis indexing.
     """
-    w = model.w
+    w = model.h.size
     eye = np.eye(2)
     z = np.diag([1.0, -1.0])
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -160,7 +160,7 @@ class TestSimulateAnsatz:
 
 def reference_phase_energies(model):
     """The cost-phase table as the simulator once rebuilt it on every call."""
-    w = model.w
+    w = model.h.size
     z_axis = np.array([1.0, -1.0])
 
     def axis_view(i):
@@ -182,7 +182,7 @@ def reference_ansatz(model, gammas, betas):
     """The tensordot + moveaxis simulator with a per-call phase table, an
     earlier kernel of the package: the reference where the dense oracle is
     too large."""
-    w = model.w
+    w = model.h.size
     phase = reference_phase_energies(model)
     psi = np.full(2**w, 2.0 ** (-w / 2.0), dtype=complex)
     for gamma, beta in zip(gammas, betas):
@@ -359,12 +359,12 @@ class TestOptimiseAngles:
         out = optimise_angles(to_ising(q), q, FAST)
         assert out.histogram[int("".join(map(str, out.best_bits.bits)), 2)] == out.histogram.max()
 
-    def test_histogram_top_equals_the_lexsort_form(self):
-        """``histogram_top`` equals its ``np.lexsort``/``bits_to_str`` form on
-        histograms with ties and zeros, W = 1..14, ``top`` from 1 to 2^W."""
+    def test_histogram_rows_equal_the_lexsort_form(self):
+        """``histogram_rows`` equals its ``np.lexsort``/``bits_to_str`` form on
+        histograms with ties and zeros, W = 1..14."""
 
-        def lexsort_top(counts, top):
-            order = np.lexsort((np.arange(counts.size), -counts))[:top]
+        def lexsort_rows(counts):
+            order = np.lexsort((np.arange(counts.size), -counts))
             w = int(np.log2(counts.size).round())
             return [(bits_to_str(value_to_bits(int(v), w)), int(counts[v]))
                     for v in order[counts[order] > 0]]
@@ -372,14 +372,11 @@ class TestOptimiseAngles:
         rng = np.random.default_rng(170)
         for w in range(1, 15):
             size = 2 ** w
-            tops = range(1, size + 1) if w <= 6 else {1, 2, size // 2, size - 1, size,
-                                                       *rng.integers(1, size + 1, 4).tolist()}
             for counts in (rng.integers(0, 4, size), np.bincount(rng.integers(0, size, 64),
                                                                   minlength=size)):
                 outcome = QaoaOutcome(BitSchedule(np.zeros(w), 0.0), counts,
                                       np.zeros(1), np.zeros((1, 2)))
-                for top in tops:
-                    assert outcome.histogram_top(top) == lexsort_top(outcome.histogram, top)
+                assert outcome.histogram_rows() == lexsort_rows(outcome.histogram)
 
     def test_returned_energy_bounded_by_worst_sample(self):
         rng = np.random.default_rng(6)

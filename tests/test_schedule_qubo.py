@@ -287,11 +287,17 @@ class TestGains:
 
 
 class TestBuildQubo:
-    @pytest.mark.parametrize("cost_c", [-0.01, float("nan")])
+    @pytest.mark.parametrize("cost_c", [-0.01, float("nan"), float("inf")])
     def test_negative_cost_rejected(self, cost_c):
         with pytest.raises(ValueError, match="cost_c must be >= 0"):
             QuboParams(cost_c=cost_c)
         assert QuboParams(cost_c=0.0).cost_c == 0.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "lambda3"])
+    def test_non_finite_lambda_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            QuboParams(**{field: value})
 
     def test_off_diagonal_decay_value(self):
         # adjacent candidates sit one mean-spacing apart: lambda3 * exp(-1)

@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -92,8 +92,8 @@ class TestLedoitWolf:
     def test_constant_growth_column_rejected_by_name(self):
         # zero volatility: the prices grow at one rate, the ratios of
         # neighbouring prices keep a rounding spread
-        panel = to_returns(synth_panel(seed=9, T=61, M=2, ann_vol=[0.2, 0.0],
-                                       tickers=("AAA", "STEADY")))
+        panel = to_returns(replace(synth_panel(seed=9, T=61, M=2, ann_vol=[0.2, 0.0]),
+                                   tickers=("AAA", "STEADY")))
         assert panel.log_returns[:, 1].var(ddof=1) > 0.0
         with pytest.raises(ValueError, match="constant asset.*: STEADY$"):
             ledoit_wolf(panel)
