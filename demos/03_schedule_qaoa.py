@@ -54,8 +54,8 @@ for bits, count in top:
 
 # --- walk-forward scheduling --------------------------------------------------
 test = to_returns(synth_panel(seed=2025, T=250, M=4, ann_drift=[0.3, 0.0, -0.2, 0.1]))
-result = walk_forward(test, equal_weights(test.tickers), k_windows=3, w_count=8,
-                      cfgs=QaoaConfig(seed=9))
+result = walk_forward(test, [equal_weights(test.tickers)], k_windows=3, w_count=8,
+                      cfgs=[QaoaConfig(seed=9)])[0]
 print(f"\nwalk-forward on {test.n_days} test days, 3 windows x 8 candidates:")
 for k, win in enumerate(result.windows):
     print(f"  window {k} [{win.start:3d}, {win.end:3d}): "

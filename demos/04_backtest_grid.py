@@ -57,11 +57,12 @@ print("train Sharpe by method: "
       + ", ".join(f"{m}={train_sharpe(w, train_sel):.3f}" for m, w in weights.items()))
 
 # --- stage 3: walk-forward QAOA schedules per weight method -------------------
+# one call solves every window of every method, each bit-identical to its own call
 qcfg = QaoaConfig(depth=2, restarts=3, opt_shots=1024, eval_shots=2048, max_iters=80)
+cfgs = [dataclasses.replace(qcfg, seed=100 + i) for i in range(len(weights))]
+results = walk_forward(test_sel, list(weights.values()), k_windows=3, w_count=8, cfgs=cfgs)
 schedules = {}
-for i, (method, wv) in enumerate(weights.items()):
-    result = walk_forward(test_sel, wv, k_windows=3, w_count=8,
-                          cfgs=dataclasses.replace(qcfg, seed=100 + i))
+for method, result in zip(weights, results):
     schedules[method] = result.bits
     print(f"  {method}: {result.total_rebalances} rebalances, "
           f"max window gap {max(w.gap for w in result.windows):.4f}")

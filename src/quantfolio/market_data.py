@@ -161,10 +161,6 @@ class PricePanel:
     def n_days(self) -> int:
         return len(self.dates)
 
-    @property
-    def n_assets(self) -> int:
-        return len(self.tickers)
-
 
 @dataclass(frozen=True, eq=False)
 class ReturnPanel:
@@ -260,10 +256,11 @@ def _csv_row(line: bytes, lines) -> tuple[list[str], int]:
 
 def load_csv(path, tickers=None, last=None) -> PricePanel:
     """Read a wide price CSV: first column ``date`` (ISO-8601, strictly
-    increasing down the file), one column per ticker, numeric cells or
-    blank. The file is UTF-8 and its lines end in ``\\n`` or ``\\r\\n``; a
-    carriage return anywhere else is an error that names the file and line.
-    Lines whose cells are all blank are skipped.
+    increasing down the file), one column per ticker named in the header
+    (a blank name is an error), numeric cells or blank. The file is UTF-8
+    and its lines end in ``\\n`` or ``\\r\\n``; a carriage return anywhere
+    else is an error that names the file and line. Lines whose cells are all
+    blank are skipped.
 
     Tickers with any blank, unparseable, or non-positive cell are dropped and
     reported (warning log plus the panel's ``dropped`` field).
@@ -301,6 +298,8 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
             raise ValueError(f"{path}: first column must be 'date'")
         columns = {}
         for col, tk in enumerate(header[1:], start=1):
+            if not tk:
+                raise ValueError(f"{path}: header column {col + 1} has no ticker name")
             if tk in columns:
                 raise ValueError(f"{path}: duplicate ticker column {tk!r}")
             columns[tk] = col

@@ -37,7 +37,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .allocation import WeightVector
 from .market_data import ReturnPanel, _frozen_array, _frozen_integers, _read_only
 from .schedule_qubo import (
     BitSchedule, QuboParams, QuboProblem, _check_width, _min_window, _qubo_matrix, _table,
@@ -134,10 +133,11 @@ class QaoaOutcome:
     ``best_bits`` is the highest-count bitstring of the winning restart's
     evaluation histogram (count ties -> lower bitstring value), with its
     energy x' Q x. ``histogram`` holds the winner's evaluation counts indexed
-    by bitstring value; ``restart_energies`` the per-restart final expected
-    energies and ``restart_angles`` the per-restart final angles (gamma_1..
-    gamma_p, beta_1..beta_p), one row each. The winner is the restart with the
-    lowest expected energy (tie -> earlier restart).
+    by bitstring value, 2**W of them for the W bits of ``best_bits``;
+    ``restart_energies`` the per-restart final expected energies and
+    ``restart_angles`` the per-restart final angles (gamma_1..gamma_p,
+    beta_1..beta_p), one row per energy; both shapes are checked. The winner
+    is the restart with the lowest expected energy (tie -> earlier restart).
     """
 
     best_bits: BitSchedule
@@ -149,6 +149,12 @@ class QaoaOutcome:
         object.__setattr__(self, "histogram", _frozen_integers(self.histogram, "histogram"))
         object.__setattr__(self, "restart_energies", _frozen_array(self.restart_energies))
         object.__setattr__(self, "restart_angles", _frozen_array(self.restart_angles))
+        w = len(self.best_bits.bits)
+        if self.histogram.shape != (2 ** w,):
+            raise ValueError(f"histogram must hold one count per {w}-bit string, 2**{w} in all")
+        angles = self.restart_angles
+        if angles.ndim != 2 or angles.shape[:1] != self.restart_energies.shape:
+            raise ValueError("need one row of restart_angles per entry of restart_energies")
 
     @property
     def best_energy(self) -> float:
@@ -168,7 +174,7 @@ class QaoaOutcome:
         bitstring value asc."""
         counts = self.histogram
         order = np.argsort(-counts, kind="stable")
-        w = int(np.log2(counts.size).round())
+        w = len(self.best_bits.bits)
         return [(np.binary_repr(v, w), int(counts[v])) for v in order[counts[order] > 0]]
 
 
@@ -408,9 +414,9 @@ def walk_forward(
     targets,
     k_windows: int,
     w_count: int,
-    cfgs=QaoaConfig(),
+    cfgs,
     qubo_params: QuboParams = QuboParams(),
-):
+) -> tuple[ScheduleResult, ...]:
     """Chunk the test panel into ``k_windows`` equal windows (the last absorbs
     the remainder; each needs 2W + 2 days), build each window's QUBO from that
     window's returns only, solve it with multi-restart QAOA, and splice the
@@ -419,16 +425,13 @@ def walk_forward(
     ``targets`` is a sequence of weight vectors and ``cfgs`` one config per
     target; the configs may differ only in seed. A tuple of one
     ``ScheduleResult`` per target comes back, and every window of every
-    target is solved in one batched search (``_search``). A single
-    ``WeightVector`` with a single ``QaoaConfig`` returns a single result.
+    target is solved in one batched search (``_search``).
 
     Window k's RNG stream is derived from its target's master seed and k
     alone, so perturbing a later window can never change an earlier window's
     schedule, and a window's outcome does not depend on the other windows or
     targets it is batched with.
     """
-    if isinstance(targets, WeightVector):
-        return walk_forward(test, [targets], k_windows, w_count, [cfgs], qubo_params)[0]
     if isinstance(cfgs, QaoaConfig) or len(cfgs) != len(targets):
         raise ValueError("need one QaoaConfig per target")
     if len({replace(cfg, seed=0) for cfg in cfgs}) > 1:

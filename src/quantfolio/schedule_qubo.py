@@ -208,8 +208,6 @@ def brute_force(q) -> BitSchedule:
     Ties break toward the smallest bitstring value under the package bit-order
     convention (all-zeros wins a tie with anything).
     """
-    mat = _qubo_matrix(q)
-    w = mat.shape[0]
-    energies = enumerate_energies(mat)
+    energies = enumerate_energies(q)
     best = int(np.argmin(energies))  # first hit == smallest bitstring value
-    return BitSchedule(value_to_bits(best, w), float(energies[best]))
+    return BitSchedule(value_to_bits(best, energies.size.bit_length() - 1), float(energies[best]))

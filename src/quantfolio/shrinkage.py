@@ -48,10 +48,6 @@ class ShrunkCovariance:
             raise ValueError("sigma has a non-positive diagonal entry")
         object.__setattr__(self, "sigma", _frozen_array(sigma))
 
-    @property
-    def n_assets(self) -> int:
-        return len(self.tickers)
-
     @cached_property
     def corr(self) -> np.ndarray:
         std = np.sqrt(np.diag(self.sigma))

@@ -112,10 +112,10 @@ def test_04_walk_forward_no_lookahead():
         gross[row_from:] *= np.exp(rng.normal(0, 0.02, size=gross[row_from:].shape))
         return ReturnPanel(panel.dates, panel.tickers, gross)
 
-    reference = walk_forward(base, target, 3, 6, cfg)
+    reference = walk_forward(base, [target], 3, 6, [cfg])[0]
     ok = True
     for k, boundary in ((0, 40), (1, 80)):  # perturb chunk k+1 onward
-        other = walk_forward(perturb(base, boundary), target, 3, 6, cfg)
+        other = walk_forward(perturb(base, boundary), [target], 3, 6, [cfg])[0]
         for earlier in range(k + 1):
             win_a = reference.windows[earlier]
             win_b = other.windows[earlier]

@@ -394,7 +394,7 @@ WEIGHTS_ON_A_PANEL = {
     "train_sharpe": lambda panel, wv: train_sharpe(wv, panel),
     "build_qubo": lambda panel, wv: build_qubo(wv, panel, 4),
     "walk_forward": lambda panel, wv: walk_forward(
-        panel, wv, 2, 4, QaoaConfig(depth=1, restarts=2, max_iters=30, seed=3)),
+        panel, [wv], 2, 4, [QaoaConfig(depth=1, restarts=2, max_iters=30, seed=3)]),
     "backtest.run": lambda panel, wv: run(panel, Strategy(wv, BuyAndHold()), 0.001),
     "ensemble": lambda panel, wv: ensemble(
         WeightVector(panel.tickers, wv.weights, "GA"), wv, equal_weights(panel.tickers)),

@@ -593,8 +593,8 @@ class TestScheduleCommand:
             qcfg = QaoaConfig(depth=cfg.depth, restarts=cfg.restarts, opt_shots=cfg.opt_shots,
                               eval_shots=cfg.eval_shots, max_iters=cfg.max_iters,
                               seed=_child_seed(cfg.seed, 10 + i))
-            alone = batched(test, weights[method], cfg.windows, cfg.candidates_per_window,
-                            qcfg, QuboParams(cfg.lambda1, cfg.lambda2, cfg.lambda3, cfg.cost_c))
+            alone = batched(test, [weights[method]], cfg.windows, cfg.candidates_per_window, [qcfg],
+                            QuboParams(cfg.lambda1, cfg.lambda2, cfg.lambda3, cfg.cost_c))[0]
             blob = json.loads((out / f"schedule_{method.lower()}.json").read_text())
             assert blob == json.loads(json.dumps(cli._schedule_record(method, alone)))
 

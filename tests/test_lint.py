@@ -2,8 +2,10 @@
 module imports a name it never uses, every private module-level function is
 referenced somewhere in the package, every public name (``__all__``) is
 referenced by a package module, a demo or the acceptance suite, every public
-method and property of a package class is read as ``.name`` by one of those
-or by ``perfbench/``, no module
+method and property of a package class is read as ``x.name`` by one of those
+or by ``perfbench/`` (a read counts for one class when x is a method's
+``self`` or a parameter annotated with a package class, and for every class
+that defines ``name`` when the source does not say x's class), no module
 uses ``assert`` (runtime invariants raise, since ``python -O`` strips
 asserts), and each shared rule
 has one owner: only ``market_data._read_only`` assigns
@@ -235,10 +237,43 @@ def public_members(tree: ast.Module) -> list[tuple[str, str]]:
     ]
 
 
-def unread(members, trees) -> list[str]:
-    """``class.name`` of the ``members`` that none of ``trees`` reads as ``<x>.name``."""
-    read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    return [f"{cls}.{name}" for cls, name in members if name not in read]
+def class_names(tree: ast.Module) -> set[str]:
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+def member_reads(tree: ast.AST, classes) -> set[tuple[str | None, str]]:
+    """``(class, name)`` of every ``<x>.name`` read in ``tree``. The class is
+    the enclosing class when x is a method's ``self``, the annotation when x
+    is a parameter annotated with one of ``classes``, and None (any class)
+    otherwise. A parameter of an inner function hides an outer one."""
+    found = set()
+
+    def visit(node: ast.AST, receivers: dict, owner: str | None) -> None:
+        if isinstance(node, ast.Attribute):
+            receiver = receivers.get(node.value.id) if isinstance(node.value, ast.Name) else None
+            found.add((receiver, node.attr))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            receivers = dict(receivers)
+            args = node.args
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
+                if arg is not None:
+                    ann = arg.annotation
+                    named = ann.id if isinstance(ann, ast.Name) and ann.id in classes else None
+                    receivers[arg.arg] = owner if owner and arg.arg == "self" else named
+        inner = node.name if isinstance(node, ast.ClassDef) else None
+        for child in ast.iter_child_nodes(node):
+            visit(child, receivers, inner)
+
+    visit(tree, {}, None)
+    return found
+
+
+def unread(members, trees, classes) -> list[str]:
+    """``class.name`` of the ``members`` that none of ``trees`` reads as
+    ``<x>.name`` on that class or on a receiver of unknown class
+    (``member_reads``); ``classes`` are the classes an annotation can name."""
+    read = set().union(*(member_reads(tree, classes) for tree in trees))
+    return [f"{cls}.{name}" for cls, name in members if not {(cls, name), (None, name)} & read]
 
 
 def uncalled(names, trees) -> list[str]:
@@ -277,9 +312,11 @@ def test_every_public_name_has_a_caller():
 
 
 def test_every_public_member_has_a_caller():
-    members = [member for path in MODULES for member in public_members(parse(path))]
+    trees = [parse(path) for path in MODULES]
+    members = [member for tree in trees for member in public_members(tree)]
     assert members, f"no classes under {PACKAGE}"
-    unused = unread(members, [parse(path) for path in MEMBER_CALLERS])
+    classes = set().union(*(class_names(tree) for tree in trees))
+    unused = unread(members, [parse(path) for path in MEMBER_CALLERS], classes)
     assert not unused, ("public methods and properties no module, demo, acceptance test or "
                         f"perfbench script reads: {', '.join(unused)}")
 
@@ -390,7 +427,29 @@ def test_checks_catch_dead_code():
     members = ast.parse("class Box:\n    @property\n    def size(self):\n        return 1\n\n"
                         "    def fill(self):\n        return self._seal()\n\n"
                         "    def _seal(self):\n        return len(self)\n\n"
-                        "    def __len__(self):\n        return 0\n")
-    assert public_members(members) == [("Box", "size"), ("Box", "fill")]
+                        "    def __len__(self):\n        return 0\n\n"
+                        "class Bag:\n    def size(self):\n        return 2\n\n"
+                        "    def fill(self):\n        return self.size()\n")
+    found = public_members(members)
+    assert found == [("Box", "size"), ("Box", "fill"), ("Bag", "size"), ("Bag", "fill")]
+    classes = class_names(members)
+    assert classes == {"Box", "Bag"}
+
+    def dead(source: str) -> list[str]:
+        return unread(found, [ast.parse(source)], classes)
+
     # a bare name is not a read of the member
-    assert unread(public_members(members), [members, ast.parse("size = 3\nbox.fill()\n")]) == ["Box.size"]
+    assert dead("size = 3\nbox.fill()\n") == ["Box.size", "Bag.size"]
+    # a read on a self or on a parameter annotated with a package class keeps
+    # only that class's member alive; any other receiver keeps every class's
+    assert unread(found, [members], classes) == ["Box.size", "Box.fill", "Bag.fill"]
+    assert dead("def f(box: Box, n: int):\n    return box.size, n.fill\n") == ["Bag.size"]
+    assert dead("def f(bag: Bag):\n    return bag.fill\n") == ["Box.size", "Box.fill", "Bag.size"]
+    assert dead("def f(box: Box):\n    return g(box).fill, box.x.size\n") == []
+    assert dead("def f(box: Box):\n    return lambda box: box.size\n") == ["Box.fill", "Bag.fill"]
+    assert dead("def f(box: Box):\n    def g(self):\n        return self.size\n") == [
+        "Box.fill", "Bag.fill"]
+    assert dead("class Box:\n    def grow(self, box: Bag):\n        return self.size, box.fill\n"
+                ) == ["Box.fill", "Bag.size"]
+    assert dead("def f(box: Box):\n    return 0\n\nbox.size\n") == ["Box.fill", "Bag.fill"]
+    assert dead("") == ["Box.size", "Box.fill", "Bag.size", "Bag.fill"]

@@ -46,6 +46,11 @@ class TestLoadCsv:
         ("\n , \n", "empty file"),
         ("day,AAA\n2024-01-02,100.0\n", "first column must be 'date'"),
         ("date\n2024-01-02\n", "no ticker columns"),
+        ("date,,AAA\n2024-01-02,1.0,100.0\n2024-01-03,1.0,101.0\n2024-01-04,1.0,102.0\n",
+         "header column 2 has no ticker name"),
+        ("date,\n2024-01-02,100.0\n2024-01-03,101.0\n", "header column 2 has no ticker name"),
+        ("date,AAA, \n2024-01-02,100.0,\n2024-01-03,101.0,\n",
+         "header column 3 has no ticker name"),
     ])
     def test_header_errors_name_the_file(self, tmp_path, text, message):
         path = _write(tmp_path, text)
@@ -62,7 +67,7 @@ class TestLoadCsv:
         ))
         panel = load_csv(path)
         assert panel.n_days == 3
-        assert panel.n_assets == 2
+        assert len(panel.tickers) == 2
         assert panel.tickers == ("AAA", "BBB")
         assert panel.dropped == ()
         assert panel.prices[0, 0] == 100.0
@@ -610,7 +615,7 @@ class TestToReturns:
         panel = synth_panel(seed=5, T=200, M=7)
         r = to_returns(panel)
         rebuilt = panel.prices[0] * np.vstack(
-            [np.ones(panel.n_assets), np.cumprod(r.gross_returns, axis=0)]
+            [np.ones(len(panel.tickers)), np.cumprod(r.gross_returns, axis=0)]
         )
         np.testing.assert_allclose(rebuilt, panel.prices, rtol=1e-10)
 

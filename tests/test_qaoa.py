@@ -524,7 +524,7 @@ class TestBatchedSearch:
             batch = walk_forward(panel, targets, k_windows, w, cfgs)
             assert len(batch) == len(targets)
             for target, cfg, result in zip(targets, cfgs, batch):
-                single = walk_forward(panel, target, k_windows, w, cfg)
+                single = walk_forward(panel, [target], k_windows, w, [cfg])[0]
                 seeds = np.random.SeedSequence(cfg.seed).generate_state(k_windows, dtype=np.uint64)
                 np.testing.assert_array_equal(single.bits, result.bits)
                 for win, one, window_seed in zip(result.windows, single.windows, seeds):
@@ -539,8 +539,12 @@ class TestBatchedSearch:
     def test_one_config_per_target(self):
         panel = to_returns(synth_panel(seed=62, T=60, M=2))
         targets = self.targets(panel, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="one QaoaConfig per target"):
-            walk_forward(panel, targets, 1, 4, [wf_config()])
+        # a sequence of targets and a list of configs is the one convention:
+        # a lone config, with one target or several, is no list of configs
+        for args in ((targets, [wf_config()]), (targets, wf_config()),
+                     (targets[0], wf_config())):
+            with pytest.raises(ValueError, match="one QaoaConfig per target"):
+                walk_forward(panel, args[0], 1, 4, args[1])
 
     @pytest.mark.parametrize("field,value", [("depth", 2), ("restarts", 3), ("max_iters", 40),
                                              ("opt_shots", 128), ("eval_shots", 100)])
@@ -554,7 +558,7 @@ class TestBatchedSearch:
     def test_wide_windows_split_into_several_searches(self, monkeypatch):
         panel = to_returns(synth_panel(seed=64, T=3 * 32 + 1, M=2))
         targets = self.targets(panel, np.random.default_rng(1))[:2]
-        one_search = walk_forward(panel, targets[0], 3, 8, wf_config())
+        one_search = walk_forward(panel, targets[:1], 3, 8, [wf_config()])[0]
         calls = []
         search = qaoa._search
 
@@ -586,25 +590,25 @@ class TestWalkForward:
     def test_249_days_gives_three_83_day_windows(self):
         panel = to_returns(synth_panel(seed=30, T=250, M=3))
         assert panel.n_days == 249
-        result = walk_forward(panel, wf_target(panel), 3, 8, wf_config())
+        result = walk_forward(panel, [wf_target(panel)], 3, 8, [wf_config()])[0]
         spans = [(w.start, w.end) for w in result.windows]
         assert spans == [(0, 83), (83, 166), (166, 249)]
         assert result.bits.size == 249
 
     def test_single_window(self):
         panel = to_returns(synth_panel(seed=31, T=60, M=2))
-        result = walk_forward(panel, wf_target(panel), 1, 4, wf_config())
+        result = walk_forward(panel, [wf_target(panel)], 1, 4, [wf_config()])[0]
         assert len(result.windows) == 1
         assert result.windows[0].end == panel.n_days
 
     def test_last_window_absorbs_remainder(self):
         panel = to_returns(synth_panel(seed=32, T=101, M=2))  # 100 rows, K=3
-        result = walk_forward(panel, wf_target(panel), 3, 4, wf_config())
+        result = walk_forward(panel, [wf_target(panel)], 3, 4, [wf_config()])[0]
         assert [(w.start, w.end) for w in result.windows] == [(0, 33), (33, 66), (66, 100)]
 
     def test_schedule_bits_match_window_outcomes(self):
         panel = to_returns(synth_panel(seed=33, T=130, M=3))
-        result = walk_forward(panel, wf_target(panel), 3, 4, wf_config())
+        result = walk_forward(panel, [wf_target(panel)], 3, 4, [wf_config()])[0]
         rebuilt = np.zeros(panel.n_days, dtype=np.uint8)
         for win in result.windows:
             rebuilt[win.candidates_global] = win.outcome.best_bits.bits
@@ -621,8 +625,8 @@ class TestWalkForward:
         perturbed = ReturnPanel(base.dates, base.tickers, gross)
         target = wf_target(base)
         cfg = wf_config()
-        a = walk_forward(base, target, 3, 4, cfg)
-        b = walk_forward(perturbed, target, 3, 4, cfg)
+        a = walk_forward(base, [target], 3, 4, [cfg])[0]
+        b = walk_forward(perturbed, [target], 3, 4, [cfg])[0]
         np.testing.assert_array_equal(a.bits[:80], b.bits[:80])
         for k in (0, 1):
             np.testing.assert_array_equal(
@@ -631,7 +635,7 @@ class TestWalkForward:
 
     def test_gap_non_negative(self):
         panel = to_returns(synth_panel(seed=35, T=130, M=3))
-        result = walk_forward(panel, wf_target(panel), 2, 5, wf_config())
+        result = walk_forward(panel, [wf_target(panel)], 2, 5, [wf_config()])[0]
         for win in result.windows:
             assert win.gap is not None
             assert win.gap >= 0.0
@@ -641,7 +645,7 @@ class TestWalkForward:
 
     def test_brute_force_once_per_window(self, monkeypatch):
         panel = to_returns(synth_panel(seed=35, T=130, M=3))
-        result = walk_forward(panel, wf_target(panel), 2, 5, wf_config())
+        result = walk_forward(panel, [wf_target(panel)], 2, 5, [wf_config()])[0]
         calls = []
         monkeypatch.setattr(qaoa, "brute_force", lambda q: calls.append(q) or brute_force(q))
         _schedule_record("GA", result)
@@ -668,7 +672,7 @@ class TestWalkForward:
     def test_too_short_panel_rejected(self):
         panel = to_returns(synth_panel(seed=36, T=18, M=2))  # 17 rows < 3 * (2 * 4 + 2)
         with pytest.raises(ValueError, match="too short"):
-            walk_forward(panel, wf_target(panel), 3, 4, wf_config())
+            walk_forward(panel, [wf_target(panel)], 3, 4, [wf_config()])
 
     def test_packed_candidates_error_propagates(self):
         # chunks of 6 days would pack the 4 candidates into 1-day forward spans;
@@ -676,7 +680,7 @@ class TestWalkForward:
         panel = to_returns(synth_panel(seed=36, T=20, M=2))
         with pytest.raises(ValueError, match="test panel of 19 days is too short for 3 windows: "
                                              "need at least 30 test days"):
-            walk_forward(panel, wf_target(panel), 3, 4, wf_config())
+            walk_forward(panel, [wf_target(panel)], 3, 4, [wf_config()])
 
     def test_raises_before_any_qubo_iff_the_shortest_window_is_under_2w_plus_2(
             self, monkeypatch):
@@ -700,22 +704,22 @@ class TestWalkForward:
                     test = panel.slice_rows(0, days)
                     if days // k < 2 * w + 2:
                         with pytest.raises(ValueError, match=f"need at least {minimum} test"):
-                            walk_forward(test, wf_target(test), k, w, wf_config())
+                            walk_forward(test, [wf_target(test)], k, w, [wf_config()])
                         assert built == searched == []
                     else:
                         with pytest.raises(Searched):
-                            walk_forward(test, wf_target(test), k, w, wf_config())
+                            walk_forward(test, [wf_target(test)], k, w, [wf_config()])
                         assert (len(built), searched) == (k, [k])
 
     def test_ticker_mismatch_rejected(self):
         panel = to_returns(synth_panel(seed=37, T=60, M=2))
         bad = WeightVector(("X", "Y"), np.array([0.5, 0.5]), "Equal")
         with pytest.raises(ValueError, match="tickers"):
-            walk_forward(panel, bad, 1, 4, wf_config())
+            walk_forward(panel, [bad], 1, 4, [wf_config()])
 
     def test_json_surface(self):
         panel = to_returns(synth_panel(seed=38, T=70, M=2))
-        result = walk_forward(panel, wf_target(panel), 2, 4, wf_config())
+        result = walk_forward(panel, [wf_target(panel)], 2, 4, [wf_config()])[0]
         blob = _schedule_record("GA", result)
         assert len(blob["schedule"]) == panel.n_days
         assert blob["optimiser"] == "grid-INTERP-SPSA"

@@ -228,4 +228,4 @@ class TestDerivedMatrices:
             with pytest.raises(ValueError):
                 arr[0, 1] = 0.5
             with pytest.raises(FrozenInstanceError):
-                setattr(est, name, np.eye(est.n_assets))
+                setattr(est, name, np.eye(len(est.tickers)))

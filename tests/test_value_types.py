@@ -150,6 +150,31 @@ def test_qaoa_outcome_histogram_keeps_integer_counts():
     assert outcome.eval_shots == 4
 
 
+# a QaoaOutcome whose arrays do not fit each other, and what it raises
+MISSHAPEN_OUTCOMES = {
+    "histogram_of_6_for_2_bits": (
+        lambda: QaoaOutcome(BitSchedule([0, 1], 0.0), [0, 3, 1, 0, 0, 2], [-0.5], [[0.1, 0.2]]),
+        "histogram must hold one count per 2-bit string"),
+    "histogram_2d": (
+        lambda: QaoaOutcome(BitSchedule([0, 1], 0.0), [[0, 3], [1, 0]], [-0.5], [[0.1, 0.2]]),
+        "histogram must hold one count per 2-bit string"),
+    "3_energies_2_angle_rows": (
+        lambda: QaoaOutcome(BitSchedule([0, 1], 0.0), [0, 3, 1, 0], [-0.5, -0.2, -0.1],
+                            [[0.1, 0.2], [0.3, 0.4]]),
+        "one row of restart_angles per entry of restart_energies"),
+    "angles_1d": (
+        lambda: QaoaOutcome(BitSchedule([0, 1], 0.0), [0, 3, 1, 0], [-0.5, -0.2], [0.1, 0.2]),
+        "one row of restart_angles per entry of restart_energies"),
+}
+
+
+@pytest.mark.parametrize("case", MISSHAPEN_OUTCOMES)
+def test_qaoa_outcome_rejects_arrays_that_do_not_fit(case):
+    make, message = MISSHAPEN_OUTCOMES[case]
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_schedule_result_splices_window_bits():
     result, _ = schedule_result()
     assert result.bits.tolist() == [0, 1, 0, 1, 0, 0]
