@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import annualised_sharpe
-from .market_data import ReturnPanel, _frozen_array, _square
+from .market_data import ReturnPanel, _check_count, _frozen_array, _square
 from .shrinkage import ShrunkCovariance
 
 METHODS = ("GA", "MinVar", "Equal", "Ensemble")
@@ -63,8 +63,8 @@ class GaConfig:
             raise ValueError("need 0 < gene_low < gene_high")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must be in [0, 1]")
-        if self.population < 2 or self.generations < 1:
-            raise ValueError("population >= 2 and generations >= 1 required")
+        _check_count(self.population, "population", least=2)
+        _check_count(self.generations, "generations")
 
 
 def normalised_entropy(weights):

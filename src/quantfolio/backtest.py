@@ -24,7 +24,8 @@ import numpy as np
 
 from .allocation import METHODS, WeightVector, _weight_array
 from .clustering import annualised_sharpe
-from .market_data import ANNUALISATION, ReturnPanel, _check_cost, _frozen_array, _frozen_bits
+from .market_data import (ANNUALISATION, ReturnPanel, _check_cost, _check_count, _frozen_array,
+                          _frozen_bits)
 
 
 # run_grid's default periodic intervals (days) and drift threshold
@@ -49,9 +50,7 @@ class Periodic:
     band = np.inf
 
     def __post_init__(self) -> None:
-        every = self.every  # a whole number (numpy integers too, bools not)
-        if type(every) in (bool, np.bool_) or not hasattr(every, "__index__") or every < 1:
-            raise ValueError(f"periodic interval must be a whole number >= 1 day, not {every!r}")
+        _check_count(self.every, "periodic interval")
 
     def due(self, days: int) -> np.ndarray:
         t = np.arange(days)

@@ -40,8 +40,8 @@ from .backtest import (
 )
 from .clustering import annualised_sharpe, select_representatives, ward_cluster
 from .market_data import (
-    ReturnPanel, SplitSpec, _frozen_bits, _positions, _write_labelled_csv, _write_rows, load_csv,
-    split, to_returns,
+    ReturnPanel, SplitSpec, _check_count, _frozen_bits, _positions, _write_labelled_csv, _write_rows,
+    load_csv, split, to_returns,
 )
 from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, WindowDiagnostics, walk_forward
 from .schedule_qubo import QuboParams, QuboProblem, _check_width, bits_to_str
@@ -82,13 +82,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        _check_count(self.seed, "seed", least=0)
         SplitSpec(self.train_end, self.test_end)  # raises unless train_end < test_end
         # the GA weighs at least 2 assets, so at least 2 clusters
         for name, least in (("n_clusters", 2), ("windows", 1), ("candidates_per_window", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
+            _check_count(getattr(self, name), name, least)
         _check_width(self.candidates_per_window, "candidates_per_window")
         # build what the stages build, so a bad value fails before any stage runs
         self.ga_config()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import ANNUALISATION, ReturnPanel, _flat, _frozen_integers, _square
+from .market_data import ANNUALISATION, ReturnPanel, _check_count, _flat, _frozen_integers, _square
 
 
 class ZeroVolatilityError(ValueError):
@@ -77,7 +77,8 @@ def ward_cluster(dist, n: int) -> ClusterAssignment:
         raise ValueError("distance matrix diagonal must be 0")
     if np.any(d < 0.0) or not np.all(np.isfinite(d)):
         raise ValueError("distances must be finite and non-negative")
-    if not 1 <= n <= m:
+    _check_count(n, "n")
+    if n > m:
         raise ValueError(f"n must be in 1..{m}, got {n}")
 
     # d2 is symmetric, so argmin's first hit is the smallest minimal pair, i < j

@@ -14,7 +14,8 @@ result depends on the layout of the caller's array or on how a panel was cut
 integer array holds whole numbers, and a bit vector (``BitSchedule``,
 ``Explicit``) only 0 and 1 in 1-D, before its cast. ``_read_only`` is the one
 place that marks an array read-only. ``_square`` admits every square matrix
-as its exact symmetric part, so no stage symmetrises one again.
+as its exact symmetric part, so no stage symmetrises one again. Every count
+(shots, windows, clusters, days) is checked by ``_check_count``.
 
 This module owns the CSV format, and every CSV file is UTF-8 whatever the
 locale: ``load_csv`` reads price files, labelled matrices (the price CSV,
@@ -100,6 +101,13 @@ def _check_cost(cost_c) -> None:
     one credits every trade). The one such check of the package."""
     if not 0.0 <= cost_c < math.inf:
         raise ValueError(f"cost_c must be >= 0 and finite, got {cost_c!r}")
+
+
+def _check_count(value, what: str, least: int = 1) -> None:
+    """Raise, naming ``what``, unless ``value`` is a whole number (an ``int``
+    or numpy integer, not a bool) of at least ``least``. The one such check."""
+    if type(value) in (bool, np.bool_) or not hasattr(value, "__index__") or value < least:
+        raise ValueError(f"{what} must be a whole number >= {least}, not {value!r}")
 
 
 def _positions(tickers, wanted) -> list[int]:
@@ -495,10 +503,8 @@ def synth_panel(
     ``target_corr`` defaults to the identity; ``ann_vol``/``ann_drift``
     broadcast to per-asset vectors. The tickers are ``A000``, ``A001``, ...
     """
-    if T < 2:
-        raise ValueError("T must be at least 2")
-    if M < 1:
-        raise ValueError("M must be at least 1")
+    _check_count(T, "T", least=2)
+    _check_count(M, "M")
     corr = np.eye(M) if target_corr is None else np.asarray(target_corr, dtype=float)
     if corr.shape != (M, M):
         raise ValueError(f"target_corr must be {M}x{M}")

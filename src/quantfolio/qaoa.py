@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .market_data import ReturnPanel, _frozen_array, _frozen_integers, _read_only
+from .market_data import ReturnPanel, _check_count, _frozen_array, _frozen_integers, _read_only
 from .schedule_qubo import (
     BitSchedule, QuboParams, QuboProblem, _check_width, _min_window, _qubo_matrix, _table,
     brute_force, build_qubo, enumerate_energies, value_to_bits,
@@ -119,8 +119,7 @@ class QaoaConfig:
 
     def __post_init__(self) -> None:
         for name in ("depth", "restarts", "opt_shots", "eval_shots", "max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            _check_count(getattr(self, name), name)
         grid = _COARSE_GRID[0] * _COARSE_GRID[1]
         if self.restarts * self.max_iters < grid:
             raise ValueError(f"restarts x max_iters must be >= {grid} (the p = 1 grid)")
@@ -267,8 +266,7 @@ def _states(tables: np.ndarray, owner: np.ndarray, points: np.ndarray):
 def sample(state: np.ndarray, shots: int, seed) -> np.ndarray:
     """Multinomial measurement counts over |amplitude|^2, indexed by bitstring
     value. Deterministic per seed (or consumes a passed Generator)."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    _check_count(shots, "shots")
     probs = np.abs(np.asarray(state)) ** 2
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
@@ -432,13 +430,12 @@ def walk_forward(
     schedule, and a window's outcome does not depend on the other windows or
     targets it is batched with.
     """
-    if isinstance(cfgs, QaoaConfig) or len(cfgs) != len(targets):
+    if not (hasattr(targets, "__len__") and hasattr(cfgs, "__len__")) or len(cfgs) != len(targets):
         raise ValueError("need one QaoaConfig per target")
     if len({replace(cfg, seed=0) for cfg in cfgs}) > 1:
         raise ValueError("the configs of one walk_forward call may differ only in seed")
     t_total = test.n_days
-    if k_windows < 1:
-        raise ValueError("need at least one window")
+    _check_count(k_windows, "k_windows")
     chunk = t_total // k_windows  # the shortest window
     if chunk < _min_window(w_count):
         raise ValueError(f"test panel of {t_total} days is too short for {k_windows} windows: "

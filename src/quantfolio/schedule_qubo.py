@@ -22,8 +22,8 @@ import numpy as np
 
 from .allocation import _weight_array, portfolio_log_returns
 from .clustering import ZeroVolatilityError, annualised_sharpe
-from .market_data import (ANNUALISATION, ReturnPanel, _check_cost, _frozen_array, _frozen_bits,
-                          _frozen_integers, _square)
+from .market_data import (ANNUALISATION, ReturnPanel, _check_cost, _check_count, _frozen_array,
+                          _frozen_bits, _frozen_integers, _square)
 
 MAX_WIDTH = 24  # largest W of any 2^W energy table or statevector: memory guard
 
@@ -124,8 +124,7 @@ def candidate_dates(window_len: int, w: int) -> np.ndarray:
     rounding moves each date by at most 1/2, so t_1 >= 1 and every forward
     span [t_k, t_{k+1}), the last one ending at L, holds at least 2 days.
     """
-    if w < 1:
-        raise ValueError("need at least one candidate date")
+    _check_count(w, "w")
     if window_len < _min_window(w):
         raise ValueError(f"window too short: {window_len} days for {w} dates (need {_min_window(w)})")
     return _frozen_integers(np.round(np.arange(1, w + 1) * window_len / (w + 1)), "candidate dates")

@@ -165,12 +165,6 @@ class TestSchedulers:
         with pytest.raises(ValueError, match="tickers"):
             run(panel, Strategy(bad, BuyAndHold()), COST)
 
-    @pytest.mark.parametrize("every", [0, -1, 1.5, 2.0, True, np.True_, "5"])
-    def test_periodic_admits_only_a_whole_number_of_days(self, every):
-        # 1.5 would rebalance on days 3, 6, 9, ... as "Rebal/1.5d", and True daily
-        with pytest.raises(ValueError, match="whole number >= 1 day, not"):
-            Periodic(every)
-
     @pytest.mark.parametrize("every", [np.int64(5), np.uint8(5)])
     def test_periodic_admits_numpy_integers(self, every):
         assert Periodic(every).describe() == "Rebal/5d"

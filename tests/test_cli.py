@@ -272,6 +272,18 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             dataclasses.replace(cfg, **{key: value})
 
+    @pytest.mark.parametrize("key,field", [
+        ("restarts", "restarts"), ("eval_shots", "eval_shots"), ("depth", "depth"),
+        ("windows", "windows"), ("n_clusters", "n_clusters"),
+        ("candidates_per_window", "candidates_per_window"), ("seed", "seed"),
+        ("ga_population", "population"),
+    ])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_replace_rejects_a_non_whole_count_by_name(self, workspace, key, field, value):
+        cfg = parse_config(workspace["config"])
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number"):
+            dataclasses.replace(cfg, **{key: value})
+
     def test_line_without_an_equals_sign_exits_1_naming_it(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         text = workspace["config"].read_text()
@@ -304,7 +316,7 @@ class TestConfigParsing:
     def test_negative_seed_override_exit_code(self, workspace, tmp_path, capsys):
         out = tmp_path / "never"
         assert run_cli("select", "--config", workspace["config"], "--seed", -1, "--out", out) == 1
-        assert "seed must be non-negative" in capsys.readouterr().err
+        assert "seed must be a whole number >= 0, not -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [

@@ -17,9 +17,12 @@ only ``clustering.annualised_sharpe`` calls ``.std(`` or ``.var(`` (so
 ``(m + m.T) / 2`` (every matrix it admits is exactly symmetric), only
 ``market_data._check_cost`` compares a ``cost_c`` and only
 ``schedule_qubo._check_width`` compares a width with the 2^W memory guard
-``MAX_WIDTH``, and only ``market_data._frozen_array`` chooses an array's
-memory layout (passes ``order=`` or calls ``compress``, ``asfortranarray``
-or ``ascontiguousarray``). Only ``cli.entry``, the process entry point, changes
+``MAX_WIDTH``, only ``market_data._check_count`` calls ``hasattr(x,
+"__index__")`` (every count is checked there, and the table test of
+``test_market_data`` holds each count's caller to it), and only
+``market_data._frozen_array`` chooses an array's memory layout (passes
+``order=`` or calls ``compress``, ``asfortranarray`` or
+``ascontiguousarray``). Only ``cli.entry``, the process entry point, changes
 the garbage collector (calls ``gc.freeze``, ``gc.disable`` or
 ``gc.set_threshold``): a library module must never change an importer's
 collector. Only ``allocation._weight_array`` compares a ``.tickers`` (every
@@ -128,6 +131,15 @@ def compares(name: str, bare: bool = True):
             or isinstance(side, ast.Attribute) and side.attr == name
             for side in (node.left, *node.comparators)
         )
+    return hit
+
+
+def probes(name: str):
+    """Accepts a call ``hasattr(x, "name")``."""
+    def hit(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hasattr"
+                and len(node.args) == 2 and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == name)
     return hit
 
 
@@ -345,6 +357,7 @@ OWNERS = {
     "symmetric_part": (averages_with_transpose, ("market_data.py", "_square")),
     "cost_sign": (compares("cost_c"), ("market_data.py", "_check_cost")),
     "width_guard": (compares("MAX_WIDTH"), ("schedule_qubo.py", "_check_width")),
+    "count": (probes("__index__"), ("market_data.py", "_check_count")),
     "layout": (sets_layout, ("market_data.py", "_frozen_array")),
     "collector": (calls_of("gc", "freeze", "disable", "set_threshold"), ("cli.py", "entry")),
     "ticker_alignment": (compares("tickers", bare=False), ("allocation.py", "_weight_array")),
@@ -398,6 +411,8 @@ def test_checks_catch_dead_code():
         "    return _frozen_array(h, int), _frozen_array(b, dtype=np.uint8), _frozen_array(h, float)\n"
         "\ndef parse(fh, text):\n    return json.load(fh), json.loads(text), fh.load(), np.load(fh)\n"
         "\ndef spread(r):\n    return r.var(ddof=1), np.std(r), np.var(r), r.variance()\n"
+        "\ndef whole(n, x):\n"
+        "    return hasattr(n, '__index__'), hasattr(x, '__len__'), getattr(n, '__index__')\n"
         "\n__all__ = ['stats', 'fits', 'Box']\n"
     )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
@@ -410,6 +425,7 @@ def test_checks_catch_dead_code():
         "symmetric_part": [("stats", 16)],
         "cost_sign": [("charge", 19), ("charge", 19)],
         "width_guard": [("fits", 22), ("fits", 22)],
+        "count": [("whole", 55)],
         "layout": [("layout", 29), ("layout", 30), ("layout", 30), ("layout", 30)],
         "collector": [("warm", 38)],
         "ticker_alignment": [("align", 43)],

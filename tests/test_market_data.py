@@ -25,10 +25,13 @@ from quantfolio import (
     to_returns,
     write_csv,
 )
-from quantfolio.allocation import minvar
+from quantfolio.allocation import GaConfig, equal_weights, minvar
+from quantfolio.backtest import Periodic
+from quantfolio.cli import RunConfig
 from quantfolio.clustering import ward_cluster
 from quantfolio.market_data import _READ_BUFFER
-from quantfolio.schedule_qubo import QuboProblem, _qubo_matrix
+from quantfolio.qaoa import QaoaConfig, sample, walk_forward
+from quantfolio.schedule_qubo import QuboProblem, _qubo_matrix, candidate_dates
 from quantfolio.shrinkage import ShrunkCovariance
 
 from conftest import subprocess_env
@@ -773,3 +776,42 @@ def test_admitted_matrix_is_its_exact_symmetric_part(admit, sym_atol, derive):
     got = admit(bumped)
     assert np.array_equal(got, got.T)
     assert np.array_equal(got, derive((bumped + bumped.T) / 2))
+
+
+_GOLDEN_PRICES = str(Path(__file__).resolve().parent / "data" / "golden_prices.csv")
+_RUN = RunConfig(_GOLDEN_PRICES, date(2015, 6, 30), date(2015, 12, 31))
+_COUNT_PANEL = to_returns(synth_panel(seed=8, T=61, M=3))
+
+# every count the package takes, by field name: the call that checks it and
+# the least value it admits
+COUNTS = {
+    "periodic interval": (Periodic, 1),  # Periodic.every, as a config file names it
+    "population": (lambda v: GaConfig(population=v), 2),
+    "generations": (lambda v: GaConfig(generations=v), 1),
+    **{field: (lambda v, field=field: QaoaConfig(**{"restarts": 72, field: v}), 1)
+       for field in ("depth", "restarts", "opt_shots", "eval_shots", "max_iters")},
+    "seed": (lambda v: replace(_RUN, seed=v), 0),
+    "n_clusters": (lambda v: replace(_RUN, n_clusters=v), 2),
+    "windows": (lambda v: replace(_RUN, windows=v), 1),
+    "candidates_per_window": (lambda v: replace(_RUN, candidates_per_window=v), 1),
+    "shots": (lambda v: sample(np.array([0.6, 0.8]), v, 0), 1),
+    "k_windows": (lambda v: walk_forward(
+        _COUNT_PANEL, [equal_weights(_COUNT_PANEL.tickers)], v, 4,
+        [QaoaConfig(depth=1, restarts=2, opt_shots=64, eval_shots=64, max_iters=36)]), 1),
+    "w": (lambda v: candidate_dates(20, v), 1),
+    "n": (lambda v: ward_cluster(1.0 - _CORR, v), 1),
+    "T": (lambda v: synth_panel(seed=0, T=v, M=2), 2),
+    "M": (lambda v: synth_panel(seed=0, T=5, M=v), 1),
+}
+
+
+@pytest.mark.parametrize("field", COUNTS)
+def test_each_count_is_a_whole_number_of_at_least_its_least(field):
+    """Every count goes through ``_check_count``: a fraction, a whole float, a
+    bool, a string or one below the least raises naming the field, where an
+    ``int`` cast would have truncated it or numpy failed on it later."""
+    call, least = COUNTS[field]
+    for value in (2.5, 2.0, True, np.True_, "5", least - 1):
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number >= {least}, not"):
+            call(value)
+    call(np.int64(least))

@@ -540,9 +540,10 @@ class TestBatchedSearch:
         panel = to_returns(synth_panel(seed=62, T=60, M=2))
         targets = self.targets(panel, np.random.default_rng(0))
         # a sequence of targets and a list of configs is the one convention:
-        # a lone config, with one target or several, is no list of configs
+        # a lone config, with one target or several, is no list of configs,
+        # and a lone target is no sequence of targets
         for args in ((targets, [wf_config()]), (targets, wf_config()),
-                     (targets[0], wf_config())):
+                     (targets[0], wf_config()), (targets[0], [wf_config()])):
             with pytest.raises(ValueError, match="one QaoaConfig per target"):
                 walk_forward(panel, args[0], 1, 4, args[1])
 

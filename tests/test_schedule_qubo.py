@@ -85,7 +85,7 @@ class TestCandidateDates:
             candidate_dates(3, 2)
 
     def test_no_candidates_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match="w must be a whole number >= 1, not 0"):
             candidate_dates(10, 0)
 
     def test_closed_form_equals_the_two_loops(self):
