@@ -38,6 +38,7 @@ class BuyAndHold:
     band = np.inf
 
     def due(self, days: int) -> np.ndarray:
+        _check_count(days, "days")
         return np.zeros(days, dtype=bool)
 
     def describe(self) -> str:
@@ -53,6 +54,7 @@ class Periodic:
         _check_count(self.every, "periodic interval")
 
     def due(self, days: int) -> np.ndarray:
+        _check_count(days, "days")
         t = np.arange(days)
         return (t >= 1) & (t % self.every == 0)
 
@@ -97,6 +99,7 @@ class Explicit:
         object.__setattr__(self, "bits", _frozen_bits(self.bits))
 
     def due(self, days: int) -> np.ndarray:
+        _check_count(days, "days")
         if self.bits.size != days:
             raise ValueError(f"explicit schedule of {self.bits.size} bits for {days} test days")
         return self.bits.astype(bool)

@@ -40,7 +40,7 @@ import numpy as np
 from .market_data import ReturnPanel, _check_count, _frozen_array, _frozen_integers, _read_only
 from .schedule_qubo import (
     BitSchedule, QuboParams, QuboProblem, _check_width, _min_window, _qubo_matrix, _table,
-    brute_force, build_qubo, enumerate_energies, value_to_bits,
+    build_qubo, enumerate_energies, value_to_bits,
 )
 
 OPTIMISER = "grid-INTERP-SPSA"
@@ -365,26 +365,21 @@ def _search(tables: np.ndarray, cfg: QaoaConfig, seeds) -> list[QaoaOutcome]:
 
 @dataclass(frozen=True, eq=False)
 class WindowDiagnostics:
-    """Everything the scheduler decided for one walk-forward window."""
+    """Everything the scheduler decided for one walk-forward window, and
+    ``brute_energy``, the exact optimum's energy: the least entry of the
+    ``enumerate_energies`` table the window's search built, the float
+    ``brute_force(qubo).energy`` returns."""
 
     start: int
     end: int
     qubo: QuboProblem
     outcome: QaoaOutcome
-
-    @cached_property
-    def brute_energy(self) -> float:
-        """The exact optimum's energy: one more ``2**W`` table than the search built."""
-        return brute_force(self.qubo).energy
+    brute_energy: float
 
     @property
     def gap(self) -> float:
         """QAOA energy minus the exact optimum, >= 0."""
         return self.outcome.best_energy - self.brute_energy
-
-    @property
-    def candidates_global(self) -> np.ndarray:
-        return self.qubo.candidates + self.start
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,7 +394,7 @@ class ScheduleResult:
         ``windows[-1].end`` days; read-only."""
         bits = np.zeros(self.windows[-1].end, dtype=np.uint8)
         for win in self.windows:
-            bits[win.candidates_global] = win.outcome.best_bits.bits
+            bits[win.qubo.candidates + win.start] = win.outcome.best_bits.bits
         return _read_only(bits)
 
     @property
@@ -436,6 +431,7 @@ def walk_forward(
         raise ValueError("the configs of one walk_forward call may differ only in seed")
     t_total = test.n_days
     _check_count(k_windows, "k_windows")
+    _check_count(w_count, "w_count")
     chunk = t_total // k_windows  # the shortest window
     if chunk < _min_window(w_count):
         raise ValueError(f"test panel of {t_total} days is too short for {k_windows} windows: "
@@ -450,15 +446,16 @@ def walk_forward(
         for cfg in cfgs
         for seed in np.random.SeedSequence(cfg.seed).generate_state(k_windows, dtype=np.uint64)
     ]
-    outcomes: list[QaoaOutcome] = []
+    solved = []  # each window's QUBO, outcome and exact optimum, its table's least entry
     per_search = max(1, _BATCH_ENERGIES >> w_count)
     for lo in range(0, len(qubos), per_search):
         tables = np.array([enumerate_energies(qp) for qp in qubos[lo : lo + per_search]])
-        outcomes += _search(tables, cfgs[0], seeds[lo : lo + per_search])
+        outcomes = _search(tables, cfgs[0], seeds[lo : lo + per_search])
+        solved += zip(qubos[lo : lo + per_search], outcomes, tables.min(axis=1).tolist())
 
     return tuple(
         ScheduleResult(tuple(
-            WindowDiagnostics(start, end, qubos[t * k_windows + k], outcomes[t * k_windows + k])
+            WindowDiagnostics(start, end, *solved[t * k_windows + k])
             for k, (start, end) in enumerate(spans)
         ))
         for t in range(len(targets))

@@ -125,8 +125,7 @@ def candidate_dates(window_len: int, w: int) -> np.ndarray:
     span [t_k, t_{k+1}), the last one ending at L, holds at least 2 days.
     """
     _check_count(w, "w")
-    if window_len < _min_window(w):
-        raise ValueError(f"window too short: {window_len} days for {w} dates (need {_min_window(w)})")
+    _check_count(window_len, "window_len", least=_min_window(w))
     return _frozen_integers(np.round(np.arange(1, w + 1) * window_len / (w + 1)), "candidate dates")
 
 

@@ -179,6 +179,9 @@ class TestSchedulers:
             == [np.inf, np.inf, 0.05, np.inf]
         with pytest.raises(ValueError, match="explicit schedule of 4 bits for 5 test days"):
             Explicit(bits).due(5)
+        for scheduler in (BuyAndHold(), Periodic(2), Threshold(0.05), Explicit(bits)):
+            with pytest.raises(ValueError, match="^days must be a whole number >= 1, not 4.0"):
+                scheduler.due(4.0)
 
     def test_a_drift_of_exactly_the_band_is_let_stand(self):
         # [0.5, 0.5] drifts to [0.75, 0.25] on day 0: a drift of exactly 0.25

@@ -962,7 +962,8 @@ class TestDroppedFieldsRederive:
         for method in METHODS:
             for blob, win in zip(_schedule_windows(cfg, method), results[method].windows):
                 local = blob["qubo"]["candidates"]
-                assert [blob["start"] + c for c in local] == win.candidates_global.tolist()
+                days = win.qubo.candidates + win.start
+                assert [blob["start"] + c for c in local] == days.tolist()
                 assert len(local) == len(win.qubo.q)
                 window_len = blob["end"] - blob["start"]
                 assert local == candidate_dates(window_len, cfg.candidates_per_window).tolist()

@@ -781,6 +781,7 @@ def test_admitted_matrix_is_its_exact_symmetric_part(admit, sym_atol, derive):
 _GOLDEN_PRICES = str(Path(__file__).resolve().parent / "data" / "golden_prices.csv")
 _RUN = RunConfig(_GOLDEN_PRICES, date(2015, 6, 30), date(2015, 12, 31))
 _COUNT_PANEL = to_returns(synth_panel(seed=8, T=61, M=3))
+_COUNT_QAOA = [QaoaConfig(depth=1, restarts=2, opt_shots=64, eval_shots=64, max_iters=36)]
 
 # every count the package takes, by field name: the call that checks it and
 # the least value it admits
@@ -796,9 +797,12 @@ COUNTS = {
     "candidates_per_window": (lambda v: replace(_RUN, candidates_per_window=v), 1),
     "shots": (lambda v: sample(np.array([0.6, 0.8]), v, 0), 1),
     "k_windows": (lambda v: walk_forward(
-        _COUNT_PANEL, [equal_weights(_COUNT_PANEL.tickers)], v, 4,
-        [QaoaConfig(depth=1, restarts=2, opt_shots=64, eval_shots=64, max_iters=36)]), 1),
+        _COUNT_PANEL, [equal_weights(_COUNT_PANEL.tickers)], v, 4, _COUNT_QAOA), 1),
+    "w_count": (lambda v: walk_forward(
+        _COUNT_PANEL, [equal_weights(_COUNT_PANEL.tickers)], 1, v, _COUNT_QAOA), 1),
     "w": (lambda v: candidate_dates(20, v), 1),
+    "window_len": (lambda v: candidate_dates(v, 1), 4),
+    "days": (lambda v: Periodic(5).due(v), 1),
     "n": (lambda v: ward_cluster(1.0 - _CORR, v), 1),
     "T": (lambda v: synth_panel(seed=0, T=v, M=2), 2),
     "M": (lambda v: synth_panel(seed=0, T=5, M=v), 1),

@@ -21,7 +21,7 @@ from quantfolio import (
     to_returns,
     walk_forward,
 )
-from quantfolio import qaoa
+from quantfolio import qaoa, schedule_qubo
 from quantfolio.allocation import METHODS
 from quantfolio.cli import _schedule_record
 from quantfolio.qaoa import IsingModel, QaoaOutcome, ScheduleResult, WindowDiagnostics
@@ -612,7 +612,7 @@ class TestWalkForward:
         result = walk_forward(panel, [wf_target(panel)], 3, 4, [wf_config()])[0]
         rebuilt = np.zeros(panel.n_days, dtype=np.uint8)
         for win in result.windows:
-            rebuilt[win.candidates_global] = win.outcome.best_bits.bits
+            rebuilt[win.qubo.candidates + win.start] = win.outcome.best_bits.bits
         np.testing.assert_array_equal(result.bits, rebuilt)
         assert result.total_rebalances == int(result.bits.sum())
 
@@ -640,16 +640,17 @@ class TestWalkForward:
         for win in result.windows:
             assert win.gap is not None
             assert win.gap >= 0.0
-            assert win.brute_energy == pytest.approx(
-                brute_force(win.qubo).energy, abs=1e-15
-            )
+            assert win.brute_energy == brute_force(win.qubo).energy
 
-    def test_brute_force_once_per_window(self, monkeypatch):
+    def test_one_energy_table_per_window(self, monkeypatch):
+        # the search's table gives the exact optimum too: neither walk_forward
+        # nor the window record builds a second one, under either module's name
         panel = to_returns(synth_panel(seed=35, T=130, M=3))
-        result = walk_forward(panel, [wf_target(panel)], 2, 5, [wf_config()])[0]
         calls = []
-        monkeypatch.setattr(qaoa, "brute_force", lambda q: calls.append(q) or brute_force(q))
-        _schedule_record("GA", result)
+        for module in (qaoa, schedule_qubo):
+            monkeypatch.setattr(module, "enumerate_energies",
+                                lambda q: calls.append(q) or enumerate_energies(q))
+        result = walk_forward(panel, [wf_target(panel)], 2, 5, [wf_config()])[0]
         _schedule_record("GA", result)
         assert calls == [win.qubo for win in result.windows]
 
@@ -662,8 +663,7 @@ class TestWalkForward:
         histogram[0] = 8
         outcome = QaoaOutcome(BitSchedule(np.zeros(w), 0.0), histogram,
                               np.zeros(1), np.zeros((1, 2)))
-        win = WindowDiagnostics(0, w + 2, qubo, outcome)
-        assert win.brute_energy == brute_force(qubo).energy
+        win = WindowDiagnostics(0, w + 2, qubo, outcome, brute_force(qubo).energy)
         assert isinstance(win.gap, float)
         assert win.gap == -win.brute_energy > 0.0
         blob = _schedule_record("GA", ScheduleResult((win,)))["windows"][0]

@@ -85,7 +85,7 @@ def schedule_result(order="C"):
     qubo, _ = qubo_problem(order)
     outcome = QaoaOutcome(BitSchedule(bits, -0.75), np.array([0, 0, 0, 4]),
                           np.array([-0.75]), np.array([[0.1, 0.2]]))
-    return ScheduleResult((WindowDiagnostics(0, 6, qubo, outcome),)), {"bits": bits}
+    return ScheduleResult((WindowDiagnostics(0, 6, qubo, outcome, -1.0),)), {"bits": bits}
 
 
 def explicit(order="C"):
