@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import annualised_sharpe
-from .market_data import ReturnPanel, _check_count, _frozen_array, _square
+from .market_data import ReturnPanel, _check_count, _frozen_array, _square, _ticker_names
 from .shrinkage import ShrunkCovariance
 
 METHODS = ("GA", "MinVar", "Equal", "Ensemble")
@@ -32,9 +32,9 @@ class WeightVector:
     method: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tickers", tuple(str(t) for t in self.tickers))
+        object.__setattr__(self, "tickers", _ticker_names(self.tickers))
         w = np.asarray(self.weights, dtype=float).ravel()
-        if w.size != len(self.tickers) or w.size < 1:
+        if w.size != len(self.tickers):
             raise ValueError("weights length must match tickers")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
@@ -65,6 +65,7 @@ class GaConfig:
             raise ValueError("mutation_rate must be in [0, 1]")
         _check_count(self.population, "population", least=2)
         _check_count(self.generations, "generations")
+        _check_count(self.seed, "seed", least=0)
 
 
 def normalised_entropy(weights):
@@ -203,7 +204,7 @@ def minvar(cov) -> WeightVector:
 
 
 def equal_weights(tickers) -> WeightVector:
-    tickers = tuple(tickers)
+    tickers = _ticker_names(tickers)
     w = np.full(len(tickers), 1.0 / len(tickers))
     return WeightVector(tickers, w / w.sum(), "Equal")
 

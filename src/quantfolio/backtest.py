@@ -158,8 +158,8 @@ def metrics(equity_curve) -> Metrics:
     curve = np.asarray(equity_curve, dtype=float).ravel()
     if curve.size < 2:
         raise ValueError("equity curve needs at least 2 points")
-    if np.any(curve <= 0.0):
-        raise ValueError("equity curve must be strictly positive")
+    if not np.all((curve > 0.0) & (curve < np.inf)):  # NaN fails it too
+        raise ValueError("equity curve must be finite and strictly positive")
 
     r = np.diff(np.log(curve))
     try:

@@ -40,8 +40,8 @@ from .backtest import (
 )
 from .clustering import annualised_sharpe, select_representatives, ward_cluster
 from .market_data import (
-    ReturnPanel, SplitSpec, _check_count, _frozen_bits, _positions, _write_labelled_csv, _write_rows,
-    load_csv, split, to_returns,
+    ReturnPanel, SplitSpec, _check_count, _frozen_bits, _positions, _ticker_names,
+    _write_labelled_csv, _write_rows, load_csv, split, to_returns,
 )
 from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, WindowDiagnostics, walk_forward
 from .schedule_qubo import QuboParams, QuboProblem, _check_width, bits_to_str
@@ -244,12 +244,10 @@ _float = _kind(lambda v: isinstance(v, float) and math.isfinite(v), "a finite fl
 _list = _kind(lambda v: isinstance(v, list), "a JSON list")
 _object = _kind(lambda v: isinstance(v, dict), "a JSON object")
 _strings, _floats = _list_of(_string), _list_of(_float)
-_distinct = _kind(lambda v: len(v) > 0 and len(set(v)) == len(v),
-                  "a non-empty list of distinct strings")
 
 
 def _tickers(value):
-    return _distinct(_strings(value))
+    return list(_ticker_names(_strings(value)))
 
 
 def _method(method: str):
@@ -414,8 +412,11 @@ def cmd_weights(cfg: RunConfig) -> dict:
     selected = sel["tickers"]
     _, train = _load_panels(cfg, cfg.train_end, selected)
 
-    ga = ga_optimise(train, cfg.ga_config())
-    cov = _shrunk(train, sel["shrinkage_alpha"], sel["shrinkage_mu_target"])
+    try:  # selection.json's alpha, target and ticker count are checked here (as is the data)
+        cov = _shrunk(train, sel["shrinkage_alpha"], sel["shrinkage_mu_target"])
+        ga = ga_optimise(train, cfg.ga_config())
+    except ValueError as exc:
+        raise ValueError(f"{os.path.join(cfg.out_dir, 'selection.json')}: {exc}") from None
     mv = minvar(cov)
     eq = equal_weights(selected)
 

@@ -110,8 +110,23 @@ def _check_count(value, what: str, least: int = 1) -> None:
         raise ValueError(f"{what} must be a whole number >= {least}, not {value!r}")
 
 
+def _ticker_names(tickers) -> tuple[str, ...]:
+    """``tickers`` as a tuple of plain ``str``: one or more, none blank once stripped,
+    none twice; a lone string is refused, not split. The one statement of the rule."""
+    names = () if isinstance(tickers, str) else tuple(tickers)
+    bad = [t for t in names if not (isinstance(t, str) and t.strip())]
+    if not names or bad:
+        raise ValueError("tickers must be one or more non-blank strings, not "
+                         f"{bad[0] if bad else tickers!r}")
+    if len(set(names)) < len(names):
+        twice = sorted({t for i, t in enumerate(names) if t in names[:i]})
+        raise ValueError(f"tickers name {', '.join(twice)} more than once")
+    return tuple(str(t) for t in names)
+
+
 def _positions(tickers, wanted) -> list[int]:
     """The index in ``tickers`` of each of ``wanted``, in the order given."""
+    wanted = _ticker_names(wanted)
     index = {t: i for i, t in enumerate(tickers)}
     missing = [t for t in wanted if t not in index]
     if missing:
@@ -121,19 +136,17 @@ def _positions(tickers, wanted) -> list[int]:
 
 def _check_panel(panel, values, what: str) -> np.ndarray:
     """The checks ``PricePanel`` and ``ReturnPanel`` share. Normalises the
-    panel's dates and tickers to tuples, then returns ``values`` as a 2-D float
-    array (a view if it already is one) whose shape matches them, with distinct
-    tickers, strictly increasing dates and every entry finite and positive."""
+    panel's dates to a tuple and its tickers by ``_ticker_names``, then returns
+    ``values`` as a 2-D float array (a view if it already is one) whose shape
+    matches them, with strictly increasing dates and finite, positive entries."""
     object.__setattr__(panel, "dates", tuple(panel.dates))
-    object.__setattr__(panel, "tickers", tuple(str(t) for t in panel.tickers))
+    object.__setattr__(panel, "tickers", _ticker_names(panel.tickers))
     values = np.atleast_2d(np.asarray(values, dtype=float))
     t, m = values.shape
     if len(panel.dates) != t:
         raise ValueError(f"{len(panel.dates)} dates for {t} rows of {what}")
     if len(panel.tickers) != m:
         raise ValueError(f"{len(panel.tickers)} tickers for {m} columns of {what}")
-    if len(set(panel.tickers)) != m:
-        raise ValueError("duplicate tickers in panel")
     if any(b <= a for a, b in zip(panel.dates, panel.dates[1:])):
         raise ValueError("dates must be strictly increasing")
     if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
@@ -158,11 +171,8 @@ class PricePanel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dropped", tuple(self.dropped))
         prices = _check_panel(self, self.prices, "prices")
-        t, m = prices.shape
-        if t < 2:
+        if len(prices) < 2:
             raise ValueError("price panel needs at least 2 rows")
-        if m < 1:
-            raise ValueError("price panel needs at least 1 ticker")
         object.__setattr__(self, "prices", _frozen_array(prices))
 
     @property
@@ -208,7 +218,7 @@ class ReturnPanel:
     def restrict(self, tickers) -> "ReturnPanel":
         """Column subset, in the order given."""
         cols = _positions(self.tickers, tickers)
-        return ReturnPanel(self.dates, tuple(tickers), self.gross_returns[:, cols])
+        return ReturnPanel(self.dates, tickers, self.gross_returns[:, cols])
 
 
 @dataclass(frozen=True)
@@ -275,7 +285,7 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
 
     ``tickers``, if given, names the columns to read, in the order wanted. A
     name the header lacks is an error, as is a header that names one ticker
-    twice.
+    twice. Without it the panel holds every column, in name order.
 
     ``last``, if given, is the last date kept. Later rows decide nothing: not
     the prices, and not which tickers are complete. They are still checked,
@@ -285,14 +295,14 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
     buffer that holds several 500-ticker rows. Every row's cells are counted
     (its commas) and its date (the bytes before the first comma) is checked,
     and must follow the previous row's, then a row after ``last`` is passed
-    over. When ``tickers`` is None, a kept row is split once at every comma.
-    Otherwise one numpy scan of each row, with a comma appended, finds where
-    each cell ends: that gives the row's cell count and the byte bounds of
-    each wanted cell, and a kept row is cut at those bounds alone. ``float``
-    reads the cells as bytes. The
-    header, and any row holding a ``"`` or a non-ASCII byte, is decoded and
-    read by ``csv.reader`` for that row alone, so quoted cells parse as in
-    any CSV. Errors name the physical line.
+    over. When ``tickers`` is None, a kept row is split once at every comma,
+    and the columns are put in name order once, at the end. Otherwise one
+    numpy scan of each row, with a comma appended, finds where each cell
+    ends: that gives the row's cell count and the byte bounds of each wanted
+    cell, and a kept row is cut at those bounds alone. ``float`` reads the
+    cells as bytes. The header, and any row holding a ``"`` or a non-ASCII
+    byte, is decoded and read by ``csv.reader`` for that row alone, so quoted
+    cells parse as in any CSV. Errors name the physical line.
     """
     with open(path, "rb", buffering=_READ_BUFFER) as fh:
         lines = _lines(fh, path)
@@ -314,10 +324,9 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
         if not columns:
             raise ValueError(f"{path}: no ticker columns")
         if tickers is None:
-            tickers = header[1:]
-            pick = None
+            tickers, pick = header[1:], None
         else:
-            tickers = list(tickers)
+            tickers = _ticker_names(tickers)
             unknown = [tk for tk in tickers if tk not in columns]
             if unknown:
                 raise ValueError(f"{path}: unknown tickers: {', '.join(unknown)}")
@@ -378,7 +387,8 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
 
     raw = np.frombuffer(values, dtype=float).reshape(len(dates), len(tickers))
     complete = np.all(np.isfinite(raw) & (raw > 0.0), axis=0)
-    dropped = tuple(tk for tk, ok in zip(tickers, complete) if not ok)
+    order = range(len(tickers)) if pick else sorted(range(len(tickers)), key=tickers.__getitem__)
+    dropped = tuple(tickers[c] for c in order if not complete[c])
     if dropped:
         log.warning(
             "%s: dropped %d ticker(s) with missing or non-positive cells: %s",
@@ -386,8 +396,8 @@ def load_csv(path, tickers=None, last=None) -> PricePanel:
         )
     if not np.any(complete):
         raise ValueError(f"{path}: no ticker has a complete positive price history")
-    keep = tuple(tk for tk, ok in zip(tickers, complete) if ok)
-    return PricePanel(tuple(dates), keep, raw[:, complete], dropped=dropped)
+    keep = [c for c in order if complete[c]]
+    return PricePanel(tuple(dates), tuple(tickers[c] for c in keep), raw[:, keep], dropped=dropped)
 
 
 def _csv_cell(text: str) -> str:
@@ -518,8 +528,10 @@ def synth_panel(
 
     vol = np.broadcast_to(np.asarray(ann_vol, dtype=float), (M,)) / ANNUALISATION
     drift = np.broadcast_to(np.asarray(ann_drift, dtype=float), (M,)) / TRADING_DAYS_PER_YEAR
-    if np.any(vol < 0):
-        raise ValueError("ann_vol must be non-negative")
+    if not np.all((vol >= 0.0) & (vol < np.inf)):  # NaN fails it too
+        raise ValueError("ann_vol must be non-negative and finite")
+    if not np.all(np.isfinite(drift)):
+        raise ValueError("ann_drift must be finite")
 
     rng = np.random.default_rng(seed)
     shocks = rng.standard_normal((T - 1, M))

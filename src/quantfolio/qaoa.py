@@ -120,6 +120,7 @@ class QaoaConfig:
     def __post_init__(self) -> None:
         for name in ("depth", "restarts", "opt_shots", "eval_shots", "max_iters"):
             _check_count(getattr(self, name), name)
+        _check_count(self.seed, "seed", least=0)
         grid = _COARSE_GRID[0] * _COARSE_GRID[1]
         if self.restarts * self.max_iters < grid:
             raise ValueError(f"restarts x max_iters must be >= {grid} (the p = 1 grid)")

@@ -16,7 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .market_data import ReturnPanel, _flat, _frozen_array, _positions, _read_only, _square
+from .market_data import (
+    ReturnPanel, _flat, _frozen_array, _positions, _read_only, _square, _ticker_names,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,7 +39,7 @@ class ShrunkCovariance:
     mu_target: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tickers", tuple(str(t) for t in self.tickers))
+        object.__setattr__(self, "tickers", _ticker_names(self.tickers))
         sigma = _square(self.sigma, "sigma", sym_atol=1e-10)
         m = len(sigma)
         if len(self.tickers) != m:
@@ -63,9 +65,7 @@ class ShrunkCovariance:
     def restrict(self, tickers) -> "ShrunkCovariance":
         """Sub-estimate for a ticker subset, in the order given."""
         idx = _positions(self.tickers, tickers)
-        return ShrunkCovariance(
-            tuple(tickers), self.sigma[np.ix_(idx, idx)], self.alpha, self.mu_target
-        )
+        return ShrunkCovariance(tickers, self.sigma[np.ix_(idx, idx)], self.alpha, self.mu_target)
 
 
 def ledoit_wolf(returns: ReturnPanel) -> ShrunkCovariance:
@@ -128,7 +128,7 @@ def angular_distance(rho):
     clamped; anything larger is rejected.
     """
     r = np.asarray(rho, dtype=float)
-    if np.any(np.abs(r) > 1.0 + 1e-12):
+    if not np.all(np.abs(r) <= 1.0 + 1e-12):  # NaN fails it too
         raise ValueError("correlation outside [-1, 1]")
     r = np.clip(r, -1.0, 1.0)
     d = np.sqrt((1.0 - r) / 2.0)

@@ -442,6 +442,11 @@ class TestMetrics:
         with pytest.raises(ValueError, match="at least 2"):
             metrics([1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_curve_must_be_finite_and_strictly_positive(self, bad):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            metrics([1.0, bad, 1.1])
+
 
 class TestRunGrid:
     def _inputs(self, seed=42, t=120):

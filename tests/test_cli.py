@@ -517,6 +517,25 @@ class TestWeightsCommand:
         assert run_cli("weights", "--config", workspace["config"], "--out", out) == 1
         assert "select" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,what", [
+        ("shrinkage_alpha", 1.5, "alpha must be in [0, 1], got 1.5"),
+        ("shrinkage_mu_target", -1.0, "sigma has a non-positive diagonal entry"),
+        ("tickers", lambda t: t[:1], "GA needs at least 2 assets"),
+    ], ids=["alpha", "mu_target", "one-ticker"])
+    def test_selection_value_the_stage_refuses_exits_1_naming_the_file(
+            self, workspace, tmp_path, capsys, key, value, what):
+        """A value that passes the schema but that the estimate or the GA
+        refuses is blamed on selection.json, as a weights file's would be."""
+        out = tmp_path / "edited"
+        run_cli("select", "--config", workspace["config"], "--out", out)
+        path = out / "selection.json"
+        blob = json.loads(path.read_text())
+        blob[key] = value(blob[key]) if callable(value) else value
+        path.write_text(json.dumps(blob))
+        capsys.readouterr()
+        assert run_cli("weights", "--config", workspace["config"], "--out", out) == 1
+        assert capsys.readouterr().err == f"error [weights]: {path}: {what}\n"
+
 
 @pytest.fixture(scope="module")
 def scheduled(workspace):
@@ -725,16 +744,17 @@ class TestBacktestCommand:
         pytest.param("selection.json", "note", "hand-edited", "weights", "unknown key",
                      id="selection.json-unknown"),
         pytest.param("selection.json", "tickers", lambda t: [t[0], *t], "weights",
-                     "is not a non-empty list of distinct strings",
-                     id="selection.json-tickers-repeated"),
+                     "more than once", id="selection.json-tickers-repeated"),
         pytest.param("selection.json", "tickers", [], "weights",
-                     "[] is not a non-empty list of distinct strings",
+                     "tickers must be one or more non-blank strings, not []",
                      id="selection.json-tickers-empty"),
+        pytest.param("selection.json", "tickers", lambda t: [t[0], ""], "weights",
+                     "tickers must be one or more non-blank strings, not ''",
+                     id="selection.json-tickers-blank"),
         pytest.param("weights_ga.json", "tickers", 5, "backtest", "5 is not a JSON list",
                      id="weights_ga.json-tickers-int"),
         pytest.param("weights_ga.json", "tickers", lambda t: [t[0], t[0], *t[2:]], "backtest",
-                     "is not a non-empty list of distinct strings",
-                     id="weights_ga.json-tickers-repeated"),
+                     "more than once", id="weights_ga.json-tickers-repeated"),
         pytest.param("weights_minvar.json", "tickers", [1, 2], "schedule", "1 is not a string",
                      id="weights_minvar.json-tickers-ints"),
         pytest.param("weights_ga.json", "weights", lambda w: [[x] for x in w], "backtest",

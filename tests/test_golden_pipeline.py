@@ -5,14 +5,16 @@ pinned digest, as does every artifact of the golden run at 14 candidate
 dates per window.
 
 Prices multiplied by a power of two leave every gross return, and so every
-golden artifact but the manifest, byte-identical. The manifest records the
-digest of the prices file it read, so it differs under the scaling and is left
-out of that check."""
+golden artifact but the manifest, byte-identical; so does any order of the
+price file's columns, since the loader sorts the universe by name. The
+manifest records the digest of the prices file it read, so it differs under
+the scaling or the reordering and is left out of those checks."""
 import contextlib
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import golden_pipeline
@@ -141,3 +143,15 @@ def test_prices_times_a_power_of_two_leave_every_artifact_as_it_is(tmp_path, k):
     differ = [line for line in artifacts_diff(run_pipeline(tmp_path, prices=scaled).parent)
               if not line.startswith("manifest.json:")]
     assert not differ, "\n".join([f"prices x 2^{k} moved golden artifacts:", *differ])
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_any_column_order_of_the_prices_leaves_every_artifact_as_it_is(tmp_path, order):
+    panel = golden_panel()
+    m = len(panel.tickers)
+    cols = np.arange(m)[::-1] if order == "reversed" else np.random.default_rng(39).permutation(m)
+    reordered = PricePanel(panel.dates, [panel.tickers[i] for i in cols], panel.prices[:, cols])
+    differ = artifacts_diff(run_pipeline(tmp_path, prices=reordered).parent)
+    assert "manifest.json: differs" in differ  # the prices file is not the golden one
+    differ.remove("manifest.json: differs")
+    assert not differ, "\n".join([f"{order} price columns moved golden artifacts:", *differ])

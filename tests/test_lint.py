@@ -25,7 +25,10 @@ only ``clustering.annualised_sharpe`` calls ``.std(`` or ``.var(`` (so
 ``ascontiguousarray``). Only ``cli.entry``, the process entry point, changes
 the garbage collector (calls ``gc.freeze``, ``gc.disable`` or
 ``gc.set_threshold``): a library module must never change an importer's
-collector. Only ``allocation._weight_array`` compares a ``.tickers`` (every
+collector. Only ``market_data._ticker_names`` coerces a list of names
+(``tuple(str(t) for t in ...)``) or tests a ``tickers`` for repeats
+(``len(set(tickers))``): every ticker list is checked there. Only
+``allocation._weight_array`` compares a ``.tickers`` (every
 weights-on-panel call checks alignment through it), and only
 ``market_data._frozen_integers`` passes ``int`` or ``np.uint8`` as
 ``_frozen_array``'s dtype (every integer cast is checked before it
@@ -187,6 +190,24 @@ def imports(module: str):
                 or isinstance(node, ast.ImportFrom) and node.level == 0
                 and node.module.split(".")[0] == module)
     return hit
+
+
+def calls_name(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` is a call ``name(...)`` of the bare name ``name``."""
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def states_ticker_rule(node: ast.AST) -> bool:
+    """Accepts ``tuple(str(x) for x in ...)`` or ``list(...)`` of such a
+    comprehension (a coercion of names to ``str``), and ``len(set(tickers))``
+    or ``len(set(<x>.tickers))`` (a test for repeated tickers)."""
+    if calls_name(node, "len"):
+        held = node.args[0].args if node.args and calls_name(node.args[0], "set") else ()
+        return bool(held) and "tickers" in (getattr(held[0], "id", None),
+                                            getattr(held[0], "attr", None))
+    return ((calls_name(node, "tuple") or calls_name(node, "list")) and bool(node.args)
+            and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+            and calls_name(node.args[0].elt, "str"))
 
 
 def opens_locale_text(node: ast.AST) -> bool:
@@ -365,6 +386,7 @@ OWNERS = {
     "artifact_read": (calls_of("json", "load", "loads"), ("cli.py", "_read_artifact")),
     "artifact_write": (calls_of("json", "dump", "dumps"), ("cli.py", "_write_json")),
     "csv_format": (imports("csv"), ("market_data.py", "<module>")),
+    "ticker_names": (states_ticker_rule, ("market_data.py", "_ticker_names")),
 }
 
 
@@ -413,6 +435,9 @@ def test_checks_catch_dead_code():
         "\ndef spread(r):\n    return r.var(ddof=1), np.std(r), np.var(r), r.variance()\n"
         "\ndef whole(n, x):\n"
         "    return hasattr(n, '__index__'), hasattr(x, '__len__'), getattr(n, '__index__')\n"
+        "\ndef names(ts, bits, tickers, p):\n    a = tuple(str(t) for t in ts), list([str(t) for t in ts])\n"
+        "    return a, len(set(tickers)), len(set(p.tickers)), len(set(ts)), len(ts), set(tickers), "
+        "''.join(str(b) for b in bits), tuple(t for t in ts)\n"
         "\n__all__ = ['stats', 'fits', 'Box']\n"
     )
     assert imported_names(tree) - referenced_names(tree) == {"os", "d"}
@@ -433,6 +458,7 @@ def test_checks_catch_dead_code():
         "artifact_read": [("parse", 49), ("parse", 49)],
         "artifact_write": [("write", 25), ("write", 26)],
         "csv_format": [],
+        "ticker_names": [("names", 58), ("names", 58), ("names", 59), ("names", 59)],
     }
     assert owned(ast.parse("import csv as c\nfrom csv import writer\nimport io, csv\n"
                            "from . import csv\n\ndef f():\n    import csv.x\n"),

@@ -1,6 +1,7 @@
 import codecs
 import csv
 import gc
+import json
 import math
 import subprocess
 import sys
@@ -25,9 +26,9 @@ from quantfolio import (
     to_returns,
     write_csv,
 )
-from quantfolio.allocation import GaConfig, equal_weights, minvar
+from quantfolio.allocation import GaConfig, WeightVector, equal_weights, minvar
 from quantfolio.backtest import Periodic
-from quantfolio.cli import RunConfig
+from quantfolio.cli import RunConfig, _read_artifact
 from quantfolio.clustering import ward_cluster
 from quantfolio.market_data import _READ_BUFFER
 from quantfolio.qaoa import QaoaConfig, sample, walk_forward
@@ -299,11 +300,12 @@ class TestLoadCsv:
         proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == ascii(("ÉLAN", "BBB"))
+        # the universe comes back sorted by name: "B" sorts before "\xc9"
+        assert proc.stdout.strip() == ascii(("BBB", "ÉLAN"))
         assert path.read_bytes().startswith("date,ÉLAN,BBB\r\n".encode("utf-8"))
         back = load_csv(path)
-        assert back.tickers == panel.tickers
-        np.testing.assert_array_equal(back.prices, panel.prices)
+        assert back.tickers == panel.tickers[::-1]
+        np.testing.assert_array_equal(back.prices, panel.prices[:, ::-1])
 
 
 def reference_write_csv(panel, path):
@@ -322,14 +324,14 @@ def test_write_csv_bytes_equal_csv_writer_reference(tmp_path):
     write_csv(panel, path)
     reference_write_csv(panel, ref)
     assert path.read_bytes() == ref.read_bytes()
-    # the header's cells are stripped
-    assert load_csv(path).tickers == tuple(tk.strip() for tk in panel.tickers)
+    # the header's cells are stripped, and the universe is sorted by name
+    assert load_csv(path).tickers == tuple(sorted(tk.strip() for tk in panel.tickers))
 
 def reference_load_csv(path, last=None):
     """The cell-by-cell parser that read every row into memory first: the
-    reference for ``load_csv``'s dates, tickers, drops and price bits. Rows
-    after ``last`` have their length, date and date order checked, and
-    nothing more."""
+    reference for ``load_csv``'s dates, tickers, drops and price bits, with
+    the columns sorted by ticker name. Rows after ``last`` have their length,
+    date and date order checked, and nothing more."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if any(c.strip() for c in r)]
     if not rows:
@@ -369,6 +371,8 @@ def reference_load_csv(path, last=None):
             except ValueError:
                 pass
 
+    order = sorted(range(len(tickers)), key=tickers.__getitem__)
+    tickers, raw = [tickers[i] for i in order], raw[:, order]
     complete = np.all(np.isfinite(raw) & (raw > 0.0), axis=0)
     dropped = tuple(tk for tk, ok in zip(tickers, complete) if not ok)
     if not np.any(complete):
@@ -709,6 +713,14 @@ class TestSynthPanel:
         with pytest.raises(ValueError, match="symmetric"):
             synth_panel(seed=0, T=10, M=2, target_corr=corr)
 
+    @pytest.mark.parametrize("field,value", [
+        ("ann_vol", np.nan), ("ann_vol", np.inf), ("ann_vol", -0.1), ("ann_vol", [0.2, np.nan]),
+        ("ann_drift", np.nan), ("ann_drift", np.inf), ("ann_drift", [0.0, -np.inf]),
+    ])
+    def test_non_finite_vol_or_drift_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            synth_panel(seed=0, T=10, M=2, **{field: value})
+
     def test_weekday_dates(self):
         # every panel starts on Thursday 2015-01-01
         dates = synth_panel(seed=0, T=30, M=1).dates
@@ -783,8 +795,8 @@ _RUN = RunConfig(_GOLDEN_PRICES, date(2015, 6, 30), date(2015, 12, 31))
 _COUNT_PANEL = to_returns(synth_panel(seed=8, T=61, M=3))
 _COUNT_QAOA = [QaoaConfig(depth=1, restarts=2, opt_shots=64, eval_shots=64, max_iters=36)]
 
-# every count the package takes, by field name: the call that checks it and
-# the least value it admits
+# every count the package takes, by row: the call that checks it, the least
+# value it admits and, where the row is not named after it, the field name
 COUNTS = {
     "periodic interval": (Periodic, 1),  # Periodic.every, as a config file names it
     "population": (lambda v: GaConfig(population=v), 2),
@@ -792,6 +804,8 @@ COUNTS = {
     **{field: (lambda v, field=field: QaoaConfig(**{"restarts": 72, field: v}), 1)
        for field in ("depth", "restarts", "opt_shots", "eval_shots", "max_iters")},
     "seed": (lambda v: replace(_RUN, seed=v), 0),
+    "GaConfig seed": (lambda v: GaConfig(seed=v), 0, "seed"),
+    "QaoaConfig seed": (lambda v: QaoaConfig(seed=v), 0, "seed"),
     "n_clusters": (lambda v: replace(_RUN, n_clusters=v), 2),
     "windows": (lambda v: replace(_RUN, windows=v), 1),
     "candidates_per_window": (lambda v: replace(_RUN, candidates_per_window=v), 1),
@@ -809,13 +823,68 @@ COUNTS = {
 }
 
 
-@pytest.mark.parametrize("field", COUNTS)
-def test_each_count_is_a_whole_number_of_at_least_its_least(field):
+@pytest.mark.parametrize("row", COUNTS)
+def test_each_count_is_a_whole_number_of_at_least_its_least(row):
     """Every count goes through ``_check_count``: a fraction, a whole float, a
     bool, a string or one below the least raises naming the field, where an
     ``int`` cast would have truncated it or numpy failed on it later."""
-    call, least = COUNTS[field]
+    call, least, *named = COUNTS[row]
+    field = named[0] if named else row
     for value in (2.5, 2.0, True, np.True_, "5", least - 1):
         with pytest.raises(ValueError, match=f"^{field} must be a whole number >= {least}, not"):
             call(value)
     call(np.int64(least))
+
+
+_AB_DATES = (date(2024, 1, 2), date(2024, 1, 3))
+_AB_RETURNS = ReturnPanel(_AB_DATES, ("A", "B"), np.ones((2, 2)))
+_AB_COV = ShrunkCovariance(("A", "B"), np.diag([1.0, 4.0]), 0.0, 1.0)
+
+
+def _read_tickers(name: str, blob: dict):
+    """A call that writes ``blob`` with the given tickers as the artifact
+    ``name`` and reads it back through the artifact schema."""
+    def read(tickers):
+        with tempfile.TemporaryDirectory() as out:
+            Path(out, name).write_text(json.dumps({**blob, "tickers": tickers}))
+            return _read_artifact(replace(_RUN, out_dir=out), name)
+    return read
+
+
+def _uniform(tickers):
+    return np.ones(len(tickers)) / max(len(tickers), 1)
+
+
+# ``_ticker_names``' message, with the field it names
+_TICKER_RULE = r"^tickers (must be one or more non-blank strings, not|name .+ more than once)"
+_TICKER_KEY = r"malformed artifact, tickers: "
+
+# every holder of a ticker list: the call that builds one from a list, and
+# what its refusal says
+TICKER_HOLDERS = {
+    "PricePanel": (lambda v: PricePanel(_AB_DATES, v, np.ones((2, len(v)))), _TICKER_RULE),
+    "ReturnPanel": (lambda v: ReturnPanel(_AB_DATES, v, np.ones((2, len(v)))), _TICKER_RULE),
+    "WeightVector": (lambda v: WeightVector(v, _uniform(v), "Equal"), _TICKER_RULE),
+    "ShrunkCovariance": (lambda v: ShrunkCovariance(v, np.eye(len(v)), 0.0, 1.0), _TICKER_RULE),
+    "equal_weights": (equal_weights, _TICKER_RULE),
+    "ReturnPanel.restrict": (_AB_RETURNS.restrict, _TICKER_RULE),
+    "ShrunkCovariance.restrict": (_AB_COV.restrict, _TICKER_RULE),
+    "selection.json": (_read_tickers("selection.json", {
+        "per_cluster_sharpe": [], "labels": {}, "shrinkage_alpha": 0.5,
+        "shrinkage_mu_target": 1.0, "dropped_tickers": []}), _TICKER_KEY),
+    "weights_ga.json": (_read_tickers("weights_ga.json", {
+        "method": "GA", "weights": [0.5, 0.5], "train_sharpe": 0.0}), _TICKER_KEY),
+}
+
+
+@pytest.mark.parametrize("bad", ["AB", (), ("",), ("  ",), ("A", "A"), (5,)], ids=repr)
+@pytest.mark.parametrize("holder", TICKER_HOLDERS)
+def test_every_ticker_holder_refuses_a_bad_list_by_name(holder, bad):
+    """Every ticker list goes through ``_ticker_names``: a lone string (not
+    split into its characters), no names, a blank name, a name twice or a
+    name that is no string raises naming the field, and ``("A", "B")`` is
+    admitted."""
+    call, refusal = TICKER_HOLDERS[holder]
+    with pytest.raises(ValueError, match=refusal):
+        call(bad)
+    call(("A", "B"))

@@ -194,6 +194,12 @@ class TestAngularDistance:
         with pytest.raises(ValueError):
             angular_distance(-1.0001)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="outside"):
+            angular_distance(np.nan)
+        with pytest.raises(ValueError, match="outside"):
+            angular_distance(np.array([0.5, np.nan]))
+
     def test_array_input(self):
         out = angular_distance(np.array([1.0, 0.0, -1.0]))
         np.testing.assert_allclose(out, [0.0, 1 / np.sqrt(2), 1.0], atol=1e-15)
