@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import annualised_sharpe
-from .market_data import ReturnPanel, _check_count, _frozen_array, _square, _ticker_names
+from .market_data import (ReturnPanel, _check_count, _check_real, _frozen_array, _square,
+                          _ticker_names)
 from .shrinkage import ShrunkCovariance
 
 METHODS = ("GA", "MinVar", "Equal", "Ensemble")
@@ -56,13 +57,11 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("gene_high", "lambda_ent"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("gene_low", "gene_high", "lambda_ent"):
+            _check_real(getattr(self, name), name)
         if not 0.0 < self.gene_low < self.gene_high:
             raise ValueError("need 0 < gene_low < gene_high")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0, 1]")
+        _check_real(self.mutation_rate, "mutation_rate", least=0.0, most=1.0)
         _check_count(self.population, "population", least=2)
         _check_count(self.generations, "generations")
         _check_count(self.seed, "seed", least=0)

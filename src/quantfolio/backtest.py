@@ -24,7 +24,7 @@ import numpy as np
 
 from .allocation import METHODS, WeightVector, _weight_array
 from .clustering import annualised_sharpe
-from .market_data import (ANNUALISATION, ReturnPanel, _check_cost, _check_count, _frozen_array,
+from .market_data import (ANNUALISATION, ReturnPanel, _check_count, _check_real, _frozen_array,
                           _frozen_bits)
 
 
@@ -69,6 +69,7 @@ class Threshold:
     due = BuyAndHold.due  # no day: only the drift band rebalances
 
     def __post_init__(self) -> None:
+        _check_real(self.fraction, "threshold fraction")
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("threshold fraction must be in (0, 1)")
 
@@ -183,7 +184,7 @@ def drawdown(equity_curve) -> np.ndarray:
 
 def _simulate(test: ReturnPanel, strategies: list[Strategy], cost_c: float) -> list[BacktestReport]:
     """The reports of ``strategies``, whose holdings step through the test days together."""
-    _check_cost(cost_c)
+    _check_real(cost_c, "cost_c", least=0.0)
     hold = targets = np.array([_weight_array(strat.weights, test.tickers) for strat in strategies])
     due = np.array([strat.scheduler.due(test.n_days) for strat in strategies]).T
     band = np.array([strat.scheduler.band for strat in strategies])

@@ -21,7 +21,6 @@ import gc
 import hashlib
 import json
 import logging
-import math
 import os
 import reprlib
 import sys
@@ -40,7 +39,7 @@ from .backtest import (
 )
 from .clustering import annualised_sharpe, select_representatives, ward_cluster
 from .market_data import (
-    ReturnPanel, SplitSpec, _check_count, _frozen_bits, _positions, _ticker_names,
+    ReturnPanel, SplitSpec, _check_count, _check_real, _frozen_bits, _positions, _ticker_names,
     _write_labelled_csv, _write_rows, load_csv, split, to_returns,
 )
 from .qaoa import OPTIMISER, QaoaConfig, ScheduleResult, WindowDiagnostics, walk_forward
@@ -130,11 +129,12 @@ class RunConfig:
                 "test_end": self.test_end.isoformat(), "periodic": list(self.periodic)}
 
 
-def _finite_float(text: str) -> float:
-    """A float config value; ``nan`` and ``+-inf`` are rejected."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
+def _float(value) -> float:
+    """A float that ``_check_real`` admits, from a config or a JSON file (not a JSON int)."""
+    try:
+        _check_real(value if isinstance(value, float) else None, "value")
+    except ValueError:
+        raise ValueError(f"{reprlib.repr(value)} is not a finite float") from None
     return value
 
 
@@ -142,7 +142,7 @@ def _finite_float(text: str) -> float:
 _TYPE_PARSERS = {
     "str": str,
     "int": int,
-    "float": _finite_float,
+    "float": lambda text: _float(float(text)),
     "date": date.fromisoformat,
     "tuple[int, ...]": lambda s: tuple(int(x) for x in s.split(",")) if s else (),
 }
@@ -239,7 +239,6 @@ def _list_of(item):
 
 _string = _kind(lambda v: isinstance(v, str), "a string")
 _int = _kind(lambda v: type(v) is int, "an integer")
-_float = _kind(lambda v: isinstance(v, float) and math.isfinite(v), "a finite float")
 # ``_list`` and ``_object`` alone are shallow checks, for records no stage reads back
 _list = _kind(lambda v: isinstance(v, list), "a JSON list")
 _object = _kind(lambda v: isinstance(v, dict), "a JSON object")

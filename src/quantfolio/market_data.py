@@ -15,7 +15,7 @@ integer array holds whole numbers, and a bit vector (``BitSchedule``,
 ``Explicit``) only 0 and 1 in 1-D, before its cast. ``_read_only`` is the one
 place that marks an array read-only. ``_square`` admits every square matrix
 as its exact symmetric part, so no stage symmetrises one again. Every count
-(shots, windows, clusters, days) is checked by ``_check_count``.
+is checked by ``_check_count``, and every real setting by ``_check_real``.
 
 This module owns the CSV format, and every CSV file is UTF-8 whatever the
 locale: ``load_csv`` reads price files, labelled matrices (the price CSV,
@@ -96,13 +96,6 @@ def _square(values, what: str, sym_atol: float | None = None) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
-def _check_cost(cost_c) -> None:
-    """Raise unless the trade cost ``cost_c`` is finite and >= 0 (a negative
-    one credits every trade). The one such check of the package."""
-    if not 0.0 <= cost_c < math.inf:
-        raise ValueError(f"cost_c must be >= 0 and finite, got {cost_c!r}")
-
-
 def _check_count(value, what: str, least: int = 1) -> None:
     """Raise, naming ``what``, unless ``value`` is a whole number (an ``int``
     or numpy integer, not a bool) of at least ``least``. The one such check."""
@@ -110,17 +103,24 @@ def _check_count(value, what: str, least: int = 1) -> None:
         raise ValueError(f"{what} must be a whole number >= {least}, not {value!r}")
 
 
-def _ticker_names(tickers) -> tuple[str, ...]:
-    """``tickers`` as a tuple of plain ``str``: one or more, none blank once stripped,
-    none twice; a lone string is refused, not split. The one statement of the rule."""
-    names = () if isinstance(tickers, str) else tuple(tickers)
+def _check_real(value, what: str, least: float = -math.inf, most: float = math.inf) -> None:
+    """Raise, naming ``what``, unless ``value`` is a finite real (no bool) in [least, most]."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (math.isfinite(value) and least <= value <= most)):
+        raise ValueError(f"{what} must be a finite number in [{least:g}, {most:g}], not {value!r}")
+
+
+def _ticker_names(tickers, what: str = "tickers") -> tuple[str, ...]:
+    """``tickers`` (the field ``what``) as a tuple of plain ``str``: one or more, none blank
+    once stripped, none twice; a lone string is refused, not split. The one such rule."""
+    names = () if isinstance(tickers, str) or not hasattr(tickers, "__iter__") else tuple(tickers)
     bad = [t for t in names if not (isinstance(t, str) and t.strip())]
     if not names or bad:
-        raise ValueError("tickers must be one or more non-blank strings, not "
+        raise ValueError(f"{what} must be one or more non-blank strings, not "
                          f"{bad[0] if bad else tickers!r}")
     if len(set(names)) < len(names):
         twice = sorted({t for i, t in enumerate(names) if t in names[:i]})
-        raise ValueError(f"tickers name {', '.join(twice)} more than once")
+        raise ValueError(f"{what} name {', '.join(twice)} more than once")
     return tuple(str(t) for t in names)
 
 
@@ -160,7 +160,7 @@ class PricePanel:
 
     ``prices[t, i]`` is the price of ``tickers[i]`` on ``dates[t]``. No gaps:
     ingestion drops incomplete tickers before a panel is built. ``dropped``
-    records tickers removed by :func:`load_csv`.
+    records tickers removed by :func:`load_csv`: none, or a ticker list apart from ``tickers``.
     """
 
     dates: tuple[date, ...]
@@ -169,8 +169,10 @@ class PricePanel:
     dropped: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dropped", tuple(self.dropped))
         prices = _check_panel(self, self.prices, "prices")
+        dropped = () if np.size(self.dropped) == 0 else _ticker_names(self.dropped, "dropped")
+        _ticker_names(self.tickers + dropped, "tickers and dropped")  # none is both
+        object.__setattr__(self, "dropped", dropped)
         if len(prices) < 2:
             raise ValueError("price panel needs at least 2 rows")
         object.__setattr__(self, "prices", _frozen_array(prices))
@@ -513,6 +515,7 @@ def synth_panel(
     ``target_corr`` defaults to the identity; ``ann_vol``/``ann_drift``
     broadcast to per-asset vectors. The tickers are ``A000``, ``A001``, ...
     """
+    _check_count(seed, "seed", least=0)
     _check_count(T, "T", least=2)
     _check_count(M, "M")
     corr = np.eye(M) if target_corr is None else np.asarray(target_corr, dtype=float)

@@ -14,7 +14,6 @@ matches enumeration by rendered string.
 """
 from __future__ import annotations
 
-import math
 from contextlib import suppress
 from dataclasses import asdict, dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .allocation import _weight_array, portfolio_log_returns
 from .clustering import ZeroVolatilityError, annualised_sharpe
-from .market_data import (ANNUALISATION, ReturnPanel, _check_cost, _check_count, _frozen_array,
+from .market_data import (ANNUALISATION, ReturnPanel, _check_count, _check_real, _frozen_array,
                           _frozen_bits, _frozen_integers, _square)
 
 MAX_WIDTH = 24  # largest W of any 2^W energy table or statevector: memory guard
@@ -45,9 +44,8 @@ class QuboParams:
 
     def __post_init__(self) -> None:
         for name in ("lambda1", "lambda2", "lambda3"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        _check_cost(self.cost_c)
+            _check_real(getattr(self, name), name)
+        _check_real(self.cost_c, "cost_c", least=0.0)  # a negative cost credits every trade
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .market_data import (
-    ReturnPanel, _flat, _frozen_array, _positions, _read_only, _square, _ticker_names,
+    ReturnPanel, _check_real, _flat, _frozen_array, _positions, _read_only, _square, _ticker_names,
 )
 
 
@@ -44,8 +44,8 @@ class ShrunkCovariance:
         m = len(sigma)
         if len(self.tickers) != m:
             raise ValueError(f"{len(self.tickers)} tickers for a {m}x{m} sigma")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        _check_real(self.alpha, "alpha", least=0.0, most=1.0)
+        _check_real(self.mu_target, "mu_target")
         if not np.all(np.diag(sigma) > 0.0):
             raise ValueError("sigma has a non-positive diagonal entry")
         object.__setattr__(self, "sigma", _frozen_array(sigma))

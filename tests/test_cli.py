@@ -518,7 +518,7 @@ class TestWeightsCommand:
         assert "select" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value,what", [
-        ("shrinkage_alpha", 1.5, "alpha must be in [0, 1], got 1.5"),
+        ("shrinkage_alpha", 1.5, "alpha must be a finite number in [0, 1], not 1.5"),
         ("shrinkage_mu_target", -1.0, "sigma has a non-positive diagonal entry"),
         ("tickers", lambda t: t[:1], "GA needs at least 2 assets"),
     ], ids=["alpha", "mu_target", "one-ticker"])

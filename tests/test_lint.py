@@ -15,9 +15,10 @@ only ``clustering.annualised_sharpe`` calls ``.std(`` or ``.var(`` (so
 ``backtest.drawdown`` calls ``np.maximum.accumulate``, only
 ``market_data._square`` checks ``np.allclose(m, m.T, ...)`` or averages
 ``(m + m.T) / 2`` (every matrix it admits is exactly symmetric), only
-``market_data._check_cost`` compares a ``cost_c`` and only
-``schedule_qubo._check_width`` compares a width with the 2^W memory guard
-``MAX_WIDTH``, only ``market_data._check_count`` calls ``hasattr(x,
+``market_data._check_real`` calls ``math.isfinite`` (every real setting
+is checked there, and the table test of ``test_market_data`` holds each
+real's caller to it) and only ``schedule_qubo._check_width`` compares a
+width with the 2^W memory guard ``MAX_WIDTH``, only ``market_data._check_count`` calls ``hasattr(x,
 "__index__")`` (every count is checked there, and the table test of
 ``test_market_data`` holds each count's caller to it), and only
 ``market_data._frozen_array`` chooses an array's memory layout (passes
@@ -376,7 +377,7 @@ OWNERS = {
     "running_peak": (calls_method("accumulate", of="maximum"), ("backtest.py", "drawdown")),
     "symmetry": (checks_symmetry, ("market_data.py", "_square")),
     "symmetric_part": (averages_with_transpose, ("market_data.py", "_square")),
-    "cost_sign": (compares("cost_c"), ("market_data.py", "_check_cost")),
+    "finite": (calls_of("math", "isfinite"), ("market_data.py", "_check_real")),
     "width_guard": (compares("MAX_WIDTH"), ("schedule_qubo.py", "_check_width")),
     "count": (probes("__index__"), ("market_data.py", "_check_count")),
     "layout": (sets_layout, ("market_data.py", "_frozen_array")),
@@ -419,7 +420,7 @@ def test_checks_catch_dead_code():
         "\ndef stats(r, c, m):\n    sd = r.std(ddof=1)\n    peak = np.maximum.accumulate(c)\n"
         "    ok = np.allclose(m, m.T, atol=0.0) and np.allclose(m.diagonal(), 0.0)\n"
         "    return np.minimum.accumulate(c), np.allclose(m, c.T), (m + m.T) / 2.0, (m + c.T) / 2\n"
-        "\ndef charge(p, cost_c):\n    return p.cost_c < 0 or 0.0 > cost_c or cost_c * 2.0\n"
+        "\ndef charge(p, cost_c):\n    return math.isfinite(cost_c), np.isfinite(p), p.isfinite()\n"
         "\ndef fits(w, q):\n    return w > MAX_WIDTH or q.MAX_WIDTH == 3 or 2 ** MAX_WIDTH\n"
         "\ndef write(fh, blob):\n    json.dump(blob, fh)\n    return json.dumps(blob), fh.dumps(blob)\n"
         "\ndef layout(a, ok):\n    b = np.array(a, order='F').reshape(-1)\n"
@@ -448,7 +449,7 @@ def test_checks_catch_dead_code():
         "std": [("stats", 13), ("spread", 52), ("spread", 52), ("spread", 52)],
         "running_peak": [("stats", 14)], "symmetry": [("stats", 15)],
         "symmetric_part": [("stats", 16)],
-        "cost_sign": [("charge", 19), ("charge", 19)],
+        "finite": [("charge", 19)],
         "width_guard": [("fits", 22), ("fits", 22)],
         "count": [("whole", 55)],
         "layout": [("layout", 29), ("layout", 30), ("layout", 30), ("layout", 30)],

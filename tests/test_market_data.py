@@ -27,12 +27,12 @@ from quantfolio import (
     write_csv,
 )
 from quantfolio.allocation import GaConfig, WeightVector, equal_weights, minvar
-from quantfolio.backtest import Periodic
+from quantfolio.backtest import Periodic, Strategy, Threshold, run
 from quantfolio.cli import RunConfig, _read_artifact
 from quantfolio.clustering import ward_cluster
 from quantfolio.market_data import _READ_BUFFER
 from quantfolio.qaoa import QaoaConfig, sample, walk_forward
-from quantfolio.schedule_qubo import QuboProblem, _qubo_matrix, candidate_dates
+from quantfolio.schedule_qubo import QuboParams, QuboProblem, _qubo_matrix, candidate_dates
 from quantfolio.shrinkage import ShrunkCovariance
 
 from conftest import subprocess_env
@@ -820,6 +820,7 @@ COUNTS = {
     "n": (lambda v: ward_cluster(1.0 - _CORR, v), 1),
     "T": (lambda v: synth_panel(seed=0, T=v, M=2), 2),
     "M": (lambda v: synth_panel(seed=0, T=5, M=v), 1),
+    "synth_panel seed": (lambda v: synth_panel(seed=v, T=5, M=2), 0, "seed"),
 }
 
 
@@ -834,6 +835,46 @@ def test_each_count_is_a_whole_number_of_at_least_its_least(row):
         with pytest.raises(ValueError, match=f"^{field} must be a whole number >= {least}, not"):
             call(value)
     call(np.int64(least))
+
+
+_EQUAL_RUN = Strategy(equal_weights(_COUNT_PANEL.tickers), Periodic(5))
+
+# every real setting the package takes, by row: the call that checks it, the
+# closed range [least, most] it admits, the ints the call admits and, where
+# the row is not named after it, the field name
+REALS = {
+    **{name: (lambda v, name=name: QuboParams(**{name: v}), -math.inf, math.inf, (2,))
+       for name in ("lambda1", "lambda2", "lambda3")},
+    "QuboParams cost_c": (lambda v: QuboParams(cost_c=v), 0.0, math.inf, (0,), "cost_c"),
+    "run cost_c": (lambda v: run(_COUNT_PANEL, _EQUAL_RUN, v), 0.0, math.inf, (0,), "cost_c"),
+    "gene_low": (lambda v: GaConfig(gene_low=v, gene_high=2.0), -math.inf, math.inf, (1,)),
+    "gene_high": (lambda v: GaConfig(gene_high=v), -math.inf, math.inf, (2,)),
+    "lambda_ent": (lambda v: GaConfig(lambda_ent=v), -math.inf, math.inf, (0,)),
+    "mutation_rate": (lambda v: GaConfig(mutation_rate=v), 0.0, 1.0, (0, 1)),
+    # the open rule 0 < fraction < 1 admits no int
+    "threshold fraction": (Threshold, -math.inf, math.inf, ()),
+    "alpha": (lambda v: ShrunkCovariance(("A", "B"), np.eye(2), v, 1.0), 0.0, 1.0, (0, 1)),
+    "mu_target": (lambda v: ShrunkCovariance(("A", "B"), np.eye(2), 0.5, v),
+                  -math.inf, math.inf, (1,)),
+}
+
+
+@pytest.mark.parametrize("row", REALS)
+def test_each_real_is_a_finite_number_in_its_range(row):
+    """Every real setting goes through ``_check_real``: a bool, a string,
+    ``None``, a non-finite value or one just outside its range raises naming
+    the field, where a comparison would have admitted it or raised a bare
+    ``TypeError``; a numpy float and an ``int`` in range are admitted."""
+    call, least, most, ints, *named = REALS[row]
+    field = named[0] if named else row
+    outside = [np.nextafter(bound, away)
+               for bound, away in ((least, -math.inf), (most, math.inf)) if math.isfinite(bound)]
+    for value in (True, np.True_, "0.5", None, math.nan, math.inf, -math.inf, *outside):
+        with pytest.raises(ValueError, match=rf"^{field} must be a finite number in "
+                                             rf"\[{least:g}, {most:g}\], not"):
+            call(value)
+    for value in (np.float64(0.05), *ints):
+        call(value)
 
 
 _AB_DATES = (date(2024, 1, 2), date(2024, 1, 3))
@@ -851,8 +892,14 @@ def _read_tickers(name: str, blob: dict):
     return read
 
 
+def _width(tickers) -> int:
+    """The columns a holder is given for ``tickers``: one per name, or 1
+    for a value with no length."""
+    return len(tickers) if hasattr(tickers, "__len__") else 1
+
+
 def _uniform(tickers):
-    return np.ones(len(tickers)) / max(len(tickers), 1)
+    return np.ones(_width(tickers)) / max(_width(tickers), 1)
 
 
 # ``_ticker_names``' message, with the field it names
@@ -862,10 +909,11 @@ _TICKER_KEY = r"malformed artifact, tickers: "
 # every holder of a ticker list: the call that builds one from a list, and
 # what its refusal says
 TICKER_HOLDERS = {
-    "PricePanel": (lambda v: PricePanel(_AB_DATES, v, np.ones((2, len(v)))), _TICKER_RULE),
-    "ReturnPanel": (lambda v: ReturnPanel(_AB_DATES, v, np.ones((2, len(v)))), _TICKER_RULE),
+    "PricePanel": (lambda v: PricePanel(_AB_DATES, v, np.ones((2, _width(v)))), _TICKER_RULE),
+    "ReturnPanel": (lambda v: ReturnPanel(_AB_DATES, v, np.ones((2, _width(v)))), _TICKER_RULE),
     "WeightVector": (lambda v: WeightVector(v, _uniform(v), "Equal"), _TICKER_RULE),
-    "ShrunkCovariance": (lambda v: ShrunkCovariance(v, np.eye(len(v)), 0.0, 1.0), _TICKER_RULE),
+    "ShrunkCovariance": (lambda v: ShrunkCovariance(v, np.eye(_width(v)), 0.0, 1.0),
+                         _TICKER_RULE),
     "equal_weights": (equal_weights, _TICKER_RULE),
     "ReturnPanel.restrict": (_AB_RETURNS.restrict, _TICKER_RULE),
     "ShrunkCovariance.restrict": (_AB_COV.restrict, _TICKER_RULE),
@@ -877,14 +925,30 @@ TICKER_HOLDERS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["AB", (), ("",), ("  ",), ("A", "A"), (5,)], ids=repr)
+@pytest.mark.parametrize("bad", ["AB", (), ("",), ("  ",), ("A", "A"), (5,), 5, None], ids=repr)
 @pytest.mark.parametrize("holder", TICKER_HOLDERS)
 def test_every_ticker_holder_refuses_a_bad_list_by_name(holder, bad):
     """Every ticker list goes through ``_ticker_names``: a lone string (not
-    split into its characters), no names, a blank name, a name twice or a
-    name that is no string raises naming the field, and ``("A", "B")`` is
-    admitted."""
+    split into its characters), no names, a blank name, a name twice, a
+    name that is no string or a value that is no list raises naming the
+    field, and ``("A", "B")`` is admitted."""
     call, refusal = TICKER_HOLDERS[holder]
     with pytest.raises(ValueError, match=refusal):
         call(bad)
     call(("A", "B"))
+
+
+@pytest.mark.parametrize("bad,refusal", [
+    ("AB", "^dropped must be one or more"), (("",), "^dropped must be one or more"),
+    ((5,), "^dropped must be one or more"), (5, "^dropped must be one or more"),
+    (None, "^dropped must be one or more"), (("C", "C"), "^dropped name C more than once"),
+    (("C", "A"), "^tickers and dropped name A more than once"),
+], ids=repr)
+def test_dropped_is_a_ticker_list_apart_from_the_kept_ones(bad, refusal):
+    """A panel's ``dropped`` is empty or a ticker list (``_ticker_names``)
+    that names no kept ticker; the error names ``dropped``."""
+    with pytest.raises(ValueError, match=refusal):
+        PricePanel(_AB_DATES, ("A", "B"), np.ones((2, 2)), dropped=bad)
+    for ok, held in (((), ()), ([], ()), (np.array([]), ()), (["C"], ("C",)),
+                     (np.array(["C"]), ("C",))):
+        assert PricePanel(_AB_DATES, ("A", "B"), np.ones((2, 2)), dropped=ok).dropped == held
